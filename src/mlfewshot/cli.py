@@ -216,7 +216,7 @@ def cmd_inspect_lcm(args) -> int:
     state = fit_importance(model.joint, fmap, np.asarray(targets), embed_matrix,
                            lcm_config, trained=model.trained)
     sigma = sigma_grid(state)
-    mask = selection_with_fallback(select_features(state, cfg.theta), args.image)
+    mask, fell_back = selection_with_fallback(select_features(state, cfg.theta))
 
     importance_path = out_dir / f"importance_{args.image}.txt"
     sigma_path = out_dir / f"sigma_{args.image}.txt"
@@ -225,7 +225,9 @@ def cmd_inspect_lcm(args) -> int:
     write_importance_grid(sigma_path, sigma)
     write_selection_mask(mask_path, mask)
     kept = int(mask.sum())
-    print(f"image {args.image} ({split}): kept {kept}/{mask.size} cells at theta={cfg.theta}")
+    fallback = " (no cell cleared theta; fell back to keep-all)" if fell_back else ""
+    print(f"image {args.image} ({split}): kept {kept}/{mask.size} cells "
+          f"at theta={cfg.theta}{fallback}")
     print(f"importance: {importance_path}")
     print(f"sigma:      {sigma_path}")
     print(f"mask:       {mask_path}")

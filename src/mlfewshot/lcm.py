@@ -5,21 +5,23 @@ by minimizing that image's class-mapping loss under weighted pooling with
 everything else frozen.  A first-order estimate of how much the loss would
 change if a cell were removed is tracked with a momentum accumulator, and
 cells whose sigmoided accumulator clears a threshold are kept.
+
+The fit needs only the loss's gradient in the weights, which has a closed
+form (pooling is linear in the weights), so it runs in plain numpy with no
+tape.  The taped image loss stays as the definition that the exact
+loss-change and the tests measure the closed form against.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import DegenerateVectorError, Tensor
 from .errors import ConfigError
 from .features import weighted_pool
 from .joint_space import JointSpaceParams, project_label
 from .optim import Adam
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -126,18 +128,50 @@ def loss_change_exact(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
     return abs(with_cell - without_cell)
 
 
+def _image_loss_gradient(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
+                         label_embeddings):
+    """Closed-form d loss / d importance of `_image_loss`, as a function of
+    the (h, w) weights.
+
+    With M = visual @ fmap_flat / cells, v = M w, unit label vectors u_l,
+    cosines c_l = u_l . v / |v| and residuals r_l = sigma(scale * c_l) - y_l:
+    d loss / d v = (scale / |v|) * (sum_l r_l u_l - (r . c) v / |v|) and
+    d loss / d w = M^T (d loss / d v).
+    """
+    channels, height, width = fmap.shape
+    cells = height * width
+    pooling = joint.visual.data @ fmap.reshape(channels, cells) / cells
+    label_joints = np.asarray(label_embeddings, dtype=np.float64) @ joint.text.data.T
+    label_norms = np.linalg.norm(label_joints, axis=1)
+    y = np.asarray(targets_row, dtype=np.float64)
+    if y.shape != label_norms.shape:
+        raise ad.ShapeError(f"lcm: targets {y.shape} vs {label_norms.shape[0]} labels")
+    if np.any(label_norms == 0.0):
+        raise DegenerateVectorError("degenerate-vector: cosine of a zero-length vector")
+    units = label_joints / label_norms[:, None]
+    scale = joint.scale
+
+    def gradient(weights: np.ndarray) -> np.ndarray:
+        visual = pooling @ weights.reshape(cells)
+        norm = np.linalg.norm(visual)
+        if norm == 0.0:
+            raise DegenerateVectorError("degenerate-vector: cosine of a zero-length vector")
+        cosines = units @ visual / norm
+        residuals = 0.5 * (1.0 + np.tanh(0.5 * scale * cosines)) - y  # sigmoid, overflow-free
+        d_visual = (scale / norm) * (units.T @ residuals - (residuals @ cosines) / norm * visual)
+        return (pooling.T @ d_visual).reshape(height, width)
+
+    return gradient
+
+
 def loss_change_taylor(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
                        label_embeddings, importance: np.ndarray) -> np.ndarray:
     """First-order grid |importance * d loss / d importance| for every cell,
-    from one forward and one backward pass."""
-    frozen = _frozen_view(joint)
-    label_joints = _project_labels(frozen, label_embeddings)
-    weights = Tensor(np.array(importance, dtype=np.float64, copy=True), requires_grad=True)
-    loss = _image_loss(frozen, Tensor(fmap), np.asarray(targets_row, dtype=np.float64),
-                       label_joints, weights)
-    loss.backward()
-    grad = weights.grad if weights.grad is not None else np.zeros_like(weights.data)
-    return np.abs(weights.data * grad)
+    from the closed-form gradient."""
+    importance = np.asarray(importance, dtype=np.float64)
+    gradient = _image_loss_gradient(joint, np.asarray(fmap, dtype=np.float64), targets_row,
+                                    label_embeddings)
+    return np.abs(importance * gradient(importance))
 
 
 def fit_importance(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
@@ -146,30 +180,26 @@ def fit_importance(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
 
     Per epoch: one Adam step on the weights minimizing the image's CM loss
     under weighted pooling, clamp to [0, 1] and normalize, then refresh the
-    loss-change grid and fold it into the momentum accumulator.
+    loss-change grid and fold it into the momentum accumulator.  The
+    gradient behind each grid is also the one the next epoch's Adam step
+    takes, so every epoch evaluates the gradient once.
     """
     if not trained:
         raise ConfigError("untrained-model: importance weights are fitted on a trained model")
     fmap = np.asarray(fmap, dtype=np.float64)
     if fmap.ndim != 3:
         raise ConfigError(f"fit_importance: expected a (c, h, w) feature map, got {fmap.shape}")
-    frozen = _frozen_view(joint)
-    label_joints = _project_labels(frozen, label_embeddings)
-    y = np.asarray(targets_row, dtype=np.float64)
-    fmap_t = Tensor(fmap)
-    grid_shape = fmap.shape[1:]
-
-    weights = Tensor(np.ones(grid_shape), requires_grad=True)
-    accumulator = np.zeros(grid_shape)
+    gradient = _image_loss_gradient(joint, fmap, targets_row, label_embeddings)
+    weights = Tensor(np.ones(fmap.shape[1:]))
+    accumulator = np.zeros(weights.shape)
     optimizer = Adam({"importance": weights}, lr=config.learning_rate)
+    weights.grad = gradient(weights.data)
     for iteration in range(1, config.epochs + 1):
-        optimizer.zero_grad()
-        loss = _image_loss(frozen, fmap_t, y, label_joints, weights)
-        loss.backward()
         optimizer.step()
         np.clip(weights.data, 0.0, 1.0, out=weights.data)
         weights.data[...] = normalize_importance(weights.data)
-        grid = loss_change_taylor(joint, fmap, y, label_embeddings, weights.data)
+        weights.grad = gradient(weights.data)
+        grid = np.abs(weights.data * weights.grad)
         accumulator = momentum_update(accumulator, grid, iteration, config.momentum_cap)
     return ImportanceMap(importance=weights.data.copy(), accumulator=accumulator,
                          iteration=config.epochs)
@@ -190,12 +220,13 @@ def select_features(state: ImportanceMap, threshold: float) -> np.ndarray:
     return sigma_grid(state) >= threshold
 
 
-def selection_with_fallback(mask: np.ndarray, image_id: str = "?") -> np.ndarray:
-    """Guard against empty selections: an all-false mask falls back to all-true."""
+def selection_with_fallback(mask: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Guard against empty selections: an all-false mask falls back to
+    all-true.  Returns (mask, whether it fell back); callers report the
+    fallbacks."""
     if not mask.any():
-        log.warning("selection mask for image %s dropped every cell; keeping all", image_id)
-        return np.ones_like(mask, dtype=bool)
-    return mask
+        return np.ones_like(mask, dtype=bool), True
+    return mask, False
 
 
 def write_importance_grid(path, grid: np.ndarray):

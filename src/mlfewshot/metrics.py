@@ -4,6 +4,7 @@ Average precision ranks by descending score with ties broken by original
 position; episode-level numbers are averaged unweighted across episodes.
 """
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -30,6 +31,8 @@ from .model import (
 from .prototypes import simple_attention_prototype
 
 EVAL_MODES = ("base", "lcm", "zeroshot", "simple-attention")
+
+log = logging.getLogger(__name__)
 
 
 class UndefinedAveragePrecision(ValueError):
@@ -133,7 +136,7 @@ class MetricsReport:
 def _episode_probabilities(model: ModelState, episode, store, embeddings_by_label,
                            mode, theta, lcm_config, collect_detail):
     """Score every query image against every episode label; returns
-    (probability matrix, detail rows)."""
+    (probability matrix, detail rows, per-support-mask fallback flags)."""
     labels = list(episode.labels)
     label_joints = {
         label: Tensor(model.joint.text.data @ embeddings_by_label[label])
@@ -146,7 +149,7 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
     if mode == "zeroshot":
         probs = zero_shot_probabilities(model.joint, query_globals,
                                         [label_joints[label] for label in labels])
-        return probs, detail
+        return probs, detail, []
 
     support_maps = [feature_map_tensor(model, store.get(i)) for i in episode.support_ids]
 
@@ -159,10 +162,11 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
             vectors.append(simple_attention_prototype(members, label_joints[label],
                                                       model.joint.scale))
         _, matrix = score_against(model.joint, query_globals, vectors)
-        return expit(matrix), detail
+        return expit(matrix), detail, []
 
     grid = (support_maps[0].shape[1], support_maps[0].shape[2])
     masks = None
+    fell_back = []
     if mode == "lcm":
         embed_matrix = np.stack([embeddings_by_label[label] for label in labels])
         masks = []
@@ -170,8 +174,9 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
             state = fit_importance(model.joint, support_maps[i].data,
                                    episode.support_targets[i], embed_matrix,
                                    lcm_config, trained=model.trained)
-            mask = selection_with_fallback(select_features(state, theta), image_id)
+            mask, fallback = selection_with_fallback(select_features(state, theta))
             masks.append(mask)
+            fell_back.append(fallback)
             if collect_detail:
                 detail.append({
                     "image_id": image_id,
@@ -184,7 +189,7 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
     protos = episode_prototypes(model, pools, label_joints, training=False)
     _, matrix = score_against(model.joint, query_globals,
                               [protos[label].vector for label in labels])
-    return expit(matrix), detail
+    return expit(matrix), detail, fell_back
 
 
 def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",
@@ -196,7 +201,8 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",
 
     Episode sampling depends only on (seed, episode index), so different
     modes at the same seed see identical episodes.  Detail rows carry the
-    per-support-image importance data in "lcm" mode when asked.
+    per-support-image importance data in "lcm" mode when asked.  Support
+    masks that fall back to keep-all are summarised in one warning.
     """
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown-mode: {mode!r} is not one of {EVAL_MODES}")
@@ -222,8 +228,8 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",
             manifest, record_pool, labels, k_shot,
             lambda attempt: seeding.substream(seed, "eval", idx, attempt),
             retries=retries)
-        probs, detail = _episode_probabilities(model, episode, store, embeddings_by_label,
-                                               mode, theta, lcm_config, collect_detail)
+        probs, detail, fell_back = _episode_probabilities(
+            model, episode, store, embeddings_by_label, mode, theta, lcm_config, collect_detail)
         targets = episode.query_targets
         row = {
             "micro_ap": micro_average_precision(probs, targets),
@@ -233,7 +239,7 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",
         row["micro_f1"], row["macro_f1"] = f1_scores(probs, targets)
         for entry in detail:
             entry["episode"] = idx
-        return row, detail
+        return row, detail, fell_back
 
     if threads == 1:
         results = [run_episode(idx) for idx in range(episodes)]
@@ -241,8 +247,12 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_episode, range(episodes)))
 
-    rows = [r for r, _ in results]
-    all_detail = [entry for _, d in results for entry in d]
+    rows = [r for r, _, _ in results]
+    all_detail = [entry for _, d, _ in results for entry in d]
+    flags = [flag for _, _, f in results for flag in f]
+    if any(flags):
+        log.warning("lcm: %d of %d support masks fell back to keep-all at theta=%s",
+                    sum(flags), len(flags), theta)
     per_label_values: dict[str, list[float]] = {}
     for row in rows:
         for label, value in row["per_label_ap"].items():

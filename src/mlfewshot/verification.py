@@ -1,6 +1,7 @@
-"""Gradient verification: per-op finite-difference checks plus a whole-model
-composite.  Ops are looked up on the autodiff module at call time, so a
-broken (or deliberately corrupted) op is caught when the suite runs.
+"""Gradient verification: per-op finite-difference checks, the closed-form
+LCM importance gradient, plus a whole-model composite.  Ops are looked up on
+the autodiff module at call time, so a broken (or deliberately corrupted) op
+is caught when the suite runs.
 """
 
 from dataclasses import dataclass
@@ -8,8 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import lcm
 from .autodiff import Tensor
 from .episodes import Episode
+from .joint_space import init_joint_space
 from .model import ArrayStore, init_model
 from .training import episode_losses
 
@@ -210,6 +213,26 @@ def _tiny_episode(seed=5):
     return model, episode, ArrayStore(arrays), embeddings
 
 
+def _central_difference_error(value, point: np.ndarray, analytic: np.ndarray, eps) -> float:
+    """Max over components of |analytic - numeric| / max(1, |analytic|), where
+    numeric central-differences value() by nudging `point` in place."""
+    worst = 0.0
+    it = np.nditer(point, flags=["multi_index"])
+    while not it.finished:
+        idx = it.multi_index
+        original = point[idx]
+        point[idx] = original + eps
+        f_plus = value()
+        point[idx] = original - eps
+        f_minus = value()
+        point[idx] = original
+        numeric = (f_plus - f_minus) / (2.0 * eps)
+        a = float(analytic[idx])
+        worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
+        it.iternext()
+    return worst
+
+
 def full_model_max_error(eps=1e-6, seed=5) -> float:
     """Finite-difference the episode loss against every model parameter."""
     model, episode, store, embeddings = _tiny_episode(seed)
@@ -223,23 +246,29 @@ def full_model_max_error(eps=1e-6, seed=5) -> float:
     loss_tensor().backward()
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for name, p in params.items()}
+    return max(_central_difference_error(lambda: loss_tensor().item(), p.data,
+                                         analytic[name], eps)
+               for name, p in params.items())
 
-    worst = 0.0
-    for name, p in params.items():
-        it = np.nditer(p.data, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            original = p.data[idx]
-            p.data[idx] = original + eps
-            f_plus = loss_tensor().item()
-            p.data[idx] = original - eps
-            f_minus = loss_tensor().item()
-            p.data[idx] = original
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = float(analytic[name][idx])
-            worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
-            it.iternext()
-    return worst
+
+def lcm_gradient_max_error(eps=1e-6, seed=123) -> float:
+    """Finite-difference the taped LCM image loss against the closed-form
+    importance gradient that the fit uses."""
+    rng = np.random.default_rng(seed)
+    joint = init_joint_space(4, 3, 6, 10.0, rng)
+    fmap = rng.standard_normal((4, 3, 3))
+    targets = np.array([1.0, 0.0, 1.0])
+    label_embeddings = rng.standard_normal((3, 3))
+    weights = rng.uniform(0.2, 1.0, size=(3, 3))
+    frozen = lcm._frozen_view(joint)
+    label_joints = lcm._project_labels(frozen, label_embeddings)
+    fmap_t = Tensor(fmap)
+
+    def loss_value():
+        return lcm._image_loss(frozen, fmap_t, targets, label_joints, Tensor(weights)).item()
+
+    analytic = lcm._image_loss_gradient(joint, fmap, targets, label_embeddings)(weights)
+    return _central_difference_error(loss_value, weights, analytic, eps)
 
 
 def run_suite(eps=1e-6, op_tolerance=OP_TOLERANCE, model_tolerance=MODEL_TOLERANCE,
@@ -250,6 +279,9 @@ def run_suite(eps=1e-6, op_tolerance=OP_TOLERANCE, model_tolerance=MODEL_TOLERAN
         f, x0 = builder(np.random.default_rng([seed, i]))
         error = ad.grad_check(f, x0, eps=eps)
         results.append(CheckResult(name=name, max_error=error, tolerance=op_tolerance))
+    results.append(CheckResult(name="lcm-importance-gradient",
+                               max_error=lcm_gradient_max_error(eps=eps, seed=seed),
+                               tolerance=op_tolerance))
     if include_model:
         results.append(CheckResult(name="full-model", max_error=full_model_max_error(eps=eps),
                                    tolerance=model_tolerance))

@@ -6,11 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from mlfewshot.autodiff import Tensor
+from mlfewshot.autodiff import DegenerateVectorError, ShapeError, Tensor
 from mlfewshot.errors import ConfigError
 from mlfewshot.joint_space import init_joint_space
 from mlfewshot.lcm import (
     LcmConfig,
+    _frozen_view,
+    _image_loss,
+    _image_loss_gradient,
+    _project_labels,
     fit_importance,
     loss_change_exact,
     loss_change_taylor,
@@ -24,10 +28,21 @@ from mlfewshot.lcm import (
     write_importance_grid,
     write_selection_mask,
 )
+from mlfewshot.optim import Adam
 
 
 def toy_joint(channels=4, embed=3, joint=5, seed=0, scale=10.0):
     return init_joint_space(channels, embed, joint, scale, np.random.default_rng(seed))
+
+
+def tape_gradient(joint, fmap, targets, embeds, weights):
+    """d loss / d weights of the taped image loss: the reference the
+    closed-form gradient must match."""
+    frozen = _frozen_view(joint)
+    leaf = Tensor(np.array(weights, copy=True), requires_grad=True)
+    _image_loss(frozen, Tensor(fmap), np.asarray(targets, dtype=np.float64),
+                _project_labels(frozen, embeds), leaf).backward()
+    return leaf.grad
 
 
 # ------------------------------------------------------------- normalization
@@ -108,14 +123,18 @@ def test_threshold_validation(theta):
         validate_threshold(theta)
 
 
-def test_fallback_restores_all_cells_with_warning(caplog):
+def test_fallback_restores_all_cells_and_reports_it(caplog):
+    # the caller summarises fallbacks; the guard itself logs nothing
     mask = np.zeros((2, 2), dtype=bool)
     with caplog.at_level(logging.WARNING):
-        out = selection_with_fallback(mask, "img42")
-    assert out.all()
-    assert any("img42" in r.message for r in caplog.records)
+        out, fell_back = selection_with_fallback(mask)
+    assert out.all() and out.dtype == bool
+    assert fell_back
+    assert caplog.records == []
     kept = np.array([[True, False], [False, False]])
-    assert np.array_equal(selection_with_fallback(kept, "x"), kept)
+    out, fell_back = selection_with_fallback(kept)
+    assert np.array_equal(out, kept)
+    assert not fell_back
 
 
 # ------------------------------------------------------- loss-change grids
@@ -131,6 +150,8 @@ def test_taylor_matches_autodiff_direct():
     grid = loss_change_taylor(joint, fmap, targets, embeds, rho)
     assert grid.shape == (2, 3)
     assert np.all(grid >= 0.0)
+    want = np.abs(rho * tape_gradient(joint, fmap, targets, embeds, rho))
+    assert np.max(np.abs(grid - want)) <= 1e-12
 
 
 def test_taylor_equals_exact_for_linear_loss():
@@ -171,6 +192,79 @@ def test_exact_loss_change_is_abs_difference():
     rho = np.ones((2, 2))
     delta = loss_change_exact(joint, fmap, targets, embeds, rho, 0, 1)
     assert delta >= 0.0
+
+
+# ------------------------------------------------ closed form against the tape
+
+
+def tape_fit(joint, fmap, targets, embeds, config):
+    """The taped fitting loop: one tape for each Adam step and one more for
+    each loss-change grid."""
+    weights = Tensor(np.ones(fmap.shape[1:]), requires_grad=True)
+    accumulator = np.zeros(fmap.shape[1:])
+    optimizer = Adam({"importance": weights}, lr=config.learning_rate)
+    for iteration in range(1, config.epochs + 1):
+        optimizer.zero_grad()
+        weights.grad = tape_gradient(joint, fmap, targets, embeds, weights.data)
+        optimizer.step()
+        np.clip(weights.data, 0.0, 1.0, out=weights.data)
+        weights.data[...] = normalize_importance(weights.data)
+        grid = np.abs(weights.data * tape_gradient(joint, fmap, targets, embeds, weights.data))
+        accumulator = momentum_update(accumulator, grid, iteration, config.momentum_cap)
+    return weights.data, accumulator
+
+
+def random_targets(rng, n_labels, kind):
+    if kind == "zeros":
+        return np.zeros(n_labels)
+    if kind == "ones":
+        return np.ones(n_labels)
+    return (rng.uniform(size=n_labels) > 0.5).astype(np.float64)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "zeros", "ones"])
+@pytest.mark.parametrize("n_labels", [1, 2, 3, 4])
+def test_closed_form_gradient_matches_tape(n_labels, kind):
+    rng = np.random.default_rng([11, n_labels])
+    for trial in range(5):
+        joint = toy_joint(seed=trial)
+        h, w = rng.integers(1, 5, size=2)
+        fmap = rng.standard_normal((4, h, w)) * rng.uniform(0.5, 3.0)
+        embeds = rng.standard_normal((n_labels, 3))
+        targets = random_targets(rng, n_labels, kind)
+        weights = rng.uniform(0.0, 1.0, size=(h, w))
+        want = tape_gradient(joint, fmap, targets, embeds, weights)
+        got = _image_loss_gradient(joint, fmap, targets, embeds)(weights)
+        assert got.shape == (h, w)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_labels", [1, 2, 4])
+def test_fit_matches_taped_reference_loop(n_labels):
+    rng = np.random.default_rng(40 + n_labels)
+    for trial in range(3):
+        joint = toy_joint(seed=trial)
+        fmap = rng.standard_normal((4, 3, 3)) * 2.0
+        embeds = rng.standard_normal((n_labels, 3))
+        targets = random_targets(rng, n_labels, "mixed")
+        config = LcmConfig(epochs=20)
+        importance, accumulator = tape_fit(joint, fmap, targets, embeds, config)
+        state = fit_importance(joint, fmap, targets, embeds, config)
+        assert np.max(np.abs(state.importance - importance)) <= 1e-12
+        assert np.max(np.abs(state.accumulator - accumulator)) <= 1e-12
+
+
+def test_degenerate_or_mismatched_inputs_raise():
+    joint = toy_joint()
+    with pytest.raises(DegenerateVectorError):
+        fit_importance(joint, np.zeros((4, 2, 2)), np.array([1.0]),
+                       np.ones((1, 3)), LcmConfig())
+    with pytest.raises(DegenerateVectorError):          # zero label vector
+        fit_importance(joint, np.ones((4, 2, 2)), np.array([1.0]),
+                       np.zeros((1, 3)), LcmConfig())
+    with pytest.raises(ShapeError):                     # one target, two labels
+        fit_importance(joint, np.ones((4, 2, 2)), np.array([1.0]),
+                       np.ones((2, 3)), LcmConfig())
 
 
 # ------------------------------------------------------------ fitting loop

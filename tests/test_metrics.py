@@ -1,5 +1,7 @@
 """Ranking metrics against brute-force oracles, plus episodic evaluation."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,27 @@ def test_evaluate_lcm_detail_rows(tiny_setup):
         assert entry["importance"].shape == (4, 4)
         assert entry["episode"] in (0, 1)
         assert entry["image_id"].startswith("img")
+
+
+def test_evaluate_lcm_summarises_fallbacks_in_one_warning(tiny_setup, caplog):
+    manifest, vocabulary, table, model = tiny_setup
+    theta = 0.99                                    # no cell clears it here
+    model.epoch = 1                                 # mark as trained
+    try:
+        for threads in (1, 3):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="mlfewshot"):
+                _, detail = evaluate(model, manifest, vocabulary, table,
+                                     episodes=4, seed=3, mode="lcm", theta=theta,
+                                     collect_detail=True, threads=threads)
+            fell_back = sum(not (entry["sigma"] >= theta).any() for entry in detail)
+            assert fell_back > 0
+            warnings = [r.getMessage() for r in caplog.records
+                        if r.levelno == logging.WARNING]
+            assert warnings == [f"lcm: {fell_back} of {len(detail)} support masks "
+                                f"fell back to keep-all at theta={theta}"], threads
+    finally:
+        model.epoch = 0
 
 
 def test_evaluate_modes_share_episodes(tiny_setup):
