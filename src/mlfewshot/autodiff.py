@@ -626,42 +626,6 @@ def conv2d(x, kernel, bias, stride=1, padding=0):
     return _node(data, (x, kernel, bias), "conv2d", backward)
 
 
-# kind -> callable, for dispatch-style use and for the gradcheck harness
-OPS = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "neg": neg,
-    "scale": scale,
-    "matmul": matmul,
-    "sum": tensor_sum,
-    "mean": mean,
-    "reshape": reshape,
-    "transpose": transpose,
-    "concat": concat,
-    "split": split,
-    "gather_rows": gather_rows,
-    "softmax": softmax,
-    "sigmoid": sigmoid,
-    "log": log,
-    "exp": exp,
-    "relu": relu,
-    "gelu": gelu,
-    "layer_norm": layer_norm,
-    "cosine": cosine,
-    "dropout": dropout,
-    "bce_with_logits": bce_with_logits,
-    "conv2d": conv2d,
-}
-
-
-def forward(kind, *inputs, **kwargs):
-    """Dispatch an op by name; split returns a tuple, everything else a Tensor."""
-    if kind not in OPS:
-        raise KeyError(f"forward: unknown op kind {kind!r}")
-    return OPS[kind](*inputs, **kwargs)
-
-
 def grad_check(f, x, eps=1e-6):
     """Compare f's analytic gradient at x against central differences.
 

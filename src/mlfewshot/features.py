@@ -1,4 +1,4 @@
-"""Local feature maps: binary file format, pooling, and a toy conv backbone.
+"""Local feature maps: binary file format and pooling.
 
 A feature map is a (channels, h, w) grid of float64 cell vectors.  On disk
 the FMAP1 format stores magic "FMAP1", three u32 little-endian dims, then
@@ -6,7 +6,6 @@ channel-major float32 little-endian values; loading widens to float64.
 """
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,62 +78,3 @@ def weighted_pool(fmap: Tensor, weights: Tensor) -> Tensor:
     flat = ad.reshape(fmap, (channels, cells))
     pooled = ad.matmul(flat, ad.reshape(weights, (cells,)))
     return ad.scale(pooled, 1.0 / cells)
-
-
-@dataclass
-class ToyBackbone:
-    """Two 3x3 stride-2 ReLU convolutions mapping (3, H, W) to (channels, h, w).
-
-    Padding 1 makes each conv halve the spatial size with ceiling rounding,
-    so the output grid is (ceil(H/4), ceil(W/4)); H, W >= 8 keeps h, w >= 2.
-    Differentiable end to end, so it can train jointly with the losses.
-    """
-
-    conv1_kernel: Tensor
-    conv1_bias: Tensor
-    conv2_kernel: Tensor
-    conv2_bias: Tensor
-
-    @property
-    def out_channels(self):
-        return self.conv2_kernel.shape[0]
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {
-            "backbone.conv1.kernel": self.conv1_kernel,
-            "backbone.conv1.bias": self.conv1_bias,
-            "backbone.conv2.kernel": self.conv2_kernel,
-            "backbone.conv2.bias": self.conv2_bias,
-        }
-
-    def forward(self, image: Tensor) -> Tensor:
-        if image.ndim != 3 or image.shape[0] != 3:
-            raise ad.ShapeError(f"backbone: expected a (3, H, W) image, got {image.shape}")
-        if image.shape[1] < 8 or image.shape[2] < 8:
-            raise ad.ShapeError(f"backbone: needs H, W >= 8, got {image.shape}")
-        h = ad.relu(ad.conv2d(image, self.conv1_kernel, self.conv1_bias, stride=2, padding=1))
-        return ad.relu(ad.conv2d(h, self.conv2_kernel, self.conv2_bias, stride=2, padding=1))
-
-
-def backbone_output_shape(height: int, width: int, channels: int) -> tuple[int, int, int]:
-    """Shape the backbone produces for a (3, height, width) input."""
-    def ceil_div(a, b):
-        return -(-a // b)
-
-    return channels, ceil_div(height, 4), ceil_div(width, 4)
-
-
-def init_backbone(rng, channels: int = 32, mid_channels: int = 16) -> ToyBackbone:
-    """Uniform +-1/sqrt(fan_in) init for both conv layers."""
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-    fan1 = 3 * 3 * 3
-    fan2 = mid_channels * 3 * 3
-    return ToyBackbone(
-        conv1_kernel=uniform((mid_channels, 3, 3, 3), fan1),
-        conv1_bias=uniform((mid_channels,), fan1),
-        conv2_kernel=uniform((channels, mid_channels, 3, 3), fan2),
-        conv2_bias=uniform((channels,), fan2),
-    )

@@ -1,9 +1,10 @@
-"""The joint visual/text embedding space and the class-mapping loss.
+"""The joint visual/text embedding space.
 
 Global visual features and label word embeddings are projected into one
 space by two bias-free linear maps; an image/label score is a scaled
-cosine similarity there, and the class-mapping loss is summed binary
-cross-entropy of those scores against the multi-hot ground truth.
+cosine similarity there (``model.score_against``), and the class-mapping
+loss is summed binary cross-entropy of those scores against the multi-hot
+ground truth (``model.score_loss``).
 """
 
 from dataclasses import dataclass
@@ -60,50 +61,3 @@ def project_visual(params: JointSpaceParams, feature: Tensor) -> Tensor:
 def project_label(params: JointSpaceParams, embedding: Tensor) -> Tensor:
     """Map a label word embedding (embed_dim,) into the joint space."""
     return ad.matmul(params.text, embedding)
-
-
-def score(params: JointSpaceParams, visual_joint: Tensor, label_joint: Tensor) -> Tensor:
-    """Scaled cosine similarity between two joint-space vectors."""
-    return ad.scale(ad.cosine(visual_joint, label_joint), params.scale)
-
-
-def cm_loss(params: JointSpaceParams, pooled_features, targets, label_joints) -> Tensor:
-    """Class-mapping loss: summed BCE of every (image, label) score.
-
-    pooled_features: per-image pooled visual features (channels,), on tape.
-    targets: (n_images, n_labels) multi-hot array.
-    label_joints: per-label joint-space vectors, on tape.
-    """
-    pooled_features = list(pooled_features)
-    label_joints = list(label_joints)
-    y = np.asarray(targets, dtype=np.float64)
-    if not pooled_features:
-        raise ConfigError("cm_loss: support set is empty")
-    if not label_joints:
-        raise ConfigError("cm_loss: label set is empty")
-    if y.shape != (len(pooled_features), len(label_joints)):
-        raise ConfigError(
-            f"cm_loss: targets shape {y.shape} does not match "
-            f"({len(pooled_features)}, {len(label_joints)})"
-        )
-    scores = []
-    for feature in pooled_features:
-        visual_joint = project_visual(params, feature)
-        for label_joint in label_joints:
-            scores.append(ad.reshape(score(params, visual_joint, label_joint), (1,)))
-    flat = ad.concat(scores, axis=0)
-    return ad.tensor_sum(ad.bce_with_logits(flat, y.reshape(-1)))
-
-
-def zero_shot_probabilities(params: JointSpaceParams, pooled_features, label_joints) -> np.ndarray:
-    """Sigmoid of the scaled cosine of each pooled feature against each label.
-
-    Prior-knowledge-only prediction: no support images are consulted.
-    Returns an (n_images, n_labels) probability matrix.
-    """
-    rows = []
-    for feature in pooled_features:
-        visual_joint = project_visual(params, feature)
-        row = [ad.sigmoid(score(params, visual_joint, lj)).item() for lj in label_joints]
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)

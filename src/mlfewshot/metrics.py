@@ -11,23 +11,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from . import autodiff as ad
 from . import seeding
 from .autodiff import Tensor
 from .embeddings import embed_label
 from .episodes import records_for_split, sample_episode_with_retries
 from .errors import ConfigError
 from .features import global_pool
-from .joint_space import project_visual, zero_shot_probabilities
+from .joint_space import project_label, project_visual
 from .lcm import LcmConfig, fit_importance, select_features, selection_with_fallback, sigma_grid
-from .model import (
-    FeatureStore,
-    ModelState,
-    build_pools,
-    episode_prototypes,
-    feature_map_tensor,
-    local_feature_rows,
-    score_against,
-)
+from .model import FeatureStore, ModelState, episode_forward, score_against
 from .prototypes import simple_attention_prototype
 
 EVAL_MODES = ("base", "lcm", "zeroshot", "simple-attention")
@@ -138,42 +131,14 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
     """Score every query image against every episode label; returns
     (probability matrix, detail rows, per-support-mask fallback flags)."""
     labels = list(episode.labels)
-    label_joints = {
-        label: Tensor(model.joint.text.data @ embeddings_by_label[label])
-        for label in labels
-    }
-    query_maps = [feature_map_tensor(model, store.get(i)) for i in episode.query_ids]
-    query_globals = [global_pool(m) for m in query_maps]
-    detail = []
-
-    if mode == "zeroshot":
-        probs = zero_shot_probabilities(model.joint, query_globals,
-                                        [label_joints[label] for label in labels])
-        return probs, detail, []
-
-    support_maps = [feature_map_tensor(model, store.get(i)) for i in episode.support_ids]
-
-    if mode == "simple-attention":
-        projected = [project_visual(model.joint, global_pool(m)) for m in support_maps]
-        vectors = []
-        for li, label in enumerate(labels):
-            members = [projected[i] for i in range(len(projected))
-                       if episode.support_targets[i, li] > 0]
-            vectors.append(simple_attention_prototype(members, label_joints[label],
-                                                      model.joint.scale))
-        _, matrix = score_against(model.joint, query_globals, vectors)
-        return expit(matrix), detail, []
-
-    grid = (support_maps[0].shape[1], support_maps[0].shape[2])
-    masks = None
-    fell_back = []
+    shape = (len(episode.query_ids), len(labels))
+    detail, fell_back, masks = [], [], None
     if mode == "lcm":
         embed_matrix = np.stack([embeddings_by_label[label] for label in labels])
         masks = []
         for i, image_id in enumerate(episode.support_ids):
-            state = fit_importance(model.joint, support_maps[i].data,
-                                   episode.support_targets[i], embed_matrix,
-                                   lcm_config, trained=model.trained)
+            state = fit_importance(model.joint, store.get(image_id), episode.support_targets[i],
+                                   embed_matrix, lcm_config, trained=model.trained)
             mask, fallback = selection_with_fallback(select_features(state, theta))
             masks.append(mask)
             fell_back.append(fallback)
@@ -184,12 +149,27 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
                     "mask": mask,
                     "importance": state.importance,
                 })
-    projections = [local_feature_rows(model.joint, m) for m in support_maps]
-    pools = build_pools(labels, episode.support_targets, projections, grid, masks)
-    protos = episode_prototypes(model, pools, label_joints, training=False)
-    _, matrix = score_against(model.joint, query_globals,
-                              [protos[label].vector for label in labels])
-    return expit(matrix), detail, fell_back
+    if mode in ("base", "lcm"):
+        _, _, logits = episode_forward(model, episode, store, embeddings_by_label, masks=masks)
+        return expit(logits.data.reshape(shape)), detail, fell_back
+
+    label_joints = [project_label(model.joint, Tensor(embeddings_by_label[label]))
+                    for label in labels]
+    query_globals = [global_pool(Tensor(store.get(i))) for i in episode.query_ids]
+    if mode == "zeroshot":
+        logits = score_against(model.joint, query_globals, label_joints)
+        return ad.sigmoid(logits).data.reshape(shape), detail, fell_back
+
+    # simple-attention
+    projected = [project_visual(model.joint, global_pool(Tensor(store.get(i))))
+                 for i in episode.support_ids]
+    vectors = []
+    for li, label_joint in enumerate(label_joints):
+        members = [projected[i] for i in range(len(projected))
+                   if episode.support_targets[i, li] > 0]
+        vectors.append(simple_attention_prototype(members, label_joint, model.joint.scale))
+    logits = score_against(model.joint, query_globals, vectors)
+    return expit(logits.data.reshape(shape)), detail, fell_back
 
 
 def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",

@@ -1,4 +1,4 @@
-"""Model state: parameter bundle, checkpoint format, and episode forward helpers.
+"""Model state: parameter bundle, checkpoint format, and the episode forward.
 
 A checkpoint is magic "MMCI1", a u32 entry count, then named tensors sorted
 by name: u32 name length, UTF-8 name, u32 rank, rank u32 dims, float64
@@ -14,8 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError
-from .features import ToyBackbone, init_backbone, load_feature_file
+from .errors import ConfigError, DataError
+from .features import global_pool, load_feature_file
 from .joint_space import JointSpaceParams, init_joint_space, project_label, project_visual
 from .prototypes import (
     AttentionParams,
@@ -36,7 +36,6 @@ class ModelState:
     joint: JointSpaceParams
     attention: AttentionParams
     dynconv: DynConvParams
-    backbone: ToyBackbone | None = None
     epoch: int = 0
 
     @property
@@ -48,8 +47,6 @@ class ModelState:
         params.update(self.joint.parameters())
         params.update(self.attention.parameters())
         params.update(self.dynconv.parameters())
-        if self.backbone is not None:
-            params.update(self.backbone.parameters())
         return params
 
     def zero_grad(self):
@@ -58,14 +55,12 @@ class ModelState:
 
 
 def init_model(*, channels, embed_dim, joint_dim, heads, dynconv_inner, dynconv_top,
-               scale, dropout, rng, with_backbone=False, backbone_mid=16) -> ModelState:
+               scale, dropout, rng) -> ModelState:
     """Seeded initialization of every component."""
     return ModelState(
         joint=init_joint_space(channels, embed_dim, joint_dim, scale, rng),
         attention=init_attention(joint_dim, heads, rng, dropout=dropout),
         dynconv=init_dynconv(joint_dim, dynconv_inner, dynconv_top, rng),
-        backbone=init_backbone(rng, channels=channels, mid_channels=backbone_mid)
-        if with_backbone else None,
     )
 
 
@@ -166,19 +161,10 @@ def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
             norm2_bias=Tensor(tensors["dynconv.norm2.bias"], requires_grad=True),
             top_count=int(tensors["model.top_count"]),
         )
-        backbone = None
-        if "backbone.conv1.kernel" in tensors:
-            backbone = ToyBackbone(
-                conv1_kernel=Tensor(tensors["backbone.conv1.kernel"], requires_grad=True),
-                conv1_bias=Tensor(tensors["backbone.conv1.bias"], requires_grad=True),
-                conv2_kernel=Tensor(tensors["backbone.conv2.kernel"], requires_grad=True),
-                conv2_bias=Tensor(tensors["backbone.conv2.bias"], requires_grad=True),
-            )
         epoch = int(tensors["trainer.epoch"])
     except KeyError as missing:
         raise DataError(f"checkpoint {path} lacks tensor {missing}") from missing
-    model = ModelState(joint=joint, attention=attention, dynconv=dynconv,
-                       backbone=backbone, epoch=epoch)
+    model = ModelState(joint=joint, attention=attention, dynconv=dynconv, epoch=epoch)
     extras = {k: v for k, v in tensors.items()
               if k.startswith("optim.") or k.startswith("config.")}
     return model, extras
@@ -204,7 +190,7 @@ class FeatureStore:
 
 
 class ArrayStore:
-    """In-memory stand-in for FeatureStore, for tests and the backbone path."""
+    """In-memory stand-in for FeatureStore, for tests and gradient checks."""
 
     def __init__(self, arrays: dict[str, np.ndarray]):
         self.arrays = arrays
@@ -213,15 +199,6 @@ class ArrayStore:
         if image_id not in self.arrays:
             raise DataError(f"no-such-image: {image_id!r}")
         return self.arrays[image_id]
-
-
-def feature_map_tensor(model: ModelState, raw: np.ndarray) -> Tensor:
-    """Wrap stored data as the model's feature map: through the backbone when
-    one is present (raw is then a (3, H, W) image), otherwise as-is."""
-    t = Tensor(raw)
-    if model.backbone is not None:
-        return model.backbone.forward(t)
-    return t
 
 
 def local_feature_rows(joint: JointSpaceParams, fmap: Tensor) -> Tensor:
@@ -263,36 +240,67 @@ def build_pools(labels, support_targets, projections, grid, masks=None) -> dict[
 
 
 def episode_prototypes(model: ModelState, pools, label_joints, *, dropout_rngs=None,
-                       training=False, collect_weights=False) -> dict:
+                       training=False) -> dict:
     """Build one prototype per label; dropout_rngs maps label -> generator."""
     protos = {}
     for label, label_joint in label_joints.items():
         rng = dropout_rngs.get(label) if dropout_rngs else None
         protos[label] = build_prototype(model.attention, model.dynconv, pools[label],
-                                        label_joint, rng=rng, training=training,
-                                        collect_weights=collect_weights)
+                                        label_joint, rng=rng, training=training)
     return protos
 
 
-def score_against(joint: JointSpaceParams, pooled_globals, vectors):
-    """Scaled cosine of each pooled global feature against each vector.
-
-    Returns (flat scores Tensor of length n_images * n_vectors, logits matrix
-    as a plain array).
-    """
-    pooled_globals = list(pooled_globals)
-    vectors = list(vectors)
+def score_against(joint: JointSpaceParams, pooled_globals, vectors) -> Tensor:
+    """Scaled cosine of each pooled global feature against each vector: the
+    one joint-space score.  Returns the flat (n_images * n_vectors) logits,
+    image-major."""
     scores = []
     for pooled in pooled_globals:
         visual_joint = project_visual(joint, pooled)
         for vector in vectors:
             s = ad.scale(ad.cosine(visual_joint, vector), joint.scale)
             scores.append(ad.reshape(s, (1,)))
-    flat = ad.concat(scores, axis=0)
-    matrix = flat.data.reshape(len(pooled_globals), len(vectors))
-    return flat, matrix
+    return ad.concat(scores, axis=0)
 
 
-def project_label_vectors(joint: JointSpaceParams, embeddings_by_label: dict[str, np.ndarray]) -> dict:
-    """Project raw label embeddings into the joint space, on tape."""
-    return {label: project_label(joint, Tensor(vec)) for label, vec in embeddings_by_label.items()}
+def score_loss(joint: JointSpaceParams, pooled_globals, vectors, targets) -> Tensor:
+    """Summed BCE of every (pooled feature, vector) score against the
+    (n_images, n_vectors) multi-hot targets; the class-mapping loss."""
+    pooled_globals = list(pooled_globals)
+    vectors = list(vectors)
+    y = np.asarray(targets, dtype=np.float64)
+    if not pooled_globals:
+        raise ConfigError("score_loss: no pooled features to score")
+    if not vectors:
+        raise ConfigError("score_loss: no vectors to score against")
+    if y.shape != (len(pooled_globals), len(vectors)):
+        raise ConfigError(
+            f"score_loss: targets shape {y.shape} does not match "
+            f"({len(pooled_globals)}, {len(vectors)})"
+        )
+    flat = score_against(joint, pooled_globals, vectors)
+    return ad.tensor_sum(ad.bce_with_logits(flat, y.reshape(-1)))
+
+
+def episode_forward(model: ModelState, episode, store, embeddings_by_label, *, masks=None,
+                    dropout_rngs=None, training=False):
+    """The episode forward shared by training and evaluation.
+
+    Projects the episode's label embeddings, pools each label's support
+    cells (only the kept ones where `masks` gives a support image a keep
+    grid), builds the prototypes and scores every query image against them.
+    Returns (label joints in episode label order, support feature maps, flat
+    query logits).
+    """
+    labels = list(episode.labels)
+    label_joints = {label: project_label(model.joint, Tensor(embeddings_by_label[label]))
+                    for label in labels}
+    support_maps = [Tensor(store.get(i)) for i in episode.support_ids]
+    query_globals = [global_pool(Tensor(store.get(i))) for i in episode.query_ids]
+    grid = (support_maps[0].shape[1], support_maps[0].shape[2])
+    projections = [local_feature_rows(model.joint, m) for m in support_maps]
+    pools = build_pools(labels, episode.support_targets, projections, grid, masks)
+    protos = episode_prototypes(model, pools, label_joints,
+                                dropout_rngs=dropout_rngs, training=training)
+    logits = score_against(model.joint, query_globals, [protos[label].vector for label in labels])
+    return [label_joints[label] for label in labels], support_maps, logits

@@ -13,21 +13,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import seeding
-from .autodiff import Tensor
 from .embeddings import embed_label
 from .episodes import records_for_split, sample_episode_with_retries
 from .errors import ConfigError, NumericError
 from .features import global_pool
-from .joint_space import cm_loss
-from .model import (
-    FeatureStore,
-    ModelState,
-    build_pools,
-    episode_prototypes,
-    feature_map_tensor,
-    local_feature_rows,
-    score_against,
-)
+from .model import FeatureStore, ModelState, episode_forward, score_loss
 from .optim import Adam
 
 
@@ -84,40 +74,18 @@ def warmup_lr(base_lr: float, epoch: int, warmup_epochs: int) -> float:
     return base_lr * min(1.0, epoch / warmup_epochs)
 
 
-def query_loss(joint, query_globals, prototype_vectors, query_targets) -> Tensor:
-    """Summed BCE of every (query image, prototype) scaled cosine score."""
-    flat, _ = score_against(joint, query_globals, prototype_vectors)
-    y = np.asarray(query_targets, dtype=np.float64).reshape(-1)
-    return ad.tensor_sum(ad.bce_with_logits(flat, y))
-
-
 def episode_losses(model: ModelState, episode, store, embeddings_by_label,
                    *, dropout_rngs=None, training=True):
     """Forward one episode; returns (cm, query) loss tensors."""
-    labels = list(episode.labels)
-    label_joints = {
-        label: ad.matmul(model.joint.text, Tensor(embeddings_by_label[label]))
-        for label in labels
-    }
-
-    support_maps = [feature_map_tensor(model, store.get(i)) for i in episode.support_ids]
-    query_maps = [feature_map_tensor(model, store.get(i)) for i in episode.query_ids]
-    support_globals = [global_pool(m) for m in support_maps]
-    query_globals = [global_pool(m) for m in query_maps]
-
+    label_joints, support_maps, logits = episode_forward(
+        model, episode, store, embeddings_by_label, dropout_rngs=dropout_rngs,
+        training=training)
     # the alignment loss sees support images only; queries contribute
-    # through the prototype scoring below
-    cm = cm_loss(model.joint, support_globals, episode.support_targets,
-                 [label_joints[label] for label in labels])
-
-    grid = (support_maps[0].shape[1], support_maps[0].shape[2])
-    projections = [local_feature_rows(model.joint, m) for m in support_maps]
-    pools = build_pools(labels, episode.support_targets, projections, grid)
-    protos = episode_prototypes(model, pools, label_joints,
-                                dropout_rngs=dropout_rngs, training=training)
-    q = query_loss(model.joint, query_globals,
-                   [protos[label].vector for label in labels], episode.query_targets)
-    return cm, q
+    # through the prototype scoring
+    cm = score_loss(model.joint, [global_pool(m) for m in support_maps], label_joints,
+                    episode.support_targets)
+    y = np.asarray(episode.query_targets, dtype=np.float64).reshape(-1)
+    return cm, ad.tensor_sum(ad.bce_with_logits(logits, y))
 
 
 def train(model: ModelState, manifest, vocabulary, table, settings: TrainSettings,

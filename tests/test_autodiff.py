@@ -179,13 +179,6 @@ def test_dropout_eval_is_identity_and_train_rescales():
         ad.dropout(x, 0.5, training=True)  # rng is mandatory in train mode
 
 
-def test_forward_dispatch():
-    out = ad.forward("add", tensor(1.0), tensor(2.0))
-    assert out.item() == 3.0
-    with pytest.raises(KeyError):
-        ad.forward("no-such-op", tensor(1.0))
-
-
 # ---------------------------------------------------------------- backward structure
 
 

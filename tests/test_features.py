@@ -1,6 +1,5 @@
-"""Feature-map file format, pooling, and the toy backbone."""
+"""Feature-map file format and pooling."""
 
-import math
 import struct
 
 import numpy as np
@@ -10,10 +9,7 @@ from mlfewshot.autodiff import Tensor
 from mlfewshot.errors import DataError
 from mlfewshot.features import (
     FMAP_MAGIC,
-    ToyBackbone,
-    backbone_output_shape,
     global_pool,
-    init_backbone,
     load_feature_file,
     weighted_pool,
     write_feature_file,
@@ -103,33 +99,3 @@ def test_weighted_pool_is_differentiable_in_weights():
     out = weighted_pool(fmap, rho)
     (out @ out).backward()
     assert rho.grad is not None and rho.grad.shape == (2, 2)
-
-
-# ----------------------------------------------------------------- backbone
-
-
-def test_backbone_output_shape_matches_helper():
-    rng = np.random.default_rng(9)
-    backbone = init_backbone(rng, channels=8, mid_channels=4)
-    for h, w in [(8, 8), (9, 13), (16, 10)]:
-        out = backbone.forward(Tensor(rng.standard_normal((3, h, w))))
-        assert out.shape == backbone_output_shape(h, w, 8)
-        assert out.shape == (8, math.ceil(h / 4), math.ceil(w / 4))
-
-
-def test_backbone_rejects_small_or_misshaped_input():
-    rng = np.random.default_rng(9)
-    backbone = init_backbone(rng, channels=8)
-    with pytest.raises(Exception):
-        backbone.forward(Tensor(np.zeros((3, 4, 8))))
-    with pytest.raises(Exception):
-        backbone.forward(Tensor(np.zeros((1, 8, 8))))
-
-
-def test_backbone_parameter_names():
-    rng = np.random.default_rng(9)
-    backbone = init_backbone(rng, channels=8)
-    assert set(backbone.parameters()) == {
-        "backbone.conv1.kernel", "backbone.conv1.bias",
-        "backbone.conv2.kernel", "backbone.conv2.bias",
-    }

@@ -5,16 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from mlfewshot import autodiff as ad
 from mlfewshot.autodiff import Tensor
 from mlfewshot.errors import ConfigError
-from mlfewshot.joint_space import (
-    cm_loss,
-    init_joint_space,
-    project_label,
-    project_visual,
-    score,
-    zero_shot_probabilities,
-)
+from mlfewshot.joint_space import init_joint_space, project_label
+from mlfewshot.model import score_against, score_loss
 
 
 def identity_params(dim=2, scale=2.0):
@@ -31,8 +26,9 @@ def init_identity(dim, scale):
 def test_score_hand_value():
     # cos([1,0],[1,1]) = 1/sqrt(2); scale 2 -> sqrt(2)
     params = identity_params(dim=2, scale=2.0)
-    s = score(params, Tensor(np.array([1.0, 0.0])), Tensor(np.array([1.0, 1.0])))
-    assert abs(s.item() - math.sqrt(2.0)) <= 1e-15
+    s = score_against(params, [Tensor(np.array([1.0, 0.0]))], [Tensor(np.array([1.0, 1.0]))])
+    assert s.shape == (1,)
+    assert abs(s.data[0] - math.sqrt(2.0)) <= 1e-15
 
 
 def test_cm_loss_single_pair_is_ln2_at_zero_score():
@@ -40,7 +36,7 @@ def test_cm_loss_single_pair_is_ln2_at_zero_score():
     params = identity_params(dim=2, scale=10.0)
     pooled = [Tensor(np.array([1.0, 0.0]))]
     label_joints = [project_label(params, Tensor(np.array([0.0, 1.0])))]
-    loss = cm_loss(params, pooled, np.array([[1.0]]), label_joints)
+    loss = score_loss(params, pooled, label_joints, np.array([[1.0]]))
     assert abs(loss.item() - math.log(2.0)) <= 1e-15
 
 
@@ -48,8 +44,8 @@ def test_cm_loss_aligned_positive_pair_is_tiny():
     # perfectly aligned pair at scale 10: -log sigmoid(10) = log1p(exp(-10))
     params = identity_params(dim=2, scale=10.0)
     v = Tensor(np.array([1.0, 0.0]))
-    loss = cm_loss(params, [v], np.array([[1.0]]),
-                   [project_label(params, Tensor(np.array([1.0, 0.0])))])
+    loss = score_loss(params, [v], [project_label(params, Tensor(np.array([1.0, 0.0])))],
+                      np.array([[1.0]]))
     assert abs(loss.item() - np.log1p(np.exp(-10.0))) <= 1e-18
 
 
@@ -59,7 +55,7 @@ def test_cm_loss_sums_over_all_pairs():
     pooled = [e1, e2]
     joints = [project_label(params, e1), project_label(params, e2)]
     targets = np.eye(2)
-    loss = cm_loss(params, pooled, targets, joints)
+    loss = score_loss(params, pooled, joints, targets)
     per_positive = np.log1p(np.exp(-10.0))   # aligned positive pair
     per_negative = np.log1p(np.exp(0.0))     # orthogonal negative pair: ln 2
     assert abs(loss.item() - (2 * per_positive + 2 * per_negative)) <= 1e-12
@@ -70,11 +66,11 @@ def test_cm_loss_validates_shapes_and_emptiness():
     v = Tensor(np.array([1.0, 0.0]))
     lj = project_label(params, v)
     with pytest.raises(ConfigError):
-        cm_loss(params, [], np.zeros((0, 1)), [lj])
+        score_loss(params, [], [lj], np.zeros((0, 1)))
     with pytest.raises(ConfigError):
-        cm_loss(params, [v], np.zeros((0, 0)), [])
+        score_loss(params, [v], [], np.zeros((0, 0)))
     with pytest.raises(ConfigError):
-        cm_loss(params, [v], np.zeros((2, 1)), [lj])
+        score_loss(params, [v], [lj], np.zeros((2, 1)))
 
 
 def test_gradients_flow_to_both_projections():
@@ -82,23 +78,26 @@ def test_gradients_flow_to_both_projections():
     params = init_joint_space(4, 3, 5, 10.0, rng)
     pooled = [Tensor(rng.standard_normal(4))]
     joints = [project_label(params, Tensor(rng.standard_normal(3)))]
-    loss = cm_loss(params, pooled, np.array([[1.0]]), joints)
+    loss = score_loss(params, pooled, joints, np.array([[1.0]]))
     loss.backward()
     assert params.visual.grad is not None and np.any(params.visual.grad != 0)
     assert params.text.grad is not None and np.any(params.text.grad != 0)
 
 
 def test_zero_shot_probabilities_are_sigmoid_scores():
+    # zero-shot evaluation is the sigmoid of the scores against the
+    # projected label embeddings
     params = identity_params(dim=2, scale=3.0)
     feats = [Tensor(np.array([1.0, 0.0])), Tensor(np.array([0.0, 1.0]))]
     labels = [Tensor(np.array([1.0, 0.0])), Tensor(np.array([1.0, 1.0]))]
     joints = [project_label(params, w) for w in labels]
-    probs = zero_shot_probabilities(params, feats, joints)
-    assert probs.shape == (2, 2)
+    probs = ad.sigmoid(score_against(params, feats, joints)).data.reshape(2, 2)
     expected_00 = 1.0 / (1.0 + math.exp(-3.0))
     assert abs(probs[0, 0] - expected_00) <= 1e-12
     expected_01 = 1.0 / (1.0 + math.exp(-3.0 / math.sqrt(2.0)))
     assert abs(probs[0, 1] - expected_01) <= 1e-12
+    # image-major order: the second image is orthogonal to the first label
+    assert abs(probs[1, 0] - 0.5) <= 1e-15
 
 
 def test_init_is_seeded_and_shaped():

@@ -14,7 +14,6 @@ from mlfewshot.model import (
     ArrayStore,
     FeatureStore,
     build_pools,
-    feature_map_tensor,
     init_model,
     load_checkpoint,
     local_feature_rows,
@@ -25,11 +24,10 @@ from mlfewshot.model import (
 from mlfewshot.optim import Adam
 
 
-def small_model(seed=3, with_backbone=False):
+def small_model(seed=3):
     return init_model(channels=6, embed_dim=4, joint_dim=8, heads=2,
                       dynconv_inner=3, dynconv_top=4, scale=10.0, dropout=0.1,
-                      rng=seeding.substream(seed, "init"),
-                      with_backbone=with_backbone)
+                      rng=seeding.substream(seed, "init"))
 
 
 # -------------------------------------------------------------- model state
@@ -40,9 +38,6 @@ def test_named_parameters_cover_all_components():
     names = set(model.named_parameters())
     assert {"joint.visual", "joint.text", "attention.mlp.w1", "attention.query.0",
             "attention.query.1", "dynconv.gen1.weight", "dynconv.norm2.gain"} <= names
-    assert not any(n.startswith("backbone.") for n in names)
-    assert any(n.startswith("backbone.") for n in
-               small_model(with_backbone=True).named_parameters())
 
 
 def test_trained_flag_follows_epoch():
@@ -196,20 +191,6 @@ def test_array_store_lookup():
         store.get("b")
 
 
-def test_feature_map_passes_through_without_backbone():
-    model = small_model()
-    raw = np.random.default_rng(0).standard_normal((6, 2, 2))
-    out = feature_map_tensor(model, raw)
-    assert np.array_equal(out.data, raw)
-
-
-def test_feature_map_runs_backbone_when_present():
-    model = small_model(with_backbone=True)
-    raw = np.random.default_rng(0).standard_normal((3, 16, 16))
-    out = feature_map_tensor(model, raw)
-    assert out.ndim == 3 and out.shape[0] == 6
-
-
 # ------------------------------------------------------------ pools, scores
 
 
@@ -267,10 +248,10 @@ def test_score_against_matrix_matches_flat():
     rng = np.random.default_rng(4)
     globals_ = [Tensor(rng.standard_normal(6)) for _ in range(3)]
     vectors = [Tensor(rng.standard_normal(8)) for _ in range(2)]
-    flat, matrix = score_against(model.joint, globals_, vectors)
+    flat = score_against(model.joint, globals_, vectors)
     assert flat.shape == (6,)
-    assert matrix.shape == (3, 2)
-    assert np.array_equal(flat.data.reshape(3, 2), matrix)
+    # image-major: entry (i, j) of the score matrix is flat[i * n_vectors + j]
+    matrix = flat.data.reshape(3, 2)
     v0 = model.joint.visual.data @ globals_[0].data
     expected = 10.0 * (v0 @ vectors[1].data) / (
         np.linalg.norm(v0) * np.linalg.norm(vectors[1].data))

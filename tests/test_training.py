@@ -5,17 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from mlfewshot import seeding
+from mlfewshot import metrics, seeding, training
 from mlfewshot.autodiff import Tensor
+from mlfewshot.episodes import records_for_split, sample_episode
 from mlfewshot.errors import ConfigError, NumericError
 from mlfewshot.joint_space import JointSpaceParams
-from mlfewshot.model import FeatureStore, save_checkpoint
+from mlfewshot.model import FeatureStore, save_checkpoint, score_loss
 from mlfewshot.optim import Adam
 from mlfewshot.training import (
     TrainSettings,
     episode_losses,
-    query_loss,
     train,
     warmup_lr,
 )
@@ -53,6 +54,7 @@ def test_settings_validation():
 
 
 # --------------------------------------------------------------- query loss
+# the query loss is score_loss of the query globals against the prototypes
 
 
 def identity_joint(dim=2, scale=10.0):
@@ -68,7 +70,7 @@ def test_query_loss_zero_scores_oracle():
     globals_ = [Tensor(np.array([1.0, 0.0])), Tensor(np.array([1.0, 0.0]))]
     protos = [Tensor(np.array([0.0, 1.0])), Tensor(np.array([0.0, -1.0]))]
     targets = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss = query_loss(joint, globals_, protos, targets)
+    loss = score_loss(joint, globals_, protos, targets)
     assert loss.item() == pytest.approx(4 * math.log(2.0), abs=1e-12)
 
 
@@ -77,7 +79,7 @@ def test_query_loss_perfect_prototype_oracle():
     # positive target contributes -log sigma(10)
     joint = identity_joint()
     g = Tensor(np.array([0.6, 0.8]))
-    loss = query_loss(joint, [g], [Tensor(np.array([0.6, 0.8]))], np.array([[1.0]]))
+    loss = score_loss(joint, [g], [Tensor(np.array([0.6, 0.8]))], np.array([[1.0]]))
     assert loss.item() == pytest.approx(math.log1p(math.exp(-10.0)), rel=1e-12)
 
 
@@ -87,7 +89,7 @@ def test_query_loss_matches_independent_bce_oracle():
     globals_ = [Tensor(rng.standard_normal(3)) for _ in range(4)]
     protos = [Tensor(rng.standard_normal(3)) for _ in range(2)]
     targets = (rng.random((4, 2)) < 0.5).astype(np.float64)
-    loss = query_loss(joint, globals_, protos, targets)
+    loss = score_loss(joint, globals_, protos, targets)
     expected = 0.0
     for i, g in enumerate(globals_):
         for j, p in enumerate(protos):
@@ -121,7 +123,6 @@ def test_gamma_zero_gradients_are_exactly_zero(tiny_data):
     model = build_tiny_model(tiny_data["table"], seed=34)
     manifest = tiny_data["manifest"]
     store = FeatureStore(manifest)
-    from mlfewshot.episodes import records_for_split, sample_episode
     pool = records_for_split(manifest, tiny_data["vocabulary"], "base")
     labels = list(tiny_data["vocabulary"].base)
     episode = sample_episode(manifest, pool, labels, 1, np.random.default_rng(0))
@@ -134,6 +135,31 @@ def test_gamma_zero_gradients_are_exactly_zero(tiny_data):
             assert p.grad is None or not np.any(p.grad), name
     assert np.any(model.joint.visual.grad)
     assert np.any(model.joint.text.grad)
+
+
+def test_base_evaluation_scores_the_training_forward(tiny_trained, monkeypatch):
+    # training and evaluation share one episode forward: base-mode
+    # probabilities are the sigmoid of the query logits the losses score
+    manifest, vocabulary = tiny_trained["manifest"], tiny_trained["vocabulary"]
+    model, store = tiny_trained["model"], FeatureStore(manifest)
+    labels = list(vocabulary.novel)
+    pool = records_for_split(manifest, vocabulary, "novel")
+    episode = sample_episode(manifest, pool, labels, 1, np.random.default_rng(3))
+    emb = {label: tiny_trained["table"].vectors[label] for label in labels}
+    forward, seen = training.episode_forward, []
+
+    def recording_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        seen.append(out[2].data.copy())
+        return out
+
+    monkeypatch.setattr(training, "episode_forward", recording_forward)
+    episode_losses(model, episode, store, emb, training=False)
+    monkeypatch.undo()
+    probs, _, _ = metrics._episode_probabilities(model, episode, store, emb, "base",
+                                                 0.65, None, False)
+    assert len(seen) == 1
+    assert np.array_equal(probs, expit(seen[0].reshape(probs.shape)))
 
 
 # ------------------------------------------------------------ training loop
