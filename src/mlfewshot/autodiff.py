@@ -95,41 +95,10 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; python scalars are wrapped as constant tensors
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def tensor(data, requires_grad=False):
     """Wrap data as a leaf Tensor, validating finiteness."""
     return Tensor(data, requires_grad=requires_grad)
-
-
-def _wrap(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
 
 
 def _toposort(root):
@@ -497,7 +466,7 @@ def gelu(a):
     return _node(data, (a,), "gelu", backward)
 
 
-def layer_norm(a, gain, bias, eps=LAYER_NORM_EPS):
+def layer_norm(a, gain, bias):
     """Normalize over the last axis, then apply a learnable affine map."""
     d = a.shape[-1] if a.ndim else 0
     if a.ndim < 1 or gain.shape != (d,) or bias.shape != (d,):
@@ -505,7 +474,7 @@ def layer_norm(a, gain, bias, eps=LAYER_NORM_EPS):
     mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     data = xhat * gain.data + bias.data
 
@@ -626,6 +595,26 @@ def conv2d(x, kernel, bias, stride=1, padding=0):
     return _node(data, (x, kernel, bias), "conv2d", backward)
 
 
+def _central_difference_error(value, point: np.ndarray, analytic: np.ndarray, eps) -> float:
+    """Max over components of |analytic - numeric| / max(1, |analytic|), where
+    numeric central-differences value() by nudging `point` in place."""
+    worst = 0.0
+    it = np.nditer(point, flags=["multi_index"])
+    while not it.finished:
+        idx = it.multi_index
+        original = point[idx]
+        point[idx] = original + eps
+        f_plus = value()
+        point[idx] = original - eps
+        f_minus = value()
+        point[idx] = original
+        numeric = (f_plus - f_minus) / (2.0 * eps)
+        a = float(analytic[idx])
+        worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
+        it.iternext()
+    return worst
+
+
 def grad_check(f, x, eps=1e-6):
     """Compare f's analytic gradient at x against central differences.
 
@@ -640,21 +629,5 @@ def grad_check(f, x, eps=1e-6):
         raise ShapeError(f"grad_check: f must return a scalar, got shape {out.shape}")
     out.backward()
     analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-
-    base = np.array(x.data, copy=True)
-    worst = 0.0
-    it = np.nditer(base, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        plus = base.copy()
-        plus[idx] += eps
-        minus = base.copy()
-        minus[idx] -= eps
-        f_plus = f(Tensor(plus)).item()
-        f_minus = f(Tensor(minus)).item()
-        numeric = (f_plus - f_minus) / (2.0 * eps)
-        a = float(analytic[idx])
-        err = abs(a - numeric) / max(1.0, abs(a))
-        worst = max(worst, err)
-        it.iternext()
-    return worst
+    point = np.array(x.data, copy=True)
+    return _central_difference_error(lambda: f(Tensor(point)).item(), point, analytic, eps)

@@ -12,13 +12,20 @@ from pathlib import Path
 import numpy as np
 
 from . import seeding
-from .config import RunConfig, build_config, canonical_dict, parse_config_file, run_id
+from .config import (
+    NUMERIC_KEYS,
+    PATH_KEYS,
+    RunConfig,
+    build_config,
+    canonical_dict,
+    parse_config_file,
+    run_id,
+)
 from .embeddings import embed_label, load_vocabulary, parse_embedding_file
 from .episodes import load_manifest, make_synthetic
 from .errors import ConfigError, DataError, NumericError
 from .features import load_feature_file
 from .lcm import (
-    LcmConfig,
     fit_importance,
     select_features,
     selection_with_fallback,
@@ -29,19 +36,14 @@ from .lcm import (
 from .metrics import EVAL_MODES, evaluate
 from .model import init_model, load_checkpoint, save_checkpoint
 from .optim import Adam
-from .training import TrainSettings, train
+from .training import train
 
-CONFIG_FLAG_KEYS = [
-    "d_j", "n_heads", "d_c", "n_d", "lambda", "gamma", "theta", "lr", "lcm_lr",
-    "epochs", "warmup_epochs", "lcm_epochs", "episodes_per_epoch", "eval_episodes",
-    "k_shot", "seed", "dropout", "normalize_embeddings", "threads",
-    "manifest", "embeddings", "splits", "checkpoint", "output",
-]
+_CONFIG_KEYS = (*NUMERIC_KEYS, *PATH_KEYS)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", default=None, help="path to a 'key = value' config file")
-    for key in CONFIG_FLAG_KEYS:
+    for key in _CONFIG_KEYS:
         parser.add_argument(f"--{key}", dest=f"cfg_{key}", default=None, metavar="V",
                             help=f"override config key {key}")
 
@@ -49,7 +51,7 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 def _config_from_args(args) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = {}
-    for key in CONFIG_FLAG_KEYS:
+    for key in _CONFIG_KEYS:
         value = getattr(args, f"cfg_{key}")
         if value is not None:
             overrides[key] = value
@@ -119,13 +121,8 @@ def cmd_train(args) -> int:
     if any(k.startswith("optim.") for k in extras):
         optimizer.load_state_tensors(extras)
 
-    settings = TrainSettings(
-        epochs=cfg.epochs, warmup_epochs=cfg.warmup_epochs,
-        episodes_per_epoch=cfg.episodes_per_epoch, k_shot=cfg.k_shot,
-        lr=cfg.lr, gamma=cfg.gamma, seed=cfg.seed,
-        normalize_embeddings=cfg.normalize_embeddings)
     log_path = out_dir / "training_log.csv"
-    result = train(model, manifest, vocabulary, table, settings,
+    result = train(model, manifest, vocabulary, table, cfg.train_settings(),
                    optimizer=optimizer, log_path=log_path)
     save_checkpoint(cfg.checkpoint, model, optimizer=optimizer,
                     config_scalars=canonical_dict(cfg))
@@ -155,12 +152,10 @@ def cmd_eval(args) -> int:
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     model, _ = load_checkpoint(cfg.checkpoint)
-    lcm_config = LcmConfig(threshold=cfg.theta, learning_rate=cfg.lcm_lr,
-                           epochs=cfg.lcm_epochs)
     report, _ = evaluate(
         model, manifest, vocabulary, table, split=args.split,
         episodes=cfg.eval_episodes, k_shot=cfg.k_shot, seed=cfg.seed,
-        mode=args.mode, theta=cfg.theta, lcm_config=lcm_config,
+        mode=args.mode, theta=cfg.theta, lcm_config=cfg.lcm_config(),
         normalize_embeddings=cfg.normalize_embeddings, threads=cfg.threads)
     report_path = out_dir / f"report_{args.mode}.json"
     _write_json(report_path, {
@@ -211,10 +206,8 @@ def cmd_inspect_lcm(args) -> int:
         embed_label(table, label, normalize=cfg.normalize_embeddings) for label in labels
     ])
     fmap = load_feature_file(manifest.feature_path(manifest.by_id[args.image]))
-    lcm_config = LcmConfig(threshold=cfg.theta, learning_rate=cfg.lcm_lr,
-                           epochs=cfg.lcm_epochs)
     state = fit_importance(model.joint, fmap, np.asarray(targets), embed_matrix,
-                           lcm_config, trained=model.trained)
+                           cfg.lcm_config(), trained=model.trained)
     sigma = sigma_grid(state)
     mask, fell_back = selection_with_fallback(select_features(state, cfg.theta))
 

@@ -8,13 +8,14 @@ flags override file values.  The run id is the SHA-1 of the canonical
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ConfigError
-from .lcm import validate_threshold
+from .lcm import LcmConfig
+from .training import TrainSettings
 
 # key name in files/flags -> (attribute, python type)
-_NUMERIC_KEYS = {
+NUMERIC_KEYS = {
     "d_j": ("d_j", int),
     "n_heads": ("n_heads", int),
     "d_c": ("d_c", int),
@@ -36,13 +37,8 @@ _NUMERIC_KEYS = {
     "threads": ("threads", int),
 }
 
-_PATH_KEYS = {
-    "manifest": "manifest",
-    "embeddings": "embeddings",
-    "splits": "splits",
-    "checkpoint": "checkpoint",
-    "output": "output",
-}
+# key name in files/flags, which is also the attribute
+PATH_KEYS = ("manifest", "embeddings", "splits", "checkpoint", "output")
 
 
 @dataclass
@@ -73,29 +69,33 @@ class RunConfig:
     output: str | None = None
 
     def validate(self) -> "RunConfig":
-        positive_ints = ["d_j", "n_heads", "d_c", "n_d", "lcm_epochs",
-                         "episodes_per_epoch", "eval_episodes", "k_shot", "threads"]
-        for name in positive_ints:
+        """Check the values no record carries, then build both records,
+        which check the training and LCM values."""
+        for name in ["d_j", "n_heads", "d_c", "n_d", "eval_episodes", "threads"]:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ["epochs", "warmup_epochs", "seed"]:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ["lambda_", "lr", "lcm_lr"]:
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ConfigError(f"{name.rstrip('_')} must be positive and finite, got {value}")
-        if self.gamma < 0 or not math.isfinite(self.gamma):
-            raise ConfigError(f"gamma must be >= 0 and finite, got {self.gamma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (self.lambda_ > 0 and math.isfinite(self.lambda_)):
+            raise ConfigError(f"lambda must be positive and finite, got {self.lambda_}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        validate_threshold(self.theta)
         if self.d_j % self.n_heads != 0:
             raise ConfigError(f"n_heads ({self.n_heads}) must divide d_j ({self.d_j})")
-        if self.epochs > 0 and self.warmup_epochs >= self.epochs:
-            raise ConfigError(
-                f"warmup_epochs ({self.warmup_epochs}) must be below epochs ({self.epochs})")
+        self.train_settings()
+        self.lcm_config()
         return self
+
+    def train_settings(self) -> TrainSettings:
+        return TrainSettings(
+            epochs=self.epochs, warmup_epochs=self.warmup_epochs,
+            episodes_per_epoch=self.episodes_per_epoch, k_shot=self.k_shot,
+            lr=self.lr, gamma=self.gamma, seed=self.seed,
+            normalize_embeddings=self.normalize_embeddings)
+
+    def lcm_config(self) -> LcmConfig:
+        return LcmConfig(threshold=self.theta, learning_rate=self.lcm_lr,
+                         epochs=self.lcm_epochs)
 
 
 def _convert(key: str, raw, kind):
@@ -137,7 +137,7 @@ def parse_config_file(path) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: empty key")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            if key not in _NUMERIC_KEYS and key not in _PATH_KEYS:
+            if key not in NUMERIC_KEYS and key not in PATH_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value
     return values
@@ -150,11 +150,11 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
         for key, raw in source.items():
             if raw is None:
                 continue
-            if key in _NUMERIC_KEYS:
-                attr, kind = _NUMERIC_KEYS[key]
+            if key in NUMERIC_KEYS:
+                attr, kind = NUMERIC_KEYS[key]
                 setattr(cfg, attr, _convert(key, raw, kind))
-            elif key in _PATH_KEYS:
-                setattr(cfg, _PATH_KEYS[key], str(raw))
+            elif key in PATH_KEYS:
+                setattr(cfg, key, str(raw))
             else:
                 raise ConfigError(f"unknown config key {key!r}")
     return cfg.validate()
@@ -165,7 +165,7 @@ def canonical_dict(cfg: RunConfig) -> dict:
     thread count are excluded: neither changes any computed number, so the
     same run hashes identically across machines and worker counts."""
     out = {}
-    for key, (attr, kind) in _NUMERIC_KEYS.items():
+    for key, (attr, kind) in NUMERIC_KEYS.items():
         if key == "threads":
             continue
         value = getattr(cfg, attr)
@@ -177,7 +177,3 @@ def run_id(cfg: RunConfig) -> str:
     """SHA-1 of the canonical configuration serialized deterministically."""
     blob = json.dumps(canonical_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha1(blob.encode("utf-8")).hexdigest()
-
-
-def config_field_names() -> list[str]:
-    return [f.name for f in fields(RunConfig)]

@@ -20,6 +20,8 @@ from .features import write_feature_file
 log = logging.getLogger(__name__)
 
 QUERY_PER_LABEL = 4
+# fresh seeds an episode sampler tries before giving up
+SAMPLE_RETRIES = 20
 
 
 @dataclass
@@ -157,11 +159,11 @@ def _draw_for_labels(manifest, pool, labels, per_label, excluded, rng):
 
 
 def sample_episode(manifest: DatasetManifest, record_pool, labels, k_shot: int,
-                   rng, query_per_label: int = QUERY_PER_LABEL) -> Episode:
+                   rng) -> Episode:
     """Sample a K-shot episode over the given labels from a record pool.
 
     Support gets exactly k_shot * len(labels) distinct images; queries get
-    query_per_label per label, disjoint from support.  Raises
+    QUERY_PER_LABEL per label, disjoint from support.  Raises
     InsufficientImagesError when a label cannot be covered.
     """
     labels = tuple(labels)
@@ -171,7 +173,7 @@ def sample_episode(manifest: DatasetManifest, record_pool, labels, k_shot: int,
         raise DataError(f"k_shot must be >= 1, got {k_shot}")
     pool = set(record_pool)
     support = _draw_for_labels(manifest, pool, labels, k_shot, set(), rng)
-    query = _draw_for_labels(manifest, pool, labels, query_per_label, set(support), rng)
+    query = _draw_for_labels(manifest, pool, labels, QUERY_PER_LABEL, set(support), rng)
     support_ids = tuple(manifest.records[i].image_id for i in support)
     query_ids = tuple(manifest.records[i].image_id for i in query)
     return Episode(
@@ -181,21 +183,18 @@ def sample_episode(manifest: DatasetManifest, record_pool, labels, k_shot: int,
         support_targets=_multi_hot(manifest, support_ids, labels),
         query_ids=query_ids,
         query_targets=_multi_hot(manifest, query_ids, labels),
-        query_per_label=query_per_label,
     )
 
 
-def sample_episode_with_retries(manifest, record_pool, labels, k_shot, make_rng,
-                                retries: int = 20, query_per_label: int = QUERY_PER_LABEL) -> Episode:
-    """Resample with fresh seeds up to `retries` times before giving up.
+def sample_episode_with_retries(manifest, record_pool, labels, k_shot, make_rng) -> Episode:
+    """Resample with fresh seeds up to SAMPLE_RETRIES times before giving up.
 
     make_rng(attempt) must return a fresh deterministic generator per attempt.
     """
     last = None
-    for attempt in range(retries):
+    for attempt in range(SAMPLE_RETRIES):
         try:
-            return sample_episode(manifest, record_pool, labels, k_shot, make_rng(attempt),
-                                  query_per_label=query_per_label)
+            return sample_episode(manifest, record_pool, labels, k_shot, make_rng(attempt))
         except InsufficientImagesError as err:
             last = err
     raise last

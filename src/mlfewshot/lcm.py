@@ -12,6 +12,7 @@ tape.  The taped image loss stays as the definition that the exact
 loss-change and the tests measure the closed form against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,29 +25,31 @@ from .joint_space import JointSpaceParams, project_label
 from .optim import Adam
 
 
+# cap on the momentum warm-up coefficient
+MOMENTUM_CAP = 0.95
+
+
 @dataclass
 class LcmConfig:
-    """Knobs for importance fitting and feature selection."""
+    """Importance-fitting values; the one place their rules are checked.
+    Messages name the run-config keys (theta, lcm_lr, lcm_epochs)."""
 
     threshold: float = 0.65     # selection threshold on sigma(accumulator), in [0.5, 1)
     learning_rate: float = 0.01
     epochs: int = 20
-    momentum_cap: float = 0.95
 
     def __post_init__(self):
         validate_threshold(self.threshold)
         if self.epochs < 1:
-            raise ConfigError(f"lcm epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"lcm learning rate must be positive, got {self.learning_rate}")
-        if not 0.0 < self.momentum_cap < 1.0:
-            raise ConfigError(f"momentum cap must lie in (0, 1), got {self.momentum_cap}")
+            raise ConfigError(f"lcm_epochs must be >= 1, got {self.epochs}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigError(f"lcm_lr must be positive and finite, got {self.learning_rate}")
 
 
 def validate_threshold(threshold: float):
     # sigma of a nonnegative accumulator is always >= 0.5, so 0.5 keeps everything
     if not 0.5 <= threshold < 1.0:
-        raise ConfigError(f"selection threshold must lie in [0.5, 1), got {threshold}")
+        raise ConfigError(f"theta (the selection threshold) must lie in [0.5, 1), got {threshold}")
 
 
 @dataclass
@@ -73,17 +76,16 @@ def normalize_importance(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def momentum_alpha(iteration: int, cap: float = 0.95) -> float:
-    """Warm-up coefficient min(1 - 1/(i+1), cap) for iteration i >= 1."""
+def momentum_alpha(iteration: int) -> float:
+    """Warm-up coefficient min(1 - 1/(i+1), MOMENTUM_CAP) for iteration i >= 1."""
     if iteration < 1:
         raise ConfigError(f"momentum iteration starts at 1, got {iteration}")
-    return min(1.0 - 1.0 / (iteration + 1), cap)
+    return min(1.0 - 1.0 / (iteration + 1), MOMENTUM_CAP)
 
 
-def momentum_update(accumulator: np.ndarray, grid: np.ndarray, iteration: int,
-                    cap: float = 0.95) -> np.ndarray:
+def momentum_update(accumulator: np.ndarray, grid: np.ndarray, iteration: int) -> np.ndarray:
     """f_i = alpha_i * f_{i-1} + (1 - alpha_i) * g_i with f_0 = 0."""
-    alpha = momentum_alpha(iteration, cap)
+    alpha = momentum_alpha(iteration)
     return alpha * np.asarray(accumulator, dtype=np.float64) + (1.0 - alpha) * np.asarray(grid, dtype=np.float64)
 
 
@@ -200,7 +202,7 @@ def fit_importance(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
         weights.data[...] = normalize_importance(weights.data)
         weights.grad = gradient(weights.data)
         grid = np.abs(weights.data * weights.grad)
-        accumulator = momentum_update(accumulator, grid, iteration, config.momentum_cap)
+        accumulator = momentum_update(accumulator, grid, iteration)
     return ImportanceMap(importance=weights.data.copy(), accumulator=accumulator,
                          iteration=config.epochs)
 

@@ -175,7 +175,7 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
 def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",
              episodes=50, k_shot=1, seed=0, mode="base", theta=0.65,
              lcm_config: LcmConfig | None = None, store=None,
-             normalize_embeddings=False, collect_detail=False, retries=20,
+             normalize_embeddings=False, collect_detail=False,
              threads=1) -> tuple[MetricsReport, list]:
     """Evaluate over seeded episodes of the given split.
 
@@ -206,8 +206,7 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",
     def run_episode(idx):
         episode = sample_episode_with_retries(
             manifest, record_pool, labels, k_shot,
-            lambda attempt: seeding.substream(seed, "eval", idx, attempt),
-            retries=retries)
+            lambda attempt: seeding.substream(seed, "eval", idx, attempt))
         probs, detail, fell_back = _episode_probabilities(
             model, episode, store, embeddings_by_label, mode, theta, lcm_config, collect_detail)
         targets = episode.query_targets

@@ -132,33 +132,35 @@ def read_checkpoint_tensors(path) -> dict[str, np.ndarray]:
 
 
 def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
-    """Rebuild a ModelState; returns it plus the optim.*/config.* extras."""
+    """Rebuild a ModelState; returns it plus the optim.*/config.* extras.
+
+    Parameters come back frozen, so evaluation builds no backward graph;
+    `training.train` makes them trainable again."""
     tensors = read_checkpoint_tensors(path)
     try:
         heads = len([k for k in tensors if k.startswith("attention.query.")])
         joint = JointSpaceParams(
-            visual=Tensor(tensors["joint.visual"], requires_grad=True),
-            text=Tensor(tensors["joint.text"], requires_grad=True),
+            visual=Tensor(tensors["joint.visual"]),
+            text=Tensor(tensors["joint.text"]),
             scale=float(tensors["model.scale"]),
         )
         attention = AttentionParams(
-            queries=[Tensor(tensors[f"attention.query.{j}"], requires_grad=True)
-                     for j in range(heads)],
-            mlp_w1=Tensor(tensors["attention.mlp.w1"], requires_grad=True),
-            mlp_b1=Tensor(tensors["attention.mlp.b1"], requires_grad=True),
-            mlp_w2=Tensor(tensors["attention.mlp.w2"], requires_grad=True),
-            mlp_b2=Tensor(tensors["attention.mlp.b2"], requires_grad=True),
+            queries=[Tensor(tensors[f"attention.query.{j}"]) for j in range(heads)],
+            mlp_w1=Tensor(tensors["attention.mlp.w1"]),
+            mlp_b1=Tensor(tensors["attention.mlp.b1"]),
+            mlp_w2=Tensor(tensors["attention.mlp.w2"]),
+            mlp_b2=Tensor(tensors["attention.mlp.b2"]),
             dropout=float(tensors["model.dropout"]),
         )
         dynconv = DynConvParams(
-            gen1_weight=Tensor(tensors["dynconv.gen1.weight"], requires_grad=True),
-            gen1_bias=Tensor(tensors["dynconv.gen1.bias"], requires_grad=True),
-            gen2_weight=Tensor(tensors["dynconv.gen2.weight"], requires_grad=True),
-            gen2_bias=Tensor(tensors["dynconv.gen2.bias"], requires_grad=True),
-            norm1_gain=Tensor(tensors["dynconv.norm1.gain"], requires_grad=True),
-            norm1_bias=Tensor(tensors["dynconv.norm1.bias"], requires_grad=True),
-            norm2_gain=Tensor(tensors["dynconv.norm2.gain"], requires_grad=True),
-            norm2_bias=Tensor(tensors["dynconv.norm2.bias"], requires_grad=True),
+            gen1_weight=Tensor(tensors["dynconv.gen1.weight"]),
+            gen1_bias=Tensor(tensors["dynconv.gen1.bias"]),
+            gen2_weight=Tensor(tensors["dynconv.gen2.weight"]),
+            gen2_bias=Tensor(tensors["dynconv.gen2.bias"]),
+            norm1_gain=Tensor(tensors["dynconv.norm1.gain"]),
+            norm1_bias=Tensor(tensors["dynconv.norm1.bias"]),
+            norm2_gain=Tensor(tensors["dynconv.norm2.gain"]),
+            norm2_bias=Tensor(tensors["dynconv.norm2.bias"]),
             top_count=int(tensors["model.top_count"]),
         )
         epoch = int(tensors["trainer.epoch"])

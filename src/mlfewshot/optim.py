@@ -5,20 +5,21 @@ import numpy as np
 from .autodiff import Tensor
 
 
-class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-    At step one, a parameter with gradient g moves by -lr * g / (|g| + eps);
+
+class Adam:
+    """Adam with bias correction (BETA1, BETA2, EPS above).
+
+    At step one, a parameter with gradient g moves by -lr * g / (|g| + EPS);
     a parameter with zero gradient and fresh moments does not move at all.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.steps = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
@@ -31,19 +32,19 @@ class Adam:
         """Apply one update in place; lr overrides the stored rate for this step."""
         rate = self.lr if lr is None else float(lr)
         self.steps += 1
-        bias1 = 1.0 - self.beta1 ** self.steps
-        bias2 = 1.0 - self.beta2 ** self.steps
+        bias1 = 1.0 - BETA1 ** self.steps
+        bias2 = 1.0 - BETA2 ** self.steps
         for name, p in self.params.items():
             grad = p.grad if p.grad is not None else np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad * grad
             m_hat = m / bias1
             v_hat = v / bias2
-            p.data -= rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= rate * m_hat / (np.sqrt(v_hat) + EPS)
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Moment buffers and step counter, for checkpointing."""

@@ -111,7 +111,6 @@ class Prototype:
     vector: Tensor
     attention_part: Tensor
     dynconv_part: Tensor
-    attention_weights: np.ndarray | None = None  # (heads, pool size) if collected
 
 
 def _uniform(rng, shape, fan_in, gain: float = 1.0):
@@ -177,13 +176,12 @@ def init_dynconv(joint_dim: int, inner_dim: int, top_count: int, rng) -> DynConv
 
 
 def attention_prototype(params: AttentionParams, pool: LabelSupportPool, label_joint: Tensor,
-                        rng=None, training: bool = False, collect_weights: bool = False):
+                        rng=None, training: bool = False) -> Tensor:
     """Channel-grouped cross-attention readout of the pool, queried by the label.
 
     Head j sees the j-th channel slice of every pooled feature as both key
     and value; its query is that head's transform of the label vector.  The
-    concatenated head outputs pass through the MLP.  Returns the prototype
-    component and, when asked, the (heads, pool) attention weight matrix.
+    concatenated head outputs pass through the MLP.
     """
     joint_dim = params.mlp_w1.shape[0]
     if pool.features.shape[1] != joint_dim:
@@ -194,19 +192,16 @@ def attention_prototype(params: AttentionParams, pool: LabelSupportPool, label_j
     inv_sqrt = 1.0 / math.sqrt(head_dim)
     slices = ad.split(pool.features, params.heads, axis=1)
     head_outputs = []
-    weights = [] if collect_weights else None
     for transform, chunk in zip(params.queries, slices):
         query = ad.matmul(transform, label_joint)               # (head_dim,)
         logits = ad.scale(ad.matmul(chunk, query), inv_sqrt)    # (count,)
         attention = ad.softmax(logits)
-        if collect_weights:
-            weights.append(attention.data.copy())
         head_outputs.append(ad.matmul(attention, chunk))        # (head_dim,)
     merged = ad.concat(head_outputs, axis=0)                    # (joint_dim,)
     hidden = ad.gelu(ad.add(ad.matmul(params.mlp_w1, merged), params.mlp_b1))
     hidden = ad.dropout(hidden, params.dropout, rng=rng, training=training)
     out = ad.add(ad.matmul(params.mlp_w2, hidden), params.mlp_b2)
-    return out, (np.stack(weights) if collect_weights else None)
+    return out
 
 
 def select_top_features(pool: LabelSupportPool, label_joint: Tensor, top_count: int):
@@ -262,11 +257,9 @@ def dynconv_prototype(params: DynConvParams, selected: Tensor, label_joint: Tens
 
 def build_prototype(attention: AttentionParams, dynconv: DynConvParams,
                     pool: LabelSupportPool, label_joint: Tensor,
-                    rng=None, training: bool = False, collect_weights: bool = False) -> Prototype:
+                    rng=None, training: bool = False) -> Prototype:
     """Sum of the attention and dynamic-convolution components."""
-    att_part, weights = attention_prototype(attention, pool, label_joint,
-                                            rng=rng, training=training,
-                                            collect_weights=collect_weights)
+    att_part = attention_prototype(attention, pool, label_joint, rng=rng, training=training)
     selected, _ = select_top_features(pool, label_joint, dynconv.top_count)
     dyn_part = dynconv_prototype(dynconv, selected, label_joint)
     return Prototype(
@@ -274,7 +267,6 @@ def build_prototype(attention: AttentionParams, dynconv: DynConvParams,
         vector=ad.add(att_part, dyn_part),
         attention_part=att_part,
         dynconv_part=dyn_part,
-        attention_weights=weights,
     )
 
 
@@ -291,15 +283,3 @@ def simple_attention_prototype(global_joints, label_joint: Tensor, scale: float)
     stacked = ad.concat([ad.reshape(g, (1, g.shape[0])) for g in global_joints], axis=0)
     return ad.matmul(weights, stacked)
 
-
-def export_attention_weights(path, prototype: Prototype, origins=None):
-    """Write collected attention weights as text: one line per head, one
-    column per pooled feature; origins go into a leading comment."""
-    if prototype.attention_weights is None:
-        raise ConfigError("prototype was built without collect_weights")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# label {prototype.label}\n")
-        if origins is not None:
-            handle.write("# origins " + " ".join(f"{i}:{r}:{c}" for i, r, c in origins) + "\n")
-        for head in prototype.attention_weights:
-            handle.write(" ".join(f"{v:.6f}" for v in head) + "\n")

@@ -7,6 +7,7 @@ query images against the constructed prototypes.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ from .optim import Adam
 
 @dataclass
 class TrainSettings:
+    """Training values; the one place their rules are checked."""
+
     epochs: int = 30
     warmup_epochs: int = 3
     episodes_per_epoch: int = 16
@@ -30,22 +33,19 @@ class TrainSettings:
     lr: float = 0.001
     gamma: float = 1.0
     seed: int = 0
-    retries: int = 20
     normalize_embeddings: bool = False
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.episodes_per_epoch < 1:
-            raise ConfigError(f"episodes_per_epoch must be >= 1, got {self.episodes_per_epoch}")
-        if self.k_shot < 1:
-            raise ConfigError(f"k_shot must be >= 1, got {self.k_shot}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
-        if self.warmup_epochs < 0:
-            raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        for name in ["epochs", "warmup_epochs"]:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ["episodes_per_epoch", "k_shot"]:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
+            raise ConfigError(f"gamma must be >= 0 and finite, got {self.gamma}")
         if self.epochs > 0 and self.warmup_epochs >= self.epochs:
             raise ConfigError(
                 f"warmup_epochs ({self.warmup_epochs}) must be below epochs ({self.epochs})")
@@ -97,6 +97,9 @@ def train(model: ModelState, manifest, vocabulary, table, settings: TrainSetting
     """
     if store is None:
         store = FeatureStore(manifest)
+    # a loaded checkpoint holds frozen parameters; training needs their gradients
+    for p in model.named_parameters().values():
+        p.requires_grad = True
     if optimizer is None:
         optimizer = Adam(model.named_parameters(), settings.lr)
     base_labels = list(vocabulary.base)
@@ -126,8 +129,7 @@ def train(model: ModelState, manifest, vocabulary, table, settings: TrainSetting
             for i in range(settings.episodes_per_epoch):
                 episode = sample_episode_with_retries(
                     manifest, record_pool, base_labels, settings.k_shot,
-                    lambda attempt: seeding.substream(settings.seed, "sample", epoch, i, attempt),
-                    retries=settings.retries)
+                    lambda attempt: seeding.substream(settings.seed, "sample", epoch, i, attempt))
                 dropout_rngs = {
                     label: seeding.substream(settings.seed, "dropout", epoch, i, li)
                     for li, label in enumerate(episode.labels)

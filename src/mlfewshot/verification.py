@@ -213,26 +213,6 @@ def _tiny_episode(seed=5):
     return model, episode, ArrayStore(arrays), embeddings
 
 
-def _central_difference_error(value, point: np.ndarray, analytic: np.ndarray, eps) -> float:
-    """Max over components of |analytic - numeric| / max(1, |analytic|), where
-    numeric central-differences value() by nudging `point` in place."""
-    worst = 0.0
-    it = np.nditer(point, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        original = point[idx]
-        point[idx] = original + eps
-        f_plus = value()
-        point[idx] = original - eps
-        f_minus = value()
-        point[idx] = original
-        numeric = (f_plus - f_minus) / (2.0 * eps)
-        a = float(analytic[idx])
-        worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
-        it.iternext()
-    return worst
-
-
 def full_model_max_error(eps=1e-6, seed=5) -> float:
     """Finite-difference the episode loss against every model parameter."""
     model, episode, store, embeddings = _tiny_episode(seed)
@@ -246,8 +226,8 @@ def full_model_max_error(eps=1e-6, seed=5) -> float:
     loss_tensor().backward()
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for name, p in params.items()}
-    return max(_central_difference_error(lambda: loss_tensor().item(), p.data,
-                                         analytic[name], eps)
+    return max(ad._central_difference_error(lambda: loss_tensor().item(), p.data,
+                                            analytic[name], eps)
                for name, p in params.items())
 
 
@@ -268,7 +248,7 @@ def lcm_gradient_max_error(eps=1e-6, seed=123) -> float:
         return lcm._image_loss(frozen, fmap_t, targets, label_joints, Tensor(weights)).item()
 
     analytic = lcm._image_loss_gradient(joint, fmap, targets, label_embeddings)(weights)
-    return _central_difference_error(loss_value, weights, analytic, eps)
+    return ad._central_difference_error(loss_value, weights, analytic, eps)
 
 
 def run_suite(eps=1e-6, op_tolerance=OP_TOLERANCE, model_tolerance=MODEL_TOLERANCE,

@@ -8,6 +8,7 @@ import pytest
 from mlfewshot.embeddings import parse_embedding_file
 from mlfewshot.errors import DataError, InsufficientImagesError
 from mlfewshot.episodes import (
+    SAMPLE_RETRIES,
     DatasetManifest,
     Episode,
     ManifestRecord,
@@ -119,8 +120,8 @@ def test_retries_eventually_raise_the_last_error():
         return np.random.default_rng(attempt)
 
     with pytest.raises(InsufficientImagesError):
-        sample_episode_with_retries(manifest, range(1), ("a",), 1, make_rng, retries=5)
-    assert calls == [0, 1, 2, 3, 4]
+        sample_episode_with_retries(manifest, range(1), ("a",), 1, make_rng)
+    assert calls == list(range(SAMPLE_RETRIES))
 
 
 def test_retries_return_first_success():

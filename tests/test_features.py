@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from mlfewshot import autodiff as ad
 from mlfewshot.autodiff import Tensor
 from mlfewshot.errors import DataError
 from mlfewshot.features import (
@@ -97,5 +98,5 @@ def test_weighted_pool_is_differentiable_in_weights():
     fmap = Tensor(rng.standard_normal((2, 2, 2)))
     rho = Tensor(np.full((2, 2), 0.5), requires_grad=True)
     out = weighted_pool(fmap, rho)
-    (out @ out).backward()
+    ad.matmul(out, out).backward()
     assert rho.grad is not None and rho.grad.shape == (2, 2)

@@ -79,7 +79,6 @@ def test_momentum_alpha_values():
     assert momentum_alpha(1) == 0.5
     assert momentum_alpha(19) == pytest.approx(0.95, abs=1e-12)
     assert momentum_alpha(100) == 0.95    # capped
-    assert momentum_alpha(3, cap=0.6) == 0.6
 
 
 def test_momentum_first_update_is_half_gradient():
@@ -210,7 +209,7 @@ def tape_fit(joint, fmap, targets, embeds, config):
         np.clip(weights.data, 0.0, 1.0, out=weights.data)
         weights.data[...] = normalize_importance(weights.data)
         grid = np.abs(weights.data * tape_gradient(joint, fmap, targets, embeds, weights.data))
-        accumulator = momentum_update(accumulator, grid, iteration, config.momentum_cap)
+        accumulator = momentum_update(accumulator, grid, iteration)
     return weights.data, accumulator
 
 
@@ -335,8 +334,6 @@ def test_config_validation():
         LcmConfig(epochs=0)
     with pytest.raises(ConfigError):
         LcmConfig(learning_rate=0.0)
-    with pytest.raises(ConfigError):
-        LcmConfig(momentum_cap=1.0)
 
 
 # -------------------------------------------------------------- text output

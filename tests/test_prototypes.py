@@ -15,7 +15,6 @@ from mlfewshot.prototypes import (
     attention_prototype,
     build_prototype,
     dynconv_prototype,
-    export_attention_weights,
     init_attention,
     init_dynconv,
     select_top_features,
@@ -44,7 +43,7 @@ def test_single_feature_pool_is_mlp_of_that_feature():
     att, _ = make_params(rng)
     row = rng.standard_normal(8)
     pool = LabelSupportPool("x", Tensor(row.reshape(1, 8)), ((0, 0, 0),))
-    out, _ = attention_prototype(att, pool, Tensor(rng.standard_normal(8)))
+    out = attention_prototype(att, pool, Tensor(rng.standard_normal(8)))
     # softmax over one feature is 1, so the readout is exactly MLP(row)
     from scipy.special import erf
     h = att.mlp_w1.data @ row + att.mlp_b1.data
@@ -56,17 +55,6 @@ def test_single_feature_pool_is_mlp_of_that_feature():
 def test_head_count_must_divide_joint_dim():
     with pytest.raises(ConfigError):
         init_attention(8, 3, np.random.default_rng(0))
-
-
-def test_attention_weights_sum_to_one_per_head():
-    rng = np.random.default_rng(1)
-    att, _ = make_params(rng, heads=4)
-    pool = make_pool(rng, count=7)
-    _, weights = attention_prototype(att, pool, Tensor(rng.standard_normal(8)),
-                                     collect_weights=True)
-    assert weights.shape == (4, 7)
-    assert np.all(weights >= 0.0)
-    assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_channel_split_concat_reconstructs():
@@ -85,8 +73,8 @@ def test_attention_is_permutation_invariant():
     perm = np.random.default_rng(9).permutation(6)
     shuffled = LabelSupportPool("cat", Tensor(pool.features.data[perm]),
                                 tuple(pool.origins[i] for i in perm))
-    a, _ = attention_prototype(att, pool, label)
-    b, _ = attention_prototype(att, shuffled, label)
+    a = attention_prototype(att, pool, label)
+    b = attention_prototype(att, shuffled, label)
     assert np.allclose(a.data, b.data, atol=1e-12)
 
 
@@ -95,11 +83,11 @@ def test_dropout_only_acts_in_training_mode():
     att, _ = make_params(rng, dropout=0.5)
     pool = make_pool(rng)
     label = Tensor(rng.standard_normal(8))
-    quiet, _ = attention_prototype(att, pool, label, training=False)
-    again, _ = attention_prototype(att, pool, label, training=False)
+    quiet = attention_prototype(att, pool, label, training=False)
+    again = attention_prototype(att, pool, label, training=False)
     assert np.array_equal(quiet.data, again.data)
-    noisy, _ = attention_prototype(att, pool, label, rng=np.random.default_rng(5),
-                                   training=True)
+    noisy = attention_prototype(att, pool, label, rng=np.random.default_rng(5),
+                                training=True)
     assert not np.array_equal(quiet.data, noisy.data)
 
 
@@ -289,32 +277,6 @@ def test_simple_attention_large_scale_picks_argmax():
 def test_simple_attention_needs_features():
     with pytest.raises(ConfigError):
         simple_attention_prototype([], Tensor(np.ones(2)), 1.0)
-
-
-# ------------------------------------------------------------------- export
-
-
-def test_attention_weight_export(tmp_path):
-    rng = np.random.default_rng(17)
-    att, dyn = make_params(rng)
-    pool = make_pool(rng, count=3)
-    proto = build_prototype(att, dyn, pool, Tensor(rng.standard_normal(8)),
-                            collect_weights=True)
-    path = tmp_path / "weights.txt"
-    export_attention_weights(path, proto, origins=pool.origins)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# label cat"
-    assert lines[1].startswith("# origins 0:0:0")
-    data_lines = [l for l in lines if not l.startswith("#")]
-    assert len(data_lines) == att.heads
-    for line in data_lines:
-        row = [float(v) for v in line.split()]
-        assert len(row) == 3
-        assert abs(sum(row) - 1.0) <= 2e-6  # three %.6f roundings
-
-    bare = build_prototype(att, dyn, pool, Tensor(rng.standard_normal(8)))
-    with pytest.raises(ConfigError):
-        export_attention_weights(tmp_path / "w2.txt", bare)
 
 
 def test_pool_validation():

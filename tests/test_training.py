@@ -12,7 +12,7 @@ from mlfewshot.autodiff import Tensor
 from mlfewshot.episodes import records_for_split, sample_episode
 from mlfewshot.errors import ConfigError, NumericError
 from mlfewshot.joint_space import JointSpaceParams
-from mlfewshot.model import FeatureStore, save_checkpoint, score_loss
+from mlfewshot.model import FeatureStore, load_checkpoint, save_checkpoint, score_loss
 from mlfewshot.optim import Adam
 from mlfewshot.training import (
     TrainSettings,
@@ -212,6 +212,31 @@ def test_resume_matches_straight_run(tiny_data):
     assert resumed.epoch == 2
     train(resumed, tiny_data["manifest"], tiny_data["vocabulary"],
           tiny_data["table"], target, optimizer=half.optimizer)
+    for name, p in straight.named_parameters().items():
+        assert np.array_equal(p.data, resumed.named_parameters()[name].data), name
+
+
+def test_resume_from_checkpoint_matches_straight_run(tiny_data, tmp_path):
+    # a loaded checkpoint holds frozen parameters; train must make them
+    # trainable again, or the resumed epochs would not move them
+    straight = build_tiny_model(tiny_data["table"], seed=41)
+    target = TrainSettings(epochs=4, warmup_epochs=1, episodes_per_epoch=3,
+                           lr=0.004, seed=41)
+    train(straight, tiny_data["manifest"], tiny_data["vocabulary"],
+          tiny_data["table"], target)
+
+    first = TrainSettings(epochs=2, warmup_epochs=1, episodes_per_epoch=3,
+                          lr=0.004, seed=41)
+    half = train(build_tiny_model(tiny_data["table"], seed=41), tiny_data["manifest"],
+                 tiny_data["vocabulary"], tiny_data["table"], first)
+    path = tmp_path / "half.ckpt"
+    save_checkpoint(path, half.model, optimizer=half.optimizer)
+    resumed, extras = load_checkpoint(path)
+    optimizer = Adam(resumed.named_parameters(), target.lr)
+    optimizer.load_state_tensors(extras)
+    train(resumed, tiny_data["manifest"], tiny_data["vocabulary"],
+          tiny_data["table"], target, optimizer=optimizer)
+    assert resumed.epoch == 4
     for name, p in straight.named_parameters().items():
         assert np.array_equal(p.data, resumed.named_parameters()[name].data), name
 
