@@ -28,7 +28,6 @@ from .features import load_feature_file
 from .lcm import (
     fit_importance,
     select_features,
-    selection_with_fallback,
     sigma_grid,
     write_importance_grid,
     write_selection_mask,
@@ -209,7 +208,7 @@ def cmd_inspect_lcm(args) -> int:
     state = fit_importance(model.joint, fmap, np.asarray(targets), embed_matrix,
                            cfg.lcm_config(), trained=model.trained)
     sigma = sigma_grid(state)
-    mask, fell_back = selection_with_fallback(select_features(state, cfg.theta))
+    mask, fell_back = select_features(state, cfg.theta)
 
     importance_path = out_dir / f"importance_{args.image}.txt"
     sigma_path = out_dir / f"sigma_{args.image}.txt"

@@ -58,7 +58,6 @@ class ImportanceMap:
 
     importance: np.ndarray   # (h, w) weights in [0, 1]
     accumulator: np.ndarray  # (h, w) momentum-smoothed loss-change grid, nonnegative
-    iteration: int           # index of the last momentum update
 
 
 def normalize_importance(values: np.ndarray) -> np.ndarray:
@@ -203,8 +202,7 @@ def fit_importance(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
         weights.grad = gradient(weights.data)
         grid = np.abs(weights.data * weights.grad)
         accumulator = momentum_update(accumulator, grid, iteration)
-    return ImportanceMap(importance=weights.data.copy(), accumulator=accumulator,
-                         iteration=config.epochs)
+    return ImportanceMap(importance=weights.data.copy(), accumulator=accumulator)
 
 
 def sigma_grid(state: ImportanceMap) -> np.ndarray:
@@ -212,22 +210,18 @@ def sigma_grid(state: ImportanceMap) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-state.accumulator))
 
 
-def select_features(state: ImportanceMap, threshold: float) -> np.ndarray:
-    """Boolean keep-mask: sigma(accumulator) >= threshold.
+def select_features(state: ImportanceMap, threshold: float) -> tuple[np.ndarray, bool]:
+    """Boolean keep-mask sigma(accumulator) >= threshold, and whether it fell
+    back: a mask that keeps nothing becomes all-true.  Callers report the
+    fallbacks.
 
     The accumulator is nonnegative, so threshold 0.5 keeps every cell and
     reduces the pipeline to the base model.
     """
     validate_threshold(threshold)
-    return sigma_grid(state) >= threshold
-
-
-def selection_with_fallback(mask: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Guard against empty selections: an all-false mask falls back to
-    all-true.  Returns (mask, whether it fell back); callers report the
-    fallbacks."""
+    mask = sigma_grid(state) >= threshold
     if not mask.any():
-        return np.ones_like(mask, dtype=bool), True
+        return np.ones_like(mask), True
     return mask, False
 
 

@@ -19,7 +19,7 @@ from .episodes import records_for_split, sample_episode_with_retries
 from .errors import ConfigError
 from .features import global_pool
 from .joint_space import project_label, project_visual
-from .lcm import LcmConfig, fit_importance, select_features, selection_with_fallback, sigma_grid
+from .lcm import LcmConfig, fit_importance, select_features, sigma_grid
 from .model import FeatureStore, ModelState, episode_forward, score_against
 from .prototypes import simple_attention_prototype
 
@@ -139,7 +139,7 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
         for i, image_id in enumerate(episode.support_ids):
             state = fit_importance(model.joint, store.get(image_id), episode.support_targets[i],
                                    embed_matrix, lcm_config, trained=model.trained)
-            mask, fallback = selection_with_fallback(select_features(state, theta))
+            mask, fallback = select_features(state, theta)
             masks.append(mask)
             fell_back.append(fallback)
             if collect_detail:
@@ -186,10 +186,6 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",
     """
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown-mode: {mode!r} is not one of {EVAL_MODES}")
-    if episodes < 1:
-        raise ConfigError(f"episodes must be >= 1, got {episodes}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     if mode == "lcm" and lcm_config is None:
         lcm_config = LcmConfig(threshold=theta)
     if store is None:

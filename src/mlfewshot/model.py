@@ -191,18 +191,6 @@ class FeatureStore:
         return self._cache[image_id]
 
 
-class ArrayStore:
-    """In-memory stand-in for FeatureStore, for tests and gradient checks."""
-
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        self.arrays = arrays
-
-    def get(self, image_id: str) -> np.ndarray:
-        if image_id not in self.arrays:
-            raise DataError(f"no-such-image: {image_id!r}")
-        return self.arrays[image_id]
-
-
 def local_feature_rows(joint: JointSpaceParams, fmap: Tensor) -> Tensor:
     """Project every grid cell into the joint space: (c, h, w) -> (h*w, joint_dim),
     rows in row-major cell order."""
@@ -212,44 +200,30 @@ def local_feature_rows(joint: JointSpaceParams, fmap: Tensor) -> Tensor:
     return ad.matmul(flat, ad.transpose(joint.visual))              # (cells, joint_dim)
 
 
-def build_pools(labels, support_targets, projections, grid, masks=None) -> dict[str, LabelSupportPool]:
+def build_pools(labels, support_targets, projections, masks=None) -> dict[str, LabelSupportPool]:
     """Assemble per-label support pools from per-image projected local features.
 
     masks, when given, is one boolean (h, w) keep-grid per support image
-    (None entries keep everything).  Feature order is support order, then
-    row-major cells, so identical masks give bitwise-identical pools.
+    (None entries keep everything).  Rows are in (support image, grid row,
+    grid col) order, the order top-k ties break in, so identical masks give
+    bitwise-identical pools.
     """
-    h, w = grid
     pools = {}
     for li, label in enumerate(labels):
         members = [i for i in range(len(projections)) if support_targets[i, li] > 0]
         pieces = []
-        origins = []
         for i in members:
             mask = None if masks is None else masks[i]
             if mask is None:
                 pieces.append(projections[i])
-                origins.extend((i, r, c) for r in range(h) for c in range(w))
             else:
                 kept = np.flatnonzero(np.asarray(mask).reshape(-1))
                 pieces.append(ad.gather_rows(projections[i], kept))
-                origins.extend((i, int(k) // w, int(k) % w) for k in kept)
         if not pieces:
             raise DataError(f"label {label!r} has no support images in the episode")
         features = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
-        pools[label] = LabelSupportPool(label=label, features=features, origins=tuple(origins))
+        pools[label] = LabelSupportPool(label=label, features=features)
     return pools
-
-
-def episode_prototypes(model: ModelState, pools, label_joints, *, dropout_rngs=None,
-                       training=False) -> dict:
-    """Build one prototype per label; dropout_rngs maps label -> generator."""
-    protos = {}
-    for label, label_joint in label_joints.items():
-        rng = dropout_rngs.get(label) if dropout_rngs else None
-        protos[label] = build_prototype(model.attention, model.dynconv, pools[label],
-                                        label_joint, rng=rng, training=training)
-    return protos
 
 
 def score_against(joint: JointSpaceParams, pooled_globals, vectors) -> Tensor:
@@ -291,18 +265,20 @@ def episode_forward(model: ModelState, episode, store, embeddings_by_label, *, m
     Projects the episode's label embeddings, pools each label's support
     cells (only the kept ones where `masks` gives a support image a keep
     grid), builds the prototypes and scores every query image against them.
-    Returns (label joints in episode label order, support feature maps, flat
-    query logits).
+    `store.get(image_id)` gives a feature map: a FeatureStore, or a plain
+    dict of arrays.  Returns (label joints in episode label order, support
+    feature maps, flat query logits).
     """
     labels = list(episode.labels)
     label_joints = {label: project_label(model.joint, Tensor(embeddings_by_label[label]))
                     for label in labels}
     support_maps = [Tensor(store.get(i)) for i in episode.support_ids]
     query_globals = [global_pool(Tensor(store.get(i))) for i in episode.query_ids]
-    grid = (support_maps[0].shape[1], support_maps[0].shape[2])
     projections = [local_feature_rows(model.joint, m) for m in support_maps]
-    pools = build_pools(labels, episode.support_targets, projections, grid, masks)
-    protos = episode_prototypes(model, pools, label_joints,
-                                dropout_rngs=dropout_rngs, training=training)
-    logits = score_against(model.joint, query_globals, [protos[label].vector for label in labels])
+    pools = build_pools(labels, episode.support_targets, projections, masks)
+    protos = [build_prototype(model.attention, model.dynconv, pools[label], label_joints[label],
+                              rng=dropout_rngs.get(label) if dropout_rngs else None,
+                              training=training)
+              for label in labels]
+    logits = score_against(model.joint, query_globals, protos)
     return [label_joints[label] for label in labels], support_maps, logits

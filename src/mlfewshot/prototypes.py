@@ -23,19 +23,16 @@ log = logging.getLogger(__name__)
 class LabelSupportPool:
     """The local features backing one label's prototype.
 
-    features: (count, joint_dim) projected local features, on tape.
-    origins: per row, (support image index, grid row, grid col).
+    features: (count, joint_dim) projected local features, on tape, rows in
+    (support image, grid row, grid col) order.
     """
 
     label: str
     features: Tensor
-    origins: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ConfigError(f"support pool for {self.label!r} must be a non-empty matrix")
-        if len(self.origins) != self.features.shape[0]:
-            raise ConfigError(f"support pool for {self.label!r} has mismatched origins")
 
 
 @dataclass
@@ -101,16 +98,6 @@ class DynConvParams:
             "dynconv.norm2.gain": self.norm2_gain,
             "dynconv.norm2.bias": self.norm2_bias,
         }
-
-
-@dataclass
-class Prototype:
-    """A label's prototype and its two components."""
-
-    label: str
-    vector: Tensor
-    attention_part: Tensor
-    dynconv_part: Tensor
 
 
 def _uniform(rng, shape, fan_in, gain: float = 1.0):
@@ -204,11 +191,12 @@ def attention_prototype(params: AttentionParams, pool: LabelSupportPool, label_j
     return out
 
 
-def select_top_features(pool: LabelSupportPool, label_joint: Tensor, top_count: int):
+def select_top_features(pool: LabelSupportPool, label_joint: Tensor, top_count: int) -> Tensor:
     """Pick the `top_count` pool rows most cosine-similar to the label vector.
 
-    Ties break by ascending (image index, row, col); zero-norm rows are
-    excluded with a warning.  Returns (selected rows tensor, their origins).
+    Ties break by ascending row, that is by (support image, grid row, grid
+    col); zero-norm rows are excluded with one warning.  Returns the
+    selected rows.
     """
     if top_count < 1:
         raise ConfigError(f"top_count must be >= 1, got {top_count}")
@@ -218,20 +206,15 @@ def select_top_features(pool: LabelSupportPool, label_joint: Tensor, top_count: 
     label_norm = np.linalg.norm(label_vec)
     if label_norm == 0.0:
         raise ad.DegenerateVectorError("degenerate-vector: label vector has zero length")
-    candidates = []
-    for idx in range(values.shape[0]):
-        if norms[idx] == 0.0:
-            log.warning("pool %r: feature %s has zero norm, excluded from selection",
-                        pool.label, pool.origins[idx])
-            continue
-        similarity = float(values[idx] @ label_vec) / (norms[idx] * label_norm)
-        candidates.append((-similarity, pool.origins[idx], idx))
-    if not candidates:
+    rows = np.flatnonzero(norms)
+    if rows.size == 0:
         raise ConfigError(f"empty-selection: every feature in pool {pool.label!r} has zero norm")
-    candidates.sort()
-    picked = [idx for _, _, idx in candidates[:top_count]]
-    origins = tuple(pool.origins[i] for i in picked)
-    return ad.gather_rows(pool.features, picked), origins
+    if rows.size < norms.size:
+        log.warning("pool %r: %d features have zero norm, excluded from selection",
+                    pool.label, norms.size - rows.size)
+    similarity = (values[rows] @ label_vec) / (norms[rows] * label_norm)
+    picked = rows[np.lexsort((rows, -similarity))[:top_count]]
+    return ad.gather_rows(pool.features, picked)
 
 
 def dynconv_prototype(params: DynConvParams, selected: Tensor, label_joint: Tensor) -> Tensor:
@@ -257,17 +240,11 @@ def dynconv_prototype(params: DynConvParams, selected: Tensor, label_joint: Tens
 
 def build_prototype(attention: AttentionParams, dynconv: DynConvParams,
                     pool: LabelSupportPool, label_joint: Tensor,
-                    rng=None, training: bool = False) -> Prototype:
+                    rng=None, training: bool = False) -> Tensor:
     """Sum of the attention and dynamic-convolution components."""
     att_part = attention_prototype(attention, pool, label_joint, rng=rng, training=training)
-    selected, _ = select_top_features(pool, label_joint, dynconv.top_count)
-    dyn_part = dynconv_prototype(dynconv, selected, label_joint)
-    return Prototype(
-        label=pool.label,
-        vector=ad.add(att_part, dyn_part),
-        attention_part=att_part,
-        dynconv_part=dyn_part,
-    )
+    selected = select_top_features(pool, label_joint, dynconv.top_count)
+    return ad.add(att_part, dynconv_prototype(dynconv, selected, label_joint))
 
 
 def simple_attention_prototype(global_joints, label_joint: Tensor, scale: float) -> Tensor:

@@ -13,7 +13,7 @@ from . import lcm
 from .autodiff import Tensor
 from .episodes import Episode
 from .joint_space import init_joint_space
-from .model import ArrayStore, init_model
+from .model import init_model
 from .training import episode_losses
 
 OP_TOLERANCE = 1e-5
@@ -210,7 +210,7 @@ def _tiny_episode(seed=5):
     model = init_model(channels=channels, embed_dim=embed_dim, joint_dim=8, heads=2,
                        dynconv_inner=3, dynconv_top=2, scale=10.0, dropout=0.0,
                        rng=rng)
-    return model, episode, ArrayStore(arrays), embeddings
+    return model, episode, arrays, embeddings
 
 
 def full_model_max_error(eps=1e-6, seed=5) -> float:

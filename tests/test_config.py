@@ -112,6 +112,7 @@ def test_path_keys_become_strings(tmp_path):
     ("dropout", 1.0, "dropout"),
     ("theta", 0.4, "threshold"),
     ("threads", 0, "threads"),
+    ("eval_episodes", 0, "eval_episodes"),
     ("lcm_epochs", 0, "lcm_epochs"),
     ("lcm_lr", 0.0, "lcm_lr"),
 ])

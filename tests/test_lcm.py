@@ -22,7 +22,6 @@ from mlfewshot.lcm import (
     momentum_update,
     normalize_importance,
     select_features,
-    selection_with_fallback,
     sigma_grid,
     validate_threshold,
     write_importance_grid,
@@ -106,14 +105,16 @@ def test_sigma_and_selection_hand_values():
     sig = sigma_grid(state_like)
     assert abs(sig[0, 0] - 1.0 / (1.0 + math.exp(-1.0))) <= 1e-15   # ~0.731
     assert abs(sig[0, 1] - 0.5) <= 1e-15
-    mask = select_features(state_like, 0.65)
+    mask, fell_back = select_features(state_like, 0.65)
     assert mask.tolist() == [[True, False]]
+    assert not fell_back
 
 
 def test_threshold_half_keeps_everything():
     state_like = type("S", (), {})()
     state_like.accumulator = np.abs(np.random.default_rng(0).standard_normal((3, 3)))
-    assert select_features(state_like, 0.5).all()
+    mask, fell_back = select_features(state_like, 0.5)
+    assert mask.all() and not fell_back
 
 
 @pytest.mark.parametrize("theta", [0.49, 1.0, 1.5, -0.1])
@@ -123,16 +124,17 @@ def test_threshold_validation(theta):
 
 
 def test_fallback_restores_all_cells_and_reports_it(caplog):
-    # the caller summarises fallbacks; the guard itself logs nothing
-    mask = np.zeros((2, 2), dtype=bool)
+    # the caller summarises fallbacks; the selection itself logs nothing
+    state_like = type("S", (), {})()
+    state_like.accumulator = np.zeros((2, 2))
     with caplog.at_level(logging.WARNING):
-        out, fell_back = selection_with_fallback(mask)
+        out, fell_back = select_features(state_like, 0.65)
     assert out.all() and out.dtype == bool
     assert fell_back
     assert caplog.records == []
-    kept = np.array([[True, False], [False, False]])
-    out, fell_back = selection_with_fallback(kept)
-    assert np.array_equal(out, kept)
+    state_like.accumulator = np.array([[1.0, 0.0], [0.0, 0.0]])
+    out, fell_back = select_features(state_like, 0.65)
+    assert np.array_equal(out, [[True, False], [False, False]])
     assert not fell_back
 
 
@@ -299,7 +301,6 @@ def test_fit_importance_stays_in_unit_interval():
                            LcmConfig(epochs=8))
     assert state.importance.min() >= 0.0 and state.importance.max() <= 1.0
     assert state.importance.max() == 1.0
-    assert state.iteration == 8
     assert np.all(state.accumulator >= 0.0)
 
 

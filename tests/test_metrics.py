@@ -194,10 +194,6 @@ def test_evaluate_rejects_bad_arguments(tiny_setup):
     manifest, vocabulary, table, model = tiny_setup
     with pytest.raises(ConfigError, match="unknown-mode"):
         evaluate(model, manifest, vocabulary, table, mode="turbo")
-    with pytest.raises(ConfigError, match="episodes"):
-        evaluate(model, manifest, vocabulary, table, episodes=0)
-    with pytest.raises(ConfigError, match="threads"):
-        evaluate(model, manifest, vocabulary, table, threads=0)
     with pytest.raises(ConfigError, match="no labels"):
         evaluate(model, manifest, vocabulary, table, split="validation")
 

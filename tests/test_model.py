@@ -1,4 +1,4 @@
-"""Model assembly, checkpoint format, feature stores, and pool building."""
+"""Model assembly, checkpoint format, the feature store, and pool building."""
 
 import struct
 
@@ -11,7 +11,6 @@ from mlfewshot.autodiff import Tensor
 from mlfewshot.errors import DataError
 from mlfewshot.model import (
     CHECKPOINT_MAGIC,
-    ArrayStore,
     FeatureStore,
     build_pools,
     init_model,
@@ -184,13 +183,6 @@ def test_feature_store_loads_and_caches(tiny_data):
         store.get("nope")
 
 
-def test_array_store_lookup():
-    store = ArrayStore({"a": np.zeros((2, 1, 1))})
-    assert store.get("a").shape == (2, 1, 1)
-    with pytest.raises(DataError, match="no-such-image"):
-        store.get("b")
-
-
 # ------------------------------------------------------------ pools, scores
 
 
@@ -203,14 +195,13 @@ def test_local_feature_rows_shape_and_order():
     assert np.allclose(rows.data[5], model.joint.visual.data @ cell_12, atol=1e-12)
 
 
-def test_build_pools_members_and_origins():
+def test_build_pools_members_in_support_order():
     rng = np.random.default_rng(1)
     projections = [Tensor(rng.standard_normal((4, 8))) for _ in range(2)]
     targets = np.array([[1.0, 0.0], [1.0, 1.0]])
-    pools = build_pools(("a", "b"), targets, projections, (2, 2))
-    assert pools["a"].features.shape == (8, 8)
-    assert pools["b"].features.shape == (4, 8)
-    assert pools["b"].origins == ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
+    pools = build_pools(("a", "b"), targets, projections)
+    assert np.array_equal(pools["a"].features.data,
+                          np.vstack([projections[0].data, projections[1].data]))
     assert np.array_equal(pools["b"].features.data, projections[1].data)
 
 
@@ -218,29 +209,27 @@ def test_build_pools_full_mask_equals_no_mask():
     rng = np.random.default_rng(2)
     projections = [Tensor(rng.standard_normal((4, 8)))]
     targets = np.array([[1.0]])
-    plain = build_pools(("a",), targets, projections, (2, 2))
-    masked = build_pools(("a",), targets, projections, (2, 2),
-                         masks=[np.ones((2, 2), dtype=bool)])
+    plain = build_pools(("a",), targets, projections)
+    masked = build_pools(("a",), targets, projections, masks=[np.ones((2, 2), dtype=bool)])
     assert np.array_equal(plain["a"].features.data, masked["a"].features.data)
-    assert plain["a"].origins == masked["a"].origins
 
 
 def test_build_pools_mask_drops_cells():
     rng = np.random.default_rng(3)
-    projections = [Tensor(rng.standard_normal((4, 8)))]
-    targets = np.array([[1.0]])
-    mask = np.array([[True, False], [False, True]])
-    pools = build_pools(("a",), targets, projections, (2, 2), masks=[mask])
-    assert pools["a"].features.shape == (2, 8)
-    assert pools["a"].origins == ((0, 0, 0), (0, 1, 1))
-    assert np.array_equal(pools["a"].features.data, projections[0].data[[0, 3]])
+    projections = [Tensor(rng.standard_normal((4, 8))) for _ in range(3)]
+    targets = np.array([[1.0], [0.0], [1.0]])
+    masks = [np.array([[True, False], [False, True]]), None,
+             np.array([[False, True], [True, True]])]
+    pools = build_pools(("a",), targets, projections, masks=masks)
+    assert np.array_equal(pools["a"].features.data,
+                          np.vstack([projections[0].data[[0, 3]], projections[2].data[[1, 2, 3]]]))
 
 
 def test_build_pools_unsupported_label_is_an_error():
     projections = [Tensor(np.zeros((4, 8)))]
     targets = np.array([[0.0]])
     with pytest.raises(DataError, match="no support images"):
-        build_pools(("a",), targets, projections, (2, 2))
+        build_pools(("a",), targets, projections)
 
 
 def test_score_against_matrix_matches_flat():

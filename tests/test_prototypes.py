@@ -24,9 +24,7 @@ from mlfewshot.prototypes import (
 
 def make_pool(rng, count=5, dim=8, label="cat"):
     rows = rng.standard_normal((count, dim))
-    origins = tuple((i // 4, (i % 4) // 2, i % 2) for i in range(count))
-    return LabelSupportPool(label=label, features=Tensor(rows, requires_grad=True),
-                            origins=origins)
+    return LabelSupportPool(label=label, features=Tensor(rows, requires_grad=True))
 
 
 def make_params(rng, dim=8, heads=2, inner=3, top=3, dropout=0.0):
@@ -42,7 +40,7 @@ def test_single_feature_pool_is_mlp_of_that_feature():
     rng = np.random.default_rng(0)
     att, _ = make_params(rng)
     row = rng.standard_normal(8)
-    pool = LabelSupportPool("x", Tensor(row.reshape(1, 8)), ((0, 0, 0),))
+    pool = LabelSupportPool("x", Tensor(row.reshape(1, 8)))
     out = attention_prototype(att, pool, Tensor(rng.standard_normal(8)))
     # softmax over one feature is 1, so the readout is exactly MLP(row)
     from scipy.special import erf
@@ -71,8 +69,7 @@ def test_attention_is_permutation_invariant():
     label = Tensor(rng.standard_normal(8))
     pool = make_pool(rng, count=6)
     perm = np.random.default_rng(9).permutation(6)
-    shuffled = LabelSupportPool("cat", Tensor(pool.features.data[perm]),
-                                tuple(pool.origins[i] for i in perm))
+    shuffled = LabelSupportPool("cat", Tensor(pool.features.data[perm]))
     a = attention_prototype(att, pool, label)
     b = attention_prototype(att, shuffled, label)
     assert np.allclose(a.data, b.data, atol=1e-12)
@@ -100,43 +97,44 @@ def test_top_selection_orders_by_similarity():
                      [1.0, 0.0],    # cos 1
                      [1.0, 1.0],    # cos 0.707
                      [-1.0, 0.0]])  # cos -1
-    pool = LabelSupportPool("x", Tensor(rows),
-                            ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)))
-    selected, origins = select_top_features(pool, label, 2)
+    pool = LabelSupportPool("x", Tensor(rows))
+    selected = select_top_features(pool, label, 2)
     assert np.array_equal(selected.data, rows[[1, 2]])
-    assert origins == ((0, 0, 1), (0, 1, 0))
 
 
-def test_top_selection_breaks_ties_by_origin():
+def test_top_selection_breaks_ties_by_row():
     label = Tensor(np.array([1.0, 0.0]))
-    rows = np.array([[2.0, 0.0], [1.0, 0.0], [3.0, 0.0]])  # all cos 1
-    pool = LabelSupportPool("x", Tensor(rows),
-                            ((1, 0, 0), (0, 1, 1), (0, 1, 0)))
-    _, origins = select_top_features(pool, label, 2)
-    # ascending (image, row, col): (0,1,0) then (0,1,1)
-    assert origins == ((0, 1, 0), (0, 1, 1))
+    rows = np.array([[0.0, 1.0],    # cos 0
+                     [2.0, 0.0],    # cos 1
+                     [1.0, 1.0],    # cos 0.707
+                     [1.0, 0.0],    # cos 1
+                     [3.0, 0.0]])   # cos 1
+    pool = LabelSupportPool("x", Tensor(rows))
+    # equal cosines keep row order: rows 1, 3, 4, then the 0.707 row
+    for top, expected in [(2, [1, 3]), (4, [1, 3, 4, 2])]:
+        assert np.array_equal(select_top_features(pool, label, top).data, rows[expected])
 
 
 def test_top_selection_skips_zero_norm_rows(caplog):
     label = Tensor(np.array([1.0, 0.0]))
-    rows = np.array([[0.0, 0.0], [1.0, 0.0]])
-    pool = LabelSupportPool("x", Tensor(rows), ((0, 0, 0), (0, 0, 1)))
+    rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    pool = LabelSupportPool("x", Tensor(rows))
     with caplog.at_level(logging.WARNING):
-        selected, origins = select_top_features(pool, label, 2)
+        selected = select_top_features(pool, label, 3)
     assert np.array_equal(selected.data, rows[[1]])
-    assert origins == ((0, 0, 1),)
-    assert any("zero norm" in r.message for r in caplog.records)
+    assert [r.getMessage() for r in caplog.records] == [
+        "pool 'x': 2 features have zero norm, excluded from selection"]
 
 
 def test_top_selection_saturates_at_pool_size():
     rng = np.random.default_rng(6)
     pool = make_pool(rng, count=3)
-    selected, _ = select_top_features(pool, Tensor(rng.standard_normal(8)), 10)
+    selected = select_top_features(pool, Tensor(rng.standard_normal(8)), 10)
     assert selected.shape == (3, 8)
 
 
 def test_all_zero_pool_is_an_error():
-    pool = LabelSupportPool("x", Tensor(np.zeros((2, 2))), ((0, 0, 0), (0, 0, 1)))
+    pool = LabelSupportPool("x", Tensor(np.zeros((2, 2))))
     with pytest.raises(ConfigError, match="empty-selection"):
         select_top_features(pool, Tensor(np.array([1.0, 0.0])), 1)
 
@@ -203,9 +201,11 @@ def test_prototype_is_exact_sum_of_parts():
     rng = np.random.default_rng(11)
     att, dyn = make_params(rng)
     pool = make_pool(rng)
-    proto = build_prototype(att, dyn, pool, Tensor(rng.standard_normal(8)))
-    assert np.array_equal(proto.vector.data,
-                          proto.attention_part.data + proto.dynconv_part.data)
+    label = Tensor(rng.standard_normal(8))
+    proto = build_prototype(att, dyn, pool, label)
+    att_part = attention_prototype(att, pool, label)
+    dyn_part = dynconv_prototype(dyn, select_top_features(pool, label, dyn.top_count), label)
+    assert np.array_equal(proto.data, att_part.data + dyn_part.data)
 
 
 def test_prototype_eval_is_deterministic():
@@ -215,7 +215,7 @@ def test_prototype_eval_is_deterministic():
     label = Tensor(rng.standard_normal(8))
     a = build_prototype(att, dyn, pool, label)
     b = build_prototype(att, dyn, pool, label)
-    assert np.array_equal(a.vector.data, b.vector.data)
+    assert np.array_equal(a.data, b.data)
 
 
 def test_gradients_reach_every_parameter_group():
@@ -224,7 +224,7 @@ def test_gradients_reach_every_parameter_group():
     pool = make_pool(rng)
     label = Tensor(rng.standard_normal(8), requires_grad=True)
     proto = build_prototype(att, dyn, pool, label)
-    ad.tensor_sum(proto.vector).backward()
+    ad.tensor_sum(proto).backward()
     for name, p in {**att.parameters(), **dyn.parameters()}.items():
         assert p.grad is not None, name
     assert pool.features.grad is not None
@@ -280,7 +280,6 @@ def test_simple_attention_needs_features():
 
 
 def test_pool_validation():
-    with pytest.raises(ConfigError):
-        LabelSupportPool("x", Tensor(np.zeros((0, 4))), ())
-    with pytest.raises(ConfigError):
-        LabelSupportPool("x", Tensor(np.zeros((2, 4))), ((0, 0, 0),))
+    for features in (np.zeros((0, 4)), np.zeros(4)):
+        with pytest.raises(ConfigError, match="non-empty matrix"):
+            LabelSupportPool("x", Tensor(features))

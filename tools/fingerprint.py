@@ -1,0 +1,85 @@
+"""Byte-identity fingerprint of what the program writes, driven through its CLI.
+
+In a temporary directory it builds the benchmark's bundle with ``synth``
+(``bench/fixture.py``'s ``BUNDLE``), trains at the desk config (``RunConfig()``
+defaults) with seed 11, evaluates the checkpoint in all four modes at seed
+11, runs ``inspect-lcm`` on one image and the gradient checks, and reads
+every ``--help`` text.  It prints one JSON line of SHA-256 digests; two
+checkouts that print the same line produce the same bytes.
+
+    python3 tools/fingerprint.py               # this checkout
+    python3 tools/fingerprint.py --root DIR    # another checkout
+
+A run takes about a minute on two cores, most of it training.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEED = "11"
+SYNTH = ["--seed", SEED, "--embed-dim", "8", "--signal-noise", "0.4",
+         "--background-scale", "0.15", "--extra-label-prob", "1.0"]
+MODES = ("base", "lcm", "zeroshot", "simple-attention")
+IMAGE = "img00320"
+COMMANDS = ("synth", "train", "eval", "gradcheck", "inspect-lcm")
+# The gradcheck table prints each max_error to three digits; this prints
+# every one by repr, so a change in the last bit shows too.
+MAX_ERROR_REPRS = ("from mlfewshot import verification\n"
+                   "for r in verification.run_suite():\n"
+                   "    print(r.name, repr(r.max_error))\n")
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def fingerprint(root: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory(prefix="fingerprint-") as work:
+        def run(*args, code=None) -> bytes:
+            argv = ["-c", code] if code else ["-m", "mlfewshot.cli", *args]
+            done = subprocess.run([sys.executable, *argv], cwd=work, env=env,
+                                  capture_output=True, check=True)
+            return done.stdout
+
+        def read(name) -> bytes:
+            return (Path(work) / name).read_bytes()
+
+        paths = ["--manifest", "data/manifest.jsonl", "--embeddings", "data/embeddings.txt",
+                 "--splits", "data/labels.tsv", "--checkpoint", "model.ckpt",
+                 "--output", "out", "--seed", SEED]
+        out = {"help": digest(b"".join([run("--help")] +
+                                       [run(c, "--help") for c in COMMANDS]))}
+        run("synth", "--out", "data", *SYNTH)
+        run("train", *paths)
+        out["checkpoint"] = digest(read("model.ckpt"))
+        for mode in MODES:
+            run("eval", *paths, "--mode", mode)
+            out[f"report_{mode}"] = digest(read(f"out/report_{mode}.json"))
+        out["inspect_lcm_stdout"] = digest(run("inspect-lcm", *paths, "--image", IMAGE))
+        for grid in ("importance", "sigma", "mask"):
+            out[f"{grid}_{IMAGE}"] = digest(read(f"out/{grid}_{IMAGE}.txt"))
+        out["gradcheck_stdout"] = digest(run("gradcheck"))
+        out["gradcheck_max_error_repr"] = digest(run(code=MAX_ERROR_REPRS))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout to fingerprint (default: this one)")
+    args = parser.parse_args(argv)
+    if not (args.root / "src" / "mlfewshot" / "cli.py").is_file():
+        parser.error(f"{args.root} holds no src/mlfewshot/cli.py")
+    print(json.dumps(fingerprint(args.root.resolve()), sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
