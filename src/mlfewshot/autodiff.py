@@ -7,6 +7,12 @@ shared subexpressions, so diamond-shaped graphs come out right.
 
 Broadcasting is deliberately restricted: elementwise ops accept equal
 shapes or a scalar paired with a tensor, nothing else.
+
+Scoring and attention run as whole matrices, one node each: ``cosine``
+gives the (n, m) matrix of row cosines of two row matrices, ``stack``
+turns 1-d tensors into the rows of a matrix, and ``head_readout`` is the
+multi-head scaled dot-product attention readout of a feature matrix by
+one query vector.  Each has its own analytic backward.
 """
 
 import math
@@ -203,7 +209,13 @@ def neg(a):
 
 def scale(a, factor):
     """Multiply by a python scalar (constant, receives no gradient)."""
-    return mul(a, Tensor(float(factor)))
+    factor = np.float64(factor)
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g * factor)
+
+    return _node(a.data * factor, (a,), "scale", backward)
 
 
 def matmul(a, b):
@@ -343,6 +355,21 @@ def concat(parts, axis=0):
                 p.accumulate(g[tuple(index)])
 
     return _node(data, tuple(parts), "concat", backward)
+
+
+def stack(parts):
+    """Stack equal-length 1-d tensors as the rows of a matrix."""
+    parts = list(parts)
+    if not parts or any(p.ndim != 1 or p.shape != parts[0].shape for p in parts):
+        raise _shape_error("stack", *(p.shape for p in parts))
+    data = np.stack([p.data for p in parts])
+
+    def backward(g):
+        for p, row in zip(parts, g):
+            if p.requires_grad:
+                p.accumulate(row)
+
+    return _node(data, tuple(parts), "stack", backward)
 
 
 def split(a, sections, axis=0):
@@ -493,35 +520,77 @@ def layer_norm(a, gain, bias):
 
 
 def cosine(a, b):
-    """Cosine similarity of two 1-d vectors; zero vectors are rejected."""
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
+    """Row cosines of two row matrices: (n, d) and (m, d) give the (n, m)
+    matrix whose (i, j) entry is the cosine of a[i] and b[j].  A zero row in
+    either operand is rejected."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise _shape_error("cosine", a.shape, b.shape)
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
-    if na == 0.0 or nb == 0.0:
+    na = np.linalg.norm(a.data, axis=1)
+    nb = np.linalg.norm(b.data, axis=1)
+    if not (np.all(na) and np.all(nb)):
         raise DegenerateVectorError("degenerate-vector: cosine of a zero-length vector")
-    c = float(a.data @ b.data) / (na * nb)
+    c = (a.data @ b.data.T) / (na[:, None] * nb[None, :])
 
     def backward(g):
+        # d cos(a_i, b_j) / d a_i = (u_b_j - cos * u_a_i) / |a_i|, u the unit rows
+        unit_a = a.data / na[:, None]
+        unit_b = b.data / nb[:, None]
         if a.requires_grad:
-            a.accumulate(g * (b.data / (na * nb) - c * a.data / (na * na)))
+            du = g @ unit_b
+            a.accumulate((du - (g * c).sum(axis=1)[:, None] * unit_a) / na[:, None])
         if b.requires_grad:
-            b.accumulate(g * (a.data / (na * nb) - c * b.data / (nb * nb)))
+            du = g.T @ unit_a
+            b.accumulate((du - (g * c).sum(axis=0)[:, None] * unit_b) / nb[:, None])
 
-    return _node(np.float64(c), (a, b), "cosine", backward)
+    return _node(c, (a, b), "cosine", backward)
+
+
+def head_readout(features, query, heads):
+    """Multi-head attention readout of an (n, d) feature matrix by a (d,)
+    query, all heads in one node.
+
+    Head h owns the channel slice h*d/heads:(h+1)*d/heads.  It scores each
+    row's slice against the query's slice, scaled by 1/sqrt(d/heads),
+    softmaxes over the n rows and reads out the softmax-weighted sum of the
+    slices.  The (d,) output concatenates the heads' readouts in order.
+    """
+    if features.ndim != 2 or query.shape != (features.shape[1],):
+        raise _shape_error("head_readout", features.shape, query.shape)
+    n, d = features.shape
+    if heads < 1 or d % heads != 0:
+        raise ShapeError(f"head_readout: {heads} heads cannot split dimension {d}")
+    head_dim = d // heads
+    inv_sqrt = 1.0 / math.sqrt(head_dim)
+    per_head = features.data.reshape(n, heads, head_dim).transpose(1, 0, 2)  # (heads, n, hd)
+    q = query.data.reshape(heads, head_dim, 1)
+    logits = (per_head @ q)[:, :, 0] * inv_sqrt                              # (heads, n)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    weights = e / e.sum(axis=1, keepdims=True)
+    data = (weights[:, None, :] @ per_head)[:, 0, :].reshape(d)
+
+    def backward(g):
+        g_heads = g.reshape(heads, head_dim, 1)
+        d_weights = (per_head @ g_heads)[:, :, 0]                            # (heads, n)
+        inner = (d_weights * weights).sum(axis=1, keepdims=True)
+        d_logits = weights * (d_weights - inner) * inv_sqrt
+        if features.requires_grad:
+            d_per_head = weights[:, :, None] * g_heads.transpose(0, 2, 1) \
+                + d_logits[:, :, None] * q.transpose(0, 2, 1)                # (heads, n, hd)
+            features.accumulate(d_per_head.transpose(1, 0, 2).reshape(n, d))
+        if query.requires_grad:
+            query.accumulate((d_logits[:, None, :] @ per_head)[:, 0, :].reshape(d))
+
+    return _node(data, (features, query), "head_readout", backward)
 
 
 def dropout(a, rate, rng=None, training=False):
     """Inverted dropout: train mode zeroes with prob `rate` and rescales
-    survivors by 1/(1-rate); eval mode is the identity and draws nothing."""
+    survivors by 1/(1-rate); eval mode (or rate 0) returns `a` itself and
+    draws nothing."""
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout: rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(g)
-
-        return _node(a.data.copy(), (a,), "dropout", backward)
+        return a
     if rng is None:
         raise DomainError("dropout: training mode requires an explicit rng")
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)

@@ -58,11 +58,12 @@ def write_feature_file(path, values: np.ndarray):
         handle.write(arr.astype("<f4").tobytes())
 
 
-def global_pool(fmap: Tensor) -> Tensor:
-    """Per-channel mean over the grid: (c, h, w) -> (c,)."""
+def global_pool(fmap: np.ndarray) -> np.ndarray:
+    """Per-channel mean over the grid: (c, h, w) -> (c,), in numpy (feature
+    maps are constants, so pooling builds no tape node)."""
     if fmap.ndim != 3:
         raise ad.ShapeError(f"global_pool: expected a 3-d map, got shape {fmap.shape}")
-    return ad.mean(fmap, axis=(1, 2))
+    return fmap.mean(axis=(1, 2))
 
 
 def weighted_pool(fmap: Tensor, weights: Tensor) -> Tensor:

@@ -2,9 +2,11 @@
 
 Global visual features and label word embeddings are projected into one
 space by two bias-free linear maps; an image/label score is a scaled
-cosine similarity there (``model.score_against``), and the class-mapping
-loss is summed binary cross-entropy of those scores against the multi-hot
-ground truth (``model.score_loss``).
+cosine similarity there, and the class-mapping loss is summed binary
+cross-entropy of those scores against the multi-hot ground truth.
+``model.score_against`` scores a whole matrix of pooled features against
+a whole matrix of vectors with one projection, one row-matrix cosine and
+one scale on the tape; ``model.score_loss`` is its BCE loss.
 """
 
 from dataclasses import dataclass

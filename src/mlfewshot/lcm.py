@@ -22,6 +22,7 @@ from .autodiff import DegenerateVectorError, Tensor
 from .errors import ConfigError
 from .features import weighted_pool
 from .joint_space import JointSpaceParams, project_label
+from .model import score_against
 from .optim import Adam
 
 
@@ -97,20 +98,16 @@ def _frozen_view(joint: JointSpaceParams) -> JointSpaceParams:
     )
 
 
-def _project_labels(frozen: JointSpaceParams, label_embeddings: np.ndarray) -> list[Tensor]:
-    return [project_label(frozen, Tensor(w)) for w in np.asarray(label_embeddings, dtype=np.float64)]
+def _project_labels(frozen: JointSpaceParams, label_embeddings: np.ndarray) -> Tensor:
+    return ad.stack([project_label(frozen, Tensor(w))
+                     for w in np.asarray(label_embeddings, dtype=np.float64)])
 
 
 def _image_loss(frozen: JointSpaceParams, fmap: Tensor, targets_row: np.ndarray,
-                label_joints: list[Tensor], weights: Tensor):
+                label_joints: Tensor, weights: Tensor):
     """This image's CM loss with importance-weighted pooling."""
     pooled = weighted_pool(fmap, weights)
-    visual_joint = ad.matmul(frozen.visual, pooled)
-    scores = []
-    for label_joint in label_joints:
-        s = ad.scale(ad.cosine(visual_joint, label_joint), frozen.scale)
-        scores.append(ad.reshape(s, (1,)))
-    flat = ad.concat(scores, axis=0)
+    flat = score_against(frozen, ad.reshape(pooled, (1, pooled.shape[0])), label_joints)
     return ad.tensor_sum(ad.bce_with_logits(flat, targets_row))
 
 

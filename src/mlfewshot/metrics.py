@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .features import global_pool
 from .joint_space import project_label, project_visual
 from .lcm import LcmConfig, fit_importance, select_features, sigma_grid
-from .model import FeatureStore, ModelState, episode_forward, score_against
+from .model import FeatureStore, ModelState, episode_forward, pooled_globals, score_against
 from .prototypes import simple_attention_prototype
 
 EVAL_MODES = ("base", "lcm", "zeroshot", "simple-attention")
@@ -150,25 +150,25 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
                     "importance": state.importance,
                 })
     if mode in ("base", "lcm"):
-        _, _, logits = episode_forward(model, episode, store, embeddings_by_label, masks=masks)
+        _, logits = episode_forward(model, episode, store, embeddings_by_label, masks=masks)
         return expit(logits.data.reshape(shape)), detail, fell_back
 
     label_joints = [project_label(model.joint, Tensor(embeddings_by_label[label]))
                     for label in labels]
-    query_globals = [global_pool(Tensor(store.get(i))) for i in episode.query_ids]
+    query_globals = pooled_globals(store, episode.query_ids)
     if mode == "zeroshot":
-        logits = score_against(model.joint, query_globals, label_joints)
-        return ad.sigmoid(logits).data.reshape(shape), detail, fell_back
+        logits = score_against(model.joint, query_globals, ad.stack(label_joints))
+        return expit(logits.data.reshape(shape)), detail, fell_back
 
     # simple-attention
-    projected = [project_visual(model.joint, global_pool(Tensor(store.get(i))))
+    projected = [project_visual(model.joint, Tensor(global_pool(store.get(i))))
                  for i in episode.support_ids]
     vectors = []
     for li, label_joint in enumerate(label_joints):
         members = [projected[i] for i in range(len(projected))
                    if episode.support_targets[i, li] > 0]
         vectors.append(simple_attention_prototype(members, label_joint, model.joint.scale))
-    logits = score_against(model.joint, query_globals, vectors)
+    logits = score_against(model.joint, query_globals, ad.stack(vectors))
     return expit(logits.data.reshape(shape)), detail, fell_back
 
 

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError
 from .features import global_pool, load_feature_file
-from .joint_space import JointSpaceParams, init_joint_space, project_label, project_visual
+from .joint_space import JointSpaceParams, init_joint_space, project_label
 from .prototypes import (
     AttentionParams,
     DynConvParams,
@@ -226,35 +226,37 @@ def build_pools(labels, support_targets, projections, masks=None) -> dict[str, L
     return pools
 
 
-def score_against(joint: JointSpaceParams, pooled_globals, vectors) -> Tensor:
+def pooled_globals(store, image_ids) -> Tensor:
+    """The (n_images, channels) matrix of the images' globally pooled
+    features, computed in numpy: feature maps are constants."""
+    return Tensor(np.stack([global_pool(store.get(i)) for i in image_ids]))
+
+
+def score_against(joint: JointSpaceParams, pooled: Tensor, vectors: Tensor) -> Tensor:
     """Scaled cosine of each pooled global feature against each vector: the
-    one joint-space score.  Returns the flat (n_images * n_vectors) logits,
+    one joint-space score.  `pooled` is an (n_images, channels) matrix and
+    `vectors` an (n_vectors, joint_dim) matrix; one projection, one matrix
+    cosine and one scale give the flat (n_images * n_vectors) logits,
     image-major."""
-    scores = []
-    for pooled in pooled_globals:
-        visual_joint = project_visual(joint, pooled)
-        for vector in vectors:
-            s = ad.scale(ad.cosine(visual_joint, vector), joint.scale)
-            scores.append(ad.reshape(s, (1,)))
-    return ad.concat(scores, axis=0)
+    visual_joint = ad.matmul(pooled, ad.transpose(joint.visual))      # (n_images, joint_dim)
+    scores = ad.scale(ad.cosine(visual_joint, vectors), joint.scale)
+    return ad.reshape(scores, (scores.size,))
 
 
-def score_loss(joint: JointSpaceParams, pooled_globals, vectors, targets) -> Tensor:
+def score_loss(joint: JointSpaceParams, pooled: Tensor, vectors: Tensor, targets) -> Tensor:
     """Summed BCE of every (pooled feature, vector) score against the
     (n_images, n_vectors) multi-hot targets; the class-mapping loss."""
-    pooled_globals = list(pooled_globals)
-    vectors = list(vectors)
     y = np.asarray(targets, dtype=np.float64)
-    if not pooled_globals:
+    if pooled.shape[0] == 0:
         raise ConfigError("score_loss: no pooled features to score")
-    if not vectors:
+    if vectors.shape[0] == 0:
         raise ConfigError("score_loss: no vectors to score against")
-    if y.shape != (len(pooled_globals), len(vectors)):
+    if y.shape != (pooled.shape[0], vectors.shape[0]):
         raise ConfigError(
             f"score_loss: targets shape {y.shape} does not match "
-            f"({len(pooled_globals)}, {len(vectors)})"
+            f"({pooled.shape[0]}, {vectors.shape[0]})"
         )
-    flat = score_against(joint, pooled_globals, vectors)
+    flat = score_against(joint, pooled, vectors)
     return ad.tensor_sum(ad.bce_with_logits(flat, y.reshape(-1)))
 
 
@@ -266,19 +268,19 @@ def episode_forward(model: ModelState, episode, store, embeddings_by_label, *, m
     cells (only the kept ones where `masks` gives a support image a keep
     grid), builds the prototypes and scores every query image against them.
     `store.get(image_id)` gives a feature map: a FeatureStore, or a plain
-    dict of arrays.  Returns (label joints in episode label order, support
-    feature maps, flat query logits).
+    dict of arrays.  Returns (the (n_labels, joint_dim) label joints in
+    episode label order, flat query logits).
     """
     labels = list(episode.labels)
-    label_joints = {label: project_label(model.joint, Tensor(embeddings_by_label[label]))
-                    for label in labels}
-    support_maps = [Tensor(store.get(i)) for i in episode.support_ids]
-    query_globals = [global_pool(Tensor(store.get(i))) for i in episode.query_ids]
-    projections = [local_feature_rows(model.joint, m) for m in support_maps]
+    label_joints = [project_label(model.joint, Tensor(embeddings_by_label[label]))
+                    for label in labels]
+    projections = [local_feature_rows(model.joint, Tensor(store.get(i)))
+                   for i in episode.support_ids]
     pools = build_pools(labels, episode.support_targets, projections, masks)
-    protos = [build_prototype(model.attention, model.dynconv, pools[label], label_joints[label],
+    protos = [build_prototype(model.attention, model.dynconv, pools[label], label_joint,
                               rng=dropout_rngs.get(label) if dropout_rngs else None,
                               training=training)
-              for label in labels]
-    logits = score_against(model.joint, query_globals, protos)
-    return [label_joints[label] for label in labels], support_maps, logits
+              for label, label_joint in zip(labels, label_joints)]
+    logits = score_against(model.joint, pooled_globals(store, episode.query_ids),
+                           ad.stack(protos))
+    return ad.stack(label_joints), logits

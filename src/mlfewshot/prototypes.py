@@ -168,6 +168,8 @@ def attention_prototype(params: AttentionParams, pool: LabelSupportPool, label_j
 
     Head j sees the j-th channel slice of every pooled feature as both key
     and value; its query is that head's transform of the label vector.  The
+    stacked head transforms map the label vector to every head's query in
+    one product, one `head_readout` node reads all heads out, and the
     concatenated head outputs pass through the MLP.
     """
     joint_dim = params.mlp_w1.shape[0]
@@ -175,16 +177,8 @@ def attention_prototype(params: AttentionParams, pool: LabelSupportPool, label_j
         raise ConfigError(
             f"pool features have dim {pool.features.shape[1]}, attention expects {joint_dim}"
         )
-    head_dim = params.head_dim
-    inv_sqrt = 1.0 / math.sqrt(head_dim)
-    slices = ad.split(pool.features, params.heads, axis=1)
-    head_outputs = []
-    for transform, chunk in zip(params.queries, slices):
-        query = ad.matmul(transform, label_joint)               # (head_dim,)
-        logits = ad.scale(ad.matmul(chunk, query), inv_sqrt)    # (count,)
-        attention = ad.softmax(logits)
-        head_outputs.append(ad.matmul(attention, chunk))        # (head_dim,)
-    merged = ad.concat(head_outputs, axis=0)                    # (joint_dim,)
+    queries = ad.matmul(ad.concat(params.queries, axis=0), label_joint)   # (joint_dim,)
+    merged = ad.head_readout(pool.features, queries, params.heads)        # (joint_dim,)
     hidden = ad.gelu(ad.add(ad.matmul(params.mlp_w1, merged), params.mlp_b1))
     hidden = ad.dropout(hidden, params.dropout, rng=rng, training=training)
     out = ad.add(ad.matmul(params.mlp_w2, hidden), params.mlp_b2)
@@ -253,10 +247,8 @@ def simple_attention_prototype(global_joints, label_joint: Tensor, scale: float)
     global_joints = list(global_joints)
     if not global_joints:
         raise ConfigError("simple attention needs at least one support feature")
-    logits = []
-    for g in global_joints:
-        logits.append(ad.reshape(ad.scale(ad.cosine(label_joint, g), scale), (1,)))
-    weights = ad.softmax(ad.concat(logits, axis=0))
-    stacked = ad.concat([ad.reshape(g, (1, g.shape[0])) for g in global_joints], axis=0)
+    stacked = ad.stack(global_joints)                                     # (count, joint_dim)
+    row = ad.reshape(label_joint, (1, label_joint.shape[0]))
+    logits = ad.scale(ad.cosine(stacked, row), scale)                     # (count, 1)
+    weights = ad.softmax(ad.reshape(logits, (len(global_joints),)))
     return ad.matmul(weights, stacked)
-

@@ -17,8 +17,7 @@ from . import seeding
 from .embeddings import embed_label
 from .episodes import records_for_split, sample_episode_with_retries
 from .errors import ConfigError, NumericError
-from .features import global_pool
-from .model import FeatureStore, ModelState, episode_forward, score_loss
+from .model import FeatureStore, ModelState, episode_forward, pooled_globals, score_loss
 from .optim import Adam
 
 
@@ -77,12 +76,12 @@ def warmup_lr(base_lr: float, epoch: int, warmup_epochs: int) -> float:
 def episode_losses(model: ModelState, episode, store, embeddings_by_label,
                    *, dropout_rngs=None, training=True):
     """Forward one episode; returns (cm, query) loss tensors."""
-    label_joints, support_maps, logits = episode_forward(
+    label_joints, logits = episode_forward(
         model, episode, store, embeddings_by_label, dropout_rngs=dropout_rngs,
         training=training)
     # the alignment loss sees support images only; queries contribute
     # through the prototype scoring
-    cm = score_loss(model.joint, [global_pool(m) for m in support_maps], label_joints,
+    cm = score_loss(model.joint, pooled_globals(store, episode.support_ids), label_joints,
                     episode.support_targets)
     y = np.asarray(episode.query_targets, dtype=np.float64).reshape(-1)
     return cm, ad.tensor_sum(ad.bce_with_logits(logits, y))

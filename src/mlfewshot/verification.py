@@ -128,8 +128,38 @@ def _case_layer_norm(rng):
 
 
 def _case_cosine(rng):
-    c = Tensor(_r(rng, 9))
-    return lambda x: ad.cosine(x, c), Tensor(_r(rng, 9))
+    b = Tensor(_r(rng, 4, 9))
+    c = Tensor(_r(rng, 3, 4))
+    return lambda x: ad.tensor_sum(ad.mul(ad.cosine(x, b), c)), Tensor(_r(rng, 3, 9))
+
+
+def _case_cosine_rhs(rng):
+    a = Tensor(_r(rng, 3, 9))
+    c = Tensor(_r(rng, 3, 4))
+    return lambda x: ad.tensor_sum(ad.mul(ad.cosine(a, x), c)), Tensor(_r(rng, 4, 9))
+
+
+def _case_stack(rng):
+    row = Tensor(_r(rng, 5))
+    c = Tensor(_r(rng, 3, 5))
+    def f(x):
+        stacked = ad.stack([x, row, x])
+        return ad.tensor_sum(ad.mul(ad.mul(stacked, stacked), c))
+    return f, Tensor(_r(rng, 5))
+
+
+def _case_head_readout_features(rng):
+    query = Tensor(_r(rng, 6))
+    c = Tensor(_r(rng, 6))
+    return (lambda x: ad.tensor_sum(ad.mul(ad.head_readout(x, query, 3), c)),
+            Tensor(_r(rng, 4, 6)))
+
+
+def _case_head_readout_query(rng):
+    features = Tensor(_r(rng, 4, 6))
+    c = Tensor(_r(rng, 6))
+    return (lambda x: ad.tensor_sum(ad.mul(ad.head_readout(features, x, 3), c)),
+            Tensor(_r(rng, 6)))
 
 
 def _case_bce(rng):
@@ -157,11 +187,12 @@ def _case_dropout(rng):
 def _case_pooled_score(rng):
     # weighted pooling into a scaled cosine score, the LCM inner loop shape
     fmap_const = Tensor(_r(rng, 3, 2, 2))
-    target_vec = Tensor(_r(rng, 3))
+    target_row = Tensor(_r(rng, 1, 3))
     def f(weights):
         pooled = ad.scale(ad.matmul(ad.reshape(fmap_const, (3, 4)),
                                     ad.reshape(weights, (4,))), 1.0 / 4.0)
-        return ad.scale(ad.cosine(pooled, target_vec), 10.0)
+        score = ad.cosine(ad.reshape(pooled, (1, 3)), target_row)
+        return ad.scale(ad.reshape(score, ()), 10.0)
     return f, Tensor(np.abs(_r(rng, 2, 2)) + 0.5)
 
 
@@ -187,6 +218,10 @@ OP_CASES = [
     ("conv2d", _case_conv2d),
     ("dropout", _case_dropout),
     ("pooled-score", _case_pooled_score),
+    ("cosine-rhs", _case_cosine_rhs),
+    ("stack", _case_stack),
+    ("head-readout-features", _case_head_readout_features),
+    ("head-readout-query", _case_head_readout_query),
 ]
 
 

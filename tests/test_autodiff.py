@@ -1,5 +1,6 @@
 """Tensor op forwards against hand values and gradients against central differences."""
 
+import inspect
 import math
 
 import numpy as np
@@ -92,12 +93,64 @@ def test_layer_norm_normalizes_rows():
 
 
 def test_cosine_values_and_degenerate():
-    assert abs(ad.cosine(tensor([1.0, 0.0]), tensor([1.0, 1.0])).item() - 1 / math.sqrt(2)) < 1e-15
-    assert ad.cosine(tensor([1.0, 2.0]), tensor([2.0, 4.0])).item() == pytest.approx(1.0)
+    assert abs(ad.cosine(tensor([[1.0, 0.0]]), tensor([[1.0, 1.0]])).data[0, 0]
+               - 1 / math.sqrt(2)) < 1e-15
+    assert ad.cosine(tensor([[1.0, 2.0]]), tensor([[2.0, 4.0]])).data[0, 0] == pytest.approx(1.0)
     with pytest.raises(DegenerateVectorError, match="degenerate-vector"):
-        ad.cosine(tensor([0.0, 0.0]), tensor([1.0, 1.0]))
+        ad.cosine(tensor([[0.0, 0.0]]), tensor([[1.0, 1.0]]))
     with pytest.raises(DegenerateVectorError, match="degenerate-vector"):
-        ad.cosine(tensor([1.0, 1.0]), tensor([0.0, 0.0]))
+        ad.cosine(tensor([[1.0, 1.0]]), tensor([[0.0, 0.0]]))
+
+
+def test_cosine_matrix_entries_and_shapes():
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((3, 5)), rng.standard_normal((4, 5))
+    c = ad.cosine(tensor(a), tensor(b)).data
+    assert c.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            expected = a[i] @ b[j] / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
+            assert abs(c[i, j] - expected) <= 1e-15
+    with pytest.raises(ShapeError):
+        ad.cosine(tensor(a), tensor(rng.standard_normal((4, 6))))
+    with pytest.raises(ShapeError):
+        ad.cosine(tensor(a[0]), tensor(b))
+
+
+def test_cosine_zero_row_in_either_operand_is_degenerate():
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
+    a[1] = 0.0
+    with pytest.raises(DegenerateVectorError, match="degenerate-vector"):
+        ad.cosine(tensor(a), tensor(b))
+    with pytest.raises(DegenerateVectorError, match="degenerate-vector"):
+        ad.cosine(tensor(b), tensor(a))
+
+
+def test_stack_rows_and_shape_errors():
+    rows = [tensor([1.0, 2.0]), tensor([3.0, 4.0]), tensor([5.0, 6.0])]
+    assert np.array_equal(ad.stack(rows).data, [[1, 2], [3, 4], [5, 6]])
+    with pytest.raises(ShapeError):
+        ad.stack([])
+    with pytest.raises(ShapeError):
+        ad.stack([tensor([1.0, 2.0]), tensor([1.0, 2.0, 3.0])])
+    with pytest.raises(ShapeError):
+        ad.stack([tensor(np.ones((1, 2)))])
+
+
+def test_scale_builds_one_node():
+    x = tensor([1.0, -2.0], requires_grad=True)
+    out = ad.scale(x, 2.5)
+    assert out.op == "scale" and out._parents == (x,)
+    assert np.array_equal(out.data, [2.5, -5.0])
+
+
+def test_head_readout_rejects_bad_shapes():
+    features = tensor(np.ones((3, 6)))
+    with pytest.raises(ShapeError):
+        ad.head_readout(features, tensor(np.ones(6)), 4)
+    with pytest.raises(ShapeError):
+        ad.head_readout(features, tensor(np.ones(5)), 3)
 
 
 def test_bce_matches_literal_composition():
@@ -166,6 +219,9 @@ def test_dropout_eval_is_identity_and_train_rescales():
     rng = np.random.default_rng(0)
     x = tensor(rng.standard_normal(1000))
     assert np.array_equal(ad.dropout(x, 0.5, training=False).data, x.data)
+    # eval mode and rate 0 hand back the input itself: no copy, no node
+    assert ad.dropout(x, 0.5, training=False) is x
+    assert ad.dropout(x, 0.0, rng=rng, training=True) is x
     out = ad.dropout(x, 0.25, rng=np.random.default_rng(42), training=True).data
     kept = out != 0
     assert 0.65 < kept.mean() < 0.85
@@ -364,13 +420,54 @@ def _case_layer_norm_bias(rng):
 
 
 def _case_cosine_a(rng):
-    b = Tensor(rng.standard_normal(6) + 0.1)
-    return Tensor(rng.standard_normal(6) + 0.1), lambda t: ad.cosine(t, b)
+    b = Tensor(rng.standard_normal((1, 6)) + 0.1)
+    return Tensor(rng.standard_normal((1, 6)) + 0.1), lambda t: ad.tensor_sum(ad.cosine(t, b))
 
 
 def _case_cosine_b(rng):
-    a = Tensor(rng.standard_normal(6) + 0.1)
-    return Tensor(rng.standard_normal(6) + 0.1), lambda t: ad.cosine(a, t)
+    a = Tensor(rng.standard_normal((1, 6)) + 0.1)
+    return Tensor(rng.standard_normal((1, 6)) + 0.1), lambda t: ad.tensor_sum(ad.cosine(a, t))
+
+
+def _case_cosine_matrix_a(rng):
+    b, c = rand(rng, 4, 5), rand(rng, 3, 4)
+    return rand(rng, 3, 5), lambda t: ad.tensor_sum(ad.mul(ad.cosine(t, b), c))
+
+
+def _case_cosine_matrix_b(rng):
+    a, c = rand(rng, 3, 5), rand(rng, 3, 4)
+    return rand(rng, 4, 5), lambda t: ad.tensor_sum(ad.mul(ad.cosine(a, t), c))
+
+
+def _case_cosine_matrix_shared(rng):
+    # both operands are the leaf: the Gram matrix of cosines
+    c = rand(rng, 3, 3)
+    return rand(rng, 3, 5), lambda t: ad.tensor_sum(ad.mul(ad.cosine(t, t), c))
+
+
+def _case_stack(rng):
+    other, c = rand(rng, 4), rand(rng, 3, 4)
+    return rand(rng, 4), lambda t: ad.tensor_sum(ad.mul(ad.stack([t, other, t]), c))
+
+
+def _case_head_readout_features(rng):
+    query, c = rand(rng, 6), rand(rng, 6)
+    return rand(rng, 5, 6), lambda t: ad.tensor_sum(ad.mul(ad.head_readout(t, query, 3), c))
+
+
+def _case_head_readout_query(rng):
+    features, c = rand(rng, 5, 6), rand(rng, 6)
+    return rand(rng, 6), lambda t: ad.tensor_sum(ad.mul(ad.head_readout(features, t, 3), c))
+
+
+def _case_scale_matrix(rng):
+    c = rand(rng, 2, 3)
+    return rand(rng, 2, 3), lambda t: ad.tensor_sum(ad.mul(ad.scale(t, -0.7), c))
+
+
+def _case_tensor_sum_axes(rng):
+    c = rand(rng, 3)
+    return rand(rng, 2, 3, 4), lambda t: ad.tensor_sum(ad.mul(ad.tensor_sum(t, axis=(0, 2)), c))
 
 
 def _case_dropout(rng):
@@ -429,6 +526,14 @@ GRAD_CASES = {
     "layer_norm_bias": _case_layer_norm_bias,
     "cosine_a": _case_cosine_a,
     "cosine_b": _case_cosine_b,
+    "cosine_matrix_a": _case_cosine_matrix_a,
+    "cosine_matrix_b": _case_cosine_matrix_b,
+    "cosine_matrix_shared": _case_cosine_matrix_shared,
+    "stack": _case_stack,
+    "head_readout_features": _case_head_readout_features,
+    "head_readout_query": _case_head_readout_query,
+    "scale_matrix": _case_scale_matrix,
+    "tensor_sum_axes": _case_tensor_sum_axes,
     "dropout": _case_dropout,
     "bce_with_logits": _case_bce,
     "conv2d_x": _case_conv2d_x,
@@ -447,6 +552,107 @@ def test_gradient_matches_central_differences(name):
         x, f = GRAD_CASES[name](case_rng)
         worst = max(worst, grad_check(f, x))
     assert worst <= OP_TOL, f"{name}: max relative error {worst:.3e}"
+
+
+def _ops():
+    """The tape's ops: every public function of the autodiff module except
+    the three that build no node of their own."""
+    return sorted(name for name, fn in vars(ad).items()
+                  if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+                  and not name.startswith("_")
+                  and name not in {"tensor", "forward", "grad_check"})
+
+
+def test_every_op_has_a_gradient_case():
+    # a case covers op X when it is named X or X_<variant>
+    unchecked = [op for op in _ops()
+                 if not any(case == op or case.startswith(op + "_") for case in GRAD_CASES)]
+    assert not unchecked, f"ops without a GRAD_CASES entry: {unchecked}"
+    assert {"cosine", "stack", "head_readout", "scale"} <= set(_ops())
+
+
+# ---------------------------------------------------------------- batched ops vs the loops they replaced
+
+
+def _score_against_per_pair(joint, pooled_rows, vectors):
+    """The per-pair scorer `score_against` replaced: project each pooled
+    feature, then one cosine -> scale chain per (image, vector) pair."""
+    scores = []
+    for pooled in pooled_rows:
+        visual_joint = ad.matmul(joint.visual, pooled)
+        for vector in vectors:
+            c = ad.cosine(ad.reshape(visual_joint, (1, visual_joint.size)),
+                          ad.reshape(vector, (1, vector.size)))
+            scores.append(ad.reshape(ad.scale(c, joint.scale), (1,)))
+    return ad.concat(scores, axis=0)
+
+
+def _attention_per_head(params, features, label_joint):
+    """The per-head split/softmax loop `attention_prototype` replaced (eval
+    mode, so dropout is the identity)."""
+    inv_sqrt = 1.0 / math.sqrt(params.head_dim)
+    head_outputs = []
+    for transform, chunk in zip(params.queries, ad.split(features, params.heads, axis=1)):
+        query = ad.matmul(transform, label_joint)
+        attention = ad.softmax(ad.scale(ad.matmul(chunk, query), inv_sqrt))
+        head_outputs.append(ad.matmul(attention, chunk))
+    merged = ad.concat(head_outputs, axis=0)
+    hidden = ad.gelu(ad.add(ad.matmul(params.mlp_w1, merged), params.mlp_b1))
+    return ad.add(ad.matmul(params.mlp_w2, hidden), params.mlp_b2)
+
+
+def _gradients(leaves, build):
+    for leaf in leaves:
+        leaf.grad = None
+    out = build()
+    out.backward()
+    return out.item(), [leaf.grad.copy() for leaf in leaves]
+
+
+def _assert_close(a, b, tol=1e-12):
+    assert np.max(np.abs(a - b)) <= tol * max(1.0, np.max(np.abs(b)))
+
+
+def test_batched_score_against_matches_per_pair_loop():
+    from mlfewshot.joint_space import init_joint_space
+    from mlfewshot.model import score_against
+    for seed in range(5):
+        rng = np.random.default_rng([31, seed])
+        joint = init_joint_space(6, 4, 8, 10.0, rng)
+        pooled = [Tensor(rng.standard_normal(6)) for _ in range(5)]
+        vectors = [Tensor(rng.standard_normal(8), requires_grad=True) for _ in range(3)]
+        targets = (rng.random(15) < 0.5).astype(np.float64)
+        batched = score_against(joint, ad.stack(pooled), ad.stack(vectors))
+        looped = _score_against_per_pair(joint, pooled, vectors)
+        assert batched.shape == looped.shape == (15,)
+        _assert_close(batched.data, looped.data)
+        leaves = [joint.visual, *vectors]
+        _, grads_batched = _gradients(leaves, lambda: ad.tensor_sum(ad.bce_with_logits(
+            score_against(joint, ad.stack(pooled), ad.stack(vectors)), targets)))
+        _, grads_looped = _gradients(leaves, lambda: ad.tensor_sum(ad.bce_with_logits(
+            _score_against_per_pair(joint, pooled, vectors), targets)))
+        for a, b in zip(grads_batched, grads_looped):
+            _assert_close(a, b)
+
+
+def test_fused_head_readout_matches_per_head_loop():
+    from mlfewshot.prototypes import LabelSupportPool, attention_prototype, init_attention
+    for seed, (dim, heads, count) in enumerate([(8, 2, 6), (8, 4, 1), (12, 3, 9)]):
+        rng = np.random.default_rng([37, seed])
+        params = init_attention(dim, heads, rng, dropout=0.3)
+        features = Tensor(rng.standard_normal((count, dim)), requires_grad=True)
+        label = Tensor(rng.standard_normal(dim), requires_grad=True)
+        c = Tensor(rng.standard_normal(dim))
+        pool = LabelSupportPool("x", features)
+        fused = attention_prototype(params, pool, label)
+        _assert_close(fused.data, _attention_per_head(params, features, label).data)
+        leaves = [*params.parameters().values(), features, label]
+        _, grads_fused = _gradients(leaves, lambda: ad.tensor_sum(ad.mul(
+            attention_prototype(params, pool, label), c)))
+        _, grads_looped = _gradients(leaves, lambda: ad.tensor_sum(ad.mul(
+            _attention_per_head(params, features, label), c)))
+        for a, b in zip(grads_fused, grads_looped):
+            _assert_close(a, b)
 
 
 def test_composite_random_graphs_match_central_differences():

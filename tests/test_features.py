@@ -75,8 +75,8 @@ def test_non_finite_payload_rejected(tmp_path):
 
 
 def test_global_pool_hand_value():
-    fmap = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-    assert np.array_equal(global_pool(fmap).data, [2.5])
+    fmap = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+    assert np.array_equal(global_pool(fmap), [2.5])
 
 
 def test_weighted_pool_hand_value():
@@ -89,7 +89,7 @@ def test_weighted_pool_with_uniform_weights_equals_global():
     rng = np.random.default_rng(3)
     fmap = Tensor(rng.standard_normal((6, 3, 4)))
     ones = Tensor(np.ones((3, 4)))
-    assert np.allclose(weighted_pool(fmap, ones).data, global_pool(fmap).data,
+    assert np.allclose(weighted_pool(fmap, ones).data, global_pool(fmap.data),
                        atol=1e-15)
 
 

@@ -237,7 +237,7 @@ def test_score_against_matrix_matches_flat():
     rng = np.random.default_rng(4)
     globals_ = [Tensor(rng.standard_normal(6)) for _ in range(3)]
     vectors = [Tensor(rng.standard_normal(8)) for _ in range(2)]
-    flat = score_against(model.joint, globals_, vectors)
+    flat = score_against(model.joint, ad.stack(globals_), ad.stack(vectors))
     assert flat.shape == (6,)
     # image-major: entry (i, j) of the score matrix is flat[i * n_vectors + j]
     matrix = flat.data.reshape(3, 2)

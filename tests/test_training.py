@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from mlfewshot import autodiff as ad
 from mlfewshot import metrics, seeding, training
 from mlfewshot.autodiff import Tensor
 from mlfewshot.episodes import records_for_split, sample_episode
@@ -67,8 +68,8 @@ def test_query_loss_zero_scores_oracle():
     # orthogonal prototype and query give score 0, so every (query, label)
     # term is ln 2 regardless of its target
     joint = identity_joint()
-    globals_ = [Tensor(np.array([1.0, 0.0])), Tensor(np.array([1.0, 0.0]))]
-    protos = [Tensor(np.array([0.0, 1.0])), Tensor(np.array([0.0, -1.0]))]
+    globals_ = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    protos = Tensor(np.array([[0.0, 1.0], [0.0, -1.0]]))
     targets = np.array([[1.0, 0.0], [0.0, 1.0]])
     loss = score_loss(joint, globals_, protos, targets)
     assert loss.item() == pytest.approx(4 * math.log(2.0), abs=1e-12)
@@ -78,8 +79,8 @@ def test_query_loss_perfect_prototype_oracle():
     # prototype equal to the projected query global: cos 1, score 10,
     # positive target contributes -log sigma(10)
     joint = identity_joint()
-    g = Tensor(np.array([0.6, 0.8]))
-    loss = score_loss(joint, [g], [Tensor(np.array([0.6, 0.8]))], np.array([[1.0]]))
+    g = Tensor(np.array([[0.6, 0.8]]))
+    loss = score_loss(joint, g, Tensor(np.array([[0.6, 0.8]])), np.array([[1.0]]))
     assert loss.item() == pytest.approx(math.log1p(math.exp(-10.0)), rel=1e-12)
 
 
@@ -89,7 +90,7 @@ def test_query_loss_matches_independent_bce_oracle():
     globals_ = [Tensor(rng.standard_normal(3)) for _ in range(4)]
     protos = [Tensor(rng.standard_normal(3)) for _ in range(2)]
     targets = (rng.random((4, 2)) < 0.5).astype(np.float64)
-    loss = score_loss(joint, globals_, protos, targets)
+    loss = score_loss(joint, ad.stack(globals_), ad.stack(protos), targets)
     expected = 0.0
     for i, g in enumerate(globals_):
         for j, p in enumerate(protos):
@@ -119,7 +120,6 @@ def test_gamma_zero_leaves_prototype_modules_untouched(tiny_data):
 
 
 def test_gamma_zero_gradients_are_exactly_zero(tiny_data):
-    import mlfewshot.autodiff as ad
     model = build_tiny_model(tiny_data["table"], seed=34)
     manifest = tiny_data["manifest"]
     store = FeatureStore(manifest)
@@ -150,7 +150,7 @@ def test_base_evaluation_scores_the_training_forward(tiny_trained, monkeypatch):
 
     def recording_forward(*args, **kwargs):
         out = forward(*args, **kwargs)
-        seen.append(out[2].data.copy())
+        seen.append(out[1].data.copy())
         return out
 
     monkeypatch.setattr(training, "episode_forward", recording_forward)
