@@ -33,7 +33,7 @@ from .lcm import (
     write_selection_mask,
 )
 from .metrics import EVAL_MODES, evaluate
-from .model import init_model, load_checkpoint, save_checkpoint
+from .model import atomic_open, init_model, load_checkpoint, save_checkpoint
 from .optim import Adam
 from .training import train
 
@@ -77,7 +77,7 @@ def _detect_channels(manifest) -> int:
 
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path, "w") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
 

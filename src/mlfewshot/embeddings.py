@@ -5,7 +5,7 @@ followed by the vector components, separated by single spaces.  Every line
 must carry the same arity.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

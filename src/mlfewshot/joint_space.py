@@ -55,11 +55,6 @@ def init_joint_space(channels, embed_dim, joint_dim, scale, rng) -> JointSpacePa
     )
 
 
-def project_visual(params: JointSpaceParams, feature: Tensor) -> Tensor:
-    """Map a pooled visual feature (channels,) into the joint space."""
-    return ad.matmul(params.visual, feature)
-
-
 def project_label(params: JointSpaceParams, embedding: Tensor) -> Tensor:
     """Map a label word embedding (embed_dim,) into the joint space."""
     return ad.matmul(params.text, embedding)

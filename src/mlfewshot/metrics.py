@@ -17,8 +17,7 @@ from .autodiff import Tensor
 from .embeddings import embed_label
 from .episodes import records_for_split, sample_episode_with_retries
 from .errors import ConfigError
-from .features import global_pool
-from .joint_space import project_label, project_visual
+from .joint_space import project_label
 from .lcm import LcmConfig, fit_importance, select_features, sigma_grid
 from .model import FeatureStore, ModelState, episode_forward, pooled_globals, score_against
 from .prototypes import simple_attention_prototype
@@ -161,13 +160,13 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
         return expit(logits.data.reshape(shape)), detail, fell_back
 
     # simple-attention
-    projected = [project_visual(model.joint, Tensor(global_pool(store.get(i))))
-                 for i in episode.support_ids]
+    support_globals = pooled_globals(store, episode.support_ids).data
+    visual_t = ad.transpose(model.joint.visual)
     vectors = []
     for li, label_joint in enumerate(label_joints):
-        members = [projected[i] for i in range(len(projected))
-                   if episode.support_targets[i, li] > 0]
-        vectors.append(simple_attention_prototype(members, label_joint, model.joint.scale))
+        members = Tensor(support_globals[episode.support_targets[:, li] > 0])
+        vectors.append(simple_attention_prototype(ad.matmul(members, visual_t), label_joint,
+                                                  model.joint.scale))
     logits = score_against(model.joint, query_globals, ad.stack(vectors))
     return expit(logits.data.reshape(shape)), detail, fell_back
 

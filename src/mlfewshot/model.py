@@ -6,7 +6,9 @@ little-endian data.  Numeric run-config values ride along as rank-0 tensors
 under "config.*"; optimizer buffers under "optim.*".
 """
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +69,22 @@ def init_model(*, channels, embed_dim, joint_dim, heads, dynconv_inner, dynconv_
 # ------------------------------------------------------------- checkpoints
 
 
+@contextmanager
+def atomic_open(path, mode):
+    """Open a temp file beside `path` for writing ("wb", or "w" for UTF-8
+    text) and move it onto `path` with `os.replace` once the block
+    succeeds; if the block fails the temp file is removed and any earlier
+    file at `path` is left as it was."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            yield handle
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path, model: ModelState, optimizer=None, config_scalars=None):
     """Write the model (and optionally optimizer state and numeric config)."""
     entries: dict[str, np.ndarray] = {
@@ -81,7 +99,7 @@ def save_checkpoint(path, model: ModelState, optimizer=None, config_scalars=None
     if config_scalars:
         for key, value in config_scalars.items():
             entries[f"config.{key}"] = np.float64(value)
-    with open(path, "wb") as handle:
+    with atomic_open(path, "wb") as handle:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(struct.pack("<I", len(entries)))
         for name in sorted(entries):
@@ -191,37 +209,37 @@ class FeatureStore:
         return self._cache[image_id]
 
 
-def local_feature_rows(joint: JointSpaceParams, fmap: Tensor) -> Tensor:
-    """Project every grid cell into the joint space: (c, h, w) -> (h*w, joint_dim),
-    rows in row-major cell order."""
-    channels = fmap.shape[0]
-    cells = fmap.shape[1] * fmap.shape[2]
-    flat = ad.transpose(ad.reshape(fmap, (channels, cells)))        # (cells, c)
-    return ad.matmul(flat, ad.transpose(joint.visual))              # (cells, joint_dim)
+def local_feature_rows(fmaps) -> np.ndarray:
+    """The cells of (c, h, w) feature maps as one (cells, c) numpy matrix,
+    rows in (map, grid row, grid col) order."""
+    return np.concatenate([fmap.reshape(fmap.shape[0], -1).T for fmap in fmaps])
 
 
-def build_pools(labels, support_targets, projections, masks=None) -> dict[str, LabelSupportPool]:
-    """Assemble per-label support pools from per-image projected local features.
+def build_pools(joint: JointSpaceParams, labels, support_targets, fmaps,
+                masks=None) -> dict[str, LabelSupportPool]:
+    """Project each label's support cells into the joint space as its pool.
 
-    masks, when given, is one boolean (h, w) keep-grid per support image
-    (None entries keep everything).  Rows are in (support image, grid row,
-    grid col) order, the order top-k ties break in, so identical masks give
-    bitwise-identical pools.
+    A label's members are the support images it is on; masks, when given,
+    is one boolean (h, w) keep-grid per support image.  Cells are chosen in
+    numpy and each pool is one product with `joint.visual`.  Rows are in
+    (support image, grid row, grid col) order, the order top-k ties break
+    in, so identical masks give bitwise-identical pools.
     """
+    cells = local_feature_rows(fmaps)
+    sizes = [fmap[0].size for fmap in fmaps]                         # cells per map
+    image_of_cell = np.repeat(np.arange(len(fmaps)), sizes)
+    kept = np.ones(len(cells), dtype=bool)
+    if masks is not None:
+        if [np.size(mask) for mask in masks] != sizes:
+            raise ad.ShapeError("build_pools: masks do not cover the support maps' cells")
+        kept = np.concatenate([np.asarray(mask, dtype=bool).reshape(-1) for mask in masks])
+    visual_t = ad.transpose(joint.visual)
     pools = {}
     for li, label in enumerate(labels):
-        members = [i for i in range(len(projections)) if support_targets[i, li] > 0]
-        pieces = []
-        for i in members:
-            mask = None if masks is None else masks[i]
-            if mask is None:
-                pieces.append(projections[i])
-            else:
-                kept = np.flatnonzero(np.asarray(mask).reshape(-1))
-                pieces.append(ad.gather_rows(projections[i], kept))
-        if not pieces:
+        members = support_targets[image_of_cell, li] > 0
+        if not members.any():
             raise DataError(f"label {label!r} has no support images in the episode")
-        features = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
+        features = ad.matmul(Tensor(cells[members & kept]), visual_t)
         pools[label] = LabelSupportPool(label=label, features=features)
     return pools
 
@@ -265,7 +283,7 @@ def episode_forward(model: ModelState, episode, store, embeddings_by_label, *, m
     """The episode forward shared by training and evaluation.
 
     Projects the episode's label embeddings, pools each label's support
-    cells (only the kept ones where `masks` gives a support image a keep
+    cells (only the kept ones when `masks` gives each support image a keep
     grid), builds the prototypes and scores every query image against them.
     `store.get(image_id)` gives a feature map: a FeatureStore, or a plain
     dict of arrays.  Returns (the (n_labels, joint_dim) label joints in
@@ -274,9 +292,8 @@ def episode_forward(model: ModelState, episode, store, embeddings_by_label, *, m
     labels = list(episode.labels)
     label_joints = [project_label(model.joint, Tensor(embeddings_by_label[label]))
                     for label in labels]
-    projections = [local_feature_rows(model.joint, Tensor(store.get(i)))
-                   for i in episode.support_ids]
-    pools = build_pools(labels, episode.support_targets, projections, masks)
+    fmaps = [store.get(i) for i in episode.support_ids]
+    pools = build_pools(model.joint, labels, episode.support_targets, fmaps, masks)
     protos = [build_prototype(model.attention, model.dynconv, pools[label], label_joint,
                               rng=dropout_rngs.get(label) if dropout_rngs else None,
                               training=training)

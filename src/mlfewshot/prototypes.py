@@ -241,14 +241,12 @@ def build_prototype(attention: AttentionParams, dynconv: DynConvParams,
     return ad.add(att_part, dynconv_prototype(dynconv, selected, label_joint))
 
 
-def simple_attention_prototype(global_joints, label_joint: Tensor, scale: float) -> Tensor:
-    """Baseline prototype: softmax(scale * cos)-weighted average of the
-    label's projected support global features."""
-    global_joints = list(global_joints)
-    if not global_joints:
+def simple_attention_prototype(global_joints: Tensor, label_joint: Tensor, scale: float) -> Tensor:
+    """Baseline prototype: softmax(scale * cos)-weighted average of the rows
+    of the label's (count, joint_dim) projected support global features."""
+    if global_joints.ndim != 2 or global_joints.shape[0] < 1:
         raise ConfigError("simple attention needs at least one support feature")
-    stacked = ad.stack(global_joints)                                     # (count, joint_dim)
     row = ad.reshape(label_joint, (1, label_joint.shape[0]))
-    logits = ad.scale(ad.cosine(stacked, row), scale)                     # (count, 1)
-    weights = ad.softmax(ad.reshape(logits, (len(global_joints),)))
-    return ad.matmul(weights, stacked)
+    logits = ad.scale(ad.cosine(global_joints, row), scale)               # (count, 1)
+    weights = ad.softmax(ad.reshape(logits, (global_joints.shape[0],)))
+    return ad.matmul(weights, global_joints)

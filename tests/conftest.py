@@ -1,8 +1,5 @@
 """Shared fixtures: small synthetic datasets and a quickly trained model."""
 
-from pathlib import Path
-
-import numpy as np
 import pytest
 
 from mlfewshot import seeding

@@ -6,7 +6,6 @@ derived from seeds fixed in this file.
 """
 
 import json
-import struct
 import time
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ from mlfewshot import autodiff as ad
 from mlfewshot import seeding, verification
 from mlfewshot.autodiff import Tensor
 from mlfewshot.config import RunConfig
-from mlfewshot.embeddings import embed_label, load_vocabulary, parse_embedding_file
+from mlfewshot.embeddings import load_vocabulary, parse_embedding_file
 from mlfewshot.episodes import (
     load_manifest,
     make_synthetic,

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from mlfewshot import cli
 from mlfewshot.cli import main
 
 TRAIN_FLAGS = ["--d_j", "8", "--n_heads", "2", "--d_c", "4", "--n_d", "4",
@@ -143,3 +144,14 @@ def test_config_file_with_flag_override(pipeline, tmp_path, capsys):
                  "--eval_episodes", "1"]) == 0
     payload = json.loads((run / "report_base.json").read_text())
     assert payload["report"]["episodes"] == 1       # flag beat the file
+
+
+def test_failed_json_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "report.json"
+    cli._write_json(path, {"micro_ap": 0.5})
+    before = path.read_bytes()
+    # keys are written in sorted order: "a" is on disk when "b" fails to encode
+    with pytest.raises(TypeError):
+        cli._write_json(path, {"a": "x" * 100_000, "b": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from mlfewshot import autodiff as ad
+from mlfewshot import model as model_module
 from mlfewshot import seeding
 from mlfewshot.autodiff import Tensor
+from mlfewshot.episodes import records_for_split, sample_episode
 from mlfewshot.errors import DataError
 from mlfewshot.model import (
     CHECKPOINT_MAGIC,
@@ -21,6 +23,10 @@ from mlfewshot.model import (
     score_against,
 )
 from mlfewshot.optim import Adam
+from mlfewshot.prototypes import LabelSupportPool
+from mlfewshot.training import episode_losses
+
+from conftest import build_tiny_model
 
 
 def small_model(seed=3):
@@ -77,6 +83,21 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     save_checkpoint(path2, back)
     save_checkpoint(path, model)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
+    model = small_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    before = path.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    # entries are written in name order: the attention tensors and the
+    # first dynconv ones are on disk when this one fails to convert
+    model.dynconv.norm2_bias.data = np.array(["not a number"])
+    with pytest.raises(ValueError):
+        save_checkpoint(path, model)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 def test_checkpoint_preserves_optimizer_state(tmp_path):
@@ -187,49 +208,133 @@ def test_feature_store_loads_and_caches(tiny_data):
 
 
 def test_local_feature_rows_shape_and_order():
-    model = small_model()
     fmap = np.arange(6 * 2 * 3, dtype=np.float64).reshape(6, 2, 3)
-    rows = local_feature_rows(model.joint, Tensor(fmap))
-    assert rows.shape == (6, 8)
-    cell_12 = fmap[:, 1, 2]
-    assert np.allclose(rows.data[5], model.joint.visual.data @ cell_12, atol=1e-12)
+    rows = local_feature_rows([fmap])
+    assert isinstance(rows, np.ndarray)
+    assert rows.shape == (6, 6)
+    assert np.array_equal(rows[5], fmap[:, 1, 2])
+
+
+def project(model, fmap):
+    """One support map's cells in the joint space, written out in numpy."""
+    return fmap.reshape(fmap.shape[0], -1).T @ model.joint.visual.data.T
 
 
 def test_build_pools_members_in_support_order():
+    model = small_model()
     rng = np.random.default_rng(1)
-    projections = [Tensor(rng.standard_normal((4, 8))) for _ in range(2)]
+    fmaps = [rng.standard_normal((6, 2, 2)) for _ in range(2)]
     targets = np.array([[1.0, 0.0], [1.0, 1.0]])
-    pools = build_pools(("a", "b"), targets, projections)
-    assert np.array_equal(pools["a"].features.data,
-                          np.vstack([projections[0].data, projections[1].data]))
-    assert np.array_equal(pools["b"].features.data, projections[1].data)
+    pools = build_pools(model.joint, ("a", "b"), targets, fmaps)
+    assert np.allclose(pools["a"].features.data,
+                       np.vstack([project(model, fmaps[0]), project(model, fmaps[1])]),
+                       atol=1e-12)
+    assert np.allclose(pools["b"].features.data, project(model, fmaps[1]), atol=1e-12)
 
 
 def test_build_pools_full_mask_equals_no_mask():
+    model = small_model()
     rng = np.random.default_rng(2)
-    projections = [Tensor(rng.standard_normal((4, 8)))]
+    fmaps = [rng.standard_normal((6, 2, 2))]
     targets = np.array([[1.0]])
-    plain = build_pools(("a",), targets, projections)
-    masked = build_pools(("a",), targets, projections, masks=[np.ones((2, 2), dtype=bool)])
+    plain = build_pools(model.joint, ("a",), targets, fmaps)
+    masked = build_pools(model.joint, ("a",), targets, fmaps,
+                         masks=[np.ones((2, 2), dtype=bool)])
     assert np.array_equal(plain["a"].features.data, masked["a"].features.data)
 
 
 def test_build_pools_mask_drops_cells():
+    model = small_model()
     rng = np.random.default_rng(3)
-    projections = [Tensor(rng.standard_normal((4, 8))) for _ in range(3)]
+    fmaps = [rng.standard_normal((6, 2, 2)) for _ in range(3)]
     targets = np.array([[1.0], [0.0], [1.0]])
-    masks = [np.array([[True, False], [False, True]]), None,
+    masks = [np.array([[True, False], [False, True]]), np.ones((2, 2), dtype=bool),
              np.array([[False, True], [True, True]])]
-    pools = build_pools(("a",), targets, projections, masks=masks)
-    assert np.array_equal(pools["a"].features.data,
-                          np.vstack([projections[0].data[[0, 3]], projections[2].data[[1, 2, 3]]]))
+    pools = build_pools(model.joint, ("a",), targets, fmaps, masks=masks)
+    assert np.allclose(pools["a"].features.data,
+                       np.vstack([project(model, fmaps[0])[[0, 3]],
+                                  project(model, fmaps[2])[[1, 2, 3]]]),
+                       atol=1e-12)
 
 
 def test_build_pools_unsupported_label_is_an_error():
-    projections = [Tensor(np.zeros((4, 8)))]
+    model = small_model()
+    fmaps = [np.zeros((6, 2, 2))]
     targets = np.array([[0.0]])
     with pytest.raises(DataError, match="no support images"):
-        build_pools(("a",), targets, projections)
+        build_pools(model.joint, ("a",), targets, fmaps)
+
+
+@pytest.mark.parametrize("masks", [
+    [np.ones((1, 2), dtype=bool)],                                  # smaller than its map
+    [np.ones((3, 2), dtype=bool)],                                  # larger than its map
+    [np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool)],     # one mask too many
+])
+def test_build_pools_masks_must_cover_every_cell(masks):
+    model = small_model()
+    fmaps = [np.ones((6, 2, 2))]
+    with pytest.raises(ad.ShapeError, match="masks do not cover"):
+        build_pools(model.joint, ("a",), np.array([[1.0]]), fmaps, masks=masks)
+
+
+def per_image_pools(joint, labels, support_targets, fmaps, masks=None):
+    """The pool builder `build_pools` replaced: each support map projected on
+    the tape on its own, then each label's member projections gathered under
+    their masks and joined."""
+    projections = [ad.matmul(ad.transpose(ad.reshape(Tensor(fmap), (fmap.shape[0], fmap[0].size))),
+                             ad.transpose(joint.visual))
+                   for fmap in fmaps]
+    pools = {}
+    for li, label in enumerate(labels):
+        pieces = [projections[i] if masks is None else
+                  ad.gather_rows(projections[i], np.flatnonzero(np.asarray(masks[i]).reshape(-1)))
+                  for i in range(len(fmaps)) if support_targets[i, li] > 0]
+        features = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
+        pools[label] = LabelSupportPool(label=label, features=features)
+    return pools
+
+
+def tiny_episode(tiny_data, seed=5):
+    manifest, vocabulary = tiny_data["manifest"], tiny_data["vocabulary"]
+    labels = list(vocabulary.base)
+    pool = records_for_split(manifest, vocabulary, "base")
+    episode = sample_episode(manifest, pool, labels, 1, np.random.default_rng(seed))
+    embeddings = {label: tiny_data["table"].vectors[label] for label in labels}
+    return episode, FeatureStore(manifest), embeddings
+
+
+def test_build_pools_matches_the_per_image_loop(tiny_data):
+    model = build_tiny_model(tiny_data["table"])
+    episode, store, _ = tiny_episode(tiny_data)
+    fmaps = [store.get(i) for i in episode.support_ids]
+    rng = np.random.default_rng(6)
+    masks = [rng.random(fmap[0].shape) < 0.5 for fmap in fmaps]
+    for mask in masks:
+        mask[0, 0] = True
+    args = (model.joint, episode.labels, episode.support_targets, fmaps)
+    for chosen in (None, masks):
+        new, old = build_pools(*args, masks=chosen), per_image_pools(*args, masks=chosen)
+        for label in episode.labels:
+            assert new[label].features.shape == old[label].features.shape
+            assert np.allclose(new[label].features.data, old[label].features.data,
+                               rtol=0.0, atol=1e-12), label
+
+
+def test_episode_gradients_match_the_per_image_loop(tiny_data, monkeypatch):
+    model = build_tiny_model(tiny_data["table"])
+    episode, store, embeddings = tiny_episode(tiny_data)
+
+    def joint_grads():
+        model.zero_grad()
+        cm, query = episode_losses(model, episode, store, embeddings, training=False)
+        ad.add(cm, query).backward()
+        return model.joint.visual.grad.copy(), model.joint.text.grad.copy()
+
+    new = joint_grads()
+    monkeypatch.setattr(model_module, "build_pools", per_image_pools)
+    old = joint_grads()
+    for a, b in zip(new, old):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 def test_score_against_matrix_matches_flat():

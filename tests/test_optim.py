@@ -1,7 +1,6 @@
 """Adam update math and state round-tripping."""
 
 import numpy as np
-import pytest
 
 from mlfewshot.autodiff import Tensor
 from mlfewshot.optim import Adam

@@ -9,7 +9,6 @@ from mlfewshot import autodiff as ad
 from mlfewshot.autodiff import Tensor
 from mlfewshot.errors import ConfigError
 from mlfewshot.prototypes import (
-    AttentionParams,
     DynConvParams,
     LabelSupportPool,
     attention_prototype,
@@ -251,32 +250,32 @@ def test_init_shapes_and_determinism():
 
 def test_simple_attention_single_feature_is_that_feature():
     rng = np.random.default_rng(15)
-    g = Tensor(rng.standard_normal(6))
-    out = simple_attention_prototype([g], Tensor(rng.standard_normal(6)), 10.0)
-    assert np.allclose(out.data, g.data, atol=1e-15)
+    g = Tensor(rng.standard_normal((1, 6)))
+    out = simple_attention_prototype(g, Tensor(rng.standard_normal(6)), 10.0)
+    assert np.allclose(out.data, g.data[0], atol=1e-15)
 
 
 def test_simple_attention_equal_cosines_average():
     label = Tensor(np.array([1.0, 0.0]))
-    a = Tensor(np.array([2.0, 2.0]))
-    b = Tensor(np.array([0.5, 0.5]))   # same direction, same cosine
-    out = simple_attention_prototype([a, b], label, 7.0)
+    rows = Tensor(np.array([[2.0, 2.0],
+                            [0.5, 0.5]]))   # same direction, same cosine
+    out = simple_attention_prototype(rows, label, 7.0)
     assert np.allclose(out.data, [1.25, 1.25], atol=1e-12)
 
 
 def test_simple_attention_large_scale_picks_argmax():
     rng = np.random.default_rng(16)
     label = Tensor(np.array([1.0, 0.0, 0.0]))
-    feats = [Tensor(v) for v in rng.standard_normal((5, 3))]
-    cosines = [float(f.data @ label.data) / (np.linalg.norm(f.data) * 1.0) for f in feats]
-    best = feats[int(np.argmax(cosines))]
+    feats = Tensor(rng.standard_normal((5, 3)))
+    cosines = (feats.data @ label.data) / np.linalg.norm(feats.data, axis=1)
+    best = feats.data[int(np.argmax(cosines))]
     out = simple_attention_prototype(feats, label, 1e3)
-    assert np.max(np.abs(out.data - best.data)) <= 1e-6
+    assert np.max(np.abs(out.data - best)) <= 1e-6
 
 
 def test_simple_attention_needs_features():
     with pytest.raises(ConfigError):
-        simple_attention_prototype([], Tensor(np.ones(2)), 1.0)
+        simple_attention_prototype(Tensor(np.zeros((0, 2))), Tensor(np.ones(2)), 1.0)
 
 
 def test_pool_validation():

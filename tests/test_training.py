@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expit
 
 from mlfewshot import autodiff as ad
-from mlfewshot import metrics, seeding, training
+from mlfewshot import metrics, training
 from mlfewshot.autodiff import Tensor
 from mlfewshot.episodes import records_for_split, sample_episode
 from mlfewshot.errors import ConfigError, NumericError
