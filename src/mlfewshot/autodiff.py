@@ -18,7 +18,6 @@ one query vector.  Each has its own analytic backward.
 import math
 
 import numpy as np
-from scipy.special import erf
 
 LAYER_NORM_EPS = 1e-5
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -435,10 +434,13 @@ def softmax(a):
     return _node(y, (a,), "softmax", backward)
 
 
+def _logistic(x):
+    """1 / (1 + e^-x) elementwise, in the tanh form that cannot overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 def sigmoid(a):
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    y = _logistic(a.data)
 
     def backward(g):
         if a.requires_grad:
@@ -482,7 +484,8 @@ def relu(a):
 def gelu(a):
     """Exact Gaussian-CDF GeLU: x * Phi(x), not the tanh approximation."""
     x = a.data
-    phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT_2))
+    erf = np.fromiter(map(math.erf, (x * _INV_SQRT_2).ravel().tolist()), np.float64, x.size)
+    phi_cdf = 0.5 * (1.0 + erf.reshape(x.shape))
     data = x * phi_cdf
 
     def backward(g):
@@ -616,9 +619,7 @@ def bce_with_logits(logits, targets):
 
     def backward(g):
         if logits.requires_grad:
-            sig = np.where(s >= 0, 1.0 / (1.0 + np.exp(-np.abs(s))),
-                           np.exp(-np.abs(s)) / (1.0 + np.exp(-np.abs(s))))
-            logits.accumulate(g * (sig - y))
+            logits.accumulate(g * (_logistic(s) - y))
 
     return _node(data, (logits,), "bce_with_logits", backward)
 

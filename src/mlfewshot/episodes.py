@@ -73,6 +73,11 @@ def load_manifest(path, vocabulary: LabelVocabulary | None = None,
                 raise DataError(f"manifest {path}: line {lineno} is not valid JSON") from bad
             if not isinstance(obj, dict) or not {"id", "features", "labels"} <= obj.keys():
                 raise DataError(f"manifest {path}: line {lineno} lacks id/features/labels")
+            if not (isinstance(obj["id"], str) and isinstance(obj["features"], str)
+                    and isinstance(obj["labels"], list)
+                    and all(isinstance(label, str) for label in obj["labels"])):
+                raise DataError(f"manifest {path}: line {lineno} needs string id/features "
+                                "and a list of string labels")
             labels = tuple(obj["labels"])
             if not labels:
                 raise DataError(f"manifest {path}: image {obj['id']!r} has no labels")
@@ -85,7 +90,7 @@ def load_manifest(path, vocabulary: LabelVocabulary | None = None,
                     raise DataError(
                         f"manifest {path}: image {obj['id']!r} has labels outside the vocabulary: {unknown}"
                     )
-            records.append(ManifestRecord(str(obj["id"]), str(obj["features"]), labels))
+            records.append(ManifestRecord(obj["id"], obj["features"], labels))
     if not records:
         raise DataError(f"manifest {path} lists no images")
     manifest = DatasetManifest(root=path.parent, records=records)

@@ -22,7 +22,7 @@ from .autodiff import DegenerateVectorError, Tensor
 from .errors import ConfigError
 from .features import weighted_pool
 from .joint_space import JointSpaceParams, project_label
-from .model import score_against
+from .model import atomic_open, score_against
 from .optim import Adam
 
 
@@ -155,7 +155,7 @@ def _image_loss_gradient(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
         if norm == 0.0:
             raise DegenerateVectorError("degenerate-vector: cosine of a zero-length vector")
         cosines = units @ visual / norm
-        residuals = 0.5 * (1.0 + np.tanh(0.5 * scale * cosines)) - y  # sigmoid, overflow-free
+        residuals = ad._logistic(scale * cosines) - y
         d_visual = (scale / norm) * (units.T @ residuals - (residuals @ cosines) / norm * visual)
         return (pooling.T @ d_visual).reshape(height, width)
 
@@ -204,7 +204,7 @@ def fit_importance(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
 
 def sigma_grid(state: ImportanceMap) -> np.ndarray:
     """Sigmoid of the accumulator; what the selection threshold is applied to."""
-    return 1.0 / (1.0 + np.exp(-state.accumulator))
+    return ad._logistic(state.accumulator)
 
 
 def select_features(state: ImportanceMap, threshold: float) -> tuple[np.ndarray, bool]:
@@ -225,12 +225,12 @@ def select_features(state: ImportanceMap, threshold: float) -> tuple[np.ndarray,
 def write_importance_grid(path, grid: np.ndarray):
     """Write a (h, w) grid as text, one row per line."""
     grid = np.asarray(grid)
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path, "w") as handle:
         for row in grid:
             handle.write(" ".join(f"{v:.6f}" for v in row) + "\n")
 
 
 def write_selection_mask(path, mask: np.ndarray):
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path, "w") as handle:
         for row in np.asarray(mask).astype(int):
             handle.write(" ".join(str(v) for v in row) + "\n")

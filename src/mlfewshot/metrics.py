@@ -9,7 +9,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from . import seeding
@@ -150,25 +149,19 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
                 })
     if mode in ("base", "lcm"):
         _, logits = episode_forward(model, episode, store, embeddings_by_label, masks=masks)
-        return expit(logits.data.reshape(shape)), detail, fell_back
-
-    label_joints = [project_label(model.joint, Tensor(embeddings_by_label[label]))
-                    for label in labels]
-    query_globals = pooled_globals(store, episode.query_ids)
-    if mode == "zeroshot":
-        logits = score_against(model.joint, query_globals, ad.stack(label_joints))
-        return expit(logits.data.reshape(shape)), detail, fell_back
-
-    # simple-attention
-    support_globals = pooled_globals(store, episode.support_ids).data
-    visual_t = ad.transpose(model.joint.visual)
-    vectors = []
-    for li, label_joint in enumerate(label_joints):
-        members = Tensor(support_globals[episode.support_targets[:, li] > 0])
-        vectors.append(simple_attention_prototype(ad.matmul(members, visual_t), label_joint,
-                                                  model.joint.scale))
-    logits = score_against(model.joint, query_globals, ad.stack(vectors))
-    return expit(logits.data.reshape(shape)), detail, fell_back
+    else:
+        vectors = [project_label(model.joint, Tensor(embeddings_by_label[label]))
+                   for label in labels]
+        if mode == "simple-attention":
+            support_globals = pooled_globals(store, episode.support_ids).data
+            visual_t = ad.transpose(model.joint.visual)
+            for li, label_joint in enumerate(vectors):
+                members = Tensor(support_globals[episode.support_targets[:, li] > 0])
+                vectors[li] = simple_attention_prototype(ad.matmul(members, visual_t),
+                                                         label_joint, model.joint.scale)
+        logits = score_against(model.joint, pooled_globals(store, episode.query_ids),
+                               ad.stack(vectors))
+    return ad._logistic(logits.data.reshape(shape)), detail, fell_back
 
 
 def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",

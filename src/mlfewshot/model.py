@@ -6,6 +6,7 @@ little-endian data.  Numeric run-config values ride along as rank-0 tensors
 under "config.*"; optimizer buffers under "optim.*".
 """
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -136,12 +137,17 @@ def read_checkpoint_tensors(path) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "a name length"))
-        name = take(name_len, "a tensor name").decode("utf-8")
+        raw_name = take(name_len, "a tensor name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            raise DataError(f"bad-name: {path} has a tensor name {raw_name!r} "
+                            "that is not UTF-8") from bad
         if name in tensors:
             raise DataError(f"duplicate-name: {path} repeats tensor {name!r}")
         (rank,) = struct.unpack("<I", take(4, "a tensor rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "tensor dims")) if rank else ()
-        size = int(np.prod(dims)) if dims else 1
+        size = math.prod(dims)  # Python ints: a product past 2**63 cannot wrap
         data = np.frombuffer(take(8 * size, f"tensor {name!r} data"), dtype="<f8")
         tensors[name] = data.reshape(dims).astype(np.float64)
     if offset != len(blob):

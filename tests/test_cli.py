@@ -2,11 +2,13 @@
 
 import json
 import shutil
+import struct
 
 import pytest
 
 from mlfewshot import cli
 from mlfewshot.cli import main
+from mlfewshot.model import CHECKPOINT_MAGIC
 
 TRAIN_FLAGS = ["--d_j", "8", "--n_heads", "2", "--d_c", "4", "--n_d", "4",
                "--epochs", "2", "--warmup_epochs", "1", "--episodes_per_epoch", "2",
@@ -128,6 +130,15 @@ def test_exit_code_2_for_data_errors(pipeline, tmp_path, capsys):
     code = main(["eval", *broken, "--eval_episodes", "1"])
     assert code == 2
     assert "data error" in capsys.readouterr().err
+    # a checkpoint whose tensor name is not UTF-8
+    broken = list(paths)
+    broken[broken.index("--checkpoint") + 1] = str(tmp_path / "name.ckpt")
+    name = b"\xff\xfe"
+    (tmp_path / "name.ckpt").write_bytes(
+        CHECKPOINT_MAGIC + struct.pack("<I", 1) + struct.pack("<I", len(name)) + name
+        + struct.pack("<I", 0) + struct.pack("<d", 1.0))
+    assert main(["eval", *broken, "--eval_episodes", "1"]) == 2
+    assert "bad-name" in capsys.readouterr().err
 
 
 def test_exit_code_3_for_numeric_errors(capsys):

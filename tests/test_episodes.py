@@ -179,6 +179,10 @@ def test_manifest_round_trip(tmp_path):
     ("not json", "not valid JSON"),
     ('{"id": "a", "features": "f"}', "lacks id/features/labels"),
     ('{"id": "a", "features": "f", "labels": []}', "has no labels"),
+    ('{"id": 1, "features": "f", "labels": ["x"]}', "string id/features"),
+    ('{"id": "a", "features": 2, "labels": ["x"]}', "string id/features"),
+    ('{"id": "a", "features": "f", "labels": "cat"}', "list of string labels"),
+    ('{"id": "a", "features": "f", "labels": ["x", 3]}', "list of string labels"),
 ])
 def test_manifest_line_errors(tmp_path, line, fragment):
     path = tmp_path / "m.jsonl"

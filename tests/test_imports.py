@@ -4,9 +4,14 @@ Each Python file under src/, tests/ and tools/ is parsed; a name bound by
 an `import` or `from ... import` must be referenced somewhere else in that
 file, or listed in its `__all__`.  An import line ending in
 `# noqa: F401` is exempt, as with pyflakes.
+
+The program itself needs numpy only: importing the CLI loads no scipy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +71,12 @@ def test_checker_flags_unused_and_honours_noqa():
               "import xml.dom\n"
               "print(parse, xml.dom)\n")
     assert unused_imports(source) == [("os", 1), ("dumps", 3)]
+
+
+def test_cli_import_loads_no_scipy():
+    probe = ("import sys, mlfewshot.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

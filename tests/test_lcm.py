@@ -353,3 +353,16 @@ def test_grid_files_are_parseable(tmp_path):
     write_selection_mask(mpath, mask)
     lines = mpath.read_text().splitlines()
     assert lines == ["1 0", "0 1"]
+
+
+def test_failed_grid_writes_keep_the_previous_files(tmp_path):
+    gpath, mpath = tmp_path / "imp.txt", tmp_path / "mask.txt"
+    write_importance_grid(gpath, np.array([[0.25, 1.0]]))
+    write_selection_mask(mpath, np.array([[True, False]]))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # the first row is written before the second fails to format
+    with pytest.raises(ValueError):
+        write_importance_grid(gpath, np.array([[0.5, 0.5], ["x", 0.5]], dtype=object))
+    with pytest.raises(ValueError):
+        write_selection_mask(mpath, np.array([[1, "x"]], dtype=object))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

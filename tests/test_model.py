@@ -181,6 +181,20 @@ def test_duplicate_tensor_name_rejected(tmp_path):
         read_checkpoint_tensors(path)
 
 
+@pytest.mark.parametrize("name,dims,fragment", [
+    (b"\xff\xfe", (), "bad-name"),
+    # 2**31 * 2**31 * 4 wraps to 0 in int64
+    (b"x", (2**31, 2**31, 4), "truncated"),
+])
+def test_malformed_tensor_entry_rejected(tmp_path, name, dims, fragment):
+    path = tmp_path / "entry.ckpt"
+    entry = struct.pack("<I", len(name)) + name + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+    entry += struct.pack("<d", 1.0)
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + entry)
+    with pytest.raises(DataError, match=fragment):
+        read_checkpoint_tensors(path)
+
+
 def test_incomplete_model_checkpoint_names_missing_tensor(tmp_path):
     path = tmp_path / "half.ckpt"
     name = b"joint.visual"
