@@ -8,11 +8,13 @@ shared subexpressions, so diamond-shaped graphs come out right.
 Broadcasting is deliberately restricted: elementwise ops accept equal
 shapes or a scalar paired with a tensor, nothing else.
 
-Scoring and attention run as whole matrices, one node each: ``cosine``
-gives the (n, m) matrix of row cosines of two row matrices, ``stack``
-turns 1-d tensors into the rows of a matrix, and ``head_readout`` is the
-multi-head scaled dot-product attention readout of a feature matrix by
-one query vector.  Each has its own analytic backward.
+Scoring and attention run as whole matrices, one node each: ``linear``
+maps every row through a weight matrix (or each batch of rows through its
+own), ``cosine`` gives the (n, m) matrix of row cosines of two row
+matrices, ``stack`` turns 1-d tensors into the rows of a matrix, and
+``head_readout`` is the multi-head scaled dot-product attention readout of
+consecutive row segments of a feature matrix, each by its own query.  Each
+has its own analytic backward.
 """
 
 import math
@@ -78,9 +80,11 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, delta):
+        """Add a gradient contribution of this tensor's shape."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += delta
+            self.grad = np.array(delta, dtype=np.float64)   # a copy: later deltas add in place
+        else:
+            self.grad += delta
 
     def backward(self):
         """Backpropagate from a scalar output.
@@ -267,6 +271,31 @@ def matmul(a, b):
         raise _shape_error("matmul", a.shape, b.shape)
 
     return _node(data, (a, b), "matmul", backward)
+
+
+def linear(x, weight):
+    """x @ weight^T: every row of x through a linear map.
+
+    weight is one (out, in) matrix shared by the rows of an (..., in) x, or
+    a (batch, out, in) stack applied batch by batch to a (batch, rows, in) x.
+    """
+    shared = weight.ndim == 2 and x.ndim >= 2
+    batched = weight.ndim == 3 and x.ndim == 3 and x.shape[0] == weight.shape[0]
+    if not (shared or batched) or x.shape[-1] != weight.shape[-1]:
+        raise _shape_error("linear", x.shape, weight.shape)
+    out_dim, in_dim = weight.shape[-2:]
+    data = x.data @ np.swapaxes(weight.data, -1, -2)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(g @ weight.data)
+        if weight.requires_grad:
+            if shared:
+                weight.accumulate(g.reshape(-1, out_dim).T @ x.data.reshape(-1, in_dim))
+            else:
+                weight.accumulate(np.swapaxes(g, -1, -2) @ x.data)
+
+    return _node(data, (x, weight), "linear", backward)
 
 
 def _normalize_axes(axis, ndim):
@@ -548,55 +577,70 @@ def cosine(a, b):
     return _node(c, (a, b), "cosine", backward)
 
 
-def head_readout(features, query, heads):
-    """Multi-head attention readout of an (n, d) feature matrix by a (d,)
-    query, all heads in one node.
+def head_readout(features, queries, heads, sizes):
+    """Multi-head attention readout of an (n, d) feature matrix by (q, d)
+    queries, all heads and all queries in one node; the output is (q, d).
 
-    Head h owns the channel slice h*d/heads:(h+1)*d/heads.  It scores each
-    row's slice against the query's slice, scaled by 1/sqrt(d/heads),
-    softmaxes over the n rows and reads out the softmax-weighted sum of the
-    slices.  The (d,) output concatenates the heads' readouts in order.
+    The rows form consecutive segments, one per query: `sizes` gives their
+    row counts, in query order.  Head h owns the channel slice
+    h*d/heads:(h+1)*d/heads.  Within a segment it scores each row's slice
+    against the query's slice, scaled by 1/sqrt(d/heads), softmaxes over the
+    segment's rows and reads out the softmax-weighted sum of their slices; a
+    query's output concatenates its heads' readouts.
     """
-    if features.ndim != 2 or query.shape != (features.shape[1],):
-        raise _shape_error("head_readout", features.shape, query.shape)
+    if features.ndim != 2 or queries.ndim != 2 or queries.shape[1] != features.shape[1]:
+        raise _shape_error("head_readout", features.shape, queries.shape)
     n, d = features.shape
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"head_readout: {heads} heads cannot split dimension {d}")
+    q = queries.data
+    sizes = np.array(sizes, dtype=np.intp)
+    if sizes.shape != (len(q),) or np.any(sizes < 1) or sizes.sum() != n:
+        raise ShapeError(f"head_readout: segment sizes {sizes.tolist()} do not split "
+                         f"{n} rows among {len(q)} queries")
+    starts = np.cumsum(sizes) - sizes
+    segment = np.repeat(np.arange(len(q)), sizes)
     head_dim = d // heads
     inv_sqrt = 1.0 / math.sqrt(head_dim)
-    per_head = features.data.reshape(n, heads, head_dim).transpose(1, 0, 2)  # (heads, n, hd)
-    q = query.data.reshape(heads, head_dim, 1)
-    logits = (per_head @ q)[:, :, 0] * inv_sqrt                              # (heads, n)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    weights = e / e.sum(axis=1, keepdims=True)
-    data = (weights[:, None, :] @ per_head)[:, 0, :].reshape(d)
+    per_head = features.data.reshape(n, heads, head_dim)
+    q_rows = q[segment].reshape(n, heads, head_dim)                          # each row's query
+    logits = np.einsum("nhj,nhj->nh", per_head, q_rows) * inv_sqrt          # (n, heads)
+    e = np.exp(logits - np.maximum.reduceat(logits, starts)[segment])
+    weights = e / np.add.reduceat(e, starts)[segment]
+    data = np.add.reduceat(weights[:, :, None] * per_head, starts).reshape(len(q), d)
 
     def backward(g):
-        g_heads = g.reshape(heads, head_dim, 1)
-        d_weights = (per_head @ g_heads)[:, :, 0]                            # (heads, n)
-        inner = (d_weights * weights).sum(axis=1, keepdims=True)
+        g_rows = g.reshape(len(q), heads, head_dim)[segment]                   # (n, heads, hd)
+        d_weights = np.einsum("nhj,nhj->nh", per_head, g_rows)
+        inner = np.add.reduceat(d_weights * weights, starts)[segment]
         d_logits = weights * (d_weights - inner) * inv_sqrt
         if features.requires_grad:
-            d_per_head = weights[:, :, None] * g_heads.transpose(0, 2, 1) \
-                + d_logits[:, :, None] * q.transpose(0, 2, 1)                # (heads, n, hd)
-            features.accumulate(d_per_head.transpose(1, 0, 2).reshape(n, d))
-        if query.requires_grad:
-            query.accumulate((d_logits[:, None, :] @ per_head)[:, 0, :].reshape(d))
+            features.accumulate((weights[:, :, None] * g_rows
+                                 + d_logits[:, :, None] * q_rows).reshape(n, d))
+        if queries.requires_grad:
+            queries.accumulate(np.add.reduceat(d_logits[:, :, None] * per_head, starts)
+                               .reshape(len(q), d))
 
-    return _node(data, (features, query), "head_readout", backward)
+    return _node(data, (features, queries), "head_readout", backward)
 
 
 def dropout(a, rate, rng=None, training=False):
     """Inverted dropout: train mode zeroes with prob `rate` and rescales
     survivors by 1/(1-rate); eval mode (or rate 0) returns `a` itself and
-    draws nothing."""
+    draws nothing.  `rng` is one generator, or a list with one per row of
+    `a`: row i's mask is then drawn from rng[i] alone, exactly as that row
+    dropped out on its own would draw it."""
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout: rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return a
-    if rng is None:
+    per_row = isinstance(rng, (list, tuple))
+    if rng is None or (per_row and None in rng):
         raise DomainError("dropout: training mode requires an explicit rng")
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    if per_row and (a.ndim < 1 or len(rng) != a.shape[0]):
+        raise ShapeError(f"dropout: {len(rng)} generators for {a.shape} rows")
+    draws = np.stack([r.random(a.shape[1:]) for r in rng]) if per_row else rng.random(a.shape)
+    mask = (draws >= rate) / (1.0 - rate)
 
     def backward(g):
         if a.requires_grad:

@@ -5,6 +5,7 @@ followed by the vector components, separated by single spaces.  Every line
 must carry the same arity.
 """
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,13 +30,26 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
+def utf8_lines(path):
+    """The lines of a UTF-8 text file, with newlines translated as text-mode
+    `open` does.  Bytes that are not UTF-8 raise DataError naming the path
+    and the line they are on."""
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as bad:
+        line = blob.count(b"\n", 0, bad.start) + 1
+        raise DataError(f"{path}: line {line} is not UTF-8") from bad
+    return io.StringIO(text, newline=None)
+
+
 def parse_embedding_file(path) -> EmbeddingTable:
     """Parse a GloVe-style text file; malformed lines name their line number."""
     dimension = None
     vectors: dict[str, np.ndarray] = {}
     if not Path(path).is_file():
         raise DataError(f"embedding file {path} does not exist")
-    with open(path, encoding="utf-8") as handle:
+    with utf8_lines(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -130,7 +144,7 @@ def load_vocabulary(path) -> LabelVocabulary:
     seen: dict[str, str] = {}
     if not Path(path).is_file():
         raise DataError(f"split file {path} does not exist")
-    with open(path, encoding="utf-8") as handle:
+    with utf8_lines(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -13,7 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, LabelVocabulary, write_embedding_file, write_vocabulary
+from .embeddings import (
+    EmbeddingTable,
+    LabelVocabulary,
+    utf8_lines,
+    write_embedding_file,
+    write_vocabulary,
+)
 from .errors import DataError, InsufficientImagesError
 from .features import write_feature_file
 
@@ -62,7 +68,7 @@ def load_manifest(path, vocabulary: LabelVocabulary | None = None,
     records = []
     ids = set()
     known = set(vocabulary.all_labels()) if vocabulary is not None else None
-    with open(path, encoding="utf-8") as handle:
+    with utf8_lines(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -55,6 +55,7 @@ def init_joint_space(channels, embed_dim, joint_dim, scale, rng) -> JointSpacePa
     )
 
 
-def project_label(params: JointSpaceParams, embedding: Tensor) -> Tensor:
-    """Map a label word embedding (embed_dim,) into the joint space."""
-    return ad.matmul(params.text, embedding)
+def project_labels(params: JointSpaceParams, embeddings) -> Tensor:
+    """Map the rows of an (n_labels, embed_dim) matrix of label word
+    embeddings into the joint space, as one (n_labels, joint_dim) product."""
+    return ad.linear(Tensor(np.asarray(embeddings, dtype=np.float64)), params.text)

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import DegenerateVectorError, Tensor
 from .errors import ConfigError
 from .features import weighted_pool
-from .joint_space import JointSpaceParams, project_label
+from .joint_space import JointSpaceParams, project_labels
 from .model import atomic_open, score_against
 from .optim import Adam
 
@@ -98,11 +98,6 @@ def _frozen_view(joint: JointSpaceParams) -> JointSpaceParams:
     )
 
 
-def _project_labels(frozen: JointSpaceParams, label_embeddings: np.ndarray) -> Tensor:
-    return ad.stack([project_label(frozen, Tensor(w))
-                     for w in np.asarray(label_embeddings, dtype=np.float64)])
-
-
 def _image_loss(frozen: JointSpaceParams, fmap: Tensor, targets_row: np.ndarray,
                 label_joints: Tensor, weights: Tensor):
     """This image's CM loss with importance-weighted pooling."""
@@ -116,7 +111,7 @@ def loss_change_exact(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
     """|loss(importance) - loss(importance with cell (row, col) zeroed)|,
     by two forward passes."""
     frozen = _frozen_view(joint)
-    label_joints = _project_labels(frozen, label_embeddings)
+    label_joints = project_labels(frozen, label_embeddings)
     fmap_t = Tensor(fmap)
     y = np.asarray(targets_row, dtype=np.float64)
     with_cell = _image_loss(frozen, fmap_t, y, label_joints, Tensor(importance)).item()

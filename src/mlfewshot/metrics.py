@@ -16,7 +16,7 @@ from .autodiff import Tensor
 from .embeddings import embed_label
 from .episodes import records_for_split, sample_episode_with_retries
 from .errors import ConfigError
-from .joint_space import project_label
+from .joint_space import project_labels
 from .lcm import LcmConfig, fit_importance, select_features, sigma_grid
 from .model import FeatureStore, ModelState, episode_forward, pooled_globals, score_against
 from .prototypes import simple_attention_prototype
@@ -150,17 +150,17 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
     if mode in ("base", "lcm"):
         _, logits = episode_forward(model, episode, store, embeddings_by_label, masks=masks)
     else:
-        vectors = [project_label(model.joint, Tensor(embeddings_by_label[label]))
-                   for label in labels]
+        vectors = project_labels(model.joint,
+                                 np.stack([embeddings_by_label[label] for label in labels]))
         if mode == "simple-attention":
             support_globals = pooled_globals(store, episode.support_ids).data
-            visual_t = ad.transpose(model.joint.visual)
-            for li, label_joint in enumerate(vectors):
-                members = Tensor(support_globals[episode.support_targets[:, li] > 0])
-                vectors[li] = simple_attention_prototype(ad.matmul(members, visual_t),
-                                                         label_joint, model.joint.scale)
-        logits = score_against(model.joint, pooled_globals(store, episode.query_ids),
-                               ad.stack(vectors))
+            vectors = ad.concat([
+                simple_attention_prototype(
+                    ad.linear(Tensor(support_globals[episode.support_targets[:, li] > 0]),
+                              model.joint.visual),
+                    ad.gather_rows(vectors, [li]), model.joint.scale)
+                for li in range(len(labels))])
+        logits = score_against(model.joint, pooled_globals(store, episode.query_ids), vectors)
     return ad._logistic(logits.data.reshape(shape)), detail, fell_back
 
 

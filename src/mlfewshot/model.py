@@ -19,11 +19,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError
 from .features import global_pool, load_feature_file
-from .joint_space import JointSpaceParams, init_joint_space, project_label
+from .joint_space import JointSpaceParams, init_joint_space, project_labels
 from .prototypes import (
     AttentionParams,
     DynConvParams,
-    LabelSupportPool,
+    SupportPools,
     build_prototype,
     init_attention,
     init_dynconv,
@@ -222,14 +222,17 @@ def local_feature_rows(fmaps) -> np.ndarray:
 
 
 def build_pools(joint: JointSpaceParams, labels, support_targets, fmaps,
-                masks=None) -> dict[str, LabelSupportPool]:
-    """Project each label's support cells into the joint space as its pool.
+                masks=None) -> SupportPools:
+    """Project the support cells into the joint space and gather each
+    label's cells as its pool.
 
     A label's members are the support images it is on; masks, when given,
-    is one boolean (h, w) keep-grid per support image.  Cells are chosen in
-    numpy and each pool is one product with `joint.visual`.  Rows are in
-    (support image, grid row, grid col) order, the order top-k ties break
-    in, so identical masks give bitwise-identical pools.
+    is one boolean (h, w) keep-grid per support image.  Every support cell
+    is projected once, with one product by `joint.visual`, and one
+    `gather_rows` takes every label's kept member cells, label by label.
+    Rows are in (support image, grid row, grid col) order within a label,
+    the order top-k ties break in, so identical masks give bitwise-identical
+    pools.
     """
     cells = local_feature_rows(fmaps)
     sizes = [fmap[0].size for fmap in fmaps]                         # cells per map
@@ -239,15 +242,14 @@ def build_pools(joint: JointSpaceParams, labels, support_targets, fmaps,
         if [np.size(mask) for mask in masks] != sizes:
             raise ad.ShapeError("build_pools: masks do not cover the support maps' cells")
         kept = np.concatenate([np.asarray(mask, dtype=bool).reshape(-1) for mask in masks])
-    visual_t = ad.transpose(joint.visual)
-    pools = {}
-    for li, label in enumerate(labels):
-        members = support_targets[image_of_cell, li] > 0
-        if not members.any():
+    members = np.asarray(support_targets)[image_of_cell].T > 0       # (labels, cells)
+    for label, row in zip(labels, members):
+        if not row.any():
             raise DataError(f"label {label!r} has no support images in the episode")
-        features = ad.matmul(Tensor(cells[members & kept]), visual_t)
-        pools[label] = LabelSupportPool(label=label, features=features)
-    return pools
+    chosen = members & kept
+    projected = ad.linear(Tensor(cells), joint.visual)
+    features = ad.gather_rows(projected, np.nonzero(chosen)[1])
+    return SupportPools(labels=labels, features=features, sizes=chosen.sum(axis=1))
 
 
 def pooled_globals(store, image_ids) -> Tensor:
@@ -262,7 +264,7 @@ def score_against(joint: JointSpaceParams, pooled: Tensor, vectors: Tensor) -> T
     `vectors` an (n_vectors, joint_dim) matrix; one projection, one matrix
     cosine and one scale give the flat (n_images * n_vectors) logits,
     image-major."""
-    visual_joint = ad.matmul(pooled, ad.transpose(joint.visual))      # (n_images, joint_dim)
+    visual_joint = ad.linear(pooled, joint.visual)                    # (n_images, joint_dim)
     scores = ad.scale(ad.cosine(visual_joint, vectors), joint.scale)
     return ad.reshape(scores, (scores.size,))
 
@@ -296,14 +298,12 @@ def episode_forward(model: ModelState, episode, store, embeddings_by_label, *, m
     episode label order, flat query logits).
     """
     labels = list(episode.labels)
-    label_joints = [project_label(model.joint, Tensor(embeddings_by_label[label]))
-                    for label in labels]
+    label_joints = project_labels(model.joint,
+                                  np.stack([embeddings_by_label[label] for label in labels]))
     fmaps = [store.get(i) for i in episode.support_ids]
     pools = build_pools(model.joint, labels, episode.support_targets, fmaps, masks)
-    protos = [build_prototype(model.attention, model.dynconv, pools[label], label_joint,
-                              rng=dropout_rngs.get(label) if dropout_rngs else None,
-                              training=training)
-              for label, label_joint in zip(labels, label_joints)]
-    logits = score_against(model.joint, pooled_globals(store, episode.query_ids),
-                           ad.stack(protos))
-    return ad.stack(label_joints), logits
+    rngs = [dropout_rngs.get(label) for label in labels] if dropout_rngs else None
+    protos = build_prototype(model.attention, model.dynconv, pools, label_joints,
+                             rngs=rngs, training=training)
+    logits = score_against(model.joint, pooled_globals(store, episode.query_ids), protos)
+    return label_joints, logits

@@ -3,6 +3,7 @@
 import numpy as np
 
 from .autodiff import Tensor
+from .errors import DataError
 
 
 BETA1 = 0.9
@@ -10,41 +11,73 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
+def _flat_grad(p: Tensor) -> np.ndarray:
+    """The parameter's gradient as a flat vector; no gradient reads as zeros."""
+    return np.broadcast_to(0.0, p.data.size) if p.grad is None else p.grad.reshape(-1)
+
+
 class Adam:
     """Adam with bias correction (BETA1, BETA2, EPS above).
 
     At step one, a parameter with gradient g moves by -lr * g / (|g| + EPS);
     a parameter with zero gradient and fresh moments does not move at all.
+
+    Every parameter's values become a view into one flat float64 buffer, in
+    parameter order, and the moments are flat the same way, so a step is one
+    in-place update of the whole buffer.  `m[name]` and `v[name]` are the
+    parameter's views into the flat moments.  A step copies the gradients
+    into one more flat buffer and works in one flat scratch buffer.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = float(lr)
         self.steps = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        if not self.params:
+            raise ValueError("Adam needs at least one parameter")
+        self._tensors = tuple(self.params.values())
+        # values, moments, the step's gradients and one scratch, in one allocation
+        self._flat, self._m, self._v, self._grads, self._scratch = \
+            np.zeros((5, sum(p.data.size for p in self._tensors)))
+        self.m, self.v = {}, {}
+        stop = 0
+        for name, p in self.params.items():
+            start, stop, shape = stop, stop + p.data.size, p.data.shape
+            self._flat[start:stop] = p.data.reshape(-1)
+            p.data = self._flat[start:stop].reshape(shape)
+            self.m[name] = self._m[start:stop].reshape(shape)
+            self.v[name] = self._v[start:stop].reshape(shape)
 
     def zero_grad(self):
-        for p in self.params.values():
+        for p in self._tensors:
             p.grad = None
 
     def step(self, lr: float | None = None):
-        """Apply one update in place; lr overrides the stored rate for this step."""
+        """Apply one update in place; lr overrides the stored rate for this step.
+
+        The arithmetic is the textbook per-tensor update's, element by
+        element in the same order, so the results are bitwise the same."""
         rate = self.lr if lr is None else float(lr)
         self.steps += 1
         bias1 = 1.0 - BETA1 ** self.steps
         bias2 = 1.0 - BETA2 ** self.steps
-        for name, p in self.params.items():
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[name]
-            v = self.v[name]
-            m *= BETA1
-            m += (1.0 - BETA1) * grad
-            v *= BETA2
-            v += (1.0 - BETA2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= rate * m_hat / (np.sqrt(v_hat) + EPS)
+        m, v, scratch, grads = self._m, self._v, self._scratch, self._grads
+        if len(self._tensors) == 1:        # a lone gradient is read in place
+            grad = _flat_grad(self._tensors[0])
+        else:                               # several are copied into one flat buffer
+            grad = np.concatenate([_flat_grad(p) for p in self._tensors], None, grads)
+        m *= BETA1
+        m += np.multiply(grad, 1.0 - BETA1, scratch)
+        v *= BETA2
+        np.multiply(grad, 1.0 - BETA2, scratch)
+        v += np.multiply(scratch, grad, scratch)
+        np.divide(m, bias1, scratch)                       # m_hat
+        scratch *= rate
+        np.divide(v, bias2, grads)                         # v_hat; the gradients are read
+        np.sqrt(grads, grads)
+        grads += EPS
+        scratch /= grads
+        self._flat -= scratch
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Moment buffers and step counter, for checkpointing."""
@@ -55,7 +88,22 @@ class Adam:
         return out
 
     def load_state_tensors(self, tensors: dict[str, np.ndarray]):
+        """Restore what `state_tensors` gave.  A missing entry, or a moment
+        whose shape is not its parameter's, raises DataError naming the
+        tensor; nothing is changed then."""
+        if "optim.steps" not in tensors:
+            raise DataError("optimizer state lacks tensor 'optim.steps'")
+        if np.shape(tensors["optim.steps"]) != ():
+            raise DataError(f"optimizer state tensor 'optim.steps' has shape "
+                            f"{np.shape(tensors['optim.steps'])}, a step count has ()")
+        for name, p in self.params.items():
+            for key in (f"optim.m.{name}", f"optim.v.{name}"):
+                if key not in tensors:
+                    raise DataError(f"optimizer state lacks tensor {key!r}")
+                if np.shape(tensors[key]) != p.data.shape:
+                    raise DataError(f"optimizer state tensor {key!r} has shape "
+                                    f"{np.shape(tensors[key])}, its parameter {p.data.shape}")
         self.steps = int(tensors["optim.steps"])
         for name in self.params:
-            self.m[name] = np.array(tensors[f"optim.m.{name}"], dtype=np.float64)
-            self.v[name] = np.array(tensors[f"optim.v.{name}"], dtype=np.float64)
+            self.m[name][...] = tensors[f"optim.m.{name}"]
+            self.v[name][...] = tensors[f"optim.v.{name}"]

@@ -1,9 +1,12 @@
-"""Prototype construction from support-image local features and a label vector.
+"""Prototype construction from support-image local features and label vectors.
 
 A label's prototype is the sum of two parts: a channel-grouped cross-
 attention readout of the label's support features queried by its word
 embedding, and a dynamic-convolution branch whose two kernels are generated
-from that embedding and applied to the features most similar to it.
+from that embedding and applied to the features most similar to it.  Every
+function here builds all of an episode's labels at once: their support
+features are one row-segmented matrix, their label vectors one matrix, and
+each step is one tape op for every label together.
 """
 
 import logging
@@ -20,19 +23,33 @@ log = logging.getLogger(__name__)
 
 
 @dataclass
-class LabelSupportPool:
-    """The local features backing one label's prototype.
+class SupportPools:
+    """The local features backing every episode label's prototype.
 
-    features: (count, joint_dim) projected local features, on tape, rows in
-    (support image, grid row, grid col) order.
+    features: (rows, joint_dim) projected local features, on tape, one
+    segment of rows per label in label order; a label's rows are in
+    (support image, grid row, grid col) order.  sizes: each label's row count.
     """
 
-    label: str
+    labels: tuple
     features: Tensor
+    sizes: np.ndarray
 
     def __post_init__(self):
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ConfigError(f"support pool for {self.label!r} must be a non-empty matrix")
+        self.labels = tuple(self.labels)
+        self.sizes = np.asarray(self.sizes, dtype=np.intp)
+        if self.features.ndim != 2 or self.sizes.shape != (len(self.labels),) \
+                or self.sizes.sum() != self.features.shape[0]:
+            raise ConfigError(f"support pools for {self.labels!r} must be a non-empty matrix "
+                              "split into one row segment per label")
+        for label, size in zip(self.labels, self.sizes):
+            if size < 1:
+                raise ConfigError(f"support pool for {label!r} must be a non-empty matrix")
+
+    @property
+    def segment(self) -> np.ndarray:
+        """The label index of every row."""
+        return np.repeat(np.arange(len(self.labels)), self.sizes)
 
 
 @dataclass
@@ -162,91 +179,130 @@ def init_dynconv(joint_dim: int, inner_dim: int, top_count: int, rng) -> DynConv
     )
 
 
-def attention_prototype(params: AttentionParams, pool: LabelSupportPool, label_joint: Tensor,
-                        rng=None, training: bool = False) -> Tensor:
-    """Channel-grouped cross-attention readout of the pool, queried by the label.
+def _affine(rows: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """rows @ weight^T plus the bias on every row.  The bias enters as the
+    rank-1 product ones @ bias, which `add` takes at equal shapes."""
+    ones = Tensor(np.ones((rows.shape[0], 1)))
+    return ad.add(ad.linear(rows, weight), ad.matmul(ones, ad.reshape(bias, (1, bias.shape[0]))))
+
+
+def attention_prototype(params: AttentionParams, pools: SupportPools, label_joints: Tensor,
+                        rngs=None, training: bool = False) -> Tensor:
+    """Channel-grouped cross-attention readout of each label's pool, queried
+    by that label's vector; returns the (labels, joint_dim) readouts.
 
     Head j sees the j-th channel slice of every pooled feature as both key
     and value; its query is that head's transform of the label vector.  The
-    stacked head transforms map the label vector to every head's query in
-    one product, one `head_readout` node reads all heads out, and the
-    concatenated head outputs pass through the MLP.
+    stacked head transforms map every label vector to all its heads' queries
+    in one product, one `head_readout` node reads every label's segment out,
+    and the concatenated head outputs pass through the MLP.  In training
+    mode, label i's dropout mask is drawn from rngs[i].
     """
     joint_dim = params.mlp_w1.shape[0]
-    if pool.features.shape[1] != joint_dim:
+    if pools.features.shape[1] != joint_dim:
         raise ConfigError(
-            f"pool features have dim {pool.features.shape[1]}, attention expects {joint_dim}"
+            f"pool features have dim {pools.features.shape[1]}, attention expects {joint_dim}"
         )
-    queries = ad.matmul(ad.concat(params.queries, axis=0), label_joint)   # (joint_dim,)
-    merged = ad.head_readout(pool.features, queries, params.heads)        # (joint_dim,)
-    hidden = ad.gelu(ad.add(ad.matmul(params.mlp_w1, merged), params.mlp_b1))
-    hidden = ad.dropout(hidden, params.dropout, rng=rng, training=training)
-    out = ad.add(ad.matmul(params.mlp_w2, hidden), params.mlp_b2)
-    return out
+    queries = ad.linear(label_joints, ad.concat(params.queries, axis=0))   # (labels, joint_dim)
+    merged = ad.head_readout(pools.features, queries, params.heads, pools.sizes)
+    hidden = ad.gelu(_affine(merged, params.mlp_w1, params.mlp_b1))
+    hidden = ad.dropout(hidden, params.dropout, rng=rngs, training=training)
+    return _affine(hidden, params.mlp_w2, params.mlp_b2)
 
 
-def select_top_features(pool: LabelSupportPool, label_joint: Tensor, top_count: int) -> Tensor:
-    """Pick the `top_count` pool rows most cosine-similar to the label vector.
+def select_top_features(pools: SupportPools, label_joints: Tensor,
+                        top_count: int) -> tuple[Tensor, np.ndarray]:
+    """Pick each label's `top_count` pool rows most cosine-similar to its vector.
 
     Ties break by ascending row, that is by (support image, grid row, grid
-    col); zero-norm rows are excluded with one warning.  Returns the
-    selected rows.
+    col); zero-norm rows are excluded with one warning per pool.  Returns
+    the (labels, width, joint_dim) selected rows, width the most any label
+    selected, and each label's count: label i's first counts[i] rows are
+    its picks in similarity order, the rest repeat its first pick as padding.
     """
     if top_count < 1:
         raise ConfigError(f"top_count must be >= 1, got {top_count}")
-    values = pool.features.data
-    norms = np.linalg.norm(values, axis=1)
-    label_vec = label_joint.data
-    label_norm = np.linalg.norm(label_vec)
-    if label_norm == 0.0:
+    values = pools.features.data
+    joints = label_joints.data
+    label_norms = np.linalg.norm(joints, axis=1)
+    if not np.all(label_norms):
         raise ad.DegenerateVectorError("degenerate-vector: label vector has zero length")
+    norms = np.linalg.norm(values, axis=1)
+    segment = pools.segment
     rows = np.flatnonzero(norms)
-    if rows.size == 0:
-        raise ConfigError(f"empty-selection: every feature in pool {pool.label!r} has zero norm")
-    if rows.size < norms.size:
-        log.warning("pool %r: %d features have zero norm, excluded from selection",
-                    pool.label, norms.size - rows.size)
-    similarity = (values[rows] @ label_vec) / (norms[rows] * label_norm)
-    picked = rows[np.lexsort((rows, -similarity))[:top_count]]
-    return ad.gather_rows(pool.features, picked)
+    zero_rows = np.bincount(segment[norms == 0.0], minlength=len(pools.labels))
+    for label, zeros, size in zip(pools.labels, zero_rows, pools.sizes):
+        if zeros == size:
+            raise ConfigError(f"empty-selection: every feature in pool {label!r} has zero norm")
+        if zeros:
+            log.warning("pool %r: %d features have zero norm, excluded from selection",
+                        label, zeros)
+    owner = segment[rows]
+    similarity = np.einsum("ij,ij->i", values[rows], joints[owner]) \
+        / (norms[rows] * label_norms[owner])
+    ranked = np.lexsort((rows, -similarity, owner))                         # label-major
+    owner, rows = owner[ranked], rows[ranked]
+    first = np.searchsorted(owner, np.arange(len(pools.labels)))
+    rank = np.arange(len(rows)) - first[owner]
+    counts = np.minimum(pools.sizes - zero_rows, top_count)
+    picks = np.repeat(rows[first][:, None], counts.max(), axis=1)
+    chosen = rank < top_count
+    picks[owner[chosen], rank[chosen]] = rows[chosen]
+    selected = ad.gather_rows(pools.features, picks.reshape(-1))
+    return ad.reshape(selected, picks.shape + (values.shape[1],)), counts
 
 
-def dynconv_prototype(params: DynConvParams, selected: Tensor, label_joint: Tensor) -> Tensor:
-    """Two generated-kernel stages over the selected features, mean-combined.
+def dynconv_prototype(params: DynConvParams, selected: Tensor, counts,
+                      label_joints: Tensor) -> Tensor:
+    """Two generated-kernel stages over each label's selected features,
+    mean-combined; returns the (labels, joint_dim) outputs.
 
-    Both kernels come from linear maps of the label vector.  Each stage is
-    matrix-multiply, layer norm, ReLU; the output averages over however
-    many features were actually selected.
+    Both kernels of every label come from one linear map of the label
+    vectors each.  Each stage is matrix-multiply, layer norm, ReLU, applied
+    to the (labels, width, joint_dim) `selected` rows batch by batch; a
+    label's output averages its first counts[i] rows, the ones actually
+    selected, and ignores the padding after them.
     """
-    if selected.ndim != 2 or selected.shape[0] < 1:
-        raise ConfigError("dynconv: needs at least one selected feature")
+    counts = np.asarray(counts, dtype=np.intp)
+    if selected.ndim != 3 or selected.shape[1] < 1 or counts.shape != selected.shape[:1] \
+            or np.any(counts < 1) or np.any(counts > selected.shape[1]):
+        raise ConfigError("dynconv: needs at least one selected feature per label")
+    labels, width = selected.shape[:2]
     inner, joint = params.inner_dim, params.joint_dim
-    kernel1 = ad.reshape(ad.add(ad.matmul(params.gen1_weight, label_joint), params.gen1_bias),
-                         (inner, joint))
-    kernel2 = ad.reshape(ad.add(ad.matmul(params.gen2_weight, label_joint), params.gen2_bias),
-                         (joint, inner))
-    mid = ad.relu(ad.layer_norm(ad.matmul(selected, ad.transpose(kernel1)),
+    kernel1 = ad.reshape(_affine(label_joints, params.gen1_weight, params.gen1_bias),
+                         (labels, inner, joint))
+    kernel2 = ad.reshape(_affine(label_joints, params.gen2_weight, params.gen2_bias),
+                         (labels, joint, inner))
+    mid = ad.relu(ad.layer_norm(ad.linear(selected, kernel1),
                                 params.norm1_gain, params.norm1_bias))
-    out_rows = ad.relu(ad.layer_norm(ad.matmul(mid, ad.transpose(kernel2)),
+    out_rows = ad.relu(ad.layer_norm(ad.linear(mid, kernel2),
                                      params.norm2_gain, params.norm2_bias))
-    return ad.mean(out_rows, axis=0)
+    # row i of the averaging matrix holds 1/counts[i] over label i's selected rows
+    averaging = np.zeros((labels, labels, width))
+    averaging[np.arange(labels), np.arange(labels)] = \
+        (np.arange(width) < counts[:, None]) / counts[:, None]
+    return ad.matmul(Tensor(averaging.reshape(labels, labels * width)),
+                     ad.reshape(out_rows, (labels * width, joint)))
 
 
 def build_prototype(attention: AttentionParams, dynconv: DynConvParams,
-                    pool: LabelSupportPool, label_joint: Tensor,
-                    rng=None, training: bool = False) -> Tensor:
-    """Sum of the attention and dynamic-convolution components."""
-    att_part = attention_prototype(attention, pool, label_joint, rng=rng, training=training)
-    selected = select_top_features(pool, label_joint, dynconv.top_count)
-    return ad.add(att_part, dynconv_prototype(dynconv, selected, label_joint))
+                    pools: SupportPools, label_joints: Tensor,
+                    rngs=None, training: bool = False) -> Tensor:
+    """Every label's prototype, the sum of its attention and dynamic-convolution
+    components: the (labels, joint_dim) matrix, in pool label order."""
+    att_part = attention_prototype(attention, pools, label_joints, rngs=rngs, training=training)
+    selected, counts = select_top_features(pools, label_joints, dynconv.top_count)
+    return ad.add(att_part, dynconv_prototype(dynconv, selected, counts, label_joints))
 
 
 def simple_attention_prototype(global_joints: Tensor, label_joint: Tensor, scale: float) -> Tensor:
     """Baseline prototype: softmax(scale * cos)-weighted average of the rows
-    of the label's (count, joint_dim) projected support global features."""
+    of the label's (count, joint_dim) projected support global features.
+    The label vector is (joint_dim,) or a (1, joint_dim) row; the prototype
+    has the same shape."""
     if global_joints.ndim != 2 or global_joints.shape[0] < 1:
         raise ConfigError("simple attention needs at least one support feature")
-    row = ad.reshape(label_joint, (1, label_joint.shape[0]))
+    row = ad.reshape(label_joint, (1, label_joint.shape[-1]))
     logits = ad.scale(ad.cosine(global_joints, row), scale)               # (count, 1)
-    weights = ad.softmax(ad.reshape(logits, (global_joints.shape[0],)))
+    weights = ad.softmax(ad.reshape(logits, label_joint.shape[:-1] + (global_joints.shape[0],)))
     return ad.matmul(weights, global_joints)

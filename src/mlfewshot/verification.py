@@ -12,7 +12,7 @@ from . import autodiff as ad
 from . import lcm
 from .autodiff import Tensor
 from .episodes import Episode
-from .joint_space import init_joint_space
+from .joint_space import init_joint_space, project_labels
 from .model import init_model
 from .training import episode_losses
 
@@ -149,17 +149,17 @@ def _case_stack(rng):
 
 
 def _case_head_readout_features(rng):
-    query = Tensor(_r(rng, 6))
-    c = Tensor(_r(rng, 6))
-    return (lambda x: ad.tensor_sum(ad.mul(ad.head_readout(x, query, 3), c)),
+    query = Tensor(_r(rng, 1, 6))
+    c = Tensor(_r(rng, 1, 6))
+    return (lambda x: ad.tensor_sum(ad.mul(ad.head_readout(x, query, 3, [4]), c)),
             Tensor(_r(rng, 4, 6)))
 
 
 def _case_head_readout_query(rng):
     features = Tensor(_r(rng, 4, 6))
-    c = Tensor(_r(rng, 6))
-    return (lambda x: ad.tensor_sum(ad.mul(ad.head_readout(features, x, 3), c)),
-            Tensor(_r(rng, 6)))
+    c = Tensor(_r(rng, 1, 6))
+    return (lambda x: ad.tensor_sum(ad.mul(ad.head_readout(features, x, 3, [4]), c)),
+            Tensor(_r(rng, 1, 6)))
 
 
 def _case_bce(rng):
@@ -196,6 +196,39 @@ def _case_pooled_score(rng):
     return f, Tensor(np.abs(_r(rng, 2, 2)) + 0.5)
 
 
+def _case_linear(rng):
+    weight = Tensor(_r(rng, 5, 4))
+    c = Tensor(_r(rng, 3, 5))
+    return lambda x: ad.tensor_sum(ad.mul(ad.linear(x, weight), c)), Tensor(_r(rng, 3, 4))
+
+
+def _case_linear_weight(rng):
+    x = Tensor(_r(rng, 3, 4))
+    c = Tensor(_r(rng, 3, 5))
+    return lambda w: ad.tensor_sum(ad.mul(ad.linear(x, w), c)), Tensor(_r(rng, 5, 4))
+
+
+def _case_linear_batched(rng):
+    # per-batch weights, as the dynamic-convolution stages apply them
+    x = Tensor(_r(rng, 2, 3, 4))
+    c = Tensor(_r(rng, 2, 3, 5))
+    return lambda w: ad.tensor_sum(ad.mul(ad.linear(x, w), c)), Tensor(_r(rng, 2, 5, 4))
+
+
+def _case_head_readout_segments_features(rng):
+    queries = Tensor(_r(rng, 3, 6))
+    c = Tensor(_r(rng, 3, 6))
+    return (lambda x: ad.tensor_sum(ad.mul(ad.head_readout(x, queries, 3, [2, 1, 4]), c)),
+            Tensor(_r(rng, 7, 6)))
+
+
+def _case_head_readout_segments_queries(rng):
+    features = Tensor(_r(rng, 7, 6))
+    c = Tensor(_r(rng, 3, 6))
+    return (lambda x: ad.tensor_sum(ad.mul(ad.head_readout(features, x, 3, [2, 1, 4]), c)),
+            Tensor(_r(rng, 3, 6)))
+
+
 OP_CASES = [
     ("add", _case_add),
     ("sub", _case_sub),
@@ -222,6 +255,11 @@ OP_CASES = [
     ("stack", _case_stack),
     ("head-readout-features", _case_head_readout_features),
     ("head-readout-query", _case_head_readout_query),
+    ("linear", _case_linear),
+    ("linear-weight", _case_linear_weight),
+    ("linear-batched", _case_linear_batched),
+    ("head-readout-segments-features", _case_head_readout_segments_features),
+    ("head-readout-segments-queries", _case_head_readout_segments_queries),
 ]
 
 
@@ -276,7 +314,7 @@ def lcm_gradient_max_error(eps=1e-6, seed=123) -> float:
     label_embeddings = rng.standard_normal((3, 3))
     weights = rng.uniform(0.2, 1.0, size=(3, 3))
     frozen = lcm._frozen_view(joint)
-    label_joints = lcm._project_labels(frozen, label_embeddings)
+    label_joints = project_labels(frozen, label_embeddings)
     fmap_t = Tensor(fmap)
 
     def loss_value():

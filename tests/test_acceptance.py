@@ -158,10 +158,11 @@ def test_loss_change_taylor_matches_definition_exact_and_numeric():
     rho = rng.uniform(0.3, 1.0, size=(3, 3))
     grid = loss_change_taylor(joint, fmap, targets, label_embeddings, rho)
 
-    from mlfewshot.lcm import _frozen_view, _image_loss, _project_labels
+    from mlfewshot.joint_space import project_labels
+    from mlfewshot.lcm import _frozen_view, _image_loss
 
     frozen = _frozen_view(joint)
-    joints = _project_labels(frozen, label_embeddings)
+    joints = project_labels(frozen, label_embeddings)
 
     def loss_at(weights):
         return _image_loss(frozen, Tensor(fmap), targets, joints, Tensor(weights)).item()

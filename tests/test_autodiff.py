@@ -148,9 +148,14 @@ def test_scale_builds_one_node():
 def test_head_readout_rejects_bad_shapes():
     features = tensor(np.ones((3, 6)))
     with pytest.raises(ShapeError):
-        ad.head_readout(features, tensor(np.ones(6)), 4)
+        ad.head_readout(features, tensor(np.ones((1, 6))), 4, [3])
     with pytest.raises(ShapeError):
-        ad.head_readout(features, tensor(np.ones(5)), 3)
+        ad.head_readout(features, tensor(np.ones((1, 5))), 3, [3])
+    with pytest.raises(ShapeError):
+        ad.head_readout(features, tensor(np.ones(6)), 3, [3])          # one query is one row
+    for sizes in ([2], [2, 2], [3, 0]):
+        with pytest.raises(ShapeError, match="segment sizes"):
+            ad.head_readout(features, tensor(np.ones((len(sizes), 6))), 3, sizes)
 
 
 def test_bce_matches_literal_composition():
@@ -451,13 +456,53 @@ def _case_stack(rng):
 
 
 def _case_head_readout_features(rng):
-    query, c = rand(rng, 6), rand(rng, 6)
-    return rand(rng, 5, 6), lambda t: ad.tensor_sum(ad.mul(ad.head_readout(t, query, 3), c))
+    query, c = rand(rng, 1, 6), rand(rng, 1, 6)
+    return rand(rng, 5, 6), lambda t: ad.tensor_sum(ad.mul(ad.head_readout(t, query, 3, [5]), c))
 
 
 def _case_head_readout_query(rng):
-    features, c = rand(rng, 5, 6), rand(rng, 6)
-    return rand(rng, 6), lambda t: ad.tensor_sum(ad.mul(ad.head_readout(features, t, 3), c))
+    features, c = rand(rng, 5, 6), rand(rng, 1, 6)
+    return rand(rng, 1, 6), lambda t: ad.tensor_sum(ad.mul(
+        ad.head_readout(features, t, 3, [5]), c))
+
+
+def _case_head_readout_segments_features(rng):
+    queries, c = rand(rng, 3, 6), rand(rng, 3, 6)
+    return rand(rng, 7, 6), lambda t: ad.tensor_sum(ad.mul(
+        ad.head_readout(t, queries, 3, [2, 1, 4]), c))
+
+
+def _case_head_readout_segments_queries(rng):
+    features, c = rand(rng, 7, 6), rand(rng, 3, 6)
+    return rand(rng, 3, 6), lambda t: ad.tensor_sum(ad.mul(
+        ad.head_readout(features, t, 3, [2, 1, 4]), c))
+
+
+def _case_linear_x(rng):
+    weight, c = rand(rng, 5, 4), rand(rng, 2, 3, 5)
+    return rand(rng, 2, 3, 4), lambda t: ad.tensor_sum(ad.mul(ad.linear(t, weight), c))
+
+
+def _case_linear_weight(rng):
+    x, c = rand(rng, 3, 4), rand(rng, 3, 5)
+    return rand(rng, 5, 4), lambda t: ad.tensor_sum(ad.mul(ad.linear(x, t), c))
+
+
+def _case_linear_batched_x(rng):
+    weight, c = rand(rng, 2, 5, 4), rand(rng, 2, 3, 5)
+    return rand(rng, 2, 3, 4), lambda t: ad.tensor_sum(ad.mul(ad.linear(t, weight), c))
+
+
+def _case_linear_batched_weight(rng):
+    x, c = rand(rng, 2, 3, 4), rand(rng, 2, 3, 5)
+    return rand(rng, 2, 5, 4), lambda t: ad.tensor_sum(ad.mul(ad.linear(x, t), c))
+
+
+def _case_dropout_per_row(rng):
+    def f(t):
+        rngs = [np.random.default_rng([99, i]) for i in range(3)]
+        return ad.tensor_sum(ad.dropout(t, 0.3, rng=rngs, training=True))
+    return rand(rng, 3, 4), f
 
 
 def _case_scale_matrix(rng):
@@ -532,9 +577,16 @@ GRAD_CASES = {
     "stack": _case_stack,
     "head_readout_features": _case_head_readout_features,
     "head_readout_query": _case_head_readout_query,
+    "head_readout_segments_features": _case_head_readout_segments_features,
+    "head_readout_segments_queries": _case_head_readout_segments_queries,
+    "linear_x": _case_linear_x,
+    "linear_weight": _case_linear_weight,
+    "linear_batched_x": _case_linear_batched_x,
+    "linear_batched_weight": _case_linear_batched_weight,
     "scale_matrix": _case_scale_matrix,
     "tensor_sum_axes": _case_tensor_sum_axes,
     "dropout": _case_dropout,
+    "dropout_per_row": _case_dropout_per_row,
     "bce_with_logits": _case_bce,
     "conv2d_x": _case_conv2d_x,
     "conv2d_kernel": _case_conv2d_kernel,
@@ -636,19 +688,22 @@ def test_batched_score_against_matches_per_pair_loop():
 
 
 def test_fused_head_readout_matches_per_head_loop():
-    from mlfewshot.prototypes import LabelSupportPool, attention_prototype, init_attention
+    from mlfewshot.prototypes import SupportPools, attention_prototype, init_attention
     for seed, (dim, heads, count) in enumerate([(8, 2, 6), (8, 4, 1), (12, 3, 9)]):
         rng = np.random.default_rng([37, seed])
         params = init_attention(dim, heads, rng, dropout=0.3)
         features = Tensor(rng.standard_normal((count, dim)), requires_grad=True)
         label = Tensor(rng.standard_normal(dim), requires_grad=True)
         c = Tensor(rng.standard_normal(dim))
-        pool = LabelSupportPool("x", features)
-        fused = attention_prototype(params, pool, label)
-        _assert_close(fused.data, _attention_per_head(params, features, label).data)
+        pool = SupportPools(("x",), features, [count])
+
+        def fused_readout():
+            out = attention_prototype(params, pool, ad.reshape(label, (1, dim)))
+            return ad.reshape(out, (dim,))
+
+        _assert_close(fused_readout().data, _attention_per_head(params, features, label).data)
         leaves = [*params.parameters().values(), features, label]
-        _, grads_fused = _gradients(leaves, lambda: ad.tensor_sum(ad.mul(
-            attention_prototype(params, pool, label), c)))
+        _, grads_fused = _gradients(leaves, lambda: ad.tensor_sum(ad.mul(fused_readout(), c)))
         _, grads_looped = _gradients(leaves, lambda: ad.tensor_sum(ad.mul(
             _attention_per_head(params, features, label), c)))
         for a, b in zip(grads_fused, grads_looped):

@@ -8,7 +8,7 @@ import pytest
 
 from mlfewshot import cli
 from mlfewshot.cli import main
-from mlfewshot.model import CHECKPOINT_MAGIC
+from mlfewshot.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
 TRAIN_FLAGS = ["--d_j", "8", "--n_heads", "2", "--d_c", "4", "--n_d", "4",
                "--epochs", "2", "--warmup_epochs", "1", "--episodes_per_epoch", "2",
@@ -98,6 +98,39 @@ def test_resume_continues_training(pipeline, tmp_path, capsys):
     assert "trained to epoch 3" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["epochs_completed"] == 3
+
+
+class SavedState:
+    """Stands in for an optimizer when writing chosen optim.* tensors."""
+
+    def __init__(self, tensors):
+        self.tensors = tensors
+
+    def state_tensors(self):
+        return self.tensors
+
+
+@pytest.mark.parametrize("corrupt", ["missing", "shape"])
+def test_resume_with_bad_optimizer_state_exits_2(pipeline, tmp_path, capsys, corrupt):
+    _, run, paths = pipeline
+    model, extras = load_checkpoint(run / "model.ckpt")
+    state = {k: v for k, v in extras.items() if k.startswith("optim.")}
+    if corrupt == "missing":
+        del state["optim.m.joint.visual"]
+    else:
+        state["optim.m.joint.visual"] = state["optim.m.joint.visual"][0]
+    config = {k[len("config."):]: float(v) for k, v in extras.items() if k.startswith("config.")}
+    spare = tmp_path / "model.ckpt"
+    save_checkpoint(spare, model, optimizer=SavedState(state), config_scalars=config)
+    fresh = dict(zip(paths[::2], paths[1::2]))
+    fresh["--checkpoint"] = str(spare)
+    fresh["--output"] = str(tmp_path)
+    flat = [item for pair in fresh.items() for item in pair]
+    code = main(["train", *flat, "--resume", *TRAIN_FLAGS[:-4],
+                 "--epochs", "3", "--episodes_per_epoch", "2", "--seed", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "optim.m.joint.visual" in err
 
 
 def test_inspect_lcm_writes_grids(pipeline, capsys):

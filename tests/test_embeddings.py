@@ -106,3 +106,24 @@ def test_vocabulary_rejects_unknown_split(tmp_path):
     path = write(tmp_path / "labels.tsv", "weird\tcat\n")
     with pytest.raises(DataError):
         load_vocabulary(path)
+
+
+def test_vocabulary_bytes_that_are_not_utf8_are_a_data_error(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_bytes(b"base\tcat\r\nbase\t\xff\xfe\n")
+    with pytest.raises(DataError, match=r"labels\.tsv: line 2 is not UTF-8"):
+        load_vocabulary(path)
+
+
+def test_embedding_bytes_that_are_not_utf8_are_a_data_error(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(b"cat 1.0 2.0\n\xff 3.0 4.0\n")
+    with pytest.raises(DataError, match=r"vectors\.txt: line 2 is not UTF-8"):
+        parse_embedding_file(path)
+
+
+def test_text_loaders_translate_newlines_as_text_mode_does(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_bytes(b"base\tcat\r\nnovel\towl\rbase\tdog")
+    back = load_vocabulary(path)
+    assert back.base == ("cat", "dog") and back.novel == ("owl",)

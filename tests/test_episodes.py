@@ -191,6 +191,14 @@ def test_manifest_line_errors(tmp_path, line, fragment):
         load_manifest(path, check_files=False)
 
 
+def test_manifest_bytes_that_are_not_utf8_are_a_data_error(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(b'{"id": "a", "features": "f", "labels": ["x"]}\n'
+                     b'{"id": "\xff", "features": "f", "labels": ["x"]}\n')
+    with pytest.raises(DataError, match=r"m\.jsonl: line 2 is not UTF-8"):
+        load_manifest(path, check_files=False)
+
+
 def test_manifest_duplicate_id_and_empty_file(tmp_path):
     path = tmp_path / "m.jsonl"
     row = '{"id": "a", "features": "f", "labels": ["x"]}'

@@ -8,7 +8,7 @@ import pytest
 from mlfewshot import autodiff as ad
 from mlfewshot.autodiff import Tensor
 from mlfewshot.errors import ConfigError
-from mlfewshot.joint_space import init_joint_space, project_label
+from mlfewshot.joint_space import init_joint_space, project_labels
 from mlfewshot.model import score_against, score_loss
 
 
@@ -35,7 +35,7 @@ def test_cm_loss_single_pair_is_ln2_at_zero_score():
     # orthogonal vectors give score 0; BCE(0, y=1) = ln 2
     params = identity_params(dim=2, scale=10.0)
     pooled = Tensor(np.array([[1.0, 0.0]]))
-    label_joints = ad.stack([project_label(params, Tensor(np.array([0.0, 1.0])))])
+    label_joints = project_labels(params, np.array([[0.0, 1.0]]))
     loss = score_loss(params, pooled, label_joints, np.array([[1.0]]))
     assert abs(loss.item() - math.log(2.0)) <= 1e-15
 
@@ -44,7 +44,7 @@ def test_cm_loss_aligned_positive_pair_is_tiny():
     # perfectly aligned pair at scale 10: -log sigmoid(10) = log1p(exp(-10))
     params = identity_params(dim=2, scale=10.0)
     v = Tensor(np.array([[1.0, 0.0]]))
-    loss = score_loss(params, v, ad.stack([project_label(params, Tensor(np.array([1.0, 0.0])))]),
+    loss = score_loss(params, v, project_labels(params, np.array([[1.0, 0.0]])),
                       np.array([[1.0]]))
     assert abs(loss.item() - np.log1p(np.exp(-10.0))) <= 1e-18
 
@@ -53,7 +53,7 @@ def test_cm_loss_sums_over_all_pairs():
     params = identity_params(dim=2, scale=10.0)
     e1, e2 = Tensor(np.array([1.0, 0.0])), Tensor(np.array([0.0, 1.0]))
     pooled = ad.stack([e1, e2])
-    joints = ad.stack([project_label(params, e1), project_label(params, e2)])
+    joints = project_labels(params, np.stack([e1.data, e2.data]))
     targets = np.eye(2)
     loss = score_loss(params, pooled, joints, targets)
     per_positive = np.log1p(np.exp(-10.0))   # aligned positive pair
@@ -64,7 +64,7 @@ def test_cm_loss_sums_over_all_pairs():
 def test_cm_loss_validates_shapes_and_emptiness():
     params = identity_params()
     v = Tensor(np.array([[1.0, 0.0]]))
-    lj = ad.stack([project_label(params, Tensor(np.array([1.0, 0.0])))])
+    lj = project_labels(params, np.array([[1.0, 0.0]]))
     none = Tensor(np.zeros((0, 2)))
     with pytest.raises(ConfigError):
         score_loss(params, none, lj, np.zeros((0, 1)))
@@ -78,7 +78,7 @@ def test_gradients_flow_to_both_projections():
     rng = np.random.default_rng(1)
     params = init_joint_space(4, 3, 5, 10.0, rng)
     pooled = Tensor(rng.standard_normal((1, 4)))
-    joints = ad.stack([project_label(params, Tensor(rng.standard_normal(3)))])
+    joints = project_labels(params, rng.standard_normal((1, 3)))
     loss = score_loss(params, pooled, joints, np.array([[1.0]]))
     loss.backward()
     assert params.visual.grad is not None and np.any(params.visual.grad != 0)
@@ -91,7 +91,7 @@ def test_zero_shot_probabilities_are_sigmoid_scores():
     params = identity_params(dim=2, scale=3.0)
     feats = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     labels = [Tensor(np.array([1.0, 0.0])), Tensor(np.array([1.0, 1.0]))]
-    joints = ad.stack([project_label(params, w) for w in labels])
+    joints = project_labels(params, np.stack([w.data for w in labels]))
     probs = ad._logistic(score_against(params, feats, joints).data.reshape(2, 2))
     expected_00 = 1.0 / (1.0 + math.exp(-3.0))
     assert abs(probs[0, 0] - expected_00) <= 1e-12

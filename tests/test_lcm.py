@@ -8,13 +8,12 @@ import pytest
 
 from mlfewshot.autodiff import DegenerateVectorError, ShapeError, Tensor
 from mlfewshot.errors import ConfigError
-from mlfewshot.joint_space import init_joint_space
+from mlfewshot.joint_space import init_joint_space, project_labels
 from mlfewshot.lcm import (
     LcmConfig,
     _frozen_view,
     _image_loss,
     _image_loss_gradient,
-    _project_labels,
     fit_importance,
     loss_change_exact,
     loss_change_taylor,
@@ -40,7 +39,7 @@ def tape_gradient(joint, fmap, targets, embeds, weights):
     frozen = _frozen_view(joint)
     leaf = Tensor(np.array(weights, copy=True), requires_grad=True)
     _image_loss(frozen, Tensor(fmap), np.asarray(targets, dtype=np.float64),
-                _project_labels(frozen, embeds), leaf).backward()
+                project_labels(frozen, embeds), leaf).backward()
     return leaf.grad
 
 

@@ -15,18 +15,22 @@ from mlfewshot.model import (
     CHECKPOINT_MAGIC,
     FeatureStore,
     build_pools,
+    episode_forward,
     init_model,
     load_checkpoint,
     local_feature_rows,
+    pooled_globals,
     read_checkpoint_tensors,
     save_checkpoint,
     score_against,
+    score_loss,
 )
 from mlfewshot.optim import Adam
-from mlfewshot.prototypes import LabelSupportPool
+from mlfewshot.prototypes import SupportPools
 from mlfewshot.training import episode_losses
 
 from conftest import build_tiny_model
+from test_prototypes import assert_close, per_label_prototype
 
 
 def small_model(seed=3):
@@ -234,16 +238,21 @@ def project(model, fmap):
     return fmap.reshape(fmap.shape[0], -1).T @ model.joint.visual.data.T
 
 
+def by_label(pools):
+    """Each label's rows of the row-segmented pools."""
+    return dict(zip(pools.labels, np.split(pools.features.data, np.cumsum(pools.sizes)[:-1])))
+
+
 def test_build_pools_members_in_support_order():
     model = small_model()
     rng = np.random.default_rng(1)
     fmaps = [rng.standard_normal((6, 2, 2)) for _ in range(2)]
     targets = np.array([[1.0, 0.0], [1.0, 1.0]])
-    pools = build_pools(model.joint, ("a", "b"), targets, fmaps)
-    assert np.allclose(pools["a"].features.data,
+    pools = by_label(build_pools(model.joint, ("a", "b"), targets, fmaps))
+    assert np.allclose(pools["a"],
                        np.vstack([project(model, fmaps[0]), project(model, fmaps[1])]),
                        atol=1e-12)
-    assert np.allclose(pools["b"].features.data, project(model, fmaps[1]), atol=1e-12)
+    assert np.allclose(pools["b"], project(model, fmaps[1]), atol=1e-12)
 
 
 def test_build_pools_full_mask_equals_no_mask():
@@ -254,7 +263,7 @@ def test_build_pools_full_mask_equals_no_mask():
     plain = build_pools(model.joint, ("a",), targets, fmaps)
     masked = build_pools(model.joint, ("a",), targets, fmaps,
                          masks=[np.ones((2, 2), dtype=bool)])
-    assert np.array_equal(plain["a"].features.data, masked["a"].features.data)
+    assert np.array_equal(plain.features.data, masked.features.data)
 
 
 def test_build_pools_mask_drops_cells():
@@ -265,7 +274,7 @@ def test_build_pools_mask_drops_cells():
     masks = [np.array([[True, False], [False, True]]), np.ones((2, 2), dtype=bool),
              np.array([[False, True], [True, True]])]
     pools = build_pools(model.joint, ("a",), targets, fmaps, masks=masks)
-    assert np.allclose(pools["a"].features.data,
+    assert np.allclose(pools.features.data,
                        np.vstack([project(model, fmaps[0])[[0, 3]],
                                   project(model, fmaps[2])[[1, 2, 3]]]),
                        atol=1e-12)
@@ -294,18 +303,18 @@ def test_build_pools_masks_must_cover_every_cell(masks):
 def per_image_pools(joint, labels, support_targets, fmaps, masks=None):
     """The pool builder `build_pools` replaced: each support map projected on
     the tape on its own, then each label's member projections gathered under
-    their masks and joined."""
+    their masks and joined, label by label."""
     projections = [ad.matmul(ad.transpose(ad.reshape(Tensor(fmap), (fmap.shape[0], fmap[0].size))),
                              ad.transpose(joint.visual))
                    for fmap in fmaps]
-    pools = {}
+    per_label = []
     for li, label in enumerate(labels):
         pieces = [projections[i] if masks is None else
                   ad.gather_rows(projections[i], np.flatnonzero(np.asarray(masks[i]).reshape(-1)))
                   for i in range(len(fmaps)) if support_targets[i, li] > 0]
-        features = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
-        pools[label] = LabelSupportPool(label=label, features=features)
-    return pools
+        per_label.append(pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0))
+    return SupportPools(labels=labels, features=ad.concat(per_label, axis=0),
+                        sizes=[features.shape[0] for features in per_label])
 
 
 def tiny_episode(tiny_data, seed=5):
@@ -328,10 +337,11 @@ def test_build_pools_matches_the_per_image_loop(tiny_data):
     args = (model.joint, episode.labels, episode.support_targets, fmaps)
     for chosen in (None, masks):
         new, old = build_pools(*args, masks=chosen), per_image_pools(*args, masks=chosen)
+        assert np.array_equal(new.sizes, old.sizes)
+        new, old = by_label(new), by_label(old)
         for label in episode.labels:
-            assert new[label].features.shape == old[label].features.shape
-            assert np.allclose(new[label].features.data, old[label].features.data,
-                               rtol=0.0, atol=1e-12), label
+            assert new[label].shape == old[label].shape
+            assert np.allclose(new[label], old[label], rtol=0.0, atol=1e-12), label
 
 
 def test_episode_gradients_match_the_per_image_loop(tiny_data, monkeypatch):
@@ -349,6 +359,64 @@ def test_episode_gradients_match_the_per_image_loop(tiny_data, monkeypatch):
     old = joint_grads()
     for a, b in zip(new, old):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+def per_label_forward(model, episode, store, embeddings, *, masks=None, dropout_rngs=None,
+                      training=False):
+    """The episode forward the batched one replaced: each label's embedding
+    projected, its kept member cells projected as its pool, and its
+    prototype built on its own, then the prototypes stacked and scored."""
+    labels = list(episode.labels)
+    joints = [ad.matmul(model.joint.text, Tensor(embeddings[label])) for label in labels]
+    fmaps = [store.get(i) for i in episode.support_ids]
+    cells = local_feature_rows(fmaps)
+    image_of_cell = np.repeat(np.arange(len(fmaps)), [fmap[0].size for fmap in fmaps])
+    kept = np.ones(len(cells), dtype=bool) if masks is None else \
+        np.concatenate([np.asarray(mask).reshape(-1) for mask in masks])
+    protos = []
+    for li, label in enumerate(labels):
+        members = episode.support_targets[image_of_cell, li] > 0
+        pool = ad.matmul(Tensor(cells[members & kept]), ad.transpose(model.joint.visual))
+        rng = dropout_rngs.get(label) if dropout_rngs else None
+        protos.append(per_label_prototype(model.attention, model.dynconv, pool, joints[li],
+                                          rng=rng, training=training))
+    logits = score_against(model.joint, pooled_globals(store, episode.query_ids),
+                           ad.stack(protos))
+    return ad.stack(joints), logits
+
+
+@pytest.mark.parametrize("case", ["lcm-short-pool", "zero-norm-row", "training-dropout"])
+def test_episode_forward_matches_the_per_label_loop(tiny_data, case):
+    model = build_tiny_model(tiny_data["table"])
+    episode, store, embeddings = tiny_episode(tiny_data)
+    maps = {i: store.get(i).copy() for i in episode.support_ids + episode.query_ids}
+    masks = None
+    if case == "lcm-short-pool":
+        # two kept cells per support map: a label on one image pools two rows
+        masks = [np.arange(maps[i][0].size).reshape(maps[i][0].shape) < 2
+                 for i in episode.support_ids]
+        sizes = build_pools(model.joint, episode.labels, episode.support_targets,
+                            [maps[i] for i in episode.support_ids], masks).sizes
+        assert sizes.min() < model.dynconv.top_count
+    if case == "zero-norm-row":
+        maps[episode.support_ids[0]][:, 0, 0] = 0.0
+    training = case == "training-dropout"
+
+    def run(forward):
+        rngs = {label: seeding.substream(5, "dropout", li)
+                for li, label in enumerate(episode.labels)} if training else None
+        model.zero_grad()
+        joints, logits = forward(model, episode, maps, embeddings, masks=masks,
+                                 dropout_rngs=rngs, training=training)
+        cm = score_loss(model.joint, pooled_globals(maps, episode.support_ids), joints,
+                        episode.support_targets)
+        query = ad.tensor_sum(ad.bce_with_logits(logits, episode.query_targets.reshape(-1)))
+        ad.add(cm, query).backward()
+        return [joints.data, logits.data] + [p.grad.copy()
+                                             for p in model.named_parameters().values()]
+
+    for new, old in zip(run(episode_forward), run(per_label_forward)):
+        assert_close(new, old)
 
 
 def test_score_against_matrix_matches_flat():

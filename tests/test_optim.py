@@ -1,8 +1,10 @@
 """Adam update math and state round-tripping."""
 
 import numpy as np
+import pytest
 
 from mlfewshot.autodiff import Tensor
+from mlfewshot.errors import DataError
 from mlfewshot.optim import Adam
 
 
@@ -106,3 +108,88 @@ def test_state_round_trip_resumes_identically():
         opt_b.step()
 
     assert np.array_equal(p_full.data, p_half.data)
+
+
+def per_tensor_adam(values, grads_per_step, lr):
+    """The textbook per-tensor Adam the flat update must reproduce bitwise:
+    each tensor's moments and values updated on their own, a missing
+    gradient counting as zeros."""
+    values = {name: v.copy() for name, v in values.items()}
+    m = {name: np.zeros_like(v) for name, v in values.items()}
+    v2 = {name: np.zeros_like(v) for name, v in values.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        for name in values:
+            g = grads[name] if grads[name] is not None else np.zeros_like(values[name])
+            m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+            v2[name] = 0.999 * v2[name] + (1.0 - 0.999) * g * g
+            m_hat = m[name] / (1.0 - 0.9 ** t)
+            v_hat = v2[name] / (1.0 - 0.999 ** t)
+            values[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return values, m, v2
+
+
+def mixed_problem(seed=3, steps=4):
+    rng = np.random.default_rng(seed)
+    shapes = {"w": (3, 4), "b": (4,), "s": (), "k": (2, 3, 2), "idle": (5,)}
+    values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    grads = [{name: None if name == "idle" else rng.standard_normal(shape)
+              for name, shape in shapes.items()} for _ in range(steps)]
+    return values, grads
+
+
+def run_adam(opt, params, grads):
+    for step_grads in grads:
+        for name, p in params.items():
+            p.grad = None if step_grads[name] is None else step_grads[name].copy()
+        opt.step()
+
+
+def test_flat_step_matches_per_tensor_adam_bitwise():
+    values, grads = mixed_problem()
+    params = {name: make_param(v) for name, v in values.items()}
+    opt = Adam(params, lr=0.01)
+    run_adam(opt, params, grads)
+    expected, m, v = per_tensor_adam(values, grads, 0.01)
+    for name, p in params.items():
+        assert p.data.shape == values[name].shape
+        assert np.array_equal(p.data, expected[name]), name
+        assert np.array_equal(opt.m[name], m[name]) and np.array_equal(opt.v[name], v[name])
+    assert np.array_equal(params["idle"].data, values["idle"])
+
+
+def test_flat_state_resumes_bitwise():
+    values, grads = mixed_problem(seed=4, steps=5)
+    params = {name: make_param(v) for name, v in values.items()}
+    first = Adam(params, lr=0.02)
+    run_adam(first, params, grads[:2])
+    saved = {k: np.array(v, copy=True) for k, v in first.state_tensors().items()}
+    resumed_params = {name: make_param(p.data) for name, p in params.items()}
+    resumed = Adam(resumed_params, lr=0.02)
+    resumed.load_state_tensors(saved)
+    run_adam(resumed, resumed_params, grads[2:])
+    expected, m, v = per_tensor_adam(values, grads, 0.02)
+    for name, p in resumed_params.items():
+        assert np.array_equal(p.data, expected[name]), name
+        assert np.array_equal(resumed.m[name], m[name])
+        assert np.array_equal(resumed.v[name], v[name])
+
+
+@pytest.mark.parametrize("missing", ["optim.steps", "optim.m.w", "optim.v.b"])
+def test_missing_state_tensor_is_a_data_error(missing):
+    params = {"w": make_param(np.ones((3, 4))), "b": make_param(np.ones(4))}
+    state = Adam(params, lr=0.1).state_tensors()
+    del state[missing]
+    opt = Adam(params, lr=0.1)
+    with pytest.raises(DataError, match=missing):
+        opt.load_state_tensors(state)
+    assert opt.steps == 0
+
+
+def test_wrong_state_shape_is_a_data_error():
+    params = {"w": make_param(np.ones((3, 4)))}
+    state = Adam(params, lr=0.1).state_tensors()
+    state["optim.m.w"] = np.zeros(3)
+    opt = Adam(params, lr=0.1)
+    with pytest.raises(DataError, match="optim.m.w"):
+        opt.load_state_tensors(state)
+    assert not np.any(opt.m["w"])

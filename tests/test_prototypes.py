@@ -1,6 +1,7 @@
 """Attention and dynamic-convolution prototype construction."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mlfewshot.autodiff import Tensor
 from mlfewshot.errors import ConfigError
 from mlfewshot.prototypes import (
     DynConvParams,
-    LabelSupportPool,
+    SupportPools,
     attention_prototype,
     build_prototype,
     dynconv_prototype,
@@ -21,9 +22,25 @@ from mlfewshot.prototypes import (
 )
 
 
+def one_pool(rows, label="x", requires_grad=False):
+    """A single label's pool: one row segment holding every row."""
+    return SupportPools((label,), Tensor(rows, requires_grad=requires_grad), [len(rows)])
+
+
 def make_pool(rng, count=5, dim=8, label="cat"):
-    rows = rng.standard_normal((count, dim))
-    return LabelSupportPool(label=label, features=Tensor(rows, requires_grad=True))
+    return one_pool(rng.standard_normal((count, dim)), label, requires_grad=True)
+
+
+def label_row(values, requires_grad=False):
+    """One label vector as the (1, dim) matrix the batched functions take."""
+    return Tensor(np.asarray(values, dtype=np.float64).reshape(1, -1),
+                  requires_grad=requires_grad)
+
+
+def picked(pool, label, top):
+    """The rows select_top_features picks for a one-label pool."""
+    selected, counts = select_top_features(pool, label, top)
+    return selected.data[0, :counts[0]]
 
 
 def make_params(rng, dim=8, heads=2, inner=3, top=3, dropout=0.0):
@@ -39,14 +56,14 @@ def test_single_feature_pool_is_mlp_of_that_feature():
     rng = np.random.default_rng(0)
     att, _ = make_params(rng)
     row = rng.standard_normal(8)
-    pool = LabelSupportPool("x", Tensor(row.reshape(1, 8)))
-    out = attention_prototype(att, pool, Tensor(rng.standard_normal(8)))
+    pool = one_pool(row.reshape(1, 8))
+    out = attention_prototype(att, pool, label_row(rng.standard_normal(8)))
     # softmax over one feature is 1, so the readout is exactly MLP(row)
     from scipy.special import erf
     h = att.mlp_w1.data @ row + att.mlp_b1.data
     g = 0.5 * h * (1.0 + erf(h / np.sqrt(2.0)))
     expected = att.mlp_w2.data @ g + att.mlp_b2.data
-    assert np.allclose(out.data, expected, atol=1e-12)
+    assert np.allclose(out.data[0], expected, atol=1e-12)
 
 
 def test_head_count_must_divide_joint_dim():
@@ -65,10 +82,10 @@ def test_channel_split_concat_reconstructs():
 def test_attention_is_permutation_invariant():
     rng = np.random.default_rng(3)
     att, _ = make_params(rng)
-    label = Tensor(rng.standard_normal(8))
+    label = label_row(rng.standard_normal(8))
     pool = make_pool(rng, count=6)
     perm = np.random.default_rng(9).permutation(6)
-    shuffled = LabelSupportPool("cat", Tensor(pool.features.data[perm]))
+    shuffled = one_pool(pool.features.data[perm], "cat")
     a = attention_prototype(att, pool, label)
     b = attention_prototype(att, shuffled, label)
     assert np.allclose(a.data, b.data, atol=1e-12)
@@ -78,11 +95,11 @@ def test_dropout_only_acts_in_training_mode():
     rng = np.random.default_rng(4)
     att, _ = make_params(rng, dropout=0.5)
     pool = make_pool(rng)
-    label = Tensor(rng.standard_normal(8))
+    label = label_row(rng.standard_normal(8))
     quiet = attention_prototype(att, pool, label, training=False)
     again = attention_prototype(att, pool, label, training=False)
     assert np.array_equal(quiet.data, again.data)
-    noisy = attention_prototype(att, pool, label, rng=np.random.default_rng(5),
+    noisy = attention_prototype(att, pool, label, rngs=[np.random.default_rng(5)],
                                 training=True)
     assert not np.array_equal(quiet.data, noisy.data)
 
@@ -91,36 +108,33 @@ def test_dropout_only_acts_in_training_mode():
 
 
 def test_top_selection_orders_by_similarity():
-    label = Tensor(np.array([1.0, 0.0]))
+    label = label_row([1.0, 0.0])
     rows = np.array([[0.0, 1.0],    # cos 0
                      [1.0, 0.0],    # cos 1
                      [1.0, 1.0],    # cos 0.707
                      [-1.0, 0.0]])  # cos -1
-    pool = LabelSupportPool("x", Tensor(rows))
-    selected = select_top_features(pool, label, 2)
-    assert np.array_equal(selected.data, rows[[1, 2]])
+    assert np.array_equal(picked(one_pool(rows), label, 2), rows[[1, 2]])
 
 
 def test_top_selection_breaks_ties_by_row():
-    label = Tensor(np.array([1.0, 0.0]))
+    label = label_row([1.0, 0.0])
     rows = np.array([[0.0, 1.0],    # cos 0
                      [2.0, 0.0],    # cos 1
                      [1.0, 1.0],    # cos 0.707
                      [1.0, 0.0],    # cos 1
                      [3.0, 0.0]])   # cos 1
-    pool = LabelSupportPool("x", Tensor(rows))
+    pool = one_pool(rows)
     # equal cosines keep row order: rows 1, 3, 4, then the 0.707 row
     for top, expected in [(2, [1, 3]), (4, [1, 3, 4, 2])]:
-        assert np.array_equal(select_top_features(pool, label, top).data, rows[expected])
+        assert np.array_equal(picked(pool, label, top), rows[expected])
 
 
 def test_top_selection_skips_zero_norm_rows(caplog):
-    label = Tensor(np.array([1.0, 0.0]))
+    label = label_row([1.0, 0.0])
     rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-    pool = LabelSupportPool("x", Tensor(rows))
     with caplog.at_level(logging.WARNING):
-        selected = select_top_features(pool, label, 3)
-    assert np.array_equal(selected.data, rows[[1]])
+        selected = picked(one_pool(rows), label, 3)
+    assert np.array_equal(selected, rows[[1]])
     assert [r.getMessage() for r in caplog.records] == [
         "pool 'x': 2 features have zero norm, excluded from selection"]
 
@@ -128,21 +142,21 @@ def test_top_selection_skips_zero_norm_rows(caplog):
 def test_top_selection_saturates_at_pool_size():
     rng = np.random.default_rng(6)
     pool = make_pool(rng, count=3)
-    selected = select_top_features(pool, Tensor(rng.standard_normal(8)), 10)
-    assert selected.shape == (3, 8)
+    selected, counts = select_top_features(pool, label_row(rng.standard_normal(8)), 10)
+    assert selected.shape == (1, 3, 8) and counts.tolist() == [3]
 
 
 def test_all_zero_pool_is_an_error():
-    pool = LabelSupportPool("x", Tensor(np.zeros((2, 2))))
+    pool = one_pool(np.zeros((2, 2)))
     with pytest.raises(ConfigError, match="empty-selection"):
-        select_top_features(pool, Tensor(np.array([1.0, 0.0])), 1)
+        select_top_features(pool, label_row([1.0, 0.0]), 1)
 
 
 def test_zero_label_vector_rejected():
     rng = np.random.default_rng(7)
     pool = make_pool(rng, count=2)
     with pytest.raises(ad.DegenerateVectorError):
-        select_top_features(pool, Tensor(np.zeros(8)), 1)
+        select_top_features(pool, label_row(np.zeros(8)), 1)
 
 
 # ------------------------------------------------------------------ dynconv
@@ -152,11 +166,11 @@ def test_dynconv_divides_by_actual_count():
     # a top_count larger than the pool means the mean runs over the pool
     rng = np.random.default_rng(8)
     _, dyn = make_params(rng, top=10)
-    label = Tensor(rng.standard_normal(8))
+    label = label_row(rng.standard_normal(8))
     rows = rng.standard_normal((3, 8))
-    out3 = dynconv_prototype(dyn, Tensor(rows), label)
+    out3 = dynconv_prototype(dyn, Tensor(rows[None]), [3], label)
     # doubling every row duplicates the stage outputs; the mean is unchanged
-    out6 = dynconv_prototype(dyn, Tensor(np.vstack([rows, rows])), label)
+    out6 = dynconv_prototype(dyn, Tensor(np.vstack([rows, rows])[None]), [6], label)
     assert np.allclose(out3.data, out6.data, atol=1e-12)
 
 
@@ -173,15 +187,15 @@ def test_dynconv_zero_generators_zero_norm_bias_gives_zero():
         norm2_bias=Tensor(np.zeros(dim)),
         top_count=2,
     )
-    out = dynconv_prototype(dyn, Tensor(np.ones((2, dim))), Tensor(np.ones(dim)))
-    assert np.array_equal(out.data, np.zeros(dim))
+    out = dynconv_prototype(dyn, Tensor(np.ones((1, 2, dim))), [2], label_row(np.ones(dim)))
+    assert np.array_equal(out.data, np.zeros((1, dim)))
 
 
 def test_dynconv_output_is_nonnegative():
     rng = np.random.default_rng(9)
     _, dyn = make_params(rng)
-    out = dynconv_prototype(dyn, Tensor(rng.standard_normal((4, 8))),
-                            Tensor(rng.standard_normal(8)))
+    out = dynconv_prototype(dyn, Tensor(rng.standard_normal((1, 4, 8))), [4],
+                            label_row(rng.standard_normal(8)))
     assert np.all(out.data >= 0.0)
 
 
@@ -189,8 +203,8 @@ def test_dynconv_rejects_empty_selection():
     rng = np.random.default_rng(10)
     _, dyn = make_params(rng)
     with pytest.raises(ConfigError):
-        dynconv_prototype(dyn, Tensor(np.zeros((0, 8)).reshape(0, 8)),
-                          Tensor(rng.standard_normal(8)))
+        dynconv_prototype(dyn, Tensor(np.zeros((1, 0, 8))), [0],
+                          label_row(rng.standard_normal(8)))
 
 
 # ----------------------------------------------------------- full prototype
@@ -200,10 +214,10 @@ def test_prototype_is_exact_sum_of_parts():
     rng = np.random.default_rng(11)
     att, dyn = make_params(rng)
     pool = make_pool(rng)
-    label = Tensor(rng.standard_normal(8))
+    label = label_row(rng.standard_normal(8))
     proto = build_prototype(att, dyn, pool, label)
     att_part = attention_prototype(att, pool, label)
-    dyn_part = dynconv_prototype(dyn, select_top_features(pool, label, dyn.top_count), label)
+    dyn_part = dynconv_prototype(dyn, *select_top_features(pool, label, dyn.top_count), label)
     assert np.array_equal(proto.data, att_part.data + dyn_part.data)
 
 
@@ -211,7 +225,7 @@ def test_prototype_eval_is_deterministic():
     rng = np.random.default_rng(12)
     att, dyn = make_params(rng)
     pool = make_pool(rng)
-    label = Tensor(rng.standard_normal(8))
+    label = label_row(rng.standard_normal(8))
     a = build_prototype(att, dyn, pool, label)
     b = build_prototype(att, dyn, pool, label)
     assert np.array_equal(a.data, b.data)
@@ -221,7 +235,7 @@ def test_gradients_reach_every_parameter_group():
     rng = np.random.default_rng(13)
     att, dyn = make_params(rng)
     pool = make_pool(rng)
-    label = Tensor(rng.standard_normal(8), requires_grad=True)
+    label = label_row(rng.standard_normal(8), requires_grad=True)
     proto = build_prototype(att, dyn, pool, label)
     ad.tensor_sum(proto).backward()
     for name, p in {**att.parameters(), **dyn.parameters()}.items():
@@ -281,4 +295,91 @@ def test_simple_attention_needs_features():
 def test_pool_validation():
     for features in (np.zeros((0, 4)), np.zeros(4)):
         with pytest.raises(ConfigError, match="non-empty matrix"):
-            LabelSupportPool("x", Tensor(features))
+            SupportPools(("x",), Tensor(features), [len(features)])
+
+
+# ------------------------------------------------ batched vs the per-label loop
+
+
+def per_label_prototype(attention, dynconv, pool, label_joint, rng=None, training=False):
+    """One label's prototype as the per-label code built it: each head's
+    query and softmax on its own channel slice, the MLP and dropout on one
+    vector, the top rows by cosine, and both generated-kernel stages on
+    that label alone, averaged with `mean`."""
+    inv_sqrt = 1.0 / math.sqrt(attention.head_dim)
+    head_outputs = []
+    for transform, chunk in zip(attention.queries, ad.split(pool, attention.heads, axis=1)):
+        query = ad.matmul(transform, label_joint)
+        weights = ad.softmax(ad.scale(ad.matmul(chunk, query), inv_sqrt))
+        head_outputs.append(ad.matmul(weights, chunk))
+    merged = ad.concat(head_outputs, axis=0)
+    hidden = ad.gelu(ad.add(ad.matmul(attention.mlp_w1, merged), attention.mlp_b1))
+    hidden = ad.dropout(hidden, attention.dropout, rng=rng, training=training)
+    att_part = ad.add(ad.matmul(attention.mlp_w2, hidden), attention.mlp_b2)
+
+    norms = np.linalg.norm(pool.data, axis=1)
+    rows = np.flatnonzero(norms)
+    similarity = (pool.data[rows] @ label_joint.data) / (norms[rows]
+                                                          * np.linalg.norm(label_joint.data))
+    selected = ad.gather_rows(pool, rows[np.lexsort((rows, -similarity))[:dynconv.top_count]])
+    inner, joint = dynconv.inner_dim, dynconv.joint_dim
+    kernel1 = ad.reshape(ad.add(ad.matmul(dynconv.gen1_weight, label_joint), dynconv.gen1_bias),
+                         (inner, joint))
+    kernel2 = ad.reshape(ad.add(ad.matmul(dynconv.gen2_weight, label_joint), dynconv.gen2_bias),
+                         (joint, inner))
+    mid = ad.relu(ad.layer_norm(ad.matmul(selected, ad.transpose(kernel1)),
+                                dynconv.norm1_gain, dynconv.norm1_bias))
+    out_rows = ad.relu(ad.layer_norm(ad.matmul(mid, ad.transpose(kernel2)),
+                                     dynconv.norm2_gain, dynconv.norm2_bias))
+    return ad.add(att_part, ad.mean(out_rows, axis=0))
+
+
+def assert_close(a, b, tol=1e-12):
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) <= tol * max(1.0, np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("case", ["short-pool", "zero-norm-row", "training-dropout"])
+def test_batched_prototypes_match_the_per_label_loop(case, caplog):
+    rng = np.random.default_rng([41, len(case)])
+    att, dyn = make_params(rng, dim=8, heads=2, inner=3, top=4, dropout=0.3)
+    sizes = [6, 2, 9]                       # the second pool is smaller than top_count
+    values = rng.standard_normal((sum(sizes), 8))
+    if case == "zero-norm-row":
+        values[3] = 0.0                     # a row of the first pool
+    features = Tensor(values, requires_grad=True)
+    joints = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
+    pools = SupportPools(("a", "b", "c"), features, sizes)
+    training = case == "training-dropout"
+    weights = Tensor(rng.standard_normal((3, 8)))
+
+    def rngs():
+        return [np.random.default_rng([5, i]) for i in range(3)] if training else None
+
+    def batched():
+        return build_prototype(att, dyn, pools, joints, rngs=rngs(), training=training)
+
+    def looped():
+        starts = np.cumsum(sizes) - sizes
+        generators = rngs() or [None] * 3
+        return ad.stack([per_label_prototype(att, dyn,
+                                             ad.gather_rows(features, np.arange(start, start + n)),
+                                             ad.reshape(ad.gather_rows(joints, [i]), (8,)),
+                                             generators[i], training)
+                         for i, (start, n) in enumerate(zip(starts, sizes))])
+
+    _, counts = select_top_features(pools, joints, dyn.top_count)
+    assert counts.tolist() == [4, 2, 4]        # six rows, one of them zero, still give four
+    if training:
+        quiet = build_prototype(att, dyn, pools, joints)
+        assert not np.array_equal(quiet.data, batched().data)
+    assert_close(batched().data, looped().data)
+    leaves = [*att.parameters().values(), *dyn.parameters().values(), features, joints]
+    grads = []
+    for build in (batched, looped):
+        for leaf in leaves:
+            leaf.grad = None
+        ad.tensor_sum(ad.mul(build(), weights)).backward()
+        grads.append([leaf.grad.copy() for leaf in leaves])
+    for new, old in zip(*grads):
+        assert_close(new, old)
