@@ -5,7 +5,6 @@ followed by the vector components, separated by single spaces.  Every line
 must carry the same arity.
 """
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,16 +30,20 @@ class EmbeddingTable:
 
 
 def utf8_lines(path):
-    """The lines of a UTF-8 text file, with newlines translated as text-mode
-    `open` does.  Bytes that are not UTF-8 raise DataError naming the path
-    and the line they are on."""
-    blob = Path(path).read_bytes()
+    """Yield the lines of a UTF-8 text file as text-mode `open` reads them.
+    Bytes that are not UTF-8 raise DataError naming the path and the line
+    they are on."""
     try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as bad:
-        line = blob.count(b"\n", 0, bad.start) + 1
-        raise DataError(f"{path}: line {line} is not UTF-8") from bad
-    return io.StringIO(text, newline=None)
+        with open(path, encoding="utf-8") as handle:
+            yield from handle
+    except UnicodeDecodeError:
+        blob = Path(path).read_bytes()      # the decoder's offset is chunk-relative
+        try:
+            blob.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            line = blob.count(b"\n", 0, bad.start) + 1
+            raise DataError(f"{path}: line {line} is not UTF-8") from bad
+        raise
 
 
 def parse_embedding_file(path) -> EmbeddingTable:
@@ -49,32 +52,31 @@ def parse_embedding_file(path) -> EmbeddingTable:
     vectors: dict[str, np.ndarray] = {}
     if not Path(path).is_file():
         raise DataError(f"embedding file {path} does not exist")
-    with utf8_lines(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                raise DataError(f"embedding file {path}: blank line {lineno}")
-            fields = line.split(" ")
-            if len(fields) < 2:
-                raise DataError(f"embedding file {path}: line {lineno} has no vector")
-            token = fields[0]
-            if not token:
-                raise DataError(f"embedding file {path}: line {lineno} has an empty token")
-            if token in vectors:
-                raise DataError(f"embedding file {path}: duplicate token {token!r} at line {lineno}")
-            try:
-                values = np.array([float(v) for v in fields[1:]], dtype=np.float64)
-            except ValueError as bad:
-                raise DataError(f"embedding file {path}: line {lineno} has a non-numeric value") from bad
-            if not np.all(np.isfinite(values)):
-                raise DataError(f"embedding file {path}: line {lineno} has a non-finite value")
-            if dimension is None:
-                dimension = values.size
-            elif values.size != dimension:
-                raise DataError(
-                    f"embedding file {path}: line {lineno} has {values.size} components, expected {dimension}"
-                )
-            vectors[token] = values
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            raise DataError(f"embedding file {path}: blank line {lineno}")
+        fields = line.split(" ")
+        if len(fields) < 2:
+            raise DataError(f"embedding file {path}: line {lineno} has no vector")
+        token = fields[0]
+        if not token:
+            raise DataError(f"embedding file {path}: line {lineno} has an empty token")
+        if token in vectors:
+            raise DataError(f"embedding file {path}: duplicate token {token!r} at line {lineno}")
+        try:
+            values = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+        except ValueError as bad:
+            raise DataError(f"embedding file {path}: line {lineno} has a non-numeric value") from bad
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"embedding file {path}: line {lineno} has a non-finite value")
+        if dimension is None:
+            dimension = values.size
+        elif values.size != dimension:
+            raise DataError(
+                f"embedding file {path}: line {lineno} has {values.size} components, expected {dimension}"
+            )
+        vectors[token] = values
     if not vectors:
         raise DataError(f"empty-embedding-file: {path}")
     return EmbeddingTable(dimension=dimension, vectors=vectors)
@@ -144,23 +146,22 @@ def load_vocabulary(path) -> LabelVocabulary:
     seen: dict[str, str] = {}
     if not Path(path).is_file():
         raise DataError(f"split file {path} does not exist")
-    with utf8_lines(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[1]:
-                raise DataError(f"split file {path}: malformed line {lineno}")
-            split, label = parts
-            if split not in SPLIT_NAMES:
-                raise DataError(f"split file {path}: unknown split {split!r} at line {lineno}")
-            if label in seen:
-                raise DataError(
-                    f"split file {path}: label {label!r} appears in both {seen[label]} and {split}"
-                )
-            seen[label] = split
-            buckets[split].append(label)
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[1]:
+            raise DataError(f"split file {path}: malformed line {lineno}")
+        split, label = parts
+        if split not in SPLIT_NAMES:
+            raise DataError(f"split file {path}: unknown split {split!r} at line {lineno}")
+        if label in seen:
+            raise DataError(
+                f"split file {path}: label {label!r} appears in both {seen[label]} and {split}"
+            )
+        seen[label] = split
+        buckets[split].append(label)
     if not any(buckets.values()):
         raise DataError(f"split file {path} lists no labels")
     return LabelVocabulary(

@@ -68,35 +68,34 @@ def load_manifest(path, vocabulary: LabelVocabulary | None = None,
     records = []
     ids = set()
     known = set(vocabulary.all_labels()) if vocabulary is not None else None
-    with utf8_lines(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as bad:
-                raise DataError(f"manifest {path}: line {lineno} is not valid JSON") from bad
-            if not isinstance(obj, dict) or not {"id", "features", "labels"} <= obj.keys():
-                raise DataError(f"manifest {path}: line {lineno} lacks id/features/labels")
-            if not (isinstance(obj["id"], str) and isinstance(obj["features"], str)
-                    and isinstance(obj["labels"], list)
-                    and all(isinstance(label, str) for label in obj["labels"])):
-                raise DataError(f"manifest {path}: line {lineno} needs string id/features "
-                                "and a list of string labels")
-            labels = tuple(obj["labels"])
-            if not labels:
-                raise DataError(f"manifest {path}: image {obj['id']!r} has no labels")
-            if obj["id"] in ids:
-                raise DataError(f"manifest {path}: duplicate image id {obj['id']!r}")
-            ids.add(obj["id"])
-            if known is not None:
-                unknown = [l for l in labels if l not in known]
-                if unknown:
-                    raise DataError(
-                        f"manifest {path}: image {obj['id']!r} has labels outside the vocabulary: {unknown}"
-                    )
-            records.append(ManifestRecord(obj["id"], obj["features"], labels))
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as bad:
+            raise DataError(f"manifest {path}: line {lineno} is not valid JSON") from bad
+        if not isinstance(obj, dict) or not {"id", "features", "labels"} <= obj.keys():
+            raise DataError(f"manifest {path}: line {lineno} lacks id/features/labels")
+        if not (isinstance(obj["id"], str) and isinstance(obj["features"], str)
+                and isinstance(obj["labels"], list)
+                and all(isinstance(label, str) for label in obj["labels"])):
+            raise DataError(f"manifest {path}: line {lineno} needs string id/features "
+                            "and a list of string labels")
+        labels = tuple(obj["labels"])
+        if not labels:
+            raise DataError(f"manifest {path}: image {obj['id']!r} has no labels")
+        if obj["id"] in ids:
+            raise DataError(f"manifest {path}: duplicate image id {obj['id']!r}")
+        ids.add(obj["id"])
+        if known is not None:
+            unknown = [l for l in labels if l not in known]
+            if unknown:
+                raise DataError(
+                    f"manifest {path}: image {obj['id']!r} has labels outside the vocabulary: {unknown}"
+                )
+        records.append(ManifestRecord(obj["id"], obj["features"], labels))
     if not records:
         raise DataError(f"manifest {path} lists no images")
     manifest = DatasetManifest(root=path.parent, records=records)

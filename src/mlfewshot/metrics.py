@@ -154,12 +154,12 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
                                  np.stack([embeddings_by_label[label] for label in labels]))
         if mode == "simple-attention":
             support_globals = pooled_globals(store, episode.support_ids).data
-            vectors = ad.concat([
+            vectors = ad.stack([
                 simple_attention_prototype(
                     ad.linear(Tensor(support_globals[episode.support_targets[:, li] > 0]),
                               model.joint.visual),
-                    ad.gather_rows(vectors, [li]), model.joint.scale)
-                for li in range(len(labels))])
+                    Tensor(label_joint), model.joint.scale)
+                for li, label_joint in enumerate(vectors.data)])
         logits = score_against(model.joint, pooled_globals(store, episode.query_ids), vectors)
     return ad._logistic(logits.data.reshape(shape)), detail, fell_back
 

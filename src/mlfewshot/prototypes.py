@@ -297,12 +297,10 @@ def build_prototype(attention: AttentionParams, dynconv: DynConvParams,
 
 def simple_attention_prototype(global_joints: Tensor, label_joint: Tensor, scale: float) -> Tensor:
     """Baseline prototype: softmax(scale * cos)-weighted average of the rows
-    of the label's (count, joint_dim) projected support global features.
-    The label vector is (joint_dim,) or a (1, joint_dim) row; the prototype
-    has the same shape."""
+    of the label's (count, joint_dim) projected support global features."""
     if global_joints.ndim != 2 or global_joints.shape[0] < 1:
         raise ConfigError("simple attention needs at least one support feature")
-    row = ad.reshape(label_joint, (1, label_joint.shape[-1]))
+    row = ad.reshape(label_joint, (1, label_joint.shape[0]))
     logits = ad.scale(ad.cosine(global_joints, row), scale)               # (count, 1)
-    weights = ad.softmax(ad.reshape(logits, label_joint.shape[:-1] + (global_joints.shape[0],)))
+    weights = ad.softmax(ad.reshape(logits, (global_joints.shape[0],)))
     return ad.matmul(weights, global_joints)

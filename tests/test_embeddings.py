@@ -122,6 +122,15 @@ def test_embedding_bytes_that_are_not_utf8_are_a_data_error(tmp_path):
         parse_embedding_file(path)
 
 
+def test_bad_bytes_past_the_first_read_name_their_own_line(tmp_path):
+    # far past the first decoded chunk, where the decoder's offset restarts
+    path = tmp_path / "vectors.txt"
+    good = b"".join(b"w%05d 1.0 2.0\n" % i for i in range(4000))
+    path.write_bytes(good + b"\xff 3.0 4.0\n")
+    with pytest.raises(DataError, match=r"vectors\.txt: line 4001 is not UTF-8"):
+        parse_embedding_file(path)
+
+
 def test_text_loaders_translate_newlines_as_text_mode_does(tmp_path):
     path = tmp_path / "labels.tsv"
     path.write_bytes(b"base\tcat\r\nnovel\towl\rbase\tdog")

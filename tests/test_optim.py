@@ -128,9 +128,11 @@ def per_tensor_adam(values, grads_per_step, lr):
     return values, m, v2
 
 
-def mixed_problem(seed=3, steps=4):
+MIXED = {"w": (3, 4), "b": (4,), "s": (), "k": (2, 3, 2), "idle": (5,)}
+
+
+def mixed_problem(seed=3, steps=4, shapes=MIXED):
     rng = np.random.default_rng(seed)
-    shapes = {"w": (3, 4), "b": (4,), "s": (), "k": (2, 3, 2), "idle": (5,)}
     values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
     grads = [{name: None if name == "idle" else rng.standard_normal(shape)
               for name, shape in shapes.items()} for _ in range(steps)]
@@ -142,10 +144,13 @@ def run_adam(opt, params, grads):
         for name, p in params.items():
             p.grad = None if step_grads[name] is None else step_grads[name].copy()
         opt.step()
+        for name, p in params.items():   # gradients are read, never written
+            assert p.grad is None or np.array_equal(p.grad, step_grads[name])
 
 
-def test_flat_step_matches_per_tensor_adam_bitwise():
-    values, grads = mixed_problem()
+@pytest.mark.parametrize("shapes", [MIXED, {"importance": (6, 6)}], ids=["mixed", "lone"])
+def test_flat_step_matches_per_tensor_adam_bitwise(shapes):
+    values, grads = mixed_problem(shapes=shapes)
     params = {name: make_param(v) for name, v in values.items()}
     opt = Adam(params, lr=0.01)
     run_adam(opt, params, grads)
@@ -154,7 +159,8 @@ def test_flat_step_matches_per_tensor_adam_bitwise():
         assert p.data.shape == values[name].shape
         assert np.array_equal(p.data, expected[name]), name
         assert np.array_equal(opt.m[name], m[name]) and np.array_equal(opt.v[name], v[name])
-    assert np.array_equal(params["idle"].data, values["idle"])
+    if "idle" in params:
+        assert np.array_equal(params["idle"].data, values["idle"])
 
 
 def test_flat_state_resumes_bitwise():
