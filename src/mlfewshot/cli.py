@@ -205,15 +205,15 @@ def cmd_inspect_lcm(args) -> int:
         embed_label(table, label, normalize=cfg.normalize_embeddings) for label in labels
     ])
     fmap = load_feature_file(manifest.feature_path(manifest.by_id[args.image]))
-    state = fit_importance(model.joint, fmap, np.asarray(targets), embed_matrix,
+    state = fit_importance(model.joint, fmap[None], np.asarray([targets]), embed_matrix,
                            cfg.lcm_config(), trained=model.trained)
-    sigma = sigma_grid(state)
-    mask, fell_back = select_features(state, cfg.theta)
+    (importance,), (sigma,) = state.importance, sigma_grid(state)
+    (mask,), (fell_back,) = select_features(state, cfg.theta)
 
     importance_path = out_dir / f"importance_{args.image}.txt"
     sigma_path = out_dir / f"sigma_{args.image}.txt"
     mask_path = out_dir / f"mask_{args.image}.txt"
-    write_importance_grid(importance_path, state.importance)
+    write_importance_grid(importance_path, importance)
     write_importance_grid(sigma_path, sigma)
     write_selection_mask(mask_path, mask)
     kept = int(mask.sum())

@@ -2,9 +2,11 @@
 
 Each support image gets a grid of importance weights, fitted at test time
 by minimizing that image's class-mapping loss under weighted pooling with
-everything else frozen.  A first-order estimate of how much the loss would
-change if a cell were removed is tracked with a momentum accumulator, and
-cells whose sigmoided accumulator clears a threshold are kept.
+everything else frozen.  One fit takes a stack of images of one grid shape
+and fits all their grids in one loop.  A first-order estimate of how much
+the loss would change if a cell were removed is tracked with a momentum
+accumulator, and cells whose sigmoided accumulator clears a threshold are
+kept.
 
 The fit needs only the loss's gradient in the weights, which has a closed
 form (pooling is linear in the weights), so it runs in plain numpy with no
@@ -28,6 +30,8 @@ from .optim import Adam
 
 # cap on the momentum warm-up coefficient
 MOMENTUM_CAP = 0.95
+# the axes of one importance grid in a stack of them
+GRID_AXES = (-2, -1)
 
 
 @dataclass
@@ -55,25 +59,25 @@ def validate_threshold(threshold: float):
 
 @dataclass
 class ImportanceMap:
-    """Fitted state for one support image."""
+    """Fitted state for a stack of support images, one grid per image."""
 
-    importance: np.ndarray   # (h, w) weights in [0, 1]
-    accumulator: np.ndarray  # (h, w) momentum-smoothed loss-change grid, nonnegative
+    importance: np.ndarray   # (n, h, w) weights in [0, 1]
+    accumulator: np.ndarray  # (n, h, w) momentum-smoothed loss-change grids, nonnegative
 
 
 def normalize_importance(values: np.ndarray) -> np.ndarray:
-    """Min-max to [0, 1]; exact zeros are lifted to the smallest nonzero
-    entry of the normalized map so no cell is removed permanently; a
-    constant map becomes all ones."""
+    """Min-max each grid (the last two axes) to [0, 1] on its own; exact
+    zeros are lifted to the smallest nonzero entry of their normalized grid
+    so no cell is removed permanently; a constant grid becomes all ones."""
     v = np.asarray(values, dtype=np.float64)
-    low = v.min()
-    high = v.max()
-    if high == low:
-        return np.ones_like(v)
-    out = (v - low) / (high - low)
-    smallest_nonzero = out[out > 0].min()
-    out[out == 0] = smallest_nonzero
-    return out
+    low = np.minimum.reduce(v, axis=GRID_AXES, keepdims=True)
+    span = np.maximum.reduce(v, axis=GRID_AXES, keepdims=True) - low
+    # a constant grid divides by inf, to all zeros
+    out = (v - low) / np.where(span == 0.0, np.inf, span)
+    # every nonzero entry is at least the smallest one, so only zeros move;
+    # a grid of zeros has no nonzero entry and takes the initial 1
+    return np.maximum(out, np.minimum.reduce(out, axis=GRID_AXES, keepdims=True,
+                                             where=out > 0, initial=1.0))
 
 
 def momentum_alpha(iteration: int) -> float:
@@ -121,69 +125,85 @@ def loss_change_exact(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
     return abs(with_cell - without_cell)
 
 
-def _image_loss_gradient(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
+def _image_loss_gradient(joint: JointSpaceParams, fmaps: np.ndarray, targets,
                          label_embeddings):
-    """Closed-form d loss / d importance of `_image_loss`, as a function of
-    the (h, w) weights.
+    """Closed-form d loss / d importance of `_image_loss` for every image of
+    an (n, c, h, w) stack with (n, labels) targets, as a function of the
+    (n, h, w) weights.
 
-    With M = visual @ fmap_flat / cells, v = M w, unit label vectors u_l,
-    cosines c_l = u_l . v / |v| and residuals r_l = sigma(scale * c_l) - y_l:
+    Per image, with M = visual @ fmap_flat / cells, v = M w, unit label
+    vectors u_l, cosines c_l = u_l . v / |v| and residuals
+    r_l = sigma(scale * c_l) - y_l:
     d loss / d v = (scale / |v|) * (sum_l r_l u_l - (r . c) v / |v|) and
     d loss / d w = M^T (d loss / d v).
+
+    Every product keeps its one-image shape and runs as one BLAS call per
+    image, so each image's gradient sums in the order a stack of that image
+    alone does, bitwise; one matrix product over the whole stack would not.
     """
-    channels, height, width = fmap.shape
+    count, channels, height, width = fmaps.shape
     cells = height * width
-    pooling = joint.visual.data @ fmap.reshape(channels, cells) / cells
+    pooling = np.matmul(joint.visual.data, fmaps.reshape(count, channels, cells)) / cells
+    pooling_t = pooling.transpose(0, 2, 1)
     label_joints = np.asarray(label_embeddings, dtype=np.float64) @ joint.text.data.T
     label_norms = np.linalg.norm(label_joints, axis=1)
-    y = np.asarray(targets_row, dtype=np.float64)
-    if y.shape != label_norms.shape:
-        raise ad.ShapeError(f"lcm: targets {y.shape} vs {label_norms.shape[0]} labels")
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != (count, label_norms.shape[0]):
+        raise ad.ShapeError(f"lcm: targets {y.shape} vs {count} images and "
+                            f"{label_norms.shape[0]} labels")
     if np.any(label_norms == 0.0):
         raise DegenerateVectorError("degenerate-vector: cosine of a zero-length vector")
     units = label_joints / label_norms[:, None]
+    units_t = units.T
+    y = y[..., None]
     scale = joint.scale
 
     def gradient(weights: np.ndarray) -> np.ndarray:
-        visual = pooling @ weights.reshape(cells)
-        norm = np.linalg.norm(visual)
-        if norm == 0.0:
+        # column vectors throughout: (n, d, 1) pooled visuals, (n, labels, 1) cosines
+        visual = np.matmul(pooling, weights.reshape(count, cells, 1))
+        norm = np.sqrt(np.matmul(visual.transpose(0, 2, 1), visual))
+        if not norm.all():
             raise DegenerateVectorError("degenerate-vector: cosine of a zero-length vector")
-        cosines = units @ visual / norm
+        cosines = np.matmul(units, visual) / norm
         residuals = ad._logistic(scale * cosines) - y
-        d_visual = (scale / norm) * (units.T @ residuals - (residuals @ cosines) / norm * visual)
-        return (pooling.T @ d_visual).reshape(height, width)
+        along = np.matmul(residuals.transpose(0, 2, 1), cosines)
+        d_visual = (scale / norm) * (np.matmul(units_t, residuals) - along / norm * visual)
+        return np.matmul(pooling_t, d_visual).reshape(count, height, width)
 
     return gradient
 
 
 def loss_change_taylor(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
                        label_embeddings, importance: np.ndarray) -> np.ndarray:
-    """First-order grid |importance * d loss / d importance| for every cell,
-    from the closed-form gradient."""
+    """First-order grid |importance * d loss / d importance| for every cell
+    of one (c, h, w) map, from the closed-form gradient."""
     importance = np.asarray(importance, dtype=np.float64)
-    gradient = _image_loss_gradient(joint, np.asarray(fmap, dtype=np.float64), targets_row,
-                                    label_embeddings)
-    return np.abs(importance * gradient(importance))
+    gradient = _image_loss_gradient(joint, np.asarray(fmap, dtype=np.float64)[None],
+                                    [targets_row], label_embeddings)
+    return np.abs(importance * gradient(importance[None])[0])
 
 
-def fit_importance(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
+def fit_importance(joint: JointSpaceParams, fmaps: np.ndarray, targets,
                    label_embeddings, config: LcmConfig, *, trained: bool = True) -> ImportanceMap:
-    """Fit one support image's importance weights with the model frozen.
+    """Fit the importance weights of an (n, c, h, w) stack of support maps,
+    one grid per image, with the model frozen; `targets` is (n, labels).
 
-    Per epoch: one Adam step on the weights minimizing the image's CM loss
-    under weighted pooling, clamp to [0, 1] and normalize, then refresh the
-    loss-change grid and fold it into the momentum accumulator.  The
-    gradient behind each grid is also the one the next epoch's Adam step
-    takes, so every epoch evaluates the gradient once.
+    Per epoch: one Adam step on the weights minimizing each image's CM loss
+    under weighted pooling, clamp to [0, 1] and normalize each grid, then
+    refresh the loss-change grids and fold them into the momentum
+    accumulator.  The gradient behind each grid is also the one the next
+    epoch's Adam step takes, so every epoch evaluates the gradient once.
+    Images do not interact: every operation is elementwise or per image, so
+    each image's grids are bitwise those of a stack of that image alone.
     """
     if not trained:
         raise ConfigError("untrained-model: importance weights are fitted on a trained model")
-    fmap = np.asarray(fmap, dtype=np.float64)
-    if fmap.ndim != 3:
-        raise ConfigError(f"fit_importance: expected a (c, h, w) feature map, got {fmap.shape}")
-    gradient = _image_loss_gradient(joint, fmap, targets_row, label_embeddings)
-    weights = Tensor(np.ones(fmap.shape[1:]))
+    fmaps = np.asarray(fmaps, dtype=np.float64)
+    if fmaps.ndim != 4:
+        raise ConfigError(f"fit_importance: expected an (n, c, h, w) stack of feature maps, "
+                          f"got {fmaps.shape}")
+    gradient = _image_loss_gradient(joint, fmaps, targets, label_embeddings)
+    weights = Tensor(np.ones((fmaps.shape[0], *fmaps.shape[2:])))
     accumulator = np.zeros(weights.shape)
     optimizer = Adam({"importance": weights}, lr=config.learning_rate)
     weights.grad = gradient(weights.data)
@@ -202,19 +222,18 @@ def sigma_grid(state: ImportanceMap) -> np.ndarray:
     return ad._logistic(state.accumulator)
 
 
-def select_features(state: ImportanceMap, threshold: float) -> tuple[np.ndarray, bool]:
-    """Boolean keep-mask sigma(accumulator) >= threshold, and whether it fell
-    back: a mask that keeps nothing becomes all-true.  Callers report the
-    fallbacks.
+def select_features(state: ImportanceMap, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean keep-masks sigma(accumulator) >= threshold, one per grid (the
+    last two axes), and which grids fell back: a mask that keeps nothing
+    becomes all-true.  Callers report the fallbacks.
 
     The accumulator is nonnegative, so threshold 0.5 keeps every cell and
     reduces the pipeline to the base model.
     """
     validate_threshold(threshold)
     mask = sigma_grid(state) >= threshold
-    if not mask.any():
-        return np.ones_like(mask), True
-    return mask, False
+    fell_back = ~mask.any(axis=GRID_AXES)
+    return mask | fell_back[..., None, None], fell_back
 
 
 def write_importance_grid(path, grid: np.ndarray):

@@ -133,20 +133,23 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
     detail, fell_back, masks = [], [], None
     if mode == "lcm":
         embed_matrix = np.stack([embeddings_by_label[label] for label in labels])
-        masks = []
-        for i, image_id in enumerate(episode.support_ids):
-            state = fit_importance(model.joint, store.get(image_id), episode.support_targets[i],
-                                   embed_matrix, lcm_config, trained=model.trained)
+        fmaps = [store.get(image_id) for image_id in episode.support_ids]
+        masks, fell_back, grids = [None] * len(fmaps), [None] * len(fmaps), [None] * len(fmaps)
+        # one fit for each grid shape, over the stack of the maps that have it
+        for grid_shape in dict.fromkeys(fmap.shape for fmap in fmaps):
+            rows = [i for i, fmap in enumerate(fmaps) if fmap.shape == grid_shape]
+            state = fit_importance(model.joint, np.stack([fmaps[i] for i in rows]),
+                                   episode.support_targets[rows], embed_matrix, lcm_config,
+                                   trained=model.trained)
             mask, fallback = select_features(state, theta)
-            masks.append(mask)
-            fell_back.append(fallback)
-            if collect_detail:
-                detail.append({
-                    "image_id": image_id,
-                    "sigma": sigma_grid(state),
-                    "mask": mask,
-                    "importance": state.importance,
-                })
+            sigma = sigma_grid(state)
+            for j, i in enumerate(rows):
+                masks[i], fell_back[i] = mask[j], bool(fallback[j])
+                grids[i] = (sigma[j], state.importance[j])
+        if collect_detail:
+            detail = [{"image_id": image_id, "sigma": sigma, "mask": mask, "importance": importance}
+                      for image_id, mask, (sigma, importance)
+                      in zip(episode.support_ids, masks, grids)]
     if mode in ("base", "lcm"):
         _, logits = episode_forward(model, episode, store, embeddings_by_label, masks=masks)
     else:
@@ -178,6 +181,10 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",
     """
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown-mode: {mode!r} is not one of {EVAL_MODES}")
+    if episodes < 1:
+        raise ConfigError(f"episodes must be >= 1, got {episodes}")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     if mode == "lcm" and lcm_config is None:
         lcm_config = LcmConfig(threshold=theta)
     if store is None:

@@ -62,12 +62,7 @@ class Adam:
         bias1 = 1.0 - BETA1 ** self.steps
         bias2 = 1.0 - BETA2 ** self.steps
         m, v, scratch, grads = self._m, self._v, self._scratch, self._grads
-        # A lone gradient (LCM's importance grid) is read in place: on its 36
-        # values the concatenate is about an eighth of the step.
-        if len(self._tensors) == 1:
-            grad = _flat_grad(self._tensors[0])
-        else:
-            grad = np.concatenate([_flat_grad(p) for p in self._tensors], None, grads)
+        grad = np.concatenate([_flat_grad(p) for p in self._tensors], None, grads)
         m *= BETA1
         m += np.multiply(grad, 1.0 - BETA1, scratch)
         v *= BETA2

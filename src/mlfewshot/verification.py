@@ -320,7 +320,8 @@ def lcm_gradient_max_error(eps=1e-6, seed=123) -> float:
     def loss_value():
         return lcm._image_loss(frozen, fmap_t, targets, label_joints, Tensor(weights)).item()
 
-    analytic = lcm._image_loss_gradient(joint, fmap, targets, label_embeddings)(weights)
+    analytic = lcm._image_loss_gradient(joint, fmap[None], targets[None],
+                                        label_embeddings)(weights[None])[0]
     return ad._central_difference_error(loss_value, weights, analytic, eps)
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mlfewshot.autodiff import DegenerateVectorError, ShapeError, Tensor
+from mlfewshot.autodiff import DegenerateVectorError, ShapeError, Tensor, _logistic
 from mlfewshot.errors import ConfigError
 from mlfewshot.joint_space import init_joint_space, project_labels
 from mlfewshot.lcm import (
@@ -47,20 +47,24 @@ def tape_gradient(joint, fmap, targets, embeds, weights):
 
 
 def test_normalize_hand_value():
-    out = normalize_importance(np.array([0.2, 0.6, 1.0]))
-    assert np.allclose(out, [0.5, 0.5, 1.0], atol=1e-15)
+    out = normalize_importance(np.array([[[0.2, 0.6, 1.0]]]))
+    assert np.allclose(out, [[[0.5, 0.5, 1.0]]], atol=1e-15)
 
 
 def test_normalize_constant_grid_becomes_ones():
-    out = normalize_importance(np.full((3, 3), 0.7))
-    assert np.array_equal(out, np.ones((3, 3)))
+    # each grid of a stack is normalized on its own
+    stack = np.stack([np.full((3, 3), 0.7), np.arange(9.0).reshape(3, 3)])
+    out = normalize_importance(stack)
+    assert np.array_equal(out[0], np.ones((3, 3)))
+    assert np.array_equal(out[1], normalize_importance(stack[1:])[0])
+    assert out[1].max() == 1.0 and out[1, 0, 0] == out[1, 0, 1] == 1.0 / 8.0
 
 
 def test_normalize_invariants_on_random_grids():
     rng = np.random.default_rng(8)
-    for _ in range(200):
-        grid = rng.uniform(0, 1, size=(4, 4))
-        out = normalize_importance(grid)
+    stack = rng.uniform(0, 1, size=(200, 4, 4))
+    outs = normalize_importance(stack)
+    for grid, out in zip(stack, outs):
         assert out.min() >= 0.0 and out.max() <= 1.0
         assert out.max() == 1.0
         assert np.all(out > 0.0)          # zero-guard: no dead cells
@@ -123,18 +127,17 @@ def test_threshold_validation(theta):
 
 
 def test_fallback_restores_all_cells_and_reports_it(caplog):
-    # the caller summarises fallbacks; the selection itself logs nothing
+    # the caller summarises fallbacks; the selection itself logs nothing;
+    # each grid of a stack falls back on its own
     state_like = type("S", (), {})()
-    state_like.accumulator = np.zeros((2, 2))
+    state_like.accumulator = np.array([np.zeros((2, 2)), [[1.0, 0.0], [0.0, 0.0]]])
     with caplog.at_level(logging.WARNING):
         out, fell_back = select_features(state_like, 0.65)
-    assert out.all() and out.dtype == bool
-    assert fell_back
+    assert out.dtype == bool and out.shape == (2, 2, 2)
+    assert out[0].all()
+    assert np.array_equal(out[1], [[True, False], [False, False]])
+    assert fell_back.tolist() == [True, False]
     assert caplog.records == []
-    state_like.accumulator = np.array([[1.0, 0.0], [0.0, 0.0]])
-    out, fell_back = select_features(state_like, 0.65)
-    assert np.array_equal(out, [[True, False], [False, False]])
-    assert not fell_back
 
 
 # ------------------------------------------------------- loss-change grids
@@ -234,9 +237,9 @@ def test_closed_form_gradient_matches_tape(n_labels, kind):
         targets = random_targets(rng, n_labels, kind)
         weights = rng.uniform(0.0, 1.0, size=(h, w))
         want = tape_gradient(joint, fmap, targets, embeds, weights)
-        got = _image_loss_gradient(joint, fmap, targets, embeds)(weights)
-        assert got.shape == (h, w)
-        assert np.max(np.abs(got - want)) <= 1e-12
+        got = _image_loss_gradient(joint, fmap[None], targets[None], embeds)(weights[None])
+        assert got.shape == (1, h, w)
+        assert np.max(np.abs(got[0] - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("n_labels", [1, 2, 4])
@@ -249,22 +252,121 @@ def test_fit_matches_taped_reference_loop(n_labels):
         targets = random_targets(rng, n_labels, "mixed")
         config = LcmConfig(epochs=20)
         importance, accumulator = tape_fit(joint, fmap, targets, embeds, config)
-        state = fit_importance(joint, fmap, targets, embeds, config)
-        assert np.max(np.abs(state.importance - importance)) <= 1e-12
-        assert np.max(np.abs(state.accumulator - accumulator)) <= 1e-12
+        state = fit_importance(joint, fmap[None], targets[None], embeds, config)
+        assert np.max(np.abs(state.importance[0] - importance)) <= 1e-12
+        assert np.max(np.abs(state.accumulator[0] - accumulator)) <= 1e-12
+
+
+def per_image_fit(joint, fmap, targets_row, embeds, config):
+    """One image's closed-form fit on its own (h, w) grid, with the
+    one-image products and the one-grid normalization written out: the
+    loop a stacked fit must reproduce bitwise for each image."""
+    channels, height, width = fmap.shape
+    cells = height * width
+    pooling = joint.visual.data @ fmap.reshape(channels, cells) / cells
+    label_joints = embeds @ joint.text.data.T
+    units = label_joints / np.linalg.norm(label_joints, axis=1)[:, None]
+
+    def gradient(w):
+        visual = pooling @ w.reshape(cells)
+        norm = np.linalg.norm(visual)
+        cosines = units @ visual / norm
+        residuals = _logistic(joint.scale * cosines) - targets_row
+        d_visual = (joint.scale / norm) * (units.T @ residuals
+                                           - (residuals @ cosines) / norm * visual)
+        return (pooling.T @ d_visual).reshape(height, width)
+
+    def normalize(v):
+        low, high = v.min(), v.max()
+        if high == low:
+            return np.ones_like(v)
+        out = (v - low) / (high - low)
+        out[out == 0] = out[out > 0].min()
+        return out
+
+    weights = Tensor(np.ones((height, width)))
+    accumulator = np.zeros((height, width))
+    optimizer = Adam({"importance": weights}, lr=config.learning_rate)
+    weights.grad = gradient(weights.data)
+    for iteration in range(1, config.epochs + 1):
+        optimizer.step()
+        np.clip(weights.data, 0.0, 1.0, out=weights.data)
+        weights.data[...] = normalize(weights.data)
+        weights.grad = gradient(weights.data)
+        accumulator = momentum_update(accumulator, np.abs(weights.data * weights.grad),
+                                      iteration)
+    return weights.data, accumulator
+
+
+def mixed_stack(rng):
+    """Three 3x3 maps with different targets; the second has identical
+    cells, so its importance grid stays constant."""
+    fmaps = rng.standard_normal((3, 4, 3, 3)) * 2.0
+    fmaps[1] = rng.standard_normal(4)[:, None, None]
+    targets = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    return fmaps, targets, rng.standard_normal((3, 3))
+
+
+def test_stacked_fit_matches_per_image_loop_bitwise():
+    rng = np.random.default_rng(13)
+    joint = toy_joint()
+    fmaps, targets, embeds = mixed_stack(rng)
+    config = LcmConfig(epochs=20)
+    state = fit_importance(joint, fmaps, targets, embeds, config)
+    assert state.importance.shape == state.accumulator.shape == (3, 3, 3)
+    assert np.all(state.importance[1] == 1.0)            # the constant grid
+    fallbacks = set()
+    for theta in (0.5, 0.55, 0.6, 0.65, 0.9):
+        masks, fell_back = select_features(state, theta)
+        for i in range(3):
+            importance, accumulator = per_image_fit(joint, fmaps[i], targets[i], embeds, config)
+            assert np.array_equal(state.importance[i], importance)
+            assert np.array_equal(state.accumulator[i], accumulator)
+            keep = _logistic(accumulator) >= theta
+            assert np.array_equal(masks[i], keep if keep.any() else np.ones_like(keep))
+            assert fell_back[i] == (not keep.any())
+            fallbacks.add(bool(fell_back[i]))
+    assert fallbacks == {True, False}                    # both selection paths ran
+
+
+def test_stacked_fit_matches_taped_reference_loop():
+    rng = np.random.default_rng(14)
+    joint = toy_joint()
+    fmaps, targets, embeds = mixed_stack(rng)
+    config = LcmConfig(epochs=20)
+    state = fit_importance(joint, fmaps, targets, embeds, config)
+    for i in range(3):
+        importance, accumulator = tape_fit(joint, fmaps[i], targets[i], embeds, config)
+        assert np.max(np.abs(state.importance[i] - importance)) <= 1e-12
+        assert np.max(np.abs(state.accumulator[i] - accumulator)) <= 1e-12
 
 
 def test_degenerate_or_mismatched_inputs_raise():
     joint = toy_joint()
     with pytest.raises(DegenerateVectorError):
-        fit_importance(joint, np.zeros((4, 2, 2)), np.array([1.0]),
+        fit_importance(joint, np.zeros((1, 4, 2, 2)), np.array([[1.0]]),
                        np.ones((1, 3)), LcmConfig())
     with pytest.raises(DegenerateVectorError):          # zero label vector
-        fit_importance(joint, np.ones((4, 2, 2)), np.array([1.0]),
+        fit_importance(joint, np.ones((1, 4, 2, 2)), np.array([[1.0]]),
                        np.zeros((1, 3)), LcmConfig())
     with pytest.raises(ShapeError):                     # one target, two labels
-        fit_importance(joint, np.ones((4, 2, 2)), np.array([1.0]),
+        fit_importance(joint, np.ones((1, 4, 2, 2)), np.array([[1.0]]),
                        np.ones((2, 3)), LcmConfig())
+    with pytest.raises(ShapeError):                     # targets for one image of two
+        fit_importance(joint, np.ones((2, 4, 2, 2)), np.array([[1.0]]),
+                       np.ones((1, 3)), LcmConfig())
+    with pytest.raises(ConfigError, match="stack"):     # one map, not a stack
+        fit_importance(joint, np.ones((4, 2, 2)), np.array([[1.0]]),
+                       np.ones((1, 3)), LcmConfig())
+
+
+def test_one_degenerate_image_in_a_stack_raises():
+    rng = np.random.default_rng(12)
+    fmaps = rng.standard_normal((3, 4, 2, 2))
+    fmaps[1] = 0.0                                      # pools to the zero vector
+    with pytest.raises(DegenerateVectorError):
+        fit_importance(toy_joint(), fmaps, np.ones((3, 2)), rng.standard_normal((2, 3)),
+                       LcmConfig())
 
 
 # ------------------------------------------------------------ fitting loop
@@ -273,7 +375,7 @@ def test_degenerate_or_mismatched_inputs_raise():
 def test_fit_requires_trained_model():
     joint = toy_joint()
     with pytest.raises(ConfigError, match="untrained-model"):
-        fit_importance(joint, np.zeros((4, 2, 2)), np.array([1.0]),
+        fit_importance(joint, np.zeros((1, 4, 2, 2)), np.array([[1.0]]),
                        np.zeros((1, 3)), LcmConfig(), trained=False)
 
 
@@ -285,10 +387,10 @@ def test_fit_on_uniform_cells_stays_uniform():
     cell = rng.standard_normal(4)
     fmap = np.repeat(cell[:, None], 4, axis=1).reshape(4, 2, 2)
     embeds = rng.standard_normal((2, 3))
-    state = fit_importance(joint, fmap, np.array([1.0, 0.0]), embeds,
+    state = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), embeds,
                            LcmConfig(epochs=5))
-    assert np.allclose(state.importance, state.importance[0, 0], atol=1e-12)
-    assert np.allclose(state.accumulator, state.accumulator[0, 0], atol=1e-12)
+    assert np.allclose(state.importance, state.importance[0, 0, 0], atol=1e-12)
+    assert np.allclose(state.accumulator, state.accumulator[0, 0, 0], atol=1e-12)
 
 
 def test_fit_importance_stays_in_unit_interval():
@@ -296,7 +398,7 @@ def test_fit_importance_stays_in_unit_interval():
     joint = toy_joint()
     fmap = rng.standard_normal((4, 3, 3)) * 3
     embeds = rng.standard_normal((2, 3))
-    state = fit_importance(joint, fmap, np.array([1.0, 1.0]), embeds,
+    state = fit_importance(joint, fmap[None], np.array([[1.0, 1.0]]), embeds,
                            LcmConfig(epochs=8))
     assert state.importance.min() >= 0.0 and state.importance.max() <= 1.0
     assert state.importance.max() == 1.0
@@ -308,8 +410,8 @@ def test_fit_is_deterministic():
     joint = toy_joint()
     fmap = rng.standard_normal((4, 2, 3))
     embeds = rng.standard_normal((2, 3))
-    a = fit_importance(joint, fmap, np.array([1.0, 0.0]), embeds, LcmConfig(epochs=4))
-    b = fit_importance(joint, fmap, np.array([1.0, 0.0]), embeds, LcmConfig(epochs=4))
+    a = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), embeds, LcmConfig(epochs=4))
+    b = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), embeds, LcmConfig(epochs=4))
     assert np.array_equal(a.importance, b.importance)
     assert np.array_equal(a.accumulator, b.accumulator)
 
@@ -320,7 +422,7 @@ def test_fit_does_not_touch_model_parameters():
     before_v = joint.visual.data.copy()
     before_t = joint.text.data.copy()
     fmap = rng.standard_normal((4, 2, 2))
-    fit_importance(joint, fmap, np.array([1.0]), rng.standard_normal((1, 3)),
+    fit_importance(joint, fmap[None], np.array([[1.0]]), rng.standard_normal((1, 3)),
                    LcmConfig(epochs=3))
     assert np.array_equal(joint.visual.data, before_v)
     assert np.array_equal(joint.text.data, before_t)

@@ -3,9 +3,12 @@
 In a temporary directory it builds the benchmark's bundle with ``synth``
 (``bench/fixture.py``'s ``BUNDLE``), trains at the desk config (``RunConfig()``
 defaults) with seed 11, evaluates the checkpoint in all four modes at seed
-11, runs ``inspect-lcm`` on one image and the gradient checks, and reads
-every ``--help`` text.  It prints one JSON line of SHA-256 digests; two
-checkouts that print the same line produce the same bytes.
+11, and in lcm mode once more at seed 3, runs ``inspect-lcm`` on one image
+and the gradient checks, and reads every ``--help`` text.  At seed 11 every
+support mask falls back to keep-all; at seed 3 some masks select cells, so
+the second lcm report covers the selecting path.  It prints one JSON line
+of SHA-256 digests; two checkouts that print the same line produce the
+same bytes.
 
     python3 tools/fingerprint.py               # this checkout
     python3 tools/fingerprint.py --root DIR    # another checkout
@@ -26,6 +29,7 @@ SEED = "11"
 SYNTH = ["--seed", SEED, "--embed-dim", "8", "--signal-noise", "0.4",
          "--background-scale", "0.15", "--extra-label-prob", "1.0"]
 MODES = ("base", "lcm", "zeroshot", "simple-attention")
+SELECTING_SEED = "3"   # an evaluation seed at which some lcm masks select cells
 IMAGE = "img00320"
 COMMANDS = ("synth", "train", "eval", "gradcheck", "inspect-lcm")
 # The gradcheck table prints each max_error to three digits; this prints
@@ -53,16 +57,19 @@ def fingerprint(root: Path) -> dict:
 
         paths = ["--manifest", "data/manifest.jsonl", "--embeddings", "data/embeddings.txt",
                  "--splits", "data/labels.tsv", "--checkpoint", "model.ckpt",
-                 "--output", "out", "--seed", SEED]
+                 "--output", "out"]
         out = {"help": digest(b"".join([run("--help")] +
                                        [run(c, "--help") for c in COMMANDS]))}
         run("synth", "--out", "data", *SYNTH)
-        run("train", *paths)
+        run("train", *paths, "--seed", SEED)
         out["checkpoint"] = digest(read("model.ckpt"))
         for mode in MODES:
-            run("eval", *paths, "--mode", mode)
+            run("eval", *paths, "--seed", SEED, "--mode", mode)
             out[f"report_{mode}"] = digest(read(f"out/report_{mode}.json"))
-        out["inspect_lcm_stdout"] = digest(run("inspect-lcm", *paths, "--image", IMAGE))
+        run("eval", *paths, "--seed", SELECTING_SEED, "--mode", "lcm")
+        out[f"report_lcm_seed{SELECTING_SEED}"] = digest(read("out/report_lcm.json"))
+        out["inspect_lcm_stdout"] = digest(run("inspect-lcm", *paths, "--seed", SEED,
+                                               "--image", IMAGE))
         for grid in ("importance", "sigma", "mask"):
             out[f"{grid}_{IMAGE}"] = digest(read(f"out/{grid}_{IMAGE}.txt"))
         out["gradcheck_stdout"] = digest(run("gradcheck"))
