@@ -48,10 +48,11 @@ class Tensor:
 
     Leaves are created directly (optionally with requires_grad=True);
     interior nodes are created by ops, which attach a closure that
-    pushes the node's gradient to its parents.
+    pushes the node's gradient to its parents.  A leaf's `grad_home`, set
+    by an optimizer, is the array its gradient is written into.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_home", "requires_grad", "op", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _op="leaf", _backward=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -59,6 +60,7 @@ class Tensor:
             raise DomainError("tensor: leaf data must be finite")
         self.data = arr
         self.grad = None
+        self.grad_home = None
         self.requires_grad = bool(requires_grad)
         self.op = _op
         self._parents = _parents
@@ -79,12 +81,26 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def accumulate(self, delta):
-        """Add a gradient contribution of this tensor's shape."""
-        if self.grad is None:
+    def accumulate(self, delta, b=None):
+        """Add a gradient contribution of this tensor's shape: delta, or the
+        product delta @ b when b is given.
+
+        The first contribution is written into `grad_home` when the tensor
+        has one (an optimizer's gradient buffer), a product computed
+        straight into it; later contributions add in place.
+        """
+        if self.grad is not None:
+            self.grad += delta if b is None else delta @ b
+        elif self.grad_home is not None:
+            self.grad = self.grad_home
+            if b is None:
+                np.copyto(self.grad, delta)
+            else:
+                np.matmul(delta, b, out=self.grad)
+        elif b is None:
             self.grad = np.array(delta, dtype=np.float64)   # a copy: later deltas add in place
         else:
-            self.grad += delta
+            self.grad = delta @ b                              # a fresh product is already a copy
 
     def backward(self):
         """Backpropagate from a scalar output.
@@ -137,7 +153,7 @@ def _node(data, parents, op, backward):
         return Tensor(data, _op=op)
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64)
-    out.grad = None
+    out.grad = out.grad_home = None
     out.requires_grad = True
     out.op = op
     out._parents = tuple(parents)
@@ -230,9 +246,9 @@ def matmul(a, b):
 
         def backward(g):
             if a.requires_grad:
-                a.accumulate(g @ b.data.T)
+                a.accumulate(g, b.data.T)
             if b.requires_grad:
-                b.accumulate(a.data.T @ g)
+                b.accumulate(a.data.T, g)
 
     elif a.ndim == 2 and b.ndim == 1:
         if a.shape[1] != b.shape[0]:
@@ -243,7 +259,7 @@ def matmul(a, b):
             if a.requires_grad:
                 a.accumulate(np.outer(g, b.data))
             if b.requires_grad:
-                b.accumulate(a.data.T @ g)
+                b.accumulate(a.data.T, g)
 
     elif a.ndim == 1 and b.ndim == 2:
         if a.shape[0] != b.shape[0]:
@@ -252,7 +268,7 @@ def matmul(a, b):
 
         def backward(g):
             if a.requires_grad:
-                a.accumulate(b.data @ g)
+                a.accumulate(b.data, g)
             if b.requires_grad:
                 b.accumulate(np.outer(a.data, g))
 
@@ -288,12 +304,12 @@ def linear(x, weight):
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate(g @ weight.data)
+            x.accumulate(g, weight.data)
         if weight.requires_grad:
             if shared:
-                weight.accumulate(g.reshape(-1, out_dim).T @ x.data.reshape(-1, in_dim))
+                weight.accumulate(g.reshape(-1, out_dim).T, x.data.reshape(-1, in_dim))
             else:
-                weight.accumulate(np.swapaxes(g, -1, -2) @ x.data)
+                weight.accumulate(np.swapaxes(g, -1, -2), x.data)
 
     return _node(data, (x, weight), "linear", backward)
 
@@ -429,8 +445,24 @@ def split(a, sections, axis=0):
     return tuple(pieces)
 
 
+def _occurrence_ranks(idx):
+    """For each position of idx, how many earlier positions hold the same
+    index: 0 for a row's first occurrence, 1 for its second, and so on."""
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    positions = np.arange(idx.size)
+    starts = np.r_[True, sorted_idx[1:] != sorted_idx[:-1]]
+    ranks = np.empty_like(positions)
+    ranks[order] = positions - np.maximum.accumulate(np.where(starts, positions, 0))
+    return ranks
+
+
 def gather_rows(a, indices):
-    """Select rows of a 2-d tensor; backward scatter-adds into place."""
+    """Select rows of a 2-d tensor; backward scatter-adds into place.
+
+    The scatter is one fancy-indexed add per occurrence rank, so a repeated
+    row adds its contributions in index order, bitwise as an unbuffered
+    scatter-add does."""
     if a.ndim != 2:
         raise _shape_error("gather_rows", a.shape)
     idx = np.asarray(indices, dtype=np.intp)
@@ -443,7 +475,10 @@ def gather_rows(a, indices):
     def backward(g):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
+            ranks = _occurrence_ranks(idx)
+            for rank in range(ranks.max() + 1):
+                at = np.flatnonzero(ranks == rank)
+                full[idx[at]] += g[at]
             a.accumulate(full)
 
     return _node(data, (a,), "gather_rows", backward)

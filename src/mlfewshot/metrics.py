@@ -73,7 +73,10 @@ def per_label_average_precision(score_matrix, target_matrix, labels) -> dict[str
 
 def macro_average_precision(score_matrix, target_matrix, labels) -> float:
     """Mean of the per-label APs that are defined."""
-    per_label = per_label_average_precision(score_matrix, target_matrix, labels)
+    return _macro(per_label_average_precision(score_matrix, target_matrix, labels))
+
+
+def _macro(per_label: dict[str, float]) -> float:
     if not per_label:
         raise UndefinedAveragePrecision("undefined-ap: no label has positive targets")
     return float(np.mean(list(per_label.values())))
@@ -205,10 +208,11 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",
         probs, detail, fell_back = _episode_probabilities(
             model, episode, store, embeddings_by_label, mode, theta, lcm_config, collect_detail)
         targets = episode.query_targets
+        per_label = per_label_average_precision(probs, targets, episode.labels)
         row = {
             "micro_ap": micro_average_precision(probs, targets),
-            "macro_ap": macro_average_precision(probs, targets, episode.labels),
-            "per_label_ap": per_label_average_precision(probs, targets, episode.labels),
+            "macro_ap": _macro(per_label),
+            "per_label_ap": per_label,
         }
         row["micro_f1"], row["macro_f1"] = f1_scores(probs, targets)
         for entry in detail:

@@ -200,19 +200,33 @@ def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
 
 
 class FeatureStore:
-    """Loads FMAP1 files referenced by a manifest, with a small cache."""
+    """Loads FMAP1 files referenced by a manifest, with a small cache.
+
+    Maps are handed out read-only, so each image's globally pooled vector,
+    computed on its first request and kept, always matches its map."""
 
     def __init__(self, manifest):
         self.manifest = manifest
         self._cache: dict[str, np.ndarray] = {}
+        self._pooled: dict[str, np.ndarray] = {}
 
     def get(self, image_id: str) -> np.ndarray:
         if image_id not in self._cache:
             index = self.manifest.by_id.get(image_id)
             if index is None:
                 raise DataError(f"no-such-image: {image_id!r} is not in the manifest")
-            self._cache[image_id] = load_feature_file(self.manifest.feature_path(index))
+            fmap = load_feature_file(self.manifest.feature_path(index))
+            fmap.flags.writeable = False
+            self._cache[image_id] = fmap
         return self._cache[image_id]
+
+    def pooled(self, image_id: str) -> np.ndarray:
+        """The image's (channels,) globally pooled feature, read-only."""
+        if image_id not in self._pooled:
+            vector = global_pool(self.get(image_id))
+            vector.flags.writeable = False
+            self._pooled[image_id] = vector
+        return self._pooled[image_id]
 
 
 def local_feature_rows(fmaps) -> np.ndarray:
@@ -254,8 +268,10 @@ def build_pools(joint: JointSpaceParams, labels, support_targets, fmaps,
 
 def pooled_globals(store, image_ids) -> Tensor:
     """The (n_images, channels) matrix of the images' globally pooled
-    features, computed in numpy: feature maps are constants."""
-    return Tensor(np.stack([global_pool(store.get(i)) for i in image_ids]))
+    features, in numpy: feature maps are constants.  A FeatureStore gives
+    its kept vectors; a plain mapping's maps are pooled here."""
+    pool = getattr(store, "pooled", None) or (lambda image_id: global_pool(store.get(image_id)))
+    return Tensor(np.stack([pool(i) for i in image_ids]))
 
 
 def score_against(joint: JointSpaceParams, pooled: Tensor, vectors: Tensor) -> Tensor:

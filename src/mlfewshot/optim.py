@@ -11,11 +11,6 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-def _flat_grad(p: Tensor) -> np.ndarray:
-    """The parameter's gradient as a flat vector; no gradient reads as zeros."""
-    return np.broadcast_to(0.0, p.data.size) if p.grad is None else p.grad.reshape(-1)
-
-
 class Adam:
     """Adam with bias correction (BETA1, BETA2, EPS above).
 
@@ -25,8 +20,9 @@ class Adam:
     Every parameter's values become a view into one flat float64 buffer, in
     parameter order, and the moments are flat the same way, so a step is one
     in-place update of the whole buffer.  `m[name]` and `v[name]` are the
-    parameter's views into the flat moments.  A step copies the gradients
-    into one more flat buffer and works in one flat scratch buffer.
+    parameter's views into the flat moments.  Each parameter's `grad_home`
+    is its view into a flat gradient buffer, where backward writes its
+    gradient, so a step reads the gradients in place.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float):
@@ -36,15 +32,16 @@ class Adam:
         if not self.params:
             raise ValueError("Adam needs at least one parameter")
         self._tensors = tuple(self.params.values())
-        # values, moments, the step's gradients and one scratch, in one allocation
-        self._flat, self._m, self._v, self._grads, self._scratch = \
-            np.zeros((5, sum(p.data.size for p in self._tensors)))
+        # values, moments, gradients and two scratch buffers, in one allocation
+        self._flat, self._m, self._v, self._grads, self._scratch, self._v_hat = \
+            np.zeros((6, sum(p.data.size for p in self._tensors)))
         self.m, self.v = {}, {}
         stop = 0
         for name, p in self.params.items():
             start, stop, shape = stop, stop + p.data.size, p.data.shape
             self._flat[start:stop] = p.data.reshape(-1)
             p.data = self._flat[start:stop].reshape(shape)
+            p.grad_home = self._grads[start:stop].reshape(shape)
             self.m[name] = self._m[start:stop].reshape(shape)
             self.v[name] = self._v[start:stop].reshape(shape)
 
@@ -55,14 +52,21 @@ class Adam:
     def step(self, lr: float | None = None):
         """Apply one update in place; lr overrides the stored rate for this step.
 
-        The arithmetic is the textbook per-tensor update's, element by
-        element in the same order, so the results are bitwise the same."""
+        A gradient that backward wrote into the parameter's `grad_home` is
+        read where it is; any other array is copied there and a missing
+        gradient reads as zeros.  Every `.grad` is left as it was.  The
+        arithmetic is the textbook per-tensor update's, element by element
+        in the same order, so the results are bitwise the same."""
         rate = self.lr if lr is None else float(lr)
         self.steps += 1
         bias1 = 1.0 - BETA1 ** self.steps
         bias2 = 1.0 - BETA2 ** self.steps
-        m, v, scratch, grads = self._m, self._v, self._scratch, self._grads
-        grad = np.concatenate([_flat_grad(p) for p in self._tensors], None, grads)
+        for p in self._tensors:
+            if p.grad is None:
+                p.grad_home.fill(0.0)
+            elif p.grad is not p.grad_home:
+                np.copyto(p.grad_home, p.grad.reshape(p.grad_home.shape))
+        m, v, scratch, v_hat, grad = self._m, self._v, self._scratch, self._v_hat, self._grads
         m *= BETA1
         m += np.multiply(grad, 1.0 - BETA1, scratch)
         v *= BETA2
@@ -70,10 +74,10 @@ class Adam:
         v += np.multiply(scratch, grad, scratch)
         np.divide(m, bias1, scratch)                       # m_hat
         scratch *= rate
-        np.divide(v, bias2, grads)                         # v_hat; the gradients are read
-        np.sqrt(grads, grads)
-        grads += EPS
-        scratch /= grads
+        np.divide(v, bias2, v_hat)
+        np.sqrt(v_hat, v_hat)
+        v_hat += EPS
+        scratch /= v_hat
         self._flat -= scratch
 
     def state_tensors(self) -> dict[str, np.ndarray]:

@@ -220,6 +220,46 @@ def test_gather_rows_forward_and_bounds():
         ad.gather_rows(x, [])
 
 
+def test_gather_rows_backward_is_add_at_bitwise():
+    # row 3 is gathered three times, out of order; its contributions 1, 1e16
+    # and -1e16 sum to 0 in index order and to 1 in any order that adds the
+    # two large ones first, so a scatter in another order shows
+    idx = np.array([3, 1, 3, 0, 1, 3, 4])
+    g = np.random.default_rng(5).standard_normal((idx.size, 2))
+    g[[0, 2, 5], 0] = [1.0, 1e16, -1e16]
+    g[[1, 4], 1] = -0.0                   # row 1, column 1 only ever receives -0.0
+    g[6] = -0.0                           # row 4 receives nothing else
+    x = Tensor(np.ones((6, 2)), requires_grad=True)
+    ad.tensor_sum(ad.mul(ad.gather_rows(x, idx), Tensor(g))).backward()
+    expected = np.zeros((6, 2))
+    np.add.at(expected, idx, g)
+    assert expected[3, 0] == 0.0
+    assert x.grad.tobytes() == expected.tobytes()      # bitwise, signed zeros included
+
+
+def _linear_weight_loss(weight, xs, cs):
+    terms = [ad.tensor_sum(ad.mul(ad.linear(x, weight), c)) for x, c in zip(xs, cs)]
+    return terms[0] if len(terms) == 1 else ad.add(*terms)
+
+
+@pytest.mark.parametrize("uses", [1, 2], ids=["first", "second-adds"])
+def test_linear_weight_gradient_into_home_is_the_allocated_product(uses):
+    rng = np.random.default_rng(13)
+    w0 = rng.standard_normal((5, 4))
+    xs = [rand(rng, 2, 7, 4) for _ in range(uses)]
+    cs = [rand(rng, 2, 7, 5) for _ in range(uses)]
+    allocated = Tensor(w0, requires_grad=True)
+    _linear_weight_loss(allocated, xs, cs).backward()
+    homed = Tensor(w0, requires_grad=True)
+    home = homed.grad_home = np.full(w0.shape, np.nan)   # stale contents are overwritten
+    _linear_weight_loss(homed, xs, cs).backward()
+    assert homed.grad is home
+    assert home.tobytes() == allocated.grad.tobytes()
+    if uses == 1:
+        product = cs[0].data.reshape(-1, 5).T @ xs[0].data.reshape(-1, 4)
+        assert home.tobytes() == product.tobytes()
+
+
 def test_dropout_eval_is_identity_and_train_rescales():
     rng = np.random.default_rng(0)
     x = tensor(rng.standard_normal(1000))

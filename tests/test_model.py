@@ -222,6 +222,24 @@ def test_feature_store_loads_and_caches(tiny_data):
         store.get("nope")
 
 
+def test_feature_store_maps_are_read_only(tiny_data):
+    store = FeatureStore(tiny_data["manifest"])
+    fmap = store.get(tiny_data["manifest"].records[0].image_id)
+    with pytest.raises(ValueError):
+        fmap[0, 0, 0] = 1.0
+
+
+def test_feature_store_keeps_each_pooled_vector(tiny_data):
+    store = FeatureStore(tiny_data["manifest"])
+    ids = [record.image_id for record in tiny_data["manifest"].records[:3]]
+    first = store.pooled(ids[0])
+    assert store.pooled(ids[0]) is first
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    maps = {i: store.get(i) for i in ids}                # a plain mapping is pooled on the spot
+    assert pooled_globals(store, ids).data.tobytes() == pooled_globals(maps, ids).data.tobytes()
+
+
 # ------------------------------------------------------------ pools, scores
 
 

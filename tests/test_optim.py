@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mlfewshot.autodiff as ad
 from mlfewshot.autodiff import Tensor
 from mlfewshot.errors import DataError
 from mlfewshot.optim import Adam
@@ -139,21 +140,38 @@ def mixed_problem(seed=3, steps=4, shapes=MIXED):
     return values, grads
 
 
-def run_adam(opt, params, grads):
+def backward_gradients(params, grads):
+    """Leave each gradient on its parameter through the tape: the backward
+    of sum(p * g) gives p the gradient g exactly."""
+    terms = [ad.tensor_sum(ad.mul(params[name], Tensor(g)))
+             for name, g in grads.items() if g is not None]
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    total.backward()
+
+
+def run_adam(opt, params, grads, tape=False):
     for step_grads in grads:
-        for name, p in params.items():
-            p.grad = None if step_grads[name] is None else step_grads[name].copy()
+        if tape:
+            opt.zero_grad()
+            backward_gradients(params, step_grads)
+        else:
+            for name, p in params.items():
+                p.grad = None if step_grads[name] is None else step_grads[name].copy()
         opt.step()
         for name, p in params.items():   # gradients are read, never written
             assert p.grad is None or np.array_equal(p.grad, step_grads[name])
 
 
-@pytest.mark.parametrize("shapes", [MIXED, {"importance": (6, 6)}], ids=["mixed", "lone"])
-def test_flat_step_matches_per_tensor_adam_bitwise(shapes):
+SHAPES = pytest.mark.parametrize("shapes", [MIXED, {"importance": (6, 6)}], ids=["mixed", "lone"])
+
+
+def check_flat_step_against_per_tensor_adam(shapes, tape):
     values, grads = mixed_problem(shapes=shapes)
     params = {name: make_param(v) for name, v in values.items()}
     opt = Adam(params, lr=0.01)
-    run_adam(opt, params, grads)
+    run_adam(opt, params, grads, tape=tape)
     expected, m, v = per_tensor_adam(values, grads, 0.01)
     for name, p in params.items():
         assert p.data.shape == values[name].shape
@@ -161,6 +179,51 @@ def test_flat_step_matches_per_tensor_adam_bitwise(shapes):
         assert np.array_equal(opt.m[name], m[name]) and np.array_equal(opt.v[name], v[name])
     if "idle" in params:
         assert np.array_equal(params["idle"].data, values["idle"])
+
+
+@SHAPES
+def test_flat_step_matches_per_tensor_adam_bitwise(shapes):
+    check_flat_step_against_per_tensor_adam(shapes, tape=False)
+
+
+@SHAPES
+def test_flat_step_on_gradients_from_the_tape_matches_per_tensor_adam_bitwise(shapes):
+    check_flat_step_against_per_tensor_adam(shapes, tape=True)
+
+
+def test_backward_writes_gradients_into_the_flat_buffer():
+    values, grads = mixed_problem(steps=1)
+    params = {name: make_param(v) for name, v in values.items()}
+    opt = Adam(params, lr=0.01)
+    backward_gradients(params, grads[0])
+    for name, p in params.items():
+        if name == "idle":
+            assert p.grad is None
+        else:
+            assert p.grad is p.grad_home and np.shares_memory(p.grad, opt._grads), name
+            assert np.array_equal(p.grad, grads[0][name])
+
+
+def test_step_mixing_view_foreign_and_missing_gradients_is_per_tensor_adam():
+    values, grads = mixed_problem(steps=2)
+    params = {name: make_param(v) for name, v in values.items()}
+    opt = Adam(params, lr=0.01)
+    for step_grads in grads:
+        opt.zero_grad()
+        # w and b arrive through the tape into their views, k is an array
+        # set from outside, s and idle have no gradient
+        backward_gradients(params, {"w": step_grads["w"], "b": step_grads["b"]})
+        params["k"].grad = step_grads["k"].copy()
+        step_grads["s"] = None
+        opt.step()
+        assert params["w"].grad is params["w"].grad_home
+        assert params["k"].grad is not params["k"].grad_home
+        for name, p in params.items():
+            assert p.grad is None or np.array_equal(p.grad, step_grads[name]), name
+    expected, m, v = per_tensor_adam(values, grads, 0.01)
+    for name, p in params.items():
+        assert np.array_equal(p.data, expected[name]), name
+        assert np.array_equal(opt.m[name], m[name]) and np.array_equal(opt.v[name], v[name])
 
 
 def test_flat_state_resumes_bitwise():

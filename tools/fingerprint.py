@@ -2,9 +2,10 @@
 
 In a temporary directory it builds the benchmark's bundle with ``synth``
 (``bench/fixture.py``'s ``BUNDLE``), trains at the desk config (``RunConfig()``
-defaults) with seed 11, evaluates the checkpoint in all four modes at seed
-11, and in lcm mode once more at seed 3, runs ``inspect-lcm`` on one image
-and the gradient checks, and reads every ``--help`` text.  At seed 11 every
+defaults) with seed 11, keeping its stdout, per-epoch training log and
+checkpoint, evaluates the checkpoint in all four modes at seed 11, and in
+lcm mode once more at seed 3, runs ``inspect-lcm`` on one image and the
+gradient checks, and reads every ``--help`` text.  At seed 11 every
 support mask falls back to keep-all; at seed 3 some masks select cells, so
 the second lcm report covers the selecting path.  It prints one JSON line
 of SHA-256 digests; two checkouts that print the same line produce the
@@ -61,7 +62,8 @@ def fingerprint(root: Path) -> dict:
         out = {"help": digest(b"".join([run("--help")] +
                                        [run(c, "--help") for c in COMMANDS]))}
         run("synth", "--out", "data", *SYNTH)
-        run("train", *paths, "--seed", SEED)
+        out["train_stdout"] = digest(run("train", *paths, "--seed", SEED))
+        out["training_log"] = digest(read("out/training_log.csv"))
         out["checkpoint"] = digest(read("model.ckpt"))
         for mode in MODES:
             run("eval", *paths, "--seed", SEED, "--mode", mode)
