@@ -5,16 +5,16 @@ graph once in reverse topological order and accumulates gradients into
 each leaf created with requires_grad=True.  Gradients accumulate across
 shared subexpressions, so diamond-shaped graphs come out right.
 
-Broadcasting is deliberately restricted: elementwise ops accept equal
-shapes or a scalar paired with a tensor, nothing else.
+Ops take only the shapes the model feeds them: elementwise ops take equal
+shapes (no broadcasting, not even of a scalar) and ``matmul`` two matrices.
 
 Scoring and attention run as whole matrices, one node each: ``linear``
 maps every row through a weight matrix (or each batch of rows through its
-own), ``cosine`` gives the (n, m) matrix of row cosines of two row
-matrices, ``stack`` turns 1-d tensors into the rows of a matrix, and
-``head_readout`` is the multi-head scaled dot-product attention readout of
-consecutive row segments of a feature matrix, each by its own query.  Each
-has its own analytic backward.
+own) and adds an optional bias to every row, ``cosine`` gives the (n, m)
+matrix of row cosines of two row matrices, and ``head_readout`` is the
+multi-head scaled dot-product attention readout of consecutive row
+segments of a feature matrix, each by its own query.  Each has its own
+analytic backward.
 """
 
 import math
@@ -161,59 +161,46 @@ def _node(data, parents, op, backward):
     return out
 
 
-def _binary_shapes(op, a, b):
-    """Validate the restricted broadcasting rule; returns the output shape."""
-    if a.shape == b.shape:
-        return a.shape
-    if a.ndim == 0:
-        return b.shape
-    if b.ndim == 0:
-        return a.shape
-    raise _shape_error(op, a.shape, b.shape)
-
-
-def _reduce_to(shape, grad):
-    # undo scalar-with-tensor broadcasting
-    if grad.shape == shape:
-        return grad
-    return np.asarray(grad.sum(), dtype=np.float64).reshape(shape)
+def _same_shapes(op, a, b):
+    if a.shape != b.shape:
+        raise _shape_error(op, a.shape, b.shape)
 
 
 def add(a, b):
-    _binary_shapes("add", a, b)
+    _same_shapes("add", a, b)
     data = a.data + b.data
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(_reduce_to(a.shape, g))
+            a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(_reduce_to(b.shape, g))
+            b.accumulate(g)
 
     return _node(data, (a, b), "add", backward)
 
 
 def sub(a, b):
-    _binary_shapes("sub", a, b)
+    _same_shapes("sub", a, b)
     data = a.data - b.data
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(_reduce_to(a.shape, g))
+            a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(_reduce_to(b.shape, -g))
+            b.accumulate(-g)
 
     return _node(data, (a, b), "sub", backward)
 
 
 def mul(a, b):
-    _binary_shapes("mul", a, b)
+    _same_shapes("mul", a, b)
     data = a.data * b.data
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(_reduce_to(a.shape, g * b.data))
+            a.accumulate(g * b.data)
         if b.requires_grad:
-            b.accumulate(_reduce_to(b.shape, g * a.data))
+            b.accumulate(g * a.data)
 
     return _node(data, (a, b), "mul", backward)
 
@@ -238,69 +225,39 @@ def scale(a, factor):
 
 
 def matmul(a, b):
-    """Matrix product for (2d,2d), (2d,1d), (1d,2d) and (1d,1d) operands."""
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise _shape_error("matmul", a.shape, b.shape)
-        data = a.data @ b.data
-
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(g, b.data.T)
-            if b.requires_grad:
-                b.accumulate(a.data.T, g)
-
-    elif a.ndim == 2 and b.ndim == 1:
-        if a.shape[1] != b.shape[0]:
-            raise _shape_error("matmul", a.shape, b.shape)
-        data = a.data @ b.data
-
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(np.outer(g, b.data))
-            if b.requires_grad:
-                b.accumulate(a.data.T, g)
-
-    elif a.ndim == 1 and b.ndim == 2:
-        if a.shape[0] != b.shape[0]:
-            raise _shape_error("matmul", a.shape, b.shape)
-        data = a.data @ b.data
-
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(b.data, g)
-            if b.requires_grad:
-                b.accumulate(np.outer(a.data, g))
-
-    elif a.ndim == 1 and b.ndim == 1:
-        if a.shape[0] != b.shape[0]:
-            raise _shape_error("matmul", a.shape, b.shape)
-        data = a.data @ b.data
-
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(g * b.data)
-            if b.requires_grad:
-                b.accumulate(g * a.data)
-
-    else:
+    """Matrix product of an (m, k) and a (k, n) matrix."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise _shape_error("matmul", a.shape, b.shape)
+    data = a.data @ b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g, b.data.T)
+        if b.requires_grad:
+            b.accumulate(a.data.T, g)
 
     return _node(data, (a, b), "matmul", backward)
 
 
-def linear(x, weight):
-    """x @ weight^T: every row of x through a linear map.
+def linear(x, weight, bias=None):
+    """x @ weight^T, plus bias on every row when given: every row of x
+    through an affine map.
 
     weight is one (out, in) matrix shared by the rows of an (..., in) x, or
-    a (batch, out, in) stack applied batch by batch to a (batch, rows, in) x.
+    a (batch, out, in) stack applied batch by batch to a (batch, rows, in) x;
+    bias is an (out,) vector; its gradient is the product ones @ g over all
+    rows of g.
     """
     shared = weight.ndim == 2 and x.ndim >= 2
     batched = weight.ndim == 3 and x.ndim == 3 and x.shape[0] == weight.shape[0]
-    if not (shared or batched) or x.shape[-1] != weight.shape[-1]:
-        raise _shape_error("linear", x.shape, weight.shape)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if not (shared or batched) or x.shape[-1] != weight.shape[-1] \
+            or (bias is not None and bias.shape != weight.shape[-2:-1]):
+        raise _shape_error("linear", *(p.shape for p in parents))
     out_dim, in_dim = weight.shape[-2:]
     data = x.data @ np.swapaxes(weight.data, -1, -2)
+    if bias is not None:
+        data += bias.data
 
     def backward(g):
         if x.requires_grad:
@@ -310,8 +267,10 @@ def linear(x, weight):
                 weight.accumulate(g.reshape(-1, out_dim).T, x.data.reshape(-1, in_dim))
             else:
                 weight.accumulate(np.swapaxes(g, -1, -2), x.data)
+        if bias is not None and bias.requires_grad:
+            bias.accumulate(np.ones(g.size // out_dim), g.reshape(-1, out_dim))
 
-    return _node(data, (x, weight), "linear", backward)
+    return _node(data, parents, "linear", backward)
 
 
 def _normalize_axes(axis, ndim):
@@ -399,21 +358,6 @@ def concat(parts, axis=0):
                 p.accumulate(g[tuple(index)])
 
     return _node(data, tuple(parts), "concat", backward)
-
-
-def stack(parts):
-    """Stack equal-length 1-d tensors as the rows of a matrix."""
-    parts = list(parts)
-    if not parts or any(p.ndim != 1 or p.shape != parts[0].shape for p in parts):
-        raise _shape_error("stack", *(p.shape for p in parts))
-    data = np.stack([p.data for p in parts])
-
-    def backward(g):
-        for p, row in zip(parts, g):
-            if p.requires_grad:
-                p.accumulate(row)
-
-    return _node(data, tuple(parts), "stack", backward)
 
 
 def split(a, sections, axis=0):

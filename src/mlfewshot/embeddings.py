@@ -99,7 +99,8 @@ def embed_label(table: EmbeddingTable, label: str, normalize: bool = False) -> n
     """Mean of the label's token vectors; optionally scaled to unit length.
 
     A multi-word label ("traffic light") averages its tokens; any token
-    absent from the table is an error naming all missing tokens.
+    absent from the table is an error naming all missing tokens.  A zero mean
+    is an error too: no cosine can be taken against it.
     """
     tokens = label_tokens(label)
     if not tokens:
@@ -109,12 +110,10 @@ def embed_label(table: EmbeddingTable, label: str, normalize: bool = False) -> n
         raise DataError("missing-token: " + ", ".join(missing))
     stacked = np.stack([table.vectors[t] for t in tokens])
     vec = stacked.mean(axis=0)
-    if normalize:
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise DataError(f"label {label!r} embeds to a zero vector; cannot normalize")
-        vec = vec / norm
-    return vec
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        raise DataError(f"label {label!r} embeds to a zero vector")
+    return vec / norm if normalize else vec
 
 
 @dataclass

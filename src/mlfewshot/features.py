@@ -77,5 +77,5 @@ def weighted_pool(fmap: Tensor, weights: Tensor) -> Tensor:
     channels = fmap.shape[0]
     cells = fmap.shape[1] * fmap.shape[2]
     flat = ad.reshape(fmap, (channels, cells))
-    pooled = ad.matmul(flat, ad.reshape(weights, (cells,)))
-    return ad.scale(pooled, 1.0 / cells)
+    pooled = ad.matmul(flat, ad.reshape(weights, (cells, 1)))
+    return ad.scale(ad.reshape(pooled, (channels,)), 1.0 / cells)

@@ -179,13 +179,6 @@ def init_dynconv(joint_dim: int, inner_dim: int, top_count: int, rng) -> DynConv
     )
 
 
-def _affine(rows: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """rows @ weight^T plus the bias on every row.  The bias enters as the
-    rank-1 product ones @ bias, which `add` takes at equal shapes."""
-    ones = Tensor(np.ones((rows.shape[0], 1)))
-    return ad.add(ad.linear(rows, weight), ad.matmul(ones, ad.reshape(bias, (1, bias.shape[0]))))
-
-
 def attention_prototype(params: AttentionParams, pools: SupportPools, label_joints: Tensor,
                         rngs=None, training: bool = False) -> Tensor:
     """Channel-grouped cross-attention readout of each label's pool, queried
@@ -205,9 +198,9 @@ def attention_prototype(params: AttentionParams, pools: SupportPools, label_join
         )
     queries = ad.linear(label_joints, ad.concat(params.queries, axis=0))   # (labels, joint_dim)
     merged = ad.head_readout(pools.features, queries, params.heads, pools.sizes)
-    hidden = ad.gelu(_affine(merged, params.mlp_w1, params.mlp_b1))
+    hidden = ad.gelu(ad.linear(merged, params.mlp_w1, params.mlp_b1))
     hidden = ad.dropout(hidden, params.dropout, rng=rngs, training=training)
-    return _affine(hidden, params.mlp_w2, params.mlp_b2)
+    return ad.linear(hidden, params.mlp_w2, params.mlp_b2)
 
 
 def select_top_features(pools: SupportPools, label_joints: Tensor,
@@ -269,9 +262,9 @@ def dynconv_prototype(params: DynConvParams, selected: Tensor, counts,
         raise ConfigError("dynconv: needs at least one selected feature per label")
     labels, width = selected.shape[:2]
     inner, joint = params.inner_dim, params.joint_dim
-    kernel1 = ad.reshape(_affine(label_joints, params.gen1_weight, params.gen1_bias),
+    kernel1 = ad.reshape(ad.linear(label_joints, params.gen1_weight, params.gen1_bias),
                          (labels, inner, joint))
-    kernel2 = ad.reshape(_affine(label_joints, params.gen2_weight, params.gen2_bias),
+    kernel2 = ad.reshape(ad.linear(label_joints, params.gen2_weight, params.gen2_bias),
                          (labels, joint, inner))
     mid = ad.relu(ad.layer_norm(ad.linear(selected, kernel1),
                                 params.norm1_gain, params.norm1_bias))
@@ -297,10 +290,10 @@ def build_prototype(attention: AttentionParams, dynconv: DynConvParams,
 
 def simple_attention_prototype(global_joints: Tensor, label_joint: Tensor, scale: float) -> Tensor:
     """Baseline prototype: softmax(scale * cos)-weighted average of the rows
-    of the label's (count, joint_dim) projected support global features."""
+    of the label's (count, joint_dim) projected support global features, as
+    a (1, joint_dim) row."""
     if global_joints.ndim != 2 or global_joints.shape[0] < 1:
         raise ConfigError("simple attention needs at least one support feature")
     row = ad.reshape(label_joint, (1, label_joint.shape[0]))
-    logits = ad.scale(ad.cosine(global_joints, row), scale)               # (count, 1)
-    weights = ad.softmax(ad.reshape(logits, (global_joints.shape[0],)))
-    return ad.matmul(weights, global_joints)
+    logits = ad.scale(ad.cosine(row, global_joints), scale)               # (1, count)
+    return ad.matmul(ad.softmax(logits), global_joints)

@@ -24,6 +24,19 @@ def rand(rng, *shape):
     return Tensor(rng.standard_normal(shape))
 
 
+def _row(t):
+    return ad.reshape(t, (1, t.size))
+
+
+def _column(t):
+    return ad.reshape(t, (t.size, 1))
+
+
+def _rows(vectors):
+    """The matrix whose rows are the given 1-d tensors, on the tape."""
+    return ad.concat([_row(v) for v in vectors], axis=0)
+
+
 # ---------------------------------------------------------------- forwards
 
 
@@ -127,17 +140,6 @@ def test_cosine_zero_row_in_either_operand_is_degenerate():
         ad.cosine(tensor(b), tensor(a))
 
 
-def test_stack_rows_and_shape_errors():
-    rows = [tensor([1.0, 2.0]), tensor([3.0, 4.0]), tensor([5.0, 6.0])]
-    assert np.array_equal(ad.stack(rows).data, [[1, 2], [3, 4], [5, 6]])
-    with pytest.raises(ShapeError):
-        ad.stack([])
-    with pytest.raises(ShapeError):
-        ad.stack([tensor([1.0, 2.0]), tensor([1.0, 2.0, 3.0])])
-    with pytest.raises(ShapeError):
-        ad.stack([tensor(np.ones((1, 2)))])
-
-
 def test_scale_builds_one_node():
     x = tensor([1.0, -2.0], requires_grad=True)
     out = ad.scale(x, 2.5)
@@ -188,10 +190,14 @@ def test_split_rejects_uneven():
         ad.split(tensor(np.zeros((5, 4))), 3, axis=0)
 
 
-def test_scalar_broadcast_allowed_other_mixes_rejected():
+def test_elementwise_ops_reject_unequal_shapes():
     t = tensor(np.ones((2, 3)))
-    assert np.array_equal(ad.add(t, tensor(2.0)).data, np.full((2, 3), 3.0))
-    assert np.array_equal(ad.mul(tensor(3.0), t).data, np.full((2, 3), 3.0))
+    with pytest.raises(ShapeError, match=r"add.*\(2, 3\).*\(\)"):
+        ad.add(t, tensor(2.0))
+    with pytest.raises(ShapeError, match=r"mul.*\(\).*\(2, 3\)"):
+        ad.mul(tensor(3.0), t)
+    with pytest.raises(ShapeError):
+        ad.sub(t, tensor(2.0))
     with pytest.raises(ShapeError):
         ad.add(t, tensor(np.ones(3)))
     with pytest.raises(ShapeError):
@@ -258,6 +264,36 @@ def test_linear_weight_gradient_into_home_is_the_allocated_product(uses):
     if uses == 1:
         product = cs[0].data.reshape(-1, 5).T @ xs[0].data.reshape(-1, 4)
         assert home.tobytes() == product.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4, 24])
+def test_linear_bias_is_the_rank_one_ones_product_bitwise(rows):
+    # the bias used to enter as add(linear(x, w), ones @ bias); both its
+    # forward and its gradient (homed or not) keep those bits
+    rng = np.random.default_rng([19, rows])
+    x, w0, b0 = rand(rng, rows, 4), rng.standard_normal((5, 4)), rng.standard_normal(5)
+    c = rand(rng, rows, 5)
+    weight, bias = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
+    old = ad.add(ad.linear(x, weight),
+                 ad.matmul(Tensor(np.ones((rows, 1))), ad.reshape(bias, (1, 5))))
+    ad.tensor_sum(ad.mul(old, c)).backward()
+    for home in (None, np.full(5, np.nan)):
+        fused_weight, fused_bias = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
+        fused_bias.grad_home = home
+        new = ad.linear(x, fused_weight, fused_bias)
+        assert new.op == "linear" and new._parents == (x, fused_weight, fused_bias)
+        ad.tensor_sum(ad.mul(new, c)).backward()
+        assert new.data.tobytes() == old.data.tobytes()
+        assert fused_weight.grad.tobytes() == weight.grad.tobytes()
+        assert fused_bias.grad.tobytes() == bias.grad.tobytes()
+        assert home is None or fused_bias.grad is home
+
+
+def test_linear_rejects_a_bias_of_the_wrong_length():
+    x, weight = tensor(np.ones((3, 4))), tensor(np.ones((5, 4)))
+    for bias in (np.ones(4), np.ones((1, 5)), np.ones(())):
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(x, weight, tensor(bias))
 
 
 def test_dropout_eval_is_identity_and_train_rescales():
@@ -332,11 +368,6 @@ def _case_add(rng):
     return rand(rng, 3, 4), lambda t: ad.tensor_sum(ad.mul(ad.add(t, c), c))
 
 
-def _case_add_scalar(rng):
-    c = rand(rng, 3, 4)
-    return rand(rng), lambda t: ad.tensor_sum(ad.mul(ad.add(t, c), c))
-
-
 def _case_sub(rng):
     c = rand(rng, 5)
     return rand(rng, 5), lambda t: ad.tensor_sum(ad.mul(ad.sub(c, t), c))
@@ -364,21 +395,6 @@ def _case_matmul_mm(rng):
 def _case_matmul_mm_rhs(rng):
     c = rand(rng, 3, 4)
     return rand(rng, 4, 2), lambda t: ad.tensor_sum(ad.matmul(c, t))
-
-
-def _case_matmul_mv(rng):
-    c = rand(rng, 3, 4)
-    return rand(rng, 4), lambda t: ad.tensor_sum(ad.matmul(c, t))
-
-
-def _case_matmul_vm(rng):
-    c = rand(rng, 3, 4)
-    return rand(rng, 3), lambda t: ad.tensor_sum(ad.matmul(t, c))
-
-
-def _case_matmul_vv(rng):
-    c = rand(rng, 5)
-    return rand(rng, 5), lambda t: ad.matmul(t, c)
 
 
 def _case_sum_axis(rng):
@@ -490,11 +506,6 @@ def _case_cosine_matrix_shared(rng):
     return rand(rng, 3, 5), lambda t: ad.tensor_sum(ad.mul(ad.cosine(t, t), c))
 
 
-def _case_stack(rng):
-    other, c = rand(rng, 4), rand(rng, 3, 4)
-    return rand(rng, 4), lambda t: ad.tensor_sum(ad.mul(ad.stack([t, other, t]), c))
-
-
 def _case_head_readout_features(rng):
     query, c = rand(rng, 1, 6), rand(rng, 1, 6)
     return rand(rng, 5, 6), lambda t: ad.tensor_sum(ad.mul(ad.head_readout(t, query, 3, [5]), c))
@@ -526,6 +537,11 @@ def _case_linear_x(rng):
 def _case_linear_weight(rng):
     x, c = rand(rng, 3, 4), rand(rng, 3, 5)
     return rand(rng, 5, 4), lambda t: ad.tensor_sum(ad.mul(ad.linear(x, t), c))
+
+
+def _case_linear_bias(rng):
+    x, weight, c = rand(rng, 2, 3, 4), rand(rng, 5, 4), rand(rng, 2, 3, 5)
+    return rand(rng, 5), lambda t: ad.tensor_sum(ad.mul(ad.linear(x, weight, t), c))
 
 
 def _case_linear_batched_x(rng):
@@ -582,16 +598,12 @@ def _case_conv2d_bias(rng):
 
 GRAD_CASES = {
     "add": _case_add,
-    "add_scalar": _case_add_scalar,
     "sub": _case_sub,
     "mul": _case_mul,
     "neg": _case_neg,
     "scale": _case_scale,
     "matmul_mm": _case_matmul_mm,
     "matmul_mm_rhs": _case_matmul_mm_rhs,
-    "matmul_mv": _case_matmul_mv,
-    "matmul_vm": _case_matmul_vm,
-    "matmul_vv": _case_matmul_vv,
     "sum_axis": _case_sum_axis,
     "mean_all": _case_mean_all,
     "mean_axes": _case_mean_axes,
@@ -614,13 +626,13 @@ GRAD_CASES = {
     "cosine_matrix_a": _case_cosine_matrix_a,
     "cosine_matrix_b": _case_cosine_matrix_b,
     "cosine_matrix_shared": _case_cosine_matrix_shared,
-    "stack": _case_stack,
     "head_readout_features": _case_head_readout_features,
     "head_readout_query": _case_head_readout_query,
     "head_readout_segments_features": _case_head_readout_segments_features,
     "head_readout_segments_queries": _case_head_readout_segments_queries,
     "linear_x": _case_linear_x,
     "linear_weight": _case_linear_weight,
+    "linear_bias": _case_linear_bias,
     "linear_batched_x": _case_linear_batched_x,
     "linear_batched_weight": _case_linear_batched_weight,
     "scale_matrix": _case_scale_matrix,
@@ -636,7 +648,6 @@ GRAD_CASES = {
 
 @pytest.mark.parametrize("name", sorted(GRAD_CASES))
 def test_gradient_matches_central_differences(name):
-    rng = np.random.default_rng(abs(hash(name)) % (2**32))
     points = POINTS // 10 if name.startswith("conv2d") else POINTS  # conv points are costlier
     worst = 0.0
     for i in range(points):
@@ -660,7 +671,7 @@ def test_every_op_has_a_gradient_case():
     unchecked = [op for op in _ops()
                  if not any(case == op or case.startswith(op + "_") for case in GRAD_CASES)]
     assert not unchecked, f"ops without a GRAD_CASES entry: {unchecked}"
-    assert {"cosine", "stack", "head_readout", "scale"} <= set(_ops())
+    assert {"cosine", "head_readout", "scale"} <= set(_ops())
 
 
 # ---------------------------------------------------------------- batched ops vs the loops they replaced
@@ -671,7 +682,7 @@ def _score_against_per_pair(joint, pooled_rows, vectors):
     feature, then one cosine -> scale chain per (image, vector) pair."""
     scores = []
     for pooled in pooled_rows:
-        visual_joint = ad.matmul(joint.visual, pooled)
+        visual_joint = ad.matmul(joint.visual, ad.reshape(pooled, (pooled.size, 1)))
         for vector in vectors:
             c = ad.cosine(ad.reshape(visual_joint, (1, visual_joint.size)),
                           ad.reshape(vector, (1, vector.size)))
@@ -685,12 +696,13 @@ def _attention_per_head(params, features, label_joint):
     inv_sqrt = 1.0 / math.sqrt(params.head_dim)
     head_outputs = []
     for transform, chunk in zip(params.queries, ad.split(features, params.heads, axis=1)):
-        query = ad.matmul(transform, label_joint)
-        attention = ad.softmax(ad.scale(ad.matmul(chunk, query), inv_sqrt))
-        head_outputs.append(ad.matmul(attention, chunk))
+        query = ad.matmul(transform, _column(label_joint))
+        attention = ad.softmax(_row(ad.scale(ad.matmul(chunk, query), inv_sqrt)))
+        head_outputs.append(_column(ad.matmul(attention, chunk)))
     merged = ad.concat(head_outputs, axis=0)
-    hidden = ad.gelu(ad.add(ad.matmul(params.mlp_w1, merged), params.mlp_b1))
-    return ad.add(ad.matmul(params.mlp_w2, hidden), params.mlp_b2)
+    hidden = ad.gelu(ad.add(ad.matmul(params.mlp_w1, merged), _column(params.mlp_b1)))
+    out = ad.add(ad.matmul(params.mlp_w2, hidden), _column(params.mlp_b2))
+    return ad.reshape(out, (out.size,))
 
 
 def _gradients(leaves, build):
@@ -714,13 +726,13 @@ def test_batched_score_against_matches_per_pair_loop():
         pooled = [Tensor(rng.standard_normal(6)) for _ in range(5)]
         vectors = [Tensor(rng.standard_normal(8), requires_grad=True) for _ in range(3)]
         targets = (rng.random(15) < 0.5).astype(np.float64)
-        batched = score_against(joint, ad.stack(pooled), ad.stack(vectors))
+        batched = score_against(joint, _rows(pooled), _rows(vectors))
         looped = _score_against_per_pair(joint, pooled, vectors)
         assert batched.shape == looped.shape == (15,)
         _assert_close(batched.data, looped.data)
         leaves = [joint.visual, *vectors]
         _, grads_batched = _gradients(leaves, lambda: ad.tensor_sum(ad.bce_with_logits(
-            score_against(joint, ad.stack(pooled), ad.stack(vectors)), targets)))
+            score_against(joint, _rows(pooled), _rows(vectors)), targets)))
         _, grads_looped = _gradients(leaves, lambda: ad.tensor_sum(ad.bce_with_logits(
             _score_against_per_pair(joint, pooled, vectors), targets)))
         for a, b in zip(grads_batched, grads_looped):
@@ -757,7 +769,7 @@ def test_composite_random_graphs_match_central_differences():
         w = Tensor(rng.standard_normal((4, 6)))
 
         def f(t, w=w, i=i):
-            h = ad.gelu(ad.matmul(w, t))
+            h = ad.gelu(_row(ad.matmul(w, _column(t))))
             h2 = ad.softmax(h)
             mixed = ad.add(ad.mul(h2, h), ad.sigmoid(h))
             return ad.tensor_sum(ad.mul(mixed, mixed))

@@ -174,6 +174,24 @@ def test_exit_code_2_for_data_errors(pipeline, tmp_path, capsys):
     assert "bad-name" in capsys.readouterr().err
 
 
+def test_zero_label_embedding_is_a_data_error(pipeline, tmp_path, capsys):
+    data, _, paths = pipeline
+    embeddings = tmp_path / "embeddings.txt"
+    lines = (data / "embeddings.txt").read_text().splitlines()
+    embeddings.write_text("\n".join(
+        " ".join(["lab00"] + ["0.0"] * (len(line.split()) - 1)) if line.split()[0] == "lab00"
+        else line for line in lines) + "\n")
+    broken = dict(zip(paths[::2], paths[1::2]))
+    broken.update({"--embeddings": str(embeddings), "--checkpoint": str(tmp_path / "model.ckpt"),
+                   "--output": str(tmp_path / "out")})
+    flat = [item for pair in broken.items() for item in pair]
+    assert main(["train", *flat, *TRAIN_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "'lab00'" in err and "zero vector" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "training_log.csv").exists()
+
+
 def test_exit_code_3_for_numeric_errors(capsys):
     code = main(["gradcheck", "--skip-model", "--tolerance", "1e-30"])
     assert code == 3

@@ -77,6 +77,14 @@ def test_embed_label_normalize_flag():
     assert abs(np.linalg.norm(vec) - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+def test_embed_label_rejects_a_zero_mean(normalize):
+    # opposite tokens average to zero: nothing can be scored against that
+    table = EmbeddingTable(2, {"up": np.array([1.0, -2.0]), "down": np.array([-1.0, 2.0])})
+    with pytest.raises(DataError, match="'up_down' embeds to a zero vector"):
+        embed_label(table, "up_down", normalize=normalize)
+
+
 def test_embed_label_lists_every_missing_token():
     table = EmbeddingTable(2, {"cat": np.array([1.0, 0.0])})
     with pytest.raises(DataError, match="missing-token: polar, bear"):

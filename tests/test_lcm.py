@@ -169,7 +169,8 @@ def test_taylor_equals_exact_for_linear_loss():
         from mlfewshot.features import weighted_pool
         from mlfewshot import autodiff as ad
         pooled = weighted_pool(Tensor(fmap), w)
-        loss = ad.matmul(pooled, Tensor(direction))
+        loss = ad.reshape(ad.matmul(ad.reshape(pooled, (1, 3)), Tensor(direction.reshape(3, 1))),
+                          ())
         return loss, w
 
     rho = rng.uniform(0.3, 1.0, size=(2, 2))

@@ -385,7 +385,9 @@ def per_label_forward(model, episode, store, embeddings, *, masks=None, dropout_
     projected, its kept member cells projected as its pool, and its
     prototype built on its own, then the prototypes stacked and scored."""
     labels = list(episode.labels)
-    joints = [ad.matmul(model.joint.text, Tensor(embeddings[label])) for label in labels]
+    joints = [ad.reshape(ad.matmul(model.joint.text, Tensor(embeddings[label].reshape(-1, 1))),
+                         (model.joint.text.shape[0],))
+              for label in labels]
     fmaps = [store.get(i) for i in episode.support_ids]
     cells = local_feature_rows(fmaps)
     image_of_cell = np.repeat(np.arange(len(fmaps)), [fmap[0].size for fmap in fmaps])
@@ -399,8 +401,8 @@ def per_label_forward(model, episode, store, embeddings, *, masks=None, dropout_
         protos.append(per_label_prototype(model.attention, model.dynconv, pool, joints[li],
                                           rng=rng, training=training))
     logits = score_against(model.joint, pooled_globals(store, episode.query_ids),
-                           ad.stack(protos))
-    return ad.stack(joints), logits
+                           ad.concat([ad.reshape(p, (1, p.size)) for p in protos], axis=0))
+    return ad.concat([ad.reshape(j, (1, j.size)) for j in joints], axis=0), logits
 
 
 @pytest.mark.parametrize("case", ["lcm-short-pool", "zero-norm-row", "training-dropout"])
@@ -442,7 +444,8 @@ def test_score_against_matrix_matches_flat():
     rng = np.random.default_rng(4)
     globals_ = [Tensor(rng.standard_normal(6)) for _ in range(3)]
     vectors = [Tensor(rng.standard_normal(8)) for _ in range(2)]
-    flat = score_against(model.joint, ad.stack(globals_), ad.stack(vectors))
+    flat = score_against(model.joint, ad.concat([ad.reshape(g, (1, 6)) for g in globals_], axis=0),
+                         ad.concat([ad.reshape(v, (1, 8)) for v in vectors], axis=0))
     assert flat.shape == (6,)
     # image-major: entry (i, j) of the score matrix is flat[i * n_vectors + j]
     matrix = flat.data.reshape(3, 2)

@@ -301,6 +301,10 @@ def test_pool_validation():
 # ------------------------------------------------ batched vs the per-label loop
 
 
+def column(t):
+    return ad.reshape(t, (t.size, 1))
+
+
 def per_label_prototype(attention, dynconv, pool, label_joint, rng=None, training=False):
     """One label's prototype as the per-label code built it: each head's
     query and softmax on its own channel slice, the MLP and dropout on one
@@ -309,13 +313,15 @@ def per_label_prototype(attention, dynconv, pool, label_joint, rng=None, trainin
     inv_sqrt = 1.0 / math.sqrt(attention.head_dim)
     head_outputs = []
     for transform, chunk in zip(attention.queries, ad.split(pool, attention.heads, axis=1)):
-        query = ad.matmul(transform, label_joint)
-        weights = ad.softmax(ad.scale(ad.matmul(chunk, query), inv_sqrt))
-        head_outputs.append(ad.matmul(weights, chunk))
+        query = ad.matmul(transform, column(label_joint))
+        weights = ad.softmax(ad.reshape(ad.scale(ad.matmul(chunk, query), inv_sqrt),
+                                        (1, chunk.shape[0])))
+        head_outputs.append(column(ad.matmul(weights, chunk)))
     merged = ad.concat(head_outputs, axis=0)
-    hidden = ad.gelu(ad.add(ad.matmul(attention.mlp_w1, merged), attention.mlp_b1))
+    hidden = ad.gelu(ad.add(ad.matmul(attention.mlp_w1, merged), column(attention.mlp_b1)))
     hidden = ad.dropout(hidden, attention.dropout, rng=rng, training=training)
-    att_part = ad.add(ad.matmul(attention.mlp_w2, hidden), attention.mlp_b2)
+    att_part = ad.add(ad.matmul(attention.mlp_w2, hidden), column(attention.mlp_b2))
+    att_part = ad.reshape(att_part, (att_part.size,))
 
     norms = np.linalg.norm(pool.data, axis=1)
     rows = np.flatnonzero(norms)
@@ -323,10 +329,10 @@ def per_label_prototype(attention, dynconv, pool, label_joint, rng=None, trainin
                                                           * np.linalg.norm(label_joint.data))
     selected = ad.gather_rows(pool, rows[np.lexsort((rows, -similarity))[:dynconv.top_count]])
     inner, joint = dynconv.inner_dim, dynconv.joint_dim
-    kernel1 = ad.reshape(ad.add(ad.matmul(dynconv.gen1_weight, label_joint), dynconv.gen1_bias),
-                         (inner, joint))
-    kernel2 = ad.reshape(ad.add(ad.matmul(dynconv.gen2_weight, label_joint), dynconv.gen2_bias),
-                         (joint, inner))
+    kernel1 = ad.reshape(ad.add(ad.matmul(dynconv.gen1_weight, column(label_joint)),
+                                column(dynconv.gen1_bias)), (inner, joint))
+    kernel2 = ad.reshape(ad.add(ad.matmul(dynconv.gen2_weight, column(label_joint)),
+                                column(dynconv.gen2_bias)), (joint, inner))
     mid = ad.relu(ad.layer_norm(ad.matmul(selected, ad.transpose(kernel1)),
                                 dynconv.norm1_gain, dynconv.norm1_bias))
     out_rows = ad.relu(ad.layer_norm(ad.matmul(mid, ad.transpose(kernel2)),
@@ -362,11 +368,11 @@ def test_batched_prototypes_match_the_per_label_loop(case, caplog):
     def looped():
         starts = np.cumsum(sizes) - sizes
         generators = rngs() or [None] * 3
-        return ad.stack([per_label_prototype(att, dyn,
-                                             ad.gather_rows(features, np.arange(start, start + n)),
-                                             ad.reshape(ad.gather_rows(joints, [i]), (8,)),
-                                             generators[i], training)
-                         for i, (start, n) in enumerate(zip(starts, sizes))])
+        return ad.concat([ad.reshape(per_label_prototype(
+                              att, dyn, ad.gather_rows(features, np.arange(start, start + n)),
+                              ad.reshape(ad.gather_rows(joints, [i]), (8,)),
+                              generators[i], training), (1, 8))
+                          for i, (start, n) in enumerate(zip(starts, sizes))], axis=0)
 
     _, counts = select_top_features(pools, joints, dyn.top_count)
     assert counts.tolist() == [4, 2, 4]        # six rows, one of them zero, still give four

@@ -1,5 +1,6 @@
 """Training loop: schedule, losses, determinism, logging, resume."""
 
+import collections
 import csv
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from mlfewshot import autodiff as ad
-from mlfewshot import metrics, training
+from mlfewshot import metrics, training, verification
 from mlfewshot.autodiff import Tensor
 from mlfewshot.episodes import records_for_split, sample_episode
 from mlfewshot.errors import ConfigError, NumericError
@@ -89,7 +90,8 @@ def test_query_loss_matches_independent_bce_oracle():
     globals_ = [Tensor(rng.standard_normal(3)) for _ in range(4)]
     protos = [Tensor(rng.standard_normal(3)) for _ in range(2)]
     targets = (rng.random((4, 2)) < 0.5).astype(np.float64)
-    loss = score_loss(joint, ad.stack(globals_), ad.stack(protos), targets)
+    loss = score_loss(joint, ad.concat([ad.reshape(g, (1, 3)) for g in globals_], axis=0),
+                      ad.concat([ad.reshape(p, (1, 3)) for p in protos], axis=0), targets)
     expected = 0.0
     for i, g in enumerate(globals_):
         for j, p in enumerate(protos):
@@ -134,6 +136,23 @@ def test_gamma_zero_gradients_are_exactly_zero(tiny_data):
             assert p.grad is None or not np.any(p.grad), name
     assert np.any(model.joint.visual.grad)
     assert np.any(model.joint.text.grad)
+
+
+def test_episode_graph_op_census():
+    # every affine layer is one bias-carrying `linear` node: no rank-1
+    # ones @ bias product and no `add` per layer
+    model, episode, store, embeddings = verification._tiny_episode()
+    cm, q = episode_losses(model, episode, store, embeddings, training=True)
+    nodes = ad._toposort(ad.add(cm, q))
+    census = collections.Counter(node.op for node in nodes if node.op != "leaf")
+    assert census == {"linear": 11, "reshape": 6, "add": 2, "bce_with_logits": 2, "cosine": 2,
+                      "gather_rows": 2, "layer_norm": 2, "relu": 2, "scale": 2, "sum": 2,
+                      "concat": 1, "gelu": 1, "head_readout": 1, "matmul": 1}
+    biases = [node._parents[2] for node in nodes
+              if node.op == "linear" and len(node._parents) == 3]
+    named = {id(p): name for name, p in model.named_parameters().items()}
+    assert sorted(named[id(b)] for b in biases) == ["attention.mlp.b1", "attention.mlp.b2",
+                                                   "dynconv.gen1.bias", "dynconv.gen2.bias"]
 
 
 def test_base_evaluation_scores_the_training_forward(tiny_trained, monkeypatch):

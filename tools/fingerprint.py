@@ -9,7 +9,9 @@ gradient checks, and reads every ``--help`` text.  At seed 11 every
 support mask falls back to keep-all; at seed 3 some masks select cells, so
 the second lcm report covers the selecting path.  It prints one JSON line
 of SHA-256 digests; two checkouts that print the same line produce the
-same bytes.
+same bytes.  Each gradient check's max_error has its own digest, keyed
+``gradcheck_max_error.<case>``, so a change that adds or deletes a case
+can show that every other case is unchanged.
 
     python3 tools/fingerprint.py               # this checkout
     python3 tools/fingerprint.py --root DIR    # another checkout
@@ -34,7 +36,7 @@ SELECTING_SEED = "3"   # an evaluation seed at which some lcm masks select cells
 IMAGE = "img00320"
 COMMANDS = ("synth", "train", "eval", "gradcheck", "inspect-lcm")
 # The gradcheck table prints each max_error to three digits; this prints
-# every one by repr, so a change in the last bit shows too.
+# every one by repr, one case a line, so a change in the last bit shows too.
 MAX_ERROR_REPRS = ("from mlfewshot import verification\n"
                    "for r in verification.run_suite():\n"
                    "    print(r.name, repr(r.max_error))\n")
@@ -75,7 +77,9 @@ def fingerprint(root: Path) -> dict:
         for grid in ("importance", "sigma", "mask"):
             out[f"{grid}_{IMAGE}"] = digest(read(f"out/{grid}_{IMAGE}.txt"))
         out["gradcheck_stdout"] = digest(run("gradcheck"))
-        out["gradcheck_max_error_repr"] = digest(run(code=MAX_ERROR_REPRS))
+        for line in run(code=MAX_ERROR_REPRS).decode().splitlines():
+            name, error = line.split(" ", 1)
+            out[f"gradcheck_max_error.{name}"] = digest(error.encode())
     return out
 
 
