@@ -15,6 +15,9 @@ matrix of row cosines of two row matrices, and ``head_readout`` is the
 multi-head scaled dot-product attention readout of consecutive row
 segments of a feature matrix, each by its own query.  Each has its own
 analytic backward.
+
+This module holds only the tape; verification.py measures each op's
+backward against central differences.
 """
 
 import math
@@ -119,11 +122,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad=False):
-    """Wrap data as a leaf Tensor, validating finiteness."""
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def _toposort(root):
@@ -686,41 +684,3 @@ def conv2d(x, kernel, bias, stride=1, padding=0):
             x.accumulate(dpadded)
 
     return _node(data, (x, kernel, bias), "conv2d", backward)
-
-
-def _central_difference_error(value, point: np.ndarray, analytic: np.ndarray, eps) -> float:
-    """Max over components of |analytic - numeric| / max(1, |analytic|), where
-    numeric central-differences value() by nudging `point` in place."""
-    worst = 0.0
-    it = np.nditer(point, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        original = point[idx]
-        point[idx] = original + eps
-        f_plus = value()
-        point[idx] = original - eps
-        f_minus = value()
-        point[idx] = original
-        numeric = (f_plus - f_minus) / (2.0 * eps)
-        a = float(analytic[idx])
-        worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
-        it.iternext()
-    return worst
-
-
-def grad_check(f, x, eps=1e-6):
-    """Compare f's analytic gradient at x against central differences.
-
-    f must be a pure function Tensor -> scalar Tensor.  Returns the max
-    over components of |analytic - numeric| / max(1, |analytic|).
-    """
-    if not 0.0 < eps <= 1e-3:
-        raise DomainError(f"grad_check: eps must lie in (0, 1e-3], got {eps}")
-    leaf = Tensor(np.array(x.data, copy=True), requires_grad=True)
-    out = f(leaf)
-    if out.ndim != 0:
-        raise ShapeError(f"grad_check: f must return a scalar, got shape {out.shape}")
-    out.backward()
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-    point = np.array(x.data, copy=True)
-    return _central_difference_error(lambda: f(Tensor(point)).item(), point, analytic, eps)

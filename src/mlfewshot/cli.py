@@ -57,23 +57,20 @@ def _config_from_args(args) -> RunConfig:
     return build_config(file_values, overrides)
 
 
-def _require(cfg, *names):
-    for name in names:
+def _prepare(args):
+    """What train, eval and inspect-lcm share: the run config with every
+    path key set, the loaded vocabulary, manifest and embedding table, and
+    the created output directory."""
+    cfg = _config_from_args(args)
+    for name in PATH_KEYS:
         if getattr(cfg, name) is None:
             raise ConfigError(f"{name} path is required (flag --{name} or config key)")
-
-
-def _load_inputs(cfg):
     vocabulary = load_vocabulary(cfg.splits)
     manifest = load_manifest(cfg.manifest, vocabulary=vocabulary)
     table = parse_embedding_file(cfg.embeddings)
-    return vocabulary, manifest, table
-
-
-def _detect_channels(manifest) -> int:
-    if not manifest.records:
-        raise DataError(f"manifest {manifest.root} lists no images")
-    return load_feature_file(manifest.feature_path(0)).shape[0]
+    out_dir = Path(cfg.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, vocabulary, manifest, table, out_dir
 
 
 def _write_json(path, payload):
@@ -101,18 +98,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
-    _require(cfg, "manifest", "embeddings", "splits", "checkpoint", "output")
-    vocabulary, manifest, table = _load_inputs(cfg)
-    out_dir = Path(cfg.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, vocabulary, manifest, table, out_dir = _prepare(args)
 
     extras = {}
     if args.resume:
         model, extras = load_checkpoint(cfg.checkpoint)
     else:
         model = init_model(
-            channels=_detect_channels(manifest), embed_dim=table.dimension,
+            channels=load_feature_file(manifest.feature_path(0)).shape[0],
+            embed_dim=table.dimension,
             joint_dim=cfg.d_j, heads=cfg.n_heads, dynconv_inner=cfg.d_c,
             dynconv_top=cfg.n_d, scale=cfg.lambda_, dropout=cfg.dropout,
             rng=seeding.substream(cfg.seed, "init"))
@@ -145,11 +139,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _config_from_args(args)
-    _require(cfg, "manifest", "embeddings", "splits", "checkpoint", "output")
-    vocabulary, manifest, table = _load_inputs(cfg)
-    out_dir = Path(cfg.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, vocabulary, manifest, table, out_dir = _prepare(args)
     model, _ = load_checkpoint(cfg.checkpoint)
     report, _ = evaluate(
         model, manifest, vocabulary, table, split=args.split,
@@ -190,11 +180,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_inspect_lcm(args) -> int:
-    cfg = _config_from_args(args)
-    _require(cfg, "manifest", "embeddings", "splits", "checkpoint", "output")
-    vocabulary, manifest, table = _load_inputs(cfg)
-    out_dir = Path(cfg.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, vocabulary, manifest, table, out_dir = _prepare(args)
     model, _ = load_checkpoint(cfg.checkpoint)
 
     record = manifest.record_for(args.image)

@@ -22,12 +22,6 @@ class EmbeddingTable:
     dimension: int
     vectors: dict[str, np.ndarray]
 
-    def __contains__(self, token):
-        return token in self.vectors
-
-    def __len__(self):
-        return len(self.vectors)
-
 
 def utf8_lines(path):
     """Yield the lines of a UTF-8 text file as text-mode `open` reads them.

@@ -210,38 +210,6 @@ def sample_episode_with_retries(manifest, record_pool, labels, k_shot, make_rng)
     raise last
 
 
-def validate_episode(episode: Episode, manifest: DatasetManifest | None = None) -> list[str]:
-    """Return a list of invariant violations; empty means the episode is sound."""
-    problems = []
-    n = len(episode.labels)
-    if len(episode.support_ids) != episode.k_shot * n:
-        problems.append(
-            f"support size {len(episode.support_ids)} != k_shot*labels {episode.k_shot * n}"
-        )
-    if len(episode.query_ids) != episode.query_per_label * n:
-        problems.append(
-            f"query size {len(episode.query_ids)} != {episode.query_per_label}*labels"
-        )
-    if len(set(episode.support_ids)) != len(episode.support_ids):
-        problems.append("support ids are not distinct")
-    if len(set(episode.query_ids)) != len(episode.query_ids):
-        problems.append("query ids are not distinct")
-    overlap = set(episode.support_ids) & set(episode.query_ids)
-    if overlap:
-        problems.append(f"support and query overlap: {sorted(overlap)}")
-    support_cover = episode.support_targets.sum(axis=0)
-    query_cover = episode.query_targets.sum(axis=0)
-    for i, label in enumerate(episode.labels):
-        if support_cover[i] < episode.k_shot:
-            problems.append(f"label {label!r} has {int(support_cover[i])} support images, needs {episode.k_shot}")
-        if query_cover[i] < episode.query_per_label:
-            problems.append(f"label {label!r} has {int(query_cover[i])} query images, needs {episode.query_per_label}")
-    if manifest is not None:
-        for image_id in episode.support_ids + episode.query_ids:
-            manifest.record_for(image_id)  # raises on unknown ids
-    return problems
-
-
 @dataclass
 class SyntheticDataset:
     """Paths and ground truth for a generated planted-signal dataset."""

@@ -1,8 +1,10 @@
-"""Local feature maps: binary file format and pooling.
+"""Local feature maps: binary file format and global pooling.
 
 A feature map is a (channels, h, w) grid of float64 cell vectors.  On disk
 the FMAP1 format stores magic "FMAP1", three u32 little-endian dims, then
 channel-major float32 little-endian values; loading widens to float64.
+Importance-weighted pooling has no tape form here: the LCM fit uses its
+closed-form gradient, and verification.py tapes it for the gradient check.
 """
 
 import struct
@@ -10,7 +12,6 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import DataError
 
 FMAP_MAGIC = b"FMAP1"
@@ -64,18 +65,3 @@ def global_pool(fmap: np.ndarray) -> np.ndarray:
     if fmap.ndim != 3:
         raise ad.ShapeError(f"global_pool: expected a 3-d map, got shape {fmap.shape}")
     return fmap.mean(axis=(1, 2))
-
-
-def weighted_pool(fmap: Tensor, weights: Tensor) -> Tensor:
-    """Importance-weighted pooling that keeps the 1/(h*w) normalization.
-
-    out_c = (1/(h*w)) * sum_{j,k} weights[j,k] * fmap[c,j,k]; with all
-    weights one this equals global_pool.
-    """
-    if fmap.ndim != 3 or weights.shape != fmap.shape[1:]:
-        raise ad.ShapeError(f"weighted_pool: map {fmap.shape} vs weights {weights.shape}")
-    channels = fmap.shape[0]
-    cells = fmap.shape[1] * fmap.shape[2]
-    flat = ad.reshape(fmap, (channels, cells))
-    pooled = ad.matmul(flat, ad.reshape(weights, (cells, 1)))
-    return ad.scale(ad.reshape(pooled, (channels,)), 1.0 / cells)

@@ -26,18 +26,6 @@ class JointSpaceParams:
     text: Tensor    # (joint_dim, embed_dim)
     scale: float    # multiplies every cosine score
 
-    @property
-    def joint_dim(self):
-        return self.visual.shape[0]
-
-    @property
-    def channels(self):
-        return self.visual.shape[1]
-
-    @property
-    def embed_dim(self):
-        return self.text.shape[1]
-
     def parameters(self) -> dict[str, Tensor]:
         return {"joint.visual": self.visual, "joint.text": self.text}
 

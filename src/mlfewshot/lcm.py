@@ -4,14 +4,15 @@ Each support image gets a grid of importance weights, fitted at test time
 by minimizing that image's class-mapping loss under weighted pooling with
 everything else frozen.  One fit takes a stack of images of one grid shape
 and fits all their grids in one loop.  A first-order estimate of how much
-the loss would change if a cell were removed is tracked with a momentum
-accumulator, and cells whose sigmoided accumulator clears a threshold are
-kept.
+the loss would change if a cell were removed, |w * d loss / d w| (the
+Taylor criterion of Molchanov et al., CVPR 2019), is tracked with a
+momentum accumulator, and cells whose sigmoided accumulator clears a
+threshold are kept.
 
 The fit needs only the loss's gradient in the weights, which has a closed
 form (pooling is linear in the weights), so it runs in plain numpy with no
-tape.  The taped image loss stays as the definition that the exact
-loss-change and the tests measure the closed form against.
+tape.  The taped form of the same loss is in verification.py, whose
+gradient check measures the closed form against it.
 """
 
 import math
@@ -22,9 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DegenerateVectorError, Tensor
 from .errors import ConfigError
-from .features import weighted_pool
-from .joint_space import JointSpaceParams, project_labels
-from .model import atomic_open, score_against
+from .joint_space import JointSpaceParams
+from .model import atomic_open
 from .optim import Adam
 
 
@@ -93,43 +93,11 @@ def momentum_update(accumulator: np.ndarray, grid: np.ndarray, iteration: int) -
     return alpha * np.asarray(accumulator, dtype=np.float64) + (1.0 - alpha) * np.asarray(grid, dtype=np.float64)
 
 
-def _frozen_view(joint: JointSpaceParams) -> JointSpaceParams:
-    # shares data, drops requires_grad: only the importance weights may train
-    return JointSpaceParams(
-        visual=Tensor(joint.visual.data),
-        text=Tensor(joint.text.data),
-        scale=joint.scale,
-    )
-
-
-def _image_loss(frozen: JointSpaceParams, fmap: Tensor, targets_row: np.ndarray,
-                label_joints: Tensor, weights: Tensor):
-    """This image's CM loss with importance-weighted pooling."""
-    pooled = weighted_pool(fmap, weights)
-    flat = score_against(frozen, ad.reshape(pooled, (1, pooled.shape[0])), label_joints)
-    return ad.tensor_sum(ad.bce_with_logits(flat, targets_row))
-
-
-def loss_change_exact(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
-                      label_embeddings, importance: np.ndarray, row: int, col: int) -> float:
-    """|loss(importance) - loss(importance with cell (row, col) zeroed)|,
-    by two forward passes."""
-    frozen = _frozen_view(joint)
-    label_joints = project_labels(frozen, label_embeddings)
-    fmap_t = Tensor(fmap)
-    y = np.asarray(targets_row, dtype=np.float64)
-    with_cell = _image_loss(frozen, fmap_t, y, label_joints, Tensor(importance)).item()
-    zeroed = np.array(importance, dtype=np.float64, copy=True)
-    zeroed[row, col] = 0.0
-    without_cell = _image_loss(frozen, fmap_t, y, label_joints, Tensor(zeroed)).item()
-    return abs(with_cell - without_cell)
-
-
 def _image_loss_gradient(joint: JointSpaceParams, fmaps: np.ndarray, targets,
                          label_embeddings):
-    """Closed-form d loss / d importance of `_image_loss` for every image of
-    an (n, c, h, w) stack with (n, labels) targets, as a function of the
-    (n, h, w) weights.
+    """Closed-form d loss / d importance of each image's CM loss under
+    weighted pooling, for every image of an (n, c, h, w) stack with
+    (n, labels) targets, as a function of the (n, h, w) weights.
 
     Per image, with M = visual @ fmap_flat / cells, v = M w, unit label
     vectors u_l, cosines c_l = u_l . v / |v| and residuals
@@ -171,16 +139,6 @@ def _image_loss_gradient(joint: JointSpaceParams, fmaps: np.ndarray, targets,
         return np.matmul(pooling_t, d_visual).reshape(count, height, width)
 
     return gradient
-
-
-def loss_change_taylor(joint: JointSpaceParams, fmap: np.ndarray, targets_row,
-                       label_embeddings, importance: np.ndarray) -> np.ndarray:
-    """First-order grid |importance * d loss / d importance| for every cell
-    of one (c, h, w) map, from the closed-form gradient."""
-    importance = np.asarray(importance, dtype=np.float64)
-    gradient = _image_loss_gradient(joint, np.asarray(fmap, dtype=np.float64)[None],
-                                    [targets_row], label_embeddings)
-    return np.abs(importance * gradient(importance[None])[0])
 
 
 def fit_importance(joint: JointSpaceParams, fmaps: np.ndarray, targets,

@@ -71,12 +71,9 @@ def per_label_average_precision(score_matrix, target_matrix, labels) -> dict[str
     return out
 
 
-def macro_average_precision(score_matrix, target_matrix, labels) -> float:
-    """Mean of the per-label APs that are defined."""
-    return _macro(per_label_average_precision(score_matrix, target_matrix, labels))
-
-
-def _macro(per_label: dict[str, float]) -> float:
+def macro_average_precision(per_label: dict[str, float]) -> float:
+    """Mean of the per-label APs that are defined (as
+    `per_label_average_precision` returns them)."""
     if not per_label:
         raise UndefinedAveragePrecision("undefined-ap: no label has positive targets")
     return float(np.mean(list(per_label.values())))
@@ -211,7 +208,7 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",
         per_label = per_label_average_precision(probs, targets, episode.labels)
         row = {
             "micro_ap": micro_average_precision(probs, targets),
-            "macro_ap": _macro(per_label),
+            "macro_ap": macro_average_precision(per_label),
             "per_label_ap": per_label,
         }
         row["micro_f1"], row["macro_f1"] = f1_scores(probs, targets)

@@ -2,6 +2,10 @@
 LCM importance gradient, plus a whole-model composite.  Ops are looked up on
 the autodiff module at call time, so a broken (or deliberately corrupted) op
 is caught when the suite runs.
+
+The central-difference checker and the taped LCM image loss (weighted
+pooling into the scaled-cosine BCE, with the joint space frozen) live here,
+beside the one suite that runs them; the program itself runs neither.
 """
 
 from dataclasses import dataclass
@@ -12,8 +16,8 @@ from . import autodiff as ad
 from . import lcm
 from .autodiff import Tensor
 from .episodes import Episode
-from .joint_space import init_joint_space, project_labels
-from .model import init_model
+from .joint_space import JointSpaceParams, init_joint_space, project_labels
+from .model import init_model, score_against
 from .seeding import substream
 from .training import episode_losses
 
@@ -30,6 +34,44 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.max_error <= self.tolerance
+
+
+def _central_difference_error(value, point: np.ndarray, analytic: np.ndarray, eps) -> float:
+    """Max over components of |analytic - numeric| / max(1, |analytic|), where
+    numeric central-differences value() by nudging `point` in place."""
+    worst = 0.0
+    it = np.nditer(point, flags=["multi_index"])
+    while not it.finished:
+        idx = it.multi_index
+        original = point[idx]
+        point[idx] = original + eps
+        f_plus = value()
+        point[idx] = original - eps
+        f_minus = value()
+        point[idx] = original
+        numeric = (f_plus - f_minus) / (2.0 * eps)
+        a = float(analytic[idx])
+        worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
+        it.iternext()
+    return worst
+
+
+def grad_check(f, x, eps=1e-6):
+    """Compare f's analytic gradient at x against central differences.
+
+    f must be a pure function Tensor -> scalar Tensor.  Returns the max
+    over components of |analytic - numeric| / max(1, |analytic|).
+    """
+    if not 0.0 < eps <= 1e-3:
+        raise ad.DomainError(f"grad_check: eps must lie in (0, 1e-3], got {eps}")
+    leaf = Tensor(np.array(x.data, copy=True), requires_grad=True)
+    out = f(leaf)
+    if out.ndim != 0:
+        raise ad.ShapeError(f"grad_check: f must return a scalar, got shape {out.shape}")
+    out.backward()
+    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+    point = np.array(x.data, copy=True)
+    return _central_difference_error(lambda: f(Tensor(point)).item(), point, analytic, eps)
 
 
 def _r(rng, *shape):
@@ -289,9 +331,43 @@ def full_model_max_error(eps=1e-6, seed=5) -> float:
     loss_tensor().backward()
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for name, p in params.items()}
-    return max(ad._central_difference_error(lambda: loss_tensor().item(), p.data,
-                                            analytic[name], eps)
+    return max(_central_difference_error(lambda: loss_tensor().item(), p.data,
+                                         analytic[name], eps)
                for name, p in params.items())
+
+
+def weighted_pool(fmap: Tensor, weights: Tensor) -> Tensor:
+    """Importance-weighted pooling that keeps the 1/(h*w) normalization.
+
+    out_c = (1/(h*w)) * sum_{j,k} weights[j,k] * fmap[c,j,k]; with all
+    weights one this equals features.global_pool.
+    """
+    if fmap.ndim != 3 or weights.shape != fmap.shape[1:]:
+        raise ad.ShapeError(f"weighted_pool: map {fmap.shape} vs weights {weights.shape}")
+    channels = fmap.shape[0]
+    cells = fmap.shape[1] * fmap.shape[2]
+    flat = ad.reshape(fmap, (channels, cells))
+    pooled = ad.matmul(flat, ad.reshape(weights, (cells, 1)))
+    return ad.scale(ad.reshape(pooled, (channels,)), 1.0 / cells)
+
+
+def _frozen_view(joint: JointSpaceParams) -> JointSpaceParams:
+    # shares data, drops requires_grad: only the importance weights may train
+    return JointSpaceParams(
+        visual=Tensor(joint.visual.data),
+        text=Tensor(joint.text.data),
+        scale=joint.scale,
+    )
+
+
+def _image_loss(frozen: JointSpaceParams, fmap: Tensor, targets_row: np.ndarray,
+                label_joints: Tensor, weights: Tensor):
+    """One image's CM loss with importance-weighted pooling, on the tape:
+    the loss whose weight gradient `lcm._image_loss_gradient` writes in
+    closed form."""
+    pooled = weighted_pool(fmap, weights)
+    flat = score_against(frozen, ad.reshape(pooled, (1, pooled.shape[0])), label_joints)
+    return ad.tensor_sum(ad.bce_with_logits(flat, targets_row))
 
 
 def lcm_gradient_max_error(eps=1e-6, seed=123) -> float:
@@ -303,16 +379,16 @@ def lcm_gradient_max_error(eps=1e-6, seed=123) -> float:
     targets = np.array([1.0, 0.0, 1.0])
     label_embeddings = rng.standard_normal((3, 3))
     weights = rng.uniform(0.2, 1.0, size=(3, 3))
-    frozen = lcm._frozen_view(joint)
+    frozen = _frozen_view(joint)
     label_joints = project_labels(frozen, label_embeddings)
     fmap_t = Tensor(fmap)
 
     def loss_value():
-        return lcm._image_loss(frozen, fmap_t, targets, label_joints, Tensor(weights)).item()
+        return _image_loss(frozen, fmap_t, targets, label_joints, Tensor(weights)).item()
 
     analytic = lcm._image_loss_gradient(joint, fmap[None], targets[None],
                                         label_embeddings)(weights[None])[0]
-    return ad._central_difference_error(loss_value, weights, analytic, eps)
+    return _central_difference_error(loss_value, weights, analytic, eps)
 
 
 def run_suite(eps=1e-6, op_tolerance=OP_TOLERANCE, model_tolerance=MODEL_TOLERANCE,
@@ -321,7 +397,7 @@ def run_suite(eps=1e-6, op_tolerance=OP_TOLERANCE, model_tolerance=MODEL_TOLERAN
     results = []
     for name, builder in OP_CASES:
         f, x0 = builder(substream(seed, "gradcheck", name))
-        error = ad.grad_check(f, x0, eps=eps)
+        error = grad_check(f, x0, eps=eps)
         results.append(CheckResult(name=name, max_error=error, tolerance=op_tolerance))
     results.append(CheckResult(name="lcm-importance-gradient",
                                max_error=lcm_gradient_max_error(eps=eps, seed=seed),

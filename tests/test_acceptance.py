@@ -23,16 +23,24 @@ from mlfewshot.episodes import (
     make_synthetic,
     records_for_split,
     sample_episode_with_retries,
-    validate_episode,
 )
 from mlfewshot.errors import DataError
-from mlfewshot.features import load_feature_file, weighted_pool, write_feature_file
-from mlfewshot.joint_space import JointSpaceParams
-from mlfewshot.lcm import LcmConfig, loss_change_taylor
-from mlfewshot.metrics import evaluate, f1_scores, macro_average_precision, micro_average_precision
+from mlfewshot.features import load_feature_file, write_feature_file
+from mlfewshot.joint_space import JointSpaceParams, project_labels
+from mlfewshot.lcm import LcmConfig, _image_loss_gradient
+from mlfewshot.metrics import (
+    evaluate,
+    f1_scores,
+    macro_average_precision,
+    micro_average_precision,
+    per_label_average_precision,
+)
 from mlfewshot.model import init_model, load_checkpoint, save_checkpoint
 from mlfewshot.optim import Adam
 from mlfewshot.training import TrainSettings, train
+from mlfewshot.verification import _frozen_view, _image_loss, weighted_pool
+
+from oracles import validate_episode
 
 DESK = RunConfig()                     # d_j 64, 8 heads, d_c 16, n_d 8, 30 epochs
 TRAIN_SEED = 11
@@ -168,10 +176,8 @@ def test_loss_change_taylor_matches_definition_exact_and_numeric():
     targets = np.array([1.0, 0.0])
     label_embeddings = rng.standard_normal((2, 5))
     rho = rng.uniform(0.3, 1.0, size=(3, 3))
-    grid = loss_change_taylor(joint, fmap, targets, label_embeddings, rho)
-
-    from mlfewshot.joint_space import project_labels
-    from mlfewshot.lcm import _frozen_view, _image_loss
+    gradient = _image_loss_gradient(joint, fmap[None], targets[None], label_embeddings)
+    grid = np.abs(rho * gradient(rho[None])[0])
 
     frozen = _frozen_view(joint)
     joints = project_labels(frozen, label_embeddings)
@@ -244,7 +250,8 @@ def test_metrics_match_brute_force_on_1000_batches():
         defined = [j for j in range(m) if targets[:, j].sum() > 0]
         want_macro = np.mean([_ap_oracle(list(scores[:, j]), list(targets[:, j]))
                               for j in defined])
-        got_macro = macro_average_precision(scores, targets, labels[:m])
+        got_macro = macro_average_precision(
+            per_label_average_precision(scores, targets, labels[:m]))
         assert abs(got_macro - want_macro) <= 1e-9
 
         probs = expit(scores)

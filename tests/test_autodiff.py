@@ -12,9 +12,8 @@ from mlfewshot.autodiff import (
     DomainError,
     ShapeError,
     Tensor,
-    grad_check,
-    tensor,
 )
+from mlfewshot.verification import grad_check
 
 OP_TOL = 1e-5
 POINTS = 100
@@ -41,7 +40,7 @@ def _rows(vectors):
 
 
 def test_softmax_of_zeros_is_uniform():
-    out = ad.softmax(tensor([0.0, 0.0]))
+    out = ad.softmax(Tensor([0.0, 0.0]))
     assert np.array_equal(out.data, [0.5, 0.5])
 
 
@@ -49,18 +48,18 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     rng = np.random.default_rng(11)
     for _ in range(50):
         x = rng.standard_normal((4, 7)) * 5
-        y = ad.softmax(tensor(x)).data
+        y = ad.softmax(Tensor(x)).data
         assert np.all(np.abs(y.sum(axis=-1) - 1.0) <= 1e-12)
-        shifted = ad.softmax(tensor(x + 123.456)).data
+        shifted = ad.softmax(Tensor(x + 123.456)).data
         assert np.max(np.abs(y - shifted)) <= 1e-9
 
 
 def test_sigmoid_at_zero():
-    assert ad.sigmoid(tensor(0.0)).item() == 0.5
+    assert ad.sigmoid(Tensor(0.0)).item() == 0.5
 
 
 def test_sigmoid_extremes_stay_finite():
-    y = ad.sigmoid(tensor([-1000.0, 1000.0])).data
+    y = ad.sigmoid(Tensor([-1000.0, 1000.0])).data
     assert np.all(np.isfinite(y))
     assert y[0] < 1e-300 and y[1] == 1.0
 
@@ -69,65 +68,65 @@ def test_gelu_exact_gaussian_cdf():
     # x * Phi(x) with Phi the standard normal CDF, not the tanh approximation
     x = 1.0
     expected = x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-    assert abs(ad.gelu(tensor(x)).item() - expected) < 1e-15
-    assert ad.gelu(tensor(0.0)).item() == 0.0
+    assert abs(ad.gelu(Tensor(x)).item() - expected) < 1e-15
+    assert ad.gelu(Tensor(0.0)).item() == 0.0
     # the tanh approximation differs from the exact form in the 4th decimal here
-    assert abs(ad.gelu(tensor(-2.0)).item() - (-2.0 * 0.5 * (1 + math.erf(-2 / math.sqrt(2))))) < 1e-15
+    assert abs(ad.gelu(Tensor(-2.0)).item() - (-2.0 * 0.5 * (1 + math.erf(-2 / math.sqrt(2))))) < 1e-15
 
 
 def test_log_hand_value_and_domain():
-    assert abs(ad.log(tensor(2.0)).item() - 0.6931471805599453) < 1e-15
+    assert abs(ad.log(Tensor(2.0)).item() - 0.6931471805599453) < 1e-15
     with pytest.raises(DomainError):
-        ad.log(tensor([1.0, 0.0]))
+        ad.log(Tensor([1.0, 0.0]))
     with pytest.raises(DomainError):
-        ad.log(tensor(-1.0))
+        ad.log(Tensor(-1.0))
 
 
 def test_relu_forward():
-    out = ad.relu(tensor([-2.0, 0.0, 3.5]))
+    out = ad.relu(Tensor([-2.0, 0.0, 3.5]))
     assert np.array_equal(out.data, [0.0, 0.0, 3.5])
 
 
 def test_layer_norm_zero_vector_yields_bias():
-    gain = tensor([2.0, 2.0, 2.0])
-    bias = tensor([0.5, -0.5, 0.0])
-    out = ad.layer_norm(tensor([0.0, 0.0, 0.0]), gain, bias)
+    gain = Tensor([2.0, 2.0, 2.0])
+    bias = Tensor([0.5, -0.5, 0.0])
+    out = ad.layer_norm(Tensor([0.0, 0.0, 0.0]), gain, bias)
     assert np.allclose(out.data, bias.data)
 
 
 def test_layer_norm_normalizes_rows():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 8)) * 3 + 2
-    ones = tensor(np.ones(8))
-    zeros = tensor(np.zeros(8))
-    y = ad.layer_norm(tensor(x), ones, zeros).data
+    ones = Tensor(np.ones(8))
+    zeros = Tensor(np.zeros(8))
+    y = ad.layer_norm(Tensor(x), ones, zeros).data
     assert np.all(np.abs(y.mean(axis=-1)) < 1e-12)
     assert np.all(np.abs(y.var(axis=-1) - 1.0) < 1e-4)  # eps shifts variance slightly
 
 
 def test_cosine_values_and_degenerate():
-    assert abs(ad.cosine(tensor([[1.0, 0.0]]), tensor([[1.0, 1.0]])).data[0, 0]
+    assert abs(ad.cosine(Tensor([[1.0, 0.0]]), Tensor([[1.0, 1.0]])).data[0, 0]
                - 1 / math.sqrt(2)) < 1e-15
-    assert ad.cosine(tensor([[1.0, 2.0]]), tensor([[2.0, 4.0]])).data[0, 0] == pytest.approx(1.0)
+    assert ad.cosine(Tensor([[1.0, 2.0]]), Tensor([[2.0, 4.0]])).data[0, 0] == pytest.approx(1.0)
     with pytest.raises(DegenerateVectorError, match="degenerate-vector"):
-        ad.cosine(tensor([[0.0, 0.0]]), tensor([[1.0, 1.0]]))
+        ad.cosine(Tensor([[0.0, 0.0]]), Tensor([[1.0, 1.0]]))
     with pytest.raises(DegenerateVectorError, match="degenerate-vector"):
-        ad.cosine(tensor([[1.0, 1.0]]), tensor([[0.0, 0.0]]))
+        ad.cosine(Tensor([[1.0, 1.0]]), Tensor([[0.0, 0.0]]))
 
 
 def test_cosine_matrix_entries_and_shapes():
     rng = np.random.default_rng(8)
     a, b = rng.standard_normal((3, 5)), rng.standard_normal((4, 5))
-    c = ad.cosine(tensor(a), tensor(b)).data
+    c = ad.cosine(Tensor(a), Tensor(b)).data
     assert c.shape == (3, 4)
     for i in range(3):
         for j in range(4):
             expected = a[i] @ b[j] / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
             assert abs(c[i, j] - expected) <= 1e-15
     with pytest.raises(ShapeError):
-        ad.cosine(tensor(a), tensor(rng.standard_normal((4, 6))))
+        ad.cosine(Tensor(a), Tensor(rng.standard_normal((4, 6))))
     with pytest.raises(ShapeError):
-        ad.cosine(tensor(a[0]), tensor(b))
+        ad.cosine(Tensor(a[0]), Tensor(b))
 
 
 def test_cosine_zero_row_in_either_operand_is_degenerate():
@@ -135,29 +134,29 @@ def test_cosine_zero_row_in_either_operand_is_degenerate():
     a, b = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
     a[1] = 0.0
     with pytest.raises(DegenerateVectorError, match="degenerate-vector"):
-        ad.cosine(tensor(a), tensor(b))
+        ad.cosine(Tensor(a), Tensor(b))
     with pytest.raises(DegenerateVectorError, match="degenerate-vector"):
-        ad.cosine(tensor(b), tensor(a))
+        ad.cosine(Tensor(b), Tensor(a))
 
 
 def test_scale_builds_one_node():
-    x = tensor([1.0, -2.0], requires_grad=True)
+    x = Tensor([1.0, -2.0], requires_grad=True)
     out = ad.scale(x, 2.5)
     assert out.op == "scale" and out._parents == (x,)
     assert np.array_equal(out.data, [2.5, -5.0])
 
 
 def test_head_readout_rejects_bad_shapes():
-    features = tensor(np.ones((3, 6)))
+    features = Tensor(np.ones((3, 6)))
     with pytest.raises(ShapeError):
-        ad.head_readout(features, tensor(np.ones((1, 6))), 4, [3])
+        ad.head_readout(features, Tensor(np.ones((1, 6))), 4, [3])
     with pytest.raises(ShapeError):
-        ad.head_readout(features, tensor(np.ones((1, 5))), 3, [3])
+        ad.head_readout(features, Tensor(np.ones((1, 5))), 3, [3])
     with pytest.raises(ShapeError):
-        ad.head_readout(features, tensor(np.ones(6)), 3, [3])          # one query is one row
+        ad.head_readout(features, Tensor(np.ones(6)), 3, [3])          # one query is one row
     for sizes in ([2], [2, 2], [3, 0]):
         with pytest.raises(ShapeError, match="segment sizes"):
-            ad.head_readout(features, tensor(np.ones((len(sizes), 6))), 3, sizes)
+            ad.head_readout(features, Tensor(np.ones((len(sizes), 6))), 3, sizes)
 
 
 def test_bce_matches_literal_composition():
@@ -165,7 +164,7 @@ def test_bce_matches_literal_composition():
     for _ in range(50):
         s = rng.standard_normal(6) * 3
         y = (rng.random(6) < 0.5).astype(float)
-        fused = ad.bce_with_logits(tensor(s), y).data
+        fused = ad.bce_with_logits(Tensor(s), y).data
         sig = 1 / (1 + np.exp(-s))
         literal = -(y * np.log(sig) + (1 - y) * np.log(1 - sig))
         assert np.max(np.abs(fused - literal)) < 1e-12
@@ -173,12 +172,12 @@ def test_bce_matches_literal_composition():
 
 def test_bce_hand_value_at_zero_logit():
     # s=0, y=1 contributes ln 2
-    assert abs(ad.bce_with_logits(tensor(0.0), 1.0).item() - math.log(2)) < 1e-15
+    assert abs(ad.bce_with_logits(Tensor(0.0), 1.0).item() - math.log(2)) < 1e-15
 
 
 def test_split_concat_round_trip_bitwise():
     rng = np.random.default_rng(7)
-    x = tensor(rng.standard_normal((6, 8)))
+    x = Tensor(rng.standard_normal((6, 8)))
     for axis, sections in [(0, 3), (1, 4), (1, 8)]:
         parts = ad.split(x, sections, axis=axis)
         back = ad.concat(parts, axis=axis)
@@ -187,37 +186,37 @@ def test_split_concat_round_trip_bitwise():
 
 def test_split_rejects_uneven():
     with pytest.raises(ShapeError):
-        ad.split(tensor(np.zeros((5, 4))), 3, axis=0)
+        ad.split(Tensor(np.zeros((5, 4))), 3, axis=0)
 
 
 def test_elementwise_ops_reject_unequal_shapes():
-    t = tensor(np.ones((2, 3)))
+    t = Tensor(np.ones((2, 3)))
     with pytest.raises(ShapeError, match=r"add.*\(2, 3\).*\(\)"):
-        ad.add(t, tensor(2.0))
+        ad.add(t, Tensor(2.0))
     with pytest.raises(ShapeError, match=r"mul.*\(\).*\(2, 3\)"):
-        ad.mul(tensor(3.0), t)
+        ad.mul(Tensor(3.0), t)
     with pytest.raises(ShapeError):
-        ad.sub(t, tensor(2.0))
+        ad.sub(t, Tensor(2.0))
     with pytest.raises(ShapeError):
-        ad.add(t, tensor(np.ones(3)))
+        ad.add(t, Tensor(np.ones(3)))
     with pytest.raises(ShapeError):
-        ad.mul(t, tensor(np.ones((3, 2))))
+        ad.mul(t, Tensor(np.ones((3, 2))))
 
 
 def test_matmul_shape_errors_name_op_and_shapes():
     with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
-        ad.matmul(tensor(np.ones((2, 3))), tensor(np.ones((2, 3))))
+        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
 def test_leaf_rejects_non_finite():
     with pytest.raises(DomainError):
-        tensor([1.0, float("nan")])
+        Tensor([1.0, float("nan")])
     with pytest.raises(DomainError):
-        tensor([float("inf")])
+        Tensor([float("inf")])
 
 
 def test_gather_rows_forward_and_bounds():
-    x = tensor(np.arange(12.0).reshape(4, 3))
+    x = Tensor(np.arange(12.0).reshape(4, 3))
     out = ad.gather_rows(x, [2, 0])
     assert np.array_equal(out.data, [[6, 7, 8], [0, 1, 2]])
     with pytest.raises(ShapeError):
@@ -290,15 +289,15 @@ def test_linear_bias_is_the_rank_one_ones_product_bitwise(rows):
 
 
 def test_linear_rejects_a_bias_of_the_wrong_length():
-    x, weight = tensor(np.ones((3, 4))), tensor(np.ones((5, 4)))
+    x, weight = Tensor(np.ones((3, 4))), Tensor(np.ones((5, 4)))
     for bias in (np.ones(4), np.ones((1, 5)), np.ones(())):
         with pytest.raises(ShapeError, match="linear"):
-            ad.linear(x, weight, tensor(bias))
+            ad.linear(x, weight, Tensor(bias))
 
 
 def test_dropout_eval_is_identity_and_train_rescales():
     rng = np.random.default_rng(0)
-    x = tensor(rng.standard_normal(1000))
+    x = Tensor(rng.standard_normal(1000))
     assert np.array_equal(ad.dropout(x, 0.5, training=False).data, x.data)
     # eval mode and rate 0 hand back the input itself: no copy, no node
     assert ad.dropout(x, 0.5, training=False) is x
@@ -320,14 +319,14 @@ def test_dropout_eval_is_identity_and_train_rescales():
 
 
 def test_backward_requires_scalar():
-    x = tensor(np.ones(3), requires_grad=True)
+    x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):
         ad.add(x, x).backward()
 
 
 def test_diamond_graph_accumulates():
     # y = (x + x) * (x + x) = 4x^2, dy/dx = 8x
-    x = tensor(3.0, requires_grad=True)
+    x = Tensor(3.0, requires_grad=True)
     a = ad.add(x, x)
     y = ad.mul(a, a)
     grads = y.backward()
@@ -339,8 +338,8 @@ def test_diamond_graph_accumulates():
 def test_shared_subexpression_gradients():
     # z = sum(a*b) + sum(a); dz/da = b + 1, dz/db = a
     rng = np.random.default_rng(2)
-    a = tensor(rng.standard_normal(5), requires_grad=True)
-    b = tensor(rng.standard_normal(5), requires_grad=True)
+    a = Tensor(rng.standard_normal(5), requires_grad=True)
+    b = Tensor(rng.standard_normal(5), requires_grad=True)
     z = ad.add(ad.tensor_sum(ad.mul(a, b)), ad.tensor_sum(a))
     z.backward()
     assert np.allclose(a.grad, b.data + 1.0)
@@ -348,7 +347,7 @@ def test_shared_subexpression_gradients():
 
 
 def test_constants_build_no_graph():
-    a = tensor(np.ones(4))
+    a = Tensor(np.ones(4))
     out = ad.mul(ad.add(a, a), a)
     assert out._parents == ()
     assert not out.requires_grad
@@ -658,12 +657,10 @@ def test_gradient_matches_central_differences(name):
 
 
 def _ops():
-    """The tape's ops: every public function of the autodiff module except
-    the three that build no node of their own."""
+    """The tape's ops: every public function of the autodiff module."""
     return sorted(name for name, fn in vars(ad).items()
                   if inspect.isfunction(fn) and fn.__module__ == ad.__name__
-                  and not name.startswith("_")
-                  and name not in {"tensor", "forward", "grad_check"})
+                  and not name.startswith("_"))
 
 
 def test_every_op_has_a_gradient_case():
@@ -796,6 +793,6 @@ def test_grad_check_flags_wrong_gradient():
 
 def test_grad_check_eps_validation():
     with pytest.raises(DomainError):
-        grad_check(lambda t: ad.tensor_sum(t), tensor(np.ones(2)), eps=0.1)
+        grad_check(lambda t: ad.tensor_sum(t), Tensor(np.ones(2)), eps=0.1)
     with pytest.raises(DomainError):
-        grad_check(lambda t: ad.tensor_sum(t), tensor(np.ones(2)), eps=0.0)
+        grad_check(lambda t: ad.tensor_sum(t), Tensor(np.ones(2)), eps=0.0)

@@ -8,6 +8,7 @@ import pytest
 
 from mlfewshot import cli
 from mlfewshot.cli import main
+from mlfewshot.config import PATH_KEYS
 from mlfewshot.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
 TRAIN_FLAGS = ["--d_j", "8", "--n_heads", "2", "--d_c", "4", "--n_d", "4",
@@ -154,6 +155,23 @@ def test_exit_code_1_for_config_errors(pipeline, capsys):
     assert main(["train", *paths, "--epochs", "2", "--warmup_epochs", "2"]) == 1
     assert "config error" in capsys.readouterr().err
     assert main(["train", "--checkpoint", "x", "--output", "y"]) == 1
+
+
+@pytest.mark.parametrize("first", PATH_KEYS)
+@pytest.mark.parametrize("command", ["train", "eval", "inspect-lcm"])
+def test_missing_path_keys_exit_1_naming_the_first(pipeline, tmp_path, capsys, command, first):
+    # leave out `first` and every later path key but output, which points
+    # at a directory that must not be created
+    _, _, paths = pipeline
+    given = dict(zip(paths[::2], paths[1::2]), **{"--output": str(tmp_path / "out")})
+    later = PATH_KEYS[PATH_KEYS.index(first):]
+    left_out = {first, *(key for key in later if key != "output")}
+    argv = [part for key, value in given.items() if key[2:] not in left_out
+            for part in (key, value)]
+    extra = ["--image", "img00000"] if command == "inspect-lcm" else []
+    assert main([command, *argv, *extra]) == 1
+    assert f"config error: {first} path is required" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_2_for_data_errors(pipeline, tmp_path, capsys):

@@ -17,10 +17,11 @@ from mlfewshot.episodes import (
     records_for_split,
     sample_episode,
     sample_episode_with_retries,
-    validate_episode,
     write_manifest,
 )
 from mlfewshot.features import load_feature_file
+
+from oracles import validate_episode
 
 
 def toy_manifest(entries):

@@ -12,9 +12,9 @@ from mlfewshot.features import (
     FMAP_MAGIC,
     global_pool,
     load_feature_file,
-    weighted_pool,
     write_feature_file,
 )
+from mlfewshot.verification import weighted_pool
 
 
 def test_round_trip_is_bitwise_for_float32_values(tmp_path):

@@ -13,10 +13,16 @@ same bytes.  Each gradient check's max_error has its own digest, keyed
 ``gradcheck_max_error.<case>``, so a change that adds or deletes a case
 can show that every other case is unchanged.
 
-    python3 tools/fingerprint.py               # this checkout
-    python3 tools/fingerprint.py --root DIR    # another checkout
+    python3 tools/fingerprint.py                  # this checkout
+    python3 tools/fingerprint.py --root DIR       # another checkout
+    python3 tools/fingerprint.py --against DIR    # compare with another checkout
 
-A run takes about a minute on two cores, most of it training.
+With ``--against`` it fingerprints both checkouts, prints each key whose
+digest differs (or that only one of them has), and exits 1 on any
+difference, 0 when every digest is identical.
+
+A run takes about a minute on two cores, most of it training; a comparison
+takes two.
 """
 
 import argparse
@@ -87,11 +93,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout to fingerprint (default: this one)")
+    parser.add_argument("--against", type=Path, default=None, metavar="DIR",
+                        help="second checkout: print the keys whose digests differ "
+                             "and exit 1 if any do")
     args = parser.parse_args(argv)
-    if not (args.root / "src" / "mlfewshot" / "cli.py").is_file():
-        parser.error(f"{args.root} holds no src/mlfewshot/cli.py")
-    print(json.dumps(fingerprint(args.root.resolve()), sort_keys=True))
-    return 0
+    for root in (args.root, args.against):
+        if root is not None and not (root / "src" / "mlfewshot" / "cli.py").is_file():
+            parser.error(f"{root} holds no src/mlfewshot/cli.py")
+    ours = fingerprint(args.root.resolve())
+    if args.against is None:
+        print(json.dumps(ours, sort_keys=True))
+        return 0
+    theirs = fingerprint(args.against.resolve())
+    differing = sorted(key for key in ours.keys() | theirs.keys()
+                       if ours.get(key) != theirs.get(key))
+    for key in differing:
+        print(f"differs: {key}")
+    print(f"{len(ours.keys() - set(differing))} digests identical, {len(differing)} differ")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
