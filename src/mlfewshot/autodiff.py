@@ -57,7 +57,7 @@ class Tensor:
 
     __slots__ = ("data", "grad", "grad_home", "requires_grad", "op", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _op="leaf", _backward=None):
+    def __init__(self, data, requires_grad=False, _op="leaf"):
         arr = np.asarray(data, dtype=np.float64)
         if _op == "leaf" and not np.all(np.isfinite(arr)):
             raise DomainError("tensor: leaf data must be finite")
@@ -66,8 +66,8 @@ class Tensor:
         self.grad_home = None
         self.requires_grad = bool(requires_grad)
         self.op = _op
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = ()
+        self._backward = None
 
     @property
     def shape(self):

@@ -73,6 +73,24 @@ def _prepare(args):
     return cfg, vocabulary, manifest, table, out_dir
 
 
+def _channels(manifest) -> int:
+    """The channel count of the manifest's feature maps, read from its first."""
+    return load_feature_file(manifest.feature_path(0)).shape[0]
+
+
+def _load_model(cfg, manifest, table):
+    """Load the checkpoint and check that its two projections take the
+    widths of this run's feature maps and word vectors."""
+    model, extras = load_checkpoint(cfg.checkpoint)
+    for name, tensor, width, what in (
+            ("joint.visual", model.joint.visual, _channels(manifest), "feature channels"),
+            ("joint.text", model.joint.text, table.dimension, "embedding dimensions")):
+        if tensor.shape[1] != width:
+            raise DataError(f"checkpoint {cfg.checkpoint}: {name} takes {tensor.shape[1]} "
+                            f"{what}, but the data has {width}")
+    return model, extras
+
+
 def _write_json(path, payload):
     with atomic_open(path, "w") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
@@ -102,11 +120,10 @@ def cmd_train(args) -> int:
 
     extras = {}
     if args.resume:
-        model, extras = load_checkpoint(cfg.checkpoint)
+        model, extras = _load_model(cfg, manifest, table)
     else:
         model = init_model(
-            channels=load_feature_file(manifest.feature_path(0)).shape[0],
-            embed_dim=table.dimension,
+            channels=_channels(manifest), embed_dim=table.dimension,
             joint_dim=cfg.d_j, heads=cfg.n_heads, dynconv_inner=cfg.d_c,
             dynconv_top=cfg.n_d, scale=cfg.lambda_, dropout=cfg.dropout,
             rng=seeding.substream(cfg.seed, "init"))
@@ -140,7 +157,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, vocabulary, manifest, table, out_dir = _prepare(args)
-    model, _ = load_checkpoint(cfg.checkpoint)
+    model, _ = _load_model(cfg, manifest, table)
     report, _ = evaluate(
         model, manifest, vocabulary, table, split=args.split,
         episodes=cfg.eval_episodes, k_shot=cfg.k_shot, seed=cfg.seed,
@@ -162,9 +179,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from . import verification
 
-    results = verification.run_suite(eps=args.eps, op_tolerance=args.tolerance,
-                                     model_tolerance=args.model_tolerance,
-                                     include_model=not args.skip_model)
+    results = verification.run_suite(include_model=not args.skip_model)
     width = max(len(r.name) for r in results)
     failed = []
     for r in results:
@@ -181,7 +196,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_inspect_lcm(args) -> int:
     cfg, vocabulary, manifest, table, out_dir = _prepare(args)
-    model, _ = load_checkpoint(cfg.checkpoint)
+    model, _ = _load_model(cfg, manifest, table)
 
     record = manifest.record_for(args.image)
     split = vocabulary.split_of(record.labels[0])
@@ -248,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--tolerance", type=float, default=1e-5)
-    p.add_argument("--model-tolerance", type=float, default=1e-4)
     p.add_argument("--skip-model", action="store_true",
                    help="skip the whole-model composite check")
     p.set_defaults(func=cmd_gradcheck)

@@ -8,34 +8,11 @@ flags override file values.  The run id is the SHA-1 of the canonical
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .lcm import LcmConfig
 from .training import TrainSettings
-
-# key name in files/flags -> (attribute, python type)
-NUMERIC_KEYS = {
-    "d_j": ("d_j", int),
-    "n_heads": ("n_heads", int),
-    "d_c": ("d_c", int),
-    "n_d": ("n_d", int),
-    "lambda": ("lambda_", float),
-    "gamma": ("gamma", float),
-    "theta": ("theta", float),
-    "lr": ("lr", float),
-    "lcm_lr": ("lcm_lr", float),
-    "epochs": ("epochs", int),
-    "warmup_epochs": ("warmup_epochs", int),
-    "lcm_epochs": ("lcm_epochs", int),
-    "episodes_per_epoch": ("episodes_per_epoch", int),
-    "eval_episodes": ("eval_episodes", int),
-    "k_shot": ("k_shot", int),
-    "seed": ("seed", int),
-    "dropout": ("dropout", float),
-    "normalize_embeddings": ("normalize_embeddings", bool),
-    "threads": ("threads", int),
-}
 
 # key name in files/flags, which is also the attribute
 PATH_KEYS = ("manifest", "embeddings", "splits", "checkpoint", "output")
@@ -48,19 +25,19 @@ class RunConfig:
     d_c: int = 16
     n_d: int = 8
     lambda_: float = 10.0
-    gamma: float = 1.0
-    theta: float = 0.65
-    lr: float = 0.001
-    lcm_lr: float = 0.01
-    epochs: int = 30
-    warmup_epochs: int = 3
-    lcm_epochs: int = 20
-    episodes_per_epoch: int = 16
+    gamma: float = TrainSettings.gamma
+    theta: float = LcmConfig.threshold
+    lr: float = TrainSettings.lr
+    lcm_lr: float = LcmConfig.learning_rate
+    epochs: int = TrainSettings.epochs
+    warmup_epochs: int = TrainSettings.warmup_epochs
+    lcm_epochs: int = LcmConfig.epochs
+    episodes_per_epoch: int = TrainSettings.episodes_per_epoch
     eval_episodes: int = 50
-    k_shot: int = 1
-    seed: int = 0
+    k_shot: int = TrainSettings.k_shot
+    seed: int = TrainSettings.seed
     dropout: float = 0.1
-    normalize_embeddings: bool = False
+    normalize_embeddings: bool = TrainSettings.normalize_embeddings
     threads: int = 1
     manifest: str | None = None
     embeddings: str | None = None
@@ -96,6 +73,12 @@ class RunConfig:
     def lcm_config(self) -> LcmConfig:
         return LcmConfig(threshold=self.theta, learning_rate=self.lcm_lr,
                          epochs=self.lcm_epochs)
+
+
+# key name in files/flags -> (attribute, python type), in field order; the
+# key is the attribute without its trailing "_" (lambda is a Python keyword)
+NUMERIC_KEYS = {field.name.rstrip("_"): (field.name, field.type)
+                for field in fields(RunConfig) if field.name not in PATH_KEYS}
 
 
 def _convert(key: str, raw, kind):

@@ -167,17 +167,18 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
     return ad._logistic(logits.data.reshape(shape)), detail, fell_back
 
 
-def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",
-             episodes=50, k_shot=1, seed=0, mode="base", theta=0.65,
-             lcm_config: LcmConfig | None = None, store=None,
-             normalize_embeddings=False, collect_detail=False,
-             threads=1) -> tuple[MetricsReport, list]:
+def evaluate(model: ModelState, manifest, vocabulary, table, *, split, episodes, k_shot,
+             seed, mode, theta, lcm_config: LcmConfig | None, store=None,
+             normalize_embeddings, collect_detail=False,
+             threads) -> tuple[MetricsReport, list]:
     """Evaluate over seeded episodes of the given split.
 
     Episode sampling depends only on (seed, episode index), so different
-    modes at the same seed see identical episodes.  Detail rows carry the
-    per-support-image importance data in "lcm" mode when asked.  Support
-    masks that fall back to keep-all are summarised in one warning.
+    modes at the same seed see identical episodes.  "lcm" mode fits with
+    `lcm_config` and selects at `theta`; other modes may pass None.  Detail
+    rows carry the per-support-image importance data in "lcm" mode when
+    asked.  Support masks that fall back to keep-all are summarised in one
+    warning.
     """
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown-mode: {mode!r} is not one of {EVAL_MODES}")
@@ -185,8 +186,6 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split="novel",
         raise ConfigError(f"episodes must be >= 1, got {episodes}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    if mode == "lcm" and lcm_config is None:
-        lcm_config = LcmConfig(threshold=theta)
     if store is None:
         store = FeatureStore(manifest)
     labels = list(vocabulary.labels_for(split))

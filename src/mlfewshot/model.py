@@ -158,39 +158,42 @@ def read_checkpoint_tensors(path) -> dict[str, np.ndarray]:
 def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
     """Rebuild a ModelState; returns it plus the optim.*/config.* extras.
 
-    Parameters come back frozen, so evaluation builds no backward graph;
-    `training.train` makes them trainable again."""
+    The model is built at the checkpoint's sizes and each parameter read
+    under its `named_parameters()` name; a missing, wrong-shaped or
+    non-finite tensor is a DataError naming it.  Parameters come back
+    frozen, so evaluation builds no backward graph; `training.train` makes
+    them trainable again."""
     tensors = read_checkpoint_tensors(path)
+
+    def read(name, shape):
+        if name not in tensors:
+            raise DataError(f"checkpoint {path} lacks tensor {name!r}")
+        value = tensors[name]
+        if value.shape != shape:
+            raise DataError(f"checkpoint {path}: tensor {name!r} has shape {value.shape}, "
+                            f"the model's is {shape}")
+        if not np.all(np.isfinite(value)):
+            raise DataError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
+        return value
+
+    scale, dropout, top_count, epoch = (
+        read(name, ()) for name in ("model.scale", "model.dropout", "model.top_count",
+                                    "trainer.epoch"))
     try:
-        heads = len([k for k in tensors if k.startswith("attention.query.")])
-        joint = JointSpaceParams(
-            visual=Tensor(tensors["joint.visual"]),
-            text=Tensor(tensors["joint.text"]),
-            scale=float(tensors["model.scale"]),
-        )
-        attention = AttentionParams(
-            queries=[Tensor(tensors[f"attention.query.{j}"]) for j in range(heads)],
-            mlp_w1=Tensor(tensors["attention.mlp.w1"]),
-            mlp_b1=Tensor(tensors["attention.mlp.b1"]),
-            mlp_w2=Tensor(tensors["attention.mlp.w2"]),
-            mlp_b2=Tensor(tensors["attention.mlp.b2"]),
-            dropout=float(tensors["model.dropout"]),
-        )
-        dynconv = DynConvParams(
-            gen1_weight=Tensor(tensors["dynconv.gen1.weight"]),
-            gen1_bias=Tensor(tensors["dynconv.gen1.bias"]),
-            gen2_weight=Tensor(tensors["dynconv.gen2.weight"]),
-            gen2_bias=Tensor(tensors["dynconv.gen2.bias"]),
-            norm1_gain=Tensor(tensors["dynconv.norm1.gain"]),
-            norm1_bias=Tensor(tensors["dynconv.norm1.bias"]),
-            norm2_gain=Tensor(tensors["dynconv.norm2.gain"]),
-            norm2_bias=Tensor(tensors["dynconv.norm2.bias"]),
-            top_count=int(tensors["model.top_count"]),
-        )
-        epoch = int(tensors["trainer.epoch"])
+        visual, text = tensors["joint.visual"].shape, tensors["joint.text"].shape
+        model = init_model(
+            channels=visual[1], embed_dim=text[1], joint_dim=visual[0],
+            heads=sum(name.startswith("attention.query.") for name in tensors),
+            dynconv_inner=tensors["dynconv.norm1.gain"].shape[0], dynconv_top=int(top_count),
+            scale=float(scale), dropout=float(dropout), rng=np.random.default_rng(0))
     except KeyError as missing:
         raise DataError(f"checkpoint {path} lacks tensor {missing}") from missing
-    model = ModelState(joint=joint, attention=attention, dynconv=dynconv, epoch=epoch)
+    except (ConfigError, IndexError) as bad:      # IndexError: a size tensor of too low a rank
+        raise DataError(f"checkpoint {path} holds sizes no model has: {bad}") from bad
+    for name, p in model.named_parameters().items():
+        p.data = read(name, p.shape)
+        p.requires_grad = False
+    model.epoch = int(epoch)
     extras = {k: v for k, v in tensors.items()
               if k.startswith("optim.") or k.startswith("config.")}
     return model, extras

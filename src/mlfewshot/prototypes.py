@@ -61,7 +61,7 @@ class AttentionParams:
     mlp_b1: Tensor
     mlp_w2: Tensor
     mlp_b2: Tensor
-    dropout: float = 0.1
+    dropout: float
 
     @property
     def heads(self):
@@ -143,7 +143,7 @@ def _near_identity(rng, dim):
     return Tensor(np.eye(dim) + noise, requires_grad=True)
 
 
-def init_attention(joint_dim: int, heads: int, rng, dropout: float = 0.1) -> AttentionParams:
+def init_attention(joint_dim: int, heads: int, rng, dropout: float) -> AttentionParams:
     if heads < 1 or joint_dim % heads != 0:
         raise ConfigError(f"head count {heads} must divide the joint dimension {joint_dim}")
     head_dim = joint_dim // heads

@@ -21,8 +21,11 @@ from .model import init_model, score_against
 from .seeding import substream
 from .training import episode_losses
 
-OP_TOLERANCE = 1e-5
-MODEL_TOLERANCE = 1e-4
+EPS = 1e-6               # central-difference step
+OP_TOLERANCE = 1e-5      # per-op and LCM-gradient checks
+MODEL_TOLERANCE = 1e-4   # the whole-model composite
+SEED = 123               # keys each op case's generator, with the case's name
+MODEL_SEED = 5           # the tiny episode's generator
 
 
 @dataclass
@@ -36,7 +39,7 @@ class CheckResult:
         return self.max_error <= self.tolerance
 
 
-def _central_difference_error(value, point: np.ndarray, analytic: np.ndarray, eps) -> float:
+def _central_difference_error(value, point: np.ndarray, analytic: np.ndarray) -> float:
     """Max over components of |analytic - numeric| / max(1, |analytic|), where
     numeric central-differences value() by nudging `point` in place."""
     worst = 0.0
@@ -44,26 +47,24 @@ def _central_difference_error(value, point: np.ndarray, analytic: np.ndarray, ep
     while not it.finished:
         idx = it.multi_index
         original = point[idx]
-        point[idx] = original + eps
+        point[idx] = original + EPS
         f_plus = value()
-        point[idx] = original - eps
+        point[idx] = original - EPS
         f_minus = value()
         point[idx] = original
-        numeric = (f_plus - f_minus) / (2.0 * eps)
+        numeric = (f_plus - f_minus) / (2.0 * EPS)
         a = float(analytic[idx])
         worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
         it.iternext()
     return worst
 
 
-def grad_check(f, x, eps=1e-6):
+def grad_check(f, x):
     """Compare f's analytic gradient at x against central differences.
 
     f must be a pure function Tensor -> scalar Tensor.  Returns the max
     over components of |analytic - numeric| / max(1, |analytic|).
     """
-    if not 0.0 < eps <= 1e-3:
-        raise ad.DomainError(f"grad_check: eps must lie in (0, 1e-3], got {eps}")
     leaf = Tensor(np.array(x.data, copy=True), requires_grad=True)
     out = f(leaf)
     if out.ndim != 0:
@@ -71,7 +72,7 @@ def grad_check(f, x, eps=1e-6):
     out.backward()
     analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
     point = np.array(x.data, copy=True)
-    return _central_difference_error(lambda: f(Tensor(point)).item(), point, analytic, eps)
+    return _central_difference_error(lambda: f(Tensor(point)).item(), point, analytic)
 
 
 def _r(rng, *shape):
@@ -295,10 +296,10 @@ OP_CASES = [
 ]
 
 
-def _tiny_episode(seed=5):
+def _tiny_episode():
     """A fixed two-label episode with in-memory features, small enough for
     exhaustive finite differences over every model parameter."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MODEL_SEED)
     channels, embed_dim = 4, 6
     labels = ("alpha", "beta")
     support_ids = ("s0", "s1")
@@ -318,9 +319,9 @@ def _tiny_episode(seed=5):
     return model, episode, arrays, embeddings
 
 
-def full_model_max_error(eps=1e-6, seed=5) -> float:
+def full_model_max_error() -> float:
     """Finite-difference the episode loss against every model parameter."""
-    model, episode, store, embeddings = _tiny_episode(seed)
+    model, episode, store, embeddings = _tiny_episode()
     params = model.named_parameters()
 
     def loss_tensor():
@@ -331,8 +332,7 @@ def full_model_max_error(eps=1e-6, seed=5) -> float:
     loss_tensor().backward()
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for name, p in params.items()}
-    return max(_central_difference_error(lambda: loss_tensor().item(), p.data,
-                                         analytic[name], eps)
+    return max(_central_difference_error(lambda: loss_tensor().item(), p.data, analytic[name])
                for name, p in params.items())
 
 
@@ -370,10 +370,10 @@ def _image_loss(frozen: JointSpaceParams, fmap: Tensor, targets_row: np.ndarray,
     return ad.tensor_sum(ad.bce_with_logits(flat, targets_row))
 
 
-def lcm_gradient_max_error(eps=1e-6, seed=123) -> float:
+def lcm_gradient_max_error() -> float:
     """Finite-difference the taped LCM image loss against the closed-form
     importance gradient that the fit uses."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     joint = init_joint_space(4, 3, 6, 10.0, rng)
     fmap = rng.standard_normal((4, 3, 3))
     targets = np.array([1.0, 0.0, 1.0])
@@ -388,21 +388,19 @@ def lcm_gradient_max_error(eps=1e-6, seed=123) -> float:
 
     analytic = lcm._image_loss_gradient(joint, fmap[None], targets[None],
                                         label_embeddings)(weights[None])[0]
-    return _central_difference_error(loss_value, weights, analytic, eps)
+    return _central_difference_error(loss_value, weights, analytic)
 
 
-def run_suite(eps=1e-6, op_tolerance=OP_TOLERANCE, model_tolerance=MODEL_TOLERANCE,
-              include_model=True, seed=123) -> list[CheckResult]:
+def run_suite(include_model=True) -> list[CheckResult]:
     """Run every per-op check and (optionally) the whole-model composite."""
     results = []
     for name, builder in OP_CASES:
-        f, x0 = builder(substream(seed, "gradcheck", name))
-        error = grad_check(f, x0, eps=eps)
-        results.append(CheckResult(name=name, max_error=error, tolerance=op_tolerance))
+        f, x0 = builder(substream(SEED, "gradcheck", name))
+        results.append(CheckResult(name=name, max_error=grad_check(f, x0),
+                                   tolerance=OP_TOLERANCE))
     results.append(CheckResult(name="lcm-importance-gradient",
-                               max_error=lcm_gradient_max_error(eps=eps, seed=seed),
-                               tolerance=op_tolerance))
+                               max_error=lcm_gradient_max_error(), tolerance=OP_TOLERANCE))
     if include_model:
-        results.append(CheckResult(name="full-model", max_error=full_model_max_error(eps=eps),
-                                   tolerance=model_tolerance))
+        results.append(CheckResult(name="full-model", max_error=full_model_max_error(),
+                                   tolerance=MODEL_TOLERANCE))
     return results

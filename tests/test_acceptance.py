@@ -109,7 +109,7 @@ def _novel_report(bundle, mode, episodes=TEST_EPISODES, theta=0.65, detail=False
                     split="novel", episodes=episodes, k_shot=1, seed=EVAL_SEED,
                     mode=mode, theta=theta,
                     lcm_config=LcmConfig(threshold=theta) if mode == "lcm" else None,
-                    collect_detail=detail, threads=4)
+                    normalize_embeddings=False, collect_detail=detail, threads=4)
 
 
 # -------------------------------------------------------------- gradient verification
@@ -367,8 +367,9 @@ def _short_training(tmp_path, seed=5):
     train(model, manifest, vocabulary, table, settings, optimizer=optimizer)
     checkpoint = tmp_path / "model.ckpt"
     save_checkpoint(checkpoint, model, optimizer=optimizer)
-    report, _ = evaluate(model, manifest, vocabulary, table, split="novel",
-                         episodes=3, seed=seed)
+    report, _ = evaluate(model, manifest, vocabulary, table, split="novel", episodes=3,
+                         k_shot=1, seed=seed, mode="base", theta=0.65, lcm_config=None,
+                         normalize_embeddings=False, threads=1)
     return checkpoint.read_bytes(), json.dumps(report.to_dict(), sort_keys=True)
 
 

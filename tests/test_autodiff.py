@@ -789,10 +789,3 @@ def test_grad_check_flags_wrong_gradient():
 
     err = grad_check(bad_square, Tensor(np.array([1.0, 2.0, 3.0])))
     assert err > 1e-3
-
-
-def test_grad_check_eps_validation():
-    with pytest.raises(DomainError):
-        grad_check(lambda t: ad.tensor_sum(t), Tensor(np.ones(2)), eps=0.1)
-    with pytest.raises(DomainError):
-        grad_check(lambda t: ad.tensor_sum(t), Tensor(np.ones(2)), eps=0.0)

@@ -4,12 +4,14 @@ import json
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
-from mlfewshot import cli
+from mlfewshot import autodiff, cli, seeding
+from mlfewshot.autodiff import Tensor
 from mlfewshot.cli import main
 from mlfewshot.config import PATH_KEYS
-from mlfewshot.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from mlfewshot.model import CHECKPOINT_MAGIC, init_model, load_checkpoint, save_checkpoint
 
 TRAIN_FLAGS = ["--d_j", "8", "--n_heads", "2", "--d_c", "4", "--n_d", "4",
                "--epochs", "2", "--warmup_epochs", "1", "--episodes_per_epoch", "2",
@@ -192,6 +194,45 @@ def test_exit_code_2_for_data_errors(pipeline, tmp_path, capsys):
     assert "bad-name" in capsys.readouterr().err
 
 
+def _nan_in_visual(model):
+    model.joint.visual.data[0, 0] = np.nan
+    return model, "'joint.visual' holds non-finite values"
+
+
+def _mlp_w1_too_small(model):
+    model.attention.mlp_w1 = Tensor(np.eye(4))
+    return model, "'attention.mlp.w1' has shape (4, 4), the model's is (8, 8)"
+
+
+def _model_of_widths(channels, embed_dim):
+    # the pipeline's feature maps have 16 channels and its word vectors 4 dimensions
+    return init_model(channels=channels, embed_dim=embed_dim, joint_dim=8, heads=2,
+                      dynconv_inner=4, dynconv_top=4, scale=10.0, dropout=0.1,
+                      rng=seeding.substream(3, "init"))
+
+
+@pytest.mark.parametrize("corrupt", [
+    _nan_in_visual,
+    _mlp_w1_too_small,
+    lambda _: (_model_of_widths(12, 4),
+               "joint.visual takes 12 feature channels, but the data has 16"),
+    lambda _: (_model_of_widths(16, 5),
+               "joint.text takes 5 embedding dimensions, but the data has 4"),
+], ids=["non-finite", "wrong-shape", "feature-width", "embedding-width"])
+def test_eval_of_a_checkpoint_that_does_not_fit_exits_2(pipeline, tmp_path, capsys, corrupt):
+    _, run, paths = pipeline
+    model, fragment = corrupt(load_checkpoint(run / "model.ckpt")[0])
+    spare = tmp_path / "model.ckpt"
+    save_checkpoint(spare, model)
+    given = dict(zip(paths[::2], paths[1::2]), **{"--checkpoint": str(spare),
+                                                   "--output": str(tmp_path / "out")})
+    argv = [part for pair in given.items() for part in pair]
+    assert main(["eval", *argv, "--eval_episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and fragment in err
+    assert "Traceback" not in err
+
+
 def test_zero_label_embedding_is_a_data_error(pipeline, tmp_path, capsys):
     data, _, paths = pipeline
     embeddings = tmp_path / "embeddings.txt"
@@ -210,10 +251,16 @@ def test_zero_label_embedding_is_a_data_error(pipeline, tmp_path, capsys):
     assert not (tmp_path / "out" / "training_log.csv").exists()
 
 
-def test_exit_code_3_for_numeric_errors(capsys):
-    code = main(["gradcheck", "--skip-model", "--tolerance", "1e-30"])
-    assert code == 3
-    assert "numeric error" in capsys.readouterr().err
+def test_exit_code_3_for_numeric_errors(monkeypatch, capsys):
+    # a relu whose backward doubles the gradient fails its finite-difference check
+    def relu_with_wrong_backward(a):
+        def backward(g):
+            a.accumulate(2.0 * g * (a.data > 0))
+        return autodiff._node(np.maximum(a.data, 0.0), (a,), "relu", backward)
+
+    monkeypatch.setattr(autodiff, "relu", relu_with_wrong_backward)
+    assert main(["gradcheck", "--skip-model"]) == 3
+    assert "numeric error: gradient check failed for: relu\n" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(pipeline, tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Run configuration: parsing, precedence, validation, and the run id."""
 
+from pathlib import Path
+
 import pytest
 
 from mlfewshot.config import (
+    NUMERIC_KEYS,
+    PATH_KEYS,
     RunConfig,
     build_config,
     canonical_dict,
@@ -161,3 +165,15 @@ def test_canonical_dict_uses_file_key_names():
     data = canonical_dict(RunConfig())
     assert "lambda" in data and "lambda_" not in data
     assert data["normalize_embeddings"] is False
+
+
+def test_readme_configuration_table_lists_every_key_with_its_default():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
+    rows = [[cell.strip() for cell in line.split("|")[1:3]]
+            for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("| `")]
+    cfg = RunConfig()
+    expected = [[f"`{key}`", str(getattr(cfg, attr)).lower() if kind is bool
+                 else str(getattr(cfg, attr))] for key, (attr, kind) in NUMERIC_KEYS.items()]
+    expected.append(["/".join(f"`{key}`" for key in PATH_KEYS), "-"])
+    assert rows == expected

@@ -1,11 +1,14 @@
-"""tools/fingerprint.py --against: the digests that differ between two
-checkouts, with fingerprint() stubbed so no checkout is run."""
+"""tools/fingerprint.py: the per-command help digests, and --against's
+digests that differ between two checkouts, with fingerprint() stubbed so no
+checkout is run."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from mlfewshot.cli import build_parser
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "fingerprint.py"
 _spec = importlib.util.spec_from_file_location("fingerprint_tool", TOOL)
@@ -56,3 +59,14 @@ def test_against_a_directory_without_the_program_is_a_usage_error(checkouts, tmp
         fingerprint_tool.main(["--root", ours, "--against", str(tmp_path / "nowhere")])
     assert leave.value.code == 2
     assert "holds no src/mlfewshot/cli.py" in capsys.readouterr().err
+
+
+def test_help_digests_one_per_command_of_the_cli():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert tuple(commands) == fingerprint_tool.COMMANDS
+    texts = {}
+    digests = fingerprint_tool.help_digests(
+        lambda *args: texts.setdefault(args, " ".join(args).encode()))
+    assert list(digests) == ["help", *(f"help.{c}" for c in commands)]
+    assert list(texts) == [("--help",), *((c, "--help") for c in commands)]
+    assert len(set(digests.values())) == len(digests)     # each text digested apart

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mlfewshot import seeding
+from mlfewshot.config import RunConfig
 from mlfewshot.embeddings import embed_label, load_vocabulary, parse_embedding_file
 from mlfewshot.episodes import (
     load_manifest,
@@ -182,6 +183,16 @@ def test_report_dict_sorts_labels():
 # ------------------------------------------------------------------ evaluate
 
 
+def run_evaluate(model, manifest, vocabulary, table, **given):
+    """evaluate() on the novel split in base mode, with RunConfig()'s value
+    for every other argument that is not given."""
+    cfg = RunConfig()
+    arguments = dict(split="novel", episodes=cfg.eval_episodes, k_shot=cfg.k_shot,
+                     seed=cfg.seed, mode="base", theta=cfg.theta, lcm_config=cfg.lcm_config(),
+                     normalize_embeddings=cfg.normalize_embeddings, threads=cfg.threads)
+    return evaluate(model, manifest, vocabulary, table, **{**arguments, **given})
+
+
 @pytest.fixture(scope="module")
 def tiny_setup(tmp_path_factory):
     root = tmp_path_factory.mktemp("tinyeval")
@@ -200,27 +211,27 @@ def tiny_setup(tmp_path_factory):
 def test_evaluate_rejects_bad_arguments(tiny_setup):
     manifest, vocabulary, table, model = tiny_setup
     with pytest.raises(ConfigError, match="unknown-mode"):
-        evaluate(model, manifest, vocabulary, table, mode="turbo")
+        run_evaluate(model, manifest, vocabulary, table, mode="turbo")
     with pytest.raises(ConfigError, match="no labels"):
-        evaluate(model, manifest, vocabulary, table, split="validation")
+        run_evaluate(model, manifest, vocabulary, table, split="validation")
 
 
 def test_evaluate_rejects_zero_episodes(tiny_setup):
     manifest, vocabulary, table, model = tiny_setup
     with pytest.raises(ConfigError, match="episodes must be >= 1, got 0"):
-        evaluate(model, manifest, vocabulary, table, episodes=0)
+        run_evaluate(model, manifest, vocabulary, table, episodes=0)
 
 
 def test_evaluate_rejects_zero_threads(tiny_setup):
     manifest, vocabulary, table, model = tiny_setup
     with pytest.raises(ConfigError, match="threads must be >= 1, got 0"):
-        evaluate(model, manifest, vocabulary, table, threads=0)
+        run_evaluate(model, manifest, vocabulary, table, threads=0)
 
 
 def test_evaluate_is_deterministic(tiny_setup):
     manifest, vocabulary, table, model = tiny_setup
-    first, _ = evaluate(model, manifest, vocabulary, table, episodes=3, seed=4)
-    second, _ = evaluate(model, manifest, vocabulary, table, episodes=3, seed=4)
+    first, _ = run_evaluate(model, manifest, vocabulary, table, episodes=3, seed=4)
+    second, _ = run_evaluate(model, manifest, vocabulary, table, episodes=3, seed=4)
     assert first.to_dict() == second.to_dict()
     assert first.episodes == 3
     assert set(first.per_label_ap) <= set(vocabulary.novel)
@@ -229,10 +240,10 @@ def test_evaluate_is_deterministic(tiny_setup):
 def test_evaluate_threads_match_serial(tiny_setup):
     manifest, vocabulary, table, model = tiny_setup
     for mode in ("base", "zeroshot", "simple-attention"):
-        serial, _ = evaluate(model, manifest, vocabulary, table,
-                             episodes=4, seed=6, mode=mode, threads=1)
-        threaded, _ = evaluate(model, manifest, vocabulary, table,
-                               episodes=4, seed=6, mode=mode, threads=3)
+        serial, _ = run_evaluate(model, manifest, vocabulary, table,
+                                 episodes=4, seed=6, mode=mode, threads=1)
+        threaded, _ = run_evaluate(model, manifest, vocabulary, table,
+                                   episodes=4, seed=6, mode=mode, threads=3)
         assert serial.to_dict() == threaded.to_dict(), mode
 
 
@@ -241,8 +252,8 @@ def test_evaluate_every_mode_reports_sane_values(tiny_setup):
     for mode in EVAL_MODES:
         if mode == "lcm":
             continue                                # needs a trained model
-        report, detail = evaluate(model, manifest, vocabulary, table,
-                                  episodes=2, seed=8, mode=mode)
+        report, detail = run_evaluate(model, manifest, vocabulary, table,
+                                      episodes=2, seed=8, mode=mode)
         data = report.to_dict()
         for key in ("micro_ap", "macro_ap", "micro_f1", "macro_f1"):
             assert 0.0 <= data[key] <= 1.0, (mode, key)
@@ -253,9 +264,9 @@ def test_evaluate_lcm_detail_rows(tiny_setup):
     manifest, vocabulary, table, model = tiny_setup
     model.epoch = 1                                 # mark as trained
     try:
-        report, detail = evaluate(model, manifest, vocabulary, table,
-                                  episodes=2, seed=3, mode="lcm",
-                                  collect_detail=True)
+        report, detail = run_evaluate(model, manifest, vocabulary, table,
+                                      episodes=2, seed=3, mode="lcm",
+                                      collect_detail=True)
     finally:
         model.epoch = 0
     assert report.episodes == 2
@@ -282,9 +293,9 @@ def test_evaluate_lcm_fits_each_grid_shape_alone(tiny_setup):
     embed_matrix = np.stack([embed_label(table, label) for label in labels])
     model.epoch = 1                                 # mark as trained
     try:
-        _, detail = evaluate(model, manifest, vocabulary, table, split="base", episodes=3,
-                             seed=seed, mode="lcm", theta=theta, store=store,
-                             collect_detail=True)
+        _, detail = run_evaluate(model, manifest, vocabulary, table, split="base", episodes=3,
+                                 seed=seed, mode="lcm", theta=theta, store=store,
+                                 collect_detail=True)
         record_pool = records_for_split(manifest, vocabulary, "base")
         shapes = set()
         for idx in range(3):
@@ -314,9 +325,9 @@ def test_evaluate_lcm_summarises_fallbacks_in_one_warning(tiny_setup, caplog):
         for threads in (1, 3):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="mlfewshot"):
-                _, detail = evaluate(model, manifest, vocabulary, table,
-                                     episodes=4, seed=3, mode="lcm", theta=theta,
-                                     collect_detail=True, threads=threads)
+                _, detail = run_evaluate(model, manifest, vocabulary, table,
+                                         episodes=4, seed=3, mode="lcm", theta=theta,
+                                         collect_detail=True, threads=threads)
             fell_back = sum(not (entry["sigma"] >= theta).any() for entry in detail)
             assert fell_back > 0
             warnings = [r.getMessage() for r in caplog.records
@@ -331,8 +342,8 @@ def test_evaluate_modes_share_episodes(tiny_setup):
     # per-label AP keys must match across modes at one seed, since the
     # episode stream depends only on (seed, index)
     manifest, vocabulary, table, model = tiny_setup
-    base, _ = evaluate(model, manifest, vocabulary, table, episodes=3, seed=12,
-                       mode="base")
-    zero, _ = evaluate(model, manifest, vocabulary, table, episodes=3, seed=12,
-                       mode="zeroshot")
+    base, _ = run_evaluate(model, manifest, vocabulary, table, episodes=3, seed=12,
+                           mode="base")
+    zero, _ = run_evaluate(model, manifest, vocabulary, table, episodes=3, seed=12,
+                           mode="zeroshot")
     assert set(base.per_label_ap) == set(zero.per_label_ap)

@@ -68,7 +68,7 @@ def test_single_feature_pool_is_mlp_of_that_feature():
 
 def test_head_count_must_divide_joint_dim():
     with pytest.raises(ConfigError):
-        init_attention(8, 3, np.random.default_rng(0))
+        init_attention(8, 3, np.random.default_rng(0), dropout=0.0)
 
 
 def test_channel_split_concat_reconstructs():

@@ -5,9 +5,9 @@ In a temporary directory it builds the benchmark's bundle with ``synth``
 defaults) with seed 11, keeping its stdout, per-epoch training log and
 checkpoint, evaluates the checkpoint in all four modes at seed 11, and in
 lcm mode once more at seed 3, runs ``inspect-lcm`` on one image and the
-gradient checks, and reads every ``--help`` text.  At seed 11 every
-support mask falls back to keep-all; at seed 3 some masks select cells, so
-the second lcm report covers the selecting path.  It prints one JSON line
+gradient checks, and reads every ``--help`` text, each under its own key.
+At seed 11 every support mask falls back to keep-all; at seed 3 some masks
+select cells, so the second lcm report covers the selecting path.  It prints one JSON line
 of SHA-256 digests; two checkouts that print the same line produce the
 same bytes.  Each gradient check's max_error has its own digest, keyed
 ``gradcheck_max_error.<case>``, so a change that adds or deletes a case
@@ -52,6 +52,15 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def help_digests(run) -> dict:
+    """The top-level ``--help`` under ``help`` and each command's under
+    ``help.<command>``, so a flag change shows which command it touched.
+    ``run(*args)`` returns the CLI's stdout for those arguments."""
+    out = {"help": digest(run("--help"))}
+    out.update({f"help.{command}": digest(run(command, "--help")) for command in COMMANDS})
+    return out
+
+
 def fingerprint(root: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory(prefix="fingerprint-") as work:
@@ -67,8 +76,7 @@ def fingerprint(root: Path) -> dict:
         paths = ["--manifest", "data/manifest.jsonl", "--embeddings", "data/embeddings.txt",
                  "--splits", "data/labels.tsv", "--checkpoint", "model.ckpt",
                  "--output", "out"]
-        out = {"help": digest(b"".join([run("--help")] +
-                                       [run(c, "--help") for c in COMMANDS]))}
+        out = help_digests(run)
         run("synth", "--out", "data", *SYNTH)
         out["train_stdout"] = digest(run("train", *paths, "--seed", SEED))
         out["training_log"] = digest(read("out/training_log.csv"))
