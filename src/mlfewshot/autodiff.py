@@ -90,20 +90,30 @@ class Tensor:
 
         The first contribution is written into `grad_home` when the tensor
         has one (an optimizer's gradient buffer), a product computed
-        straight into it; later contributions add in place.
+        straight into it, and later ones add in place there.  A leaf
+        without a home copies its first contribution and adds later ones
+        in place.  An interior node keeps its first contribution as it is,
+        which may be a view another node also holds (the `g` that `add`
+        hands to both parents, `reshape`'s view, `concat`'s slices), so
+        later contributions add out of place and never write through it.
         """
-        if self.grad is not None:
-            self.grad += delta if b is None else delta @ b
-        elif self.grad_home is not None:
+        if self.grad is None and self.grad_home is not None:
             self.grad = self.grad_home
             if b is None:
                 np.copyto(self.grad, delta)
             else:
                 np.matmul(delta, b, out=self.grad)
-        elif b is None:
-            self.grad = np.array(delta, dtype=np.float64)   # a copy: later deltas add in place
+            return
+        if b is not None:
+            delta = delta @ b                                  # a fresh product
+        elif self.grad is None and not self._parents:
+            delta = np.array(delta, dtype=np.float64)          # a leaf's own copy
+        if self.grad is None:
+            self.grad = delta
+        elif self._parents:
+            self.grad = self.grad + delta
         else:
-            self.grad = delta @ b                              # a fresh product is already a copy
+            self.grad += delta
 
     def backward(self):
         """Backpropagate from a scalar output.

@@ -138,39 +138,55 @@ class Episode:
     query_per_label: int = QUERY_PER_LABEL
 
 
-def _multi_hot(manifest, ids, labels) -> np.ndarray:
-    index = {label: i for i, label in enumerate(labels)}
-    out = np.zeros((len(ids), len(labels)), dtype=np.float64)
-    for row, image_id in enumerate(ids):
-        for label in manifest.record_for(image_id).labels:
-            if label in index:
-                out[row, index[label]] = 1.0
-    return out
+class EpisodePool:
+    """The images an episode may draw from, indexed for sampling: each
+    label's candidates as a sorted array of positions into `records` (the
+    pool's manifest indices, sorted) and each pool image's multi-hot row over
+    `label_columns`.
+
+    Build it once per split and pass it to every draw; `sample_episode`
+    also takes a plain sequence of manifest indices and builds one itself.
+    """
+
+    def __init__(self, manifest: DatasetManifest, record_pool):
+        pool = set(record_pool)
+        self.records = np.array(sorted(pool), dtype=np.intp)
+        self.label_columns = {label: i for i, label in enumerate(manifest.by_label)}
+        self.targets = np.zeros((self.records.size, len(self.label_columns)))
+        self.candidates = {}
+        for label, column in self.label_columns.items():
+            members = np.array(sorted(set(manifest.by_label[label]) & pool), dtype=np.intp)
+            self.candidates[label] = np.searchsorted(self.records, members)
+            self.targets[self.candidates[label], column] = 1.0
 
 
-def _draw_for_labels(manifest, pool, labels, per_label, excluded, rng):
-    """Draw `per_label` fresh images carrying each label, label order seeded.
+_NO_CANDIDATES = np.zeros(0, dtype=np.intp)
+
+
+def _draw_for_labels(pool: EpisodePool, labels, per_label, taken, rng) -> np.ndarray:
+    """Draw `per_label` fresh images carrying each label, label order seeded;
+    returns their positions in the pool and marks them in `taken`.
 
     An image picked for one label also counts toward any other label it
     carries, but every label still draws `per_label` fresh images.
     """
-    chosen: list[int] = []
-    chosen_set = set(excluded)
+    chosen = []
     order = [labels[i] for i in rng.permutation(len(labels))]
     for label in order:
-        candidates = sorted(set(manifest.by_label.get(label, ())) & pool - chosen_set)
+        candidates = pool.candidates.get(label, _NO_CANDIDATES)
+        candidates = candidates[~taken[candidates]]
         if len(candidates) < per_label:
             raise InsufficientImagesError(label, per_label, len(candidates))
-        picks = rng.choice(len(candidates), size=per_label, replace=False)
-        for p in sorted(picks):
-            chosen.append(candidates[p])
-            chosen_set.add(candidates[p])
-    return chosen
+        picks = candidates[sorted(rng.choice(len(candidates), size=per_label, replace=False))]
+        taken[picks] = True
+        chosen.append(picks)
+    return np.concatenate(chosen)
 
 
 def sample_episode(manifest: DatasetManifest, record_pool, labels, k_shot: int,
                    rng) -> Episode:
-    """Sample a K-shot episode over the given labels from a record pool.
+    """Sample a K-shot episode over the given labels from a record pool, an
+    `EpisodePool` or a sequence of manifest indices.
 
     Support gets exactly k_shot * len(labels) distinct images; queries get
     QUERY_PER_LABEL per label, disjoint from support.  Raises
@@ -179,21 +195,32 @@ def sample_episode(manifest: DatasetManifest, record_pool, labels, k_shot: int,
     labels = tuple(labels)
     if not labels:
         raise DataError("episode needs at least one label")
+    if len(set(labels)) != len(labels):
+        raise DataError(f"episode labels must be distinct, got {labels}")
     if k_shot < 1:
         raise DataError(f"k_shot must be >= 1, got {k_shot}")
-    pool = set(record_pool)
-    support = _draw_for_labels(manifest, pool, labels, k_shot, set(), rng)
-    query = _draw_for_labels(manifest, pool, labels, QUERY_PER_LABEL, set(support), rng)
-    support_ids = tuple(manifest.records[i].image_id for i in support)
-    query_ids = tuple(manifest.records[i].image_id for i in query)
+    pool = _as_pool(manifest, record_pool)
+    taken = np.zeros(pool.records.size, dtype=bool)
+    support = _draw_for_labels(pool, labels, k_shot, taken, rng)
+    query = _draw_for_labels(pool, labels, QUERY_PER_LABEL, taken, rng)
+    # every label was drawn from, so each has a column
+    columns = [pool.label_columns[label] for label in labels]
     return Episode(
         labels=labels,
         k_shot=k_shot,
-        support_ids=support_ids,
-        support_targets=_multi_hot(manifest, support_ids, labels),
-        query_ids=query_ids,
-        query_targets=_multi_hot(manifest, query_ids, labels),
+        support_ids=_image_ids(manifest, pool.records[support]),
+        support_targets=pool.targets[support[:, None], columns],
+        query_ids=_image_ids(manifest, pool.records[query]),
+        query_targets=pool.targets[query[:, None], columns],
     )
+
+
+def _as_pool(manifest, record_pool) -> EpisodePool:
+    return record_pool if isinstance(record_pool, EpisodePool) else EpisodePool(manifest, record_pool)
+
+
+def _image_ids(manifest, indices) -> tuple[str, ...]:
+    return tuple(manifest.records[i].image_id for i in indices.tolist())
 
 
 def sample_episode_with_retries(manifest, record_pool, labels, k_shot, make_rng) -> Episode:
@@ -201,10 +228,11 @@ def sample_episode_with_retries(manifest, record_pool, labels, k_shot, make_rng)
 
     make_rng(attempt) must return a fresh deterministic generator per attempt.
     """
+    pool = _as_pool(manifest, record_pool)
     last = None
     for attempt in range(SAMPLE_RETRIES):
         try:
-            return sample_episode(manifest, record_pool, labels, k_shot, make_rng(attempt))
+            return sample_episode(manifest, pool, labels, k_shot, make_rng(attempt))
         except InsufficientImagesError as err:
             last = err
     raise last

@@ -14,7 +14,7 @@ from . import autodiff as ad
 from . import seeding
 from .autodiff import Tensor
 from .embeddings import embed_label
-from .episodes import records_for_split, sample_episode_with_retries
+from .episodes import EpisodePool, records_for_split, sample_episode_with_retries
 from .errors import ConfigError
 from .joint_space import project_labels
 from .lcm import LcmConfig, fit_importance, select_features, sigma_grid
@@ -182,6 +182,8 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split, episodes,
     """
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown-mode: {mode!r} is not one of {EVAL_MODES}")
+    if mode == "lcm" and lcm_config is None:
+        raise ConfigError("lcm mode needs an lcm_config to fit importance with, got None")
     if episodes < 1:
         raise ConfigError(f"episodes must be >= 1, got {episodes}")
     if threads < 1:
@@ -191,7 +193,7 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split, episodes,
     labels = list(vocabulary.labels_for(split))
     if not labels:
         raise ConfigError(f"split {split!r} has no labels")
-    record_pool = records_for_split(manifest, vocabulary, split)
+    record_pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, split))
     embeddings_by_label = {
         label: embed_label(table, label, normalize=normalize_embeddings)
         for label in labels

@@ -1,5 +1,7 @@
 """Adam optimizer over named parameter tensors."""
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor
@@ -9,20 +11,35 @@ from .errors import DataError
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# values a step takes per pass: a block of its five float64 buffers (values,
+# two moments, gradients, scratch) is 640 KiB, so it stays in a 1-2 MiB L2
+BLOCK = 16_384
 
 
 class Adam:
-    """Adam with bias correction (BETA1, BETA2, EPS above).
+    """Adam (BETA1, BETA2, EPS above) with both bias corrections folded into
+    the step size, as Kingma & Ba give it at the end of their section 2:
 
-    At step one, a parameter with gradient g moves by -lr * g / (|g| + EPS);
-    a parameter with zero gradient and fresh moments does not move at all.
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * g * g
+        theta -= (m / (sqrt(v) + eps_t)) * step_t
+
+    with step_t = lr * sqrt(1 - BETA2**t) / (1 - BETA1**t) and
+    eps_t = EPS * sqrt(1 - BETA2**t).  Algebraically this is the textbook
+    update with bias-corrected moments; it takes one sqrt and one divide
+    where that takes one sqrt and three divides, and the two differ only in
+    rounding.  At step one, a parameter with gradient g moves by
+    -lr * g / (|g| + EPS) up to rounding; a parameter with zero gradient and
+    fresh moments does not move at all.
 
     Every parameter's values become a view into one flat float64 buffer, in
-    parameter order, and the moments are flat the same way, so a step is one
-    in-place update of the whole buffer.  `m[name]` and `v[name]` are the
-    parameter's views into the flat moments.  Each parameter's `grad_home`
-    is its view into a flat gradient buffer, where backward writes its
-    gradient, so a step reads the gradients in place.
+    parameter order, and the moments are flat the same way.  `m[name]` and
+    `v[name]` are the parameter's views into the flat moments.  Each
+    parameter's `grad_home` is its view into a flat gradient buffer, where
+    backward writes its gradient, so a step reads the gradients in place.
+    A step runs all of its passes over one BLOCK of the flat buffers before
+    it moves on to the next, so a block's values, moments, gradients and
+    scratch stay in cache between passes.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float):
@@ -32,9 +49,9 @@ class Adam:
         if not self.params:
             raise ValueError("Adam needs at least one parameter")
         self._tensors = tuple(self.params.values())
-        # values, moments, gradients and two scratch buffers, in one allocation
-        self._flat, self._m, self._v, self._grads, self._scratch, self._v_hat = \
-            np.zeros((6, sum(p.data.size for p in self._tensors)))
+        size = sum(p.data.size for p in self._tensors)
+        # values, moments and gradients, in one allocation
+        self._flat, self._m, self._v, self._grads = np.zeros((4, size))
         self.m, self.v = {}, {}
         stop = 0
         for name, p in self.params.items():
@@ -44,6 +61,12 @@ class Adam:
             p.grad_home = self._grads[start:stop].reshape(shape)
             self.m[name] = self._m[start:stop].reshape(shape)
             self.v[name] = self._v[start:stop].reshape(shape)
+        scratch = np.zeros(min(size, BLOCK))
+        self._blocks = tuple(
+            (self._flat[start:start + BLOCK], self._m[start:start + BLOCK],
+             self._v[start:start + BLOCK], self._grads[start:start + BLOCK],
+             scratch[:min(BLOCK, size - start)])
+            for start in range(0, size, BLOCK))
 
     def zero_grad(self):
         for p in self._tensors:
@@ -54,31 +77,30 @@ class Adam:
 
         A gradient that backward wrote into the parameter's `grad_home` is
         read where it is; any other array is copied there and a missing
-        gradient reads as zeros.  Every `.grad` is left as it was.  The
-        arithmetic is the textbook per-tensor update's, element by element
-        in the same order, so the results are bitwise the same."""
+        gradient reads as zeros.  Every `.grad` is left as it was."""
         rate = self.lr if lr is None else float(lr)
         self.steps += 1
         bias1 = 1.0 - BETA1 ** self.steps
-        bias2 = 1.0 - BETA2 ** self.steps
+        root_bias2 = math.sqrt(1.0 - BETA2 ** self.steps)
+        step = rate * root_bias2 / bias1
+        eps = EPS * root_bias2
         for p in self._tensors:
             if p.grad is None:
                 p.grad_home.fill(0.0)
             elif p.grad is not p.grad_home:
                 np.copyto(p.grad_home, p.grad.reshape(p.grad_home.shape))
-        m, v, scratch, v_hat, grad = self._m, self._v, self._scratch, self._v_hat, self._grads
-        m *= BETA1
-        m += np.multiply(grad, 1.0 - BETA1, scratch)
-        v *= BETA2
-        np.multiply(grad, 1.0 - BETA2, scratch)
-        v += np.multiply(scratch, grad, scratch)
-        np.divide(m, bias1, scratch)                       # m_hat
-        scratch *= rate
-        np.divide(v, bias2, v_hat)
-        np.sqrt(v_hat, v_hat)
-        v_hat += EPS
-        scratch /= v_hat
-        self._flat -= scratch
+        for flat, m, v, grad, scratch in self._blocks:
+            m *= BETA1
+            m += np.multiply(grad, 1.0 - BETA1, scratch)
+            np.multiply(grad, 1.0 - BETA2, scratch)
+            scratch *= grad
+            v *= BETA2
+            v += scratch
+            np.sqrt(v, scratch)
+            scratch += eps
+            np.divide(m, scratch, scratch)
+            scratch *= step
+            flat -= scratch
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Moment buffers and step counter, for checkpointing."""

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import seeding
 from .embeddings import embed_label
-from .episodes import records_for_split, sample_episode_with_retries
+from .episodes import EpisodePool, records_for_split, sample_episode_with_retries
 from .errors import ConfigError, NumericError
 from .model import FeatureStore, ModelState, episode_forward, pooled_globals, score_loss
 from .optim import Adam
@@ -104,7 +104,7 @@ def train(model: ModelState, manifest, vocabulary, table, settings: TrainSetting
     base_labels = list(vocabulary.base)
     if not base_labels:
         raise ConfigError("no base labels to train on")
-    record_pool = records_for_split(manifest, vocabulary, "base")
+    record_pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, "base"))
     embeddings_by_label = {
         label: embed_label(table, label, normalize=settings.normalize_embeddings)
         for label in base_labels

@@ -335,6 +335,31 @@ def test_diamond_graph_accumulates():
     assert grads[x] == pytest.approx(24.0)
 
 
+def test_shared_gradient_is_not_written_through(monkeypatch):
+    # y = sum(w * (p + q)) + sum(u * p) + sum(v * q), p = 2x, q = 3x: add
+    # hands one array to p and q, then each gets its own second term
+    rng = np.random.default_rng(4)
+    w, u, v = (Tensor(rng.standard_normal(3)) for _ in range(3))
+    x = Tensor(rng.standard_normal(3), requires_grad=True)
+    p, q = ad.scale(x, 2.0), ad.scale(x, 3.0)
+    y = ad.add(ad.add(ad.tensor_sum(ad.mul(ad.add(p, q), w)), ad.tensor_sum(ad.mul(p, u))),
+               ad.tensor_sum(ad.mul(q, v)))
+    received = {id(p): [], id(q): []}
+    accumulate = Tensor.accumulate
+
+    def spy(self, delta, b=None):
+        received.get(id(self), []).append(delta)
+        accumulate(self, delta, b)
+
+    monkeypatch.setattr(Tensor, "accumulate", spy)
+    y.backward()
+    assert received[id(p)][0] is received[id(q)][0]     # the shared array came first
+    assert len(received[id(p)]) == len(received[id(q)]) == 2
+    assert np.array_equal(p.grad, w.data + u.data)
+    assert np.array_equal(q.grad, w.data + v.data)
+    assert np.array_equal(x.grad, 2.0 * (w.data + u.data) + 3.0 * (w.data + v.data))
+
+
 def test_shared_subexpression_gradients():
     # z = sum(a*b) + sum(a); dz/da = b + 1, dz/db = a
     rng = np.random.default_rng(2)

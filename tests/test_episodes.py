@@ -1,16 +1,19 @@
 """Manifests, episode sampling, validation, and the synthetic generator."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from mlfewshot import seeding
 from mlfewshot.embeddings import parse_embedding_file
 from mlfewshot.errors import DataError, InsufficientImagesError
 from mlfewshot.episodes import (
     SAMPLE_RETRIES,
     DatasetManifest,
     Episode,
+    EpisodePool,
     ManifestRecord,
     load_manifest,
     make_synthetic,
@@ -21,7 +24,7 @@ from mlfewshot.episodes import (
 )
 from mlfewshot.features import load_feature_file
 
-from oracles import validate_episode
+from oracles import set_based_sample_episode_with_retries, validate_episode
 
 
 def toy_manifest(entries):
@@ -129,6 +132,59 @@ def test_retries_return_first_success():
     ep = sample_episode_with_retries(SIX, range(12), ("a", "b"), 1,
                                      lambda attempt: np.random.default_rng(attempt))
     assert validate_episode(ep, SIX) == []
+
+
+def _outcome(draw):
+    """What a draw gave: the episode's ids and target bytes, or the
+    InsufficientImagesError's fields."""
+    try:
+        ep = draw()
+    except InsufficientImagesError as err:
+        return ("error", err.label, err.needed, err.available)
+    return ("episode", ep.labels, ep.k_shot, ep.query_per_label, ep.support_ids, ep.query_ids,
+            *((t.dtype.str, t.shape, t.tobytes()) for t in (ep.support_targets, ep.query_targets)))
+
+
+@pytest.mark.parametrize("split", ["base", "novel"])
+def test_sampler_matches_the_set_based_oracle(tiny_data, split):
+    manifest, vocabulary = tiny_data["manifest"], tiny_data["vocabulary"]
+    labels = list(vocabulary.labels_for(split))
+    records = records_for_split(manifest, vocabulary, split)
+    whole = EpisodePool(manifest, records)
+    seen = Counter()
+    for seed in range(10):
+        for index in range(100):
+            k_shot = 1 + index % 3
+            if index % 2:
+                # a seeded half of the split (two fifths at every eighth
+                # index), passed as indices: labels run short
+                kept = seeding.substream(seed, "part", index).permutation(len(records))
+                size = len(records) * (2 if index % 8 == 1 else 2.5) // 5
+                pool = oracle_pool = sorted(records[i] for i in kept[:int(size)])
+            else:
+                pool, oracle_pool = whole, records
+            attempts = []
+
+            def make_rng(attempt):
+                attempts.append(attempt)
+                return seeding.substream(seed, "oracle", index, attempt)
+
+            got = _outcome(lambda: sample_episode_with_retries(
+                manifest, pool, labels, k_shot, make_rng))
+            tries = len(attempts)
+            attempts.clear()
+            assert got == _outcome(lambda: set_based_sample_episode_with_retries(
+                manifest, oracle_pool, labels, k_shot, make_rng)), (seed, index)
+            assert len(attempts) == tries, (seed, index)
+            seen[got[0], tries > 1] += 1
+    assert sum(seen.values()) == 1000
+    # drawn at once, drawn after failed attempts, and given up
+    assert seen["episode", False] and seen["episode", True] and seen["error", True], seen
+
+
+def test_sampler_rejects_repeated_labels():
+    with pytest.raises(DataError, match="distinct"):
+        sample_episode(SIX, range(12), ("a", "b", "a"), 1, np.random.default_rng(0))
 
 
 # --------------------------------------------------------------- validation

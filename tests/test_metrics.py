@@ -228,6 +228,12 @@ def test_evaluate_rejects_zero_threads(tiny_setup):
         run_evaluate(model, manifest, vocabulary, table, threads=0)
 
 
+def test_evaluate_lcm_without_lcm_config_is_a_config_error(tiny_setup):
+    manifest, vocabulary, table, model = tiny_setup
+    with pytest.raises(ConfigError, match="lcm_config"):
+        run_evaluate(model, manifest, vocabulary, table, mode="lcm", lcm_config=None)
+
+
 def test_evaluate_is_deterministic(tiny_setup):
     manifest, vocabulary, table, model = tiny_setup
     first, _ = run_evaluate(model, manifest, vocabulary, table, episodes=3, seed=4)

@@ -1,12 +1,14 @@
 """Adam update math and state round-tripping."""
 
+import math
+
 import numpy as np
 import pytest
 
 import mlfewshot.autodiff as ad
 from mlfewshot.autodiff import Tensor
 from mlfewshot.errors import DataError
-from mlfewshot.optim import Adam
+from mlfewshot.optim import BLOCK, Adam
 
 
 def make_param(values):
@@ -112,9 +114,28 @@ def test_state_round_trip_resumes_identically():
 
 
 def per_tensor_adam(values, grads_per_step, lr):
-    """The textbook per-tensor Adam the flat update must reproduce bitwise:
-    each tensor's moments and values updated on their own, a missing
-    gradient counting as zeros."""
+    """Per-tensor Adam with both bias corrections folded into the step size,
+    the update the flat, blocked step must reproduce bitwise: each tensor's
+    moments and values updated on their own, a missing gradient counting as
+    zeros."""
+    values = {name: v.copy() for name, v in values.items()}
+    m = {name: np.zeros_like(v) for name, v in values.items()}
+    v2 = {name: np.zeros_like(v) for name, v in values.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        root_bias2 = math.sqrt(1.0 - 0.999 ** t)
+        step = lr * root_bias2 / (1.0 - 0.9 ** t)
+        eps = 1e-8 * root_bias2
+        for name in values:
+            g = grads[name] if grads[name] is not None else np.zeros_like(values[name])
+            m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+            v2[name] = 0.999 * v2[name] + (1.0 - 0.999) * g * g
+            values[name] = values[name] - (m[name] / (np.sqrt(v2[name]) + eps)) * step
+    return values, m, v2
+
+
+def textbook_adam(values, grads_per_step, lr):
+    """Adam as Kingma & Ba's Algorithm 1 writes it: bias-corrected moments,
+    EPS added to the corrected root."""
     values = {name: v.copy() for name, v in values.items()}
     m = {name: np.zeros_like(v) for name, v in values.items()}
     v2 = {name: np.zeros_like(v) for name, v in values.items()}
@@ -126,10 +147,13 @@ def per_tensor_adam(values, grads_per_step, lr):
             m_hat = m[name] / (1.0 - 0.9 ** t)
             v_hat = v2[name] / (1.0 - 0.999 ** t)
             values[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-    return values, m, v2
+    return values
 
 
 MIXED = {"w": (3, 4), "b": (4,), "s": (), "k": (2, 3, 2), "idle": (5,)}
+# three whole blocks and 37 values more (16,384-value blocks); w, k and b
+# each straddle a block edge
+BLOCKS = {"w": (17_384,), "k": (3, 7, 1000), "idle": (8192,), "b": (2613,)}
 
 
 def mixed_problem(seed=3, steps=4, shapes=MIXED):
@@ -164,7 +188,8 @@ def run_adam(opt, params, grads, tape=False):
             assert p.grad is None or np.array_equal(p.grad, step_grads[name])
 
 
-SHAPES = pytest.mark.parametrize("shapes", [MIXED, {"importance": (6, 6)}], ids=["mixed", "lone"])
+SHAPES = pytest.mark.parametrize("shapes", [MIXED, {"importance": (6, 6)}, BLOCKS],
+                                 ids=["mixed", "lone", "blocks"])
 
 
 def check_flat_step_against_per_tensor_adam(shapes, tape):
@@ -189,6 +214,28 @@ def test_flat_step_matches_per_tensor_adam_bitwise(shapes):
 @SHAPES
 def test_flat_step_on_gradients_from_the_tape_matches_per_tensor_adam_bitwise(shapes):
     check_flat_step_against_per_tensor_adam(shapes, tape=True)
+
+
+def test_blocks_split_the_flat_buffers_into_whole_blocks_and_a_remainder():
+    values, _ = mixed_problem(shapes=BLOCKS, steps=1)
+    opt = Adam({name: make_param(v) for name, v in values.items()}, lr=0.01)
+    assert opt._flat.size == 3 * BLOCK + 37
+    assert [block[0].size for block in opt._blocks] == [BLOCK, BLOCK, BLOCK, 37]
+    for flat, m, v, grad, scratch in opt._blocks:
+        assert m.size == v.size == grad.size == scratch.size == flat.size
+    assert np.shares_memory(opt._blocks[-1][0], opt.params["b"].data)
+
+
+def test_folded_step_stays_within_1e12_of_the_textbook_step_over_100_steps():
+    values, grads = mixed_problem(seed=5, steps=100)
+    params = {name: make_param(v) for name, v in values.items()}
+    run_adam(Adam(params, lr=0.01), params, grads)
+    expected = textbook_adam(values, grads, 0.01)
+    for name, p in params.items():
+        scale = np.maximum(np.abs(expected[name]), 1e-300)
+        assert np.all(np.abs(p.data - expected[name]) <= 1e-12 * scale), name
+    moved = [name for name in params if not np.array_equal(params[name].data, expected[name])]
+    assert moved     # the two updates round differently, so the check has teeth
 
 
 def test_backward_writes_gradients_into_the_flat_buffer():

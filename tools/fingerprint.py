@@ -6,6 +6,8 @@ defaults) with seed 11, keeping its stdout, per-epoch training log and
 checkpoint, evaluates the checkpoint in all four modes at seed 11, and in
 lcm mode once more at seed 3, runs ``inspect-lcm`` on one image and the
 gradient checks, and reads every ``--help`` text, each under its own key.
+The ``episodes`` key digests the episodes training and evaluation draw, so
+the sampler can show byte identity while the checkpoint's digest moves.
 At seed 11 every support mask falls back to keep-all; at seed 3 some masks
 select cells, so the second lcm report covers the selecting path.  It prints one JSON line
 of SHA-256 digests; two checkouts that print the same line produce the
@@ -46,6 +48,35 @@ COMMANDS = ("synth", "train", "eval", "gradcheck", "inspect-lcm")
 MAX_ERROR_REPRS = ("from mlfewshot import verification\n"
                    "for r in verification.run_suite():\n"
                    "    print(r.name, repr(r.max_error))\n")
+# The episodes the program draws, digested apart from what it computes on
+# them: the first 32 training episodes (two epochs of 16) at seed 11 and the
+# novel evaluation episodes at seeds 11 and 3, caught where `train` and
+# `evaluate` call the sampler.  Arguments: the CLI's path flags.
+EPISODES = """
+import hashlib, sys
+from mlfewshot import cli, metrics, training
+digest = hashlib.sha256()
+
+def recording(draw):
+    def wrapper(*args):
+        episode = draw(*args)
+        digest.update(repr((episode.labels, episode.k_shot, episode.support_ids,
+                            episode.query_ids)).encode())
+        for targets in (episode.support_targets, episode.query_targets):
+            digest.update(repr((targets.dtype.str, targets.shape)).encode())
+            digest.update(targets.tobytes())
+        return episode
+    return wrapper
+
+for module in (training, metrics):
+    module.sample_episode_with_retries = recording(module.sample_episode_with_retries)
+paths = sys.argv[1:]
+codes = [cli.main(["train", *paths, "--seed", "11", "--epochs", "2", "--warmup_epochs", "1"])]
+codes += [cli.main(["eval", *paths, "--seed", seed, "--mode", "zeroshot"]) for seed in ("11", "3")]
+if codes != [0, 0, 0]:
+    sys.exit(f"train, eval, eval exited {codes}")
+print(digest.hexdigest())
+"""
 
 
 def digest(data: bytes) -> str:
@@ -65,7 +96,7 @@ def fingerprint(root: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory(prefix="fingerprint-") as work:
         def run(*args, code=None) -> bytes:
-            argv = ["-c", code] if code else ["-m", "mlfewshot.cli", *args]
+            argv = ["-c", code, *args] if code else ["-m", "mlfewshot.cli", *args]
             done = subprocess.run([sys.executable, *argv], cwd=work, env=env,
                                   capture_output=True, check=True)
             return done.stdout
@@ -94,6 +125,8 @@ def fingerprint(root: Path) -> dict:
         for line in run(code=MAX_ERROR_REPRS).decode().splitlines():
             name, error = line.split(" ", 1)
             out[f"gradcheck_max_error.{name}"] = digest(error.encode())
+        episode_paths = [*paths[:6], "--checkpoint", "episodes.ckpt", "--output", "episodes"]
+        out["episodes"] = run(*episode_paths, code=EPISODES).decode().splitlines()[-1]
     return out
 
 
