@@ -116,11 +116,8 @@ class Tensor:
             self.grad += delta
 
     def backward(self):
-        """Backpropagate from a scalar output.
-
-        Returns a map from every requires-grad leaf in the graph to its
-        gradient array; the same arrays are left on each node's .grad.
-        """
+        """Backpropagate from a scalar output, leaving each node's gradient
+        on its .grad."""
         if self.data.ndim != 0:
             raise ShapeError(f"backward: output must be a scalar, got shape {self.shape}")
         order = _toposort(self)
@@ -128,7 +125,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-        return {n: n.grad for n in order if not n._parents and n.requires_grad}
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
@@ -611,23 +607,16 @@ def head_readout(features, queries, heads, sizes):
     return _node(data, (features, queries), "head_readout", backward)
 
 
-def dropout(a, rate, rng=None, training=False):
-    """Inverted dropout: train mode zeroes with prob `rate` and rescales
-    survivors by 1/(1-rate); eval mode (or rate 0) returns `a` itself and
-    draws nothing.  `rng` is one generator, or a list with one per row of
-    `a`: row i's mask is then drawn from rng[i] alone, exactly as that row
-    dropped out on its own would draw it."""
+def dropout(a, rate, rng):
+    """Inverted dropout: zeroes each entry with prob `rate` and rescales
+    survivors by 1/(1-rate), one mask of `a`'s shape drawn from the
+    generator `rng`.  With no generator (evaluation) or rate 0 it returns
+    `a` itself and draws nothing."""
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout: rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return a
-    per_row = isinstance(rng, (list, tuple))
-    if rng is None or (per_row and None in rng):
-        raise DomainError("dropout: training mode requires an explicit rng")
-    if per_row and (a.ndim < 1 or len(rng) != a.shape[0]):
-        raise ShapeError(f"dropout: {len(rng)} generators for {a.shape} rows")
-    draws = np.stack([r.random(a.shape[1:]) for r in rng]) if per_row else rng.random(a.shape)
-    mask = (draws >= rate) / (1.0 - rate)
+    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
 
     def backward(g):
         if a.requires_grad:

@@ -25,13 +25,7 @@ from .embeddings import embed_label, load_vocabulary, parse_embedding_file
 from .episodes import load_manifest, make_synthetic
 from .errors import ConfigError, DataError, NumericError
 from .features import load_feature_file
-from .lcm import (
-    fit_importance,
-    select_features,
-    sigma_grid,
-    write_importance_grid,
-    write_selection_mask,
-)
+from .lcm import select_cells, write_importance_grid, write_selection_mask
 from .metrics import EVAL_MODES, evaluate
 from .model import atomic_open, init_model, load_checkpoint, save_checkpoint
 from .optim import Adam
@@ -100,14 +94,12 @@ def _write_json(path, payload):
 def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data = make_synthetic(
-        out,
-        n_base=args.n_base, n_validation=args.n_validation, n_novel=args.n_novel,
-        images_per_label=args.images_per_label, grid=(args.grid, args.grid),
-        channels=args.channels, embed_dim=args.embed_dim,
-        signal_fraction=args.signal_fraction, signal_noise=args.signal_noise,
-        background_scale=args.background_scale, extra_label_prob=args.extra_label_prob,
-        seed=args.seed)
+    # the flags are make_synthetic's keywords; one not given keeps its default there
+    options = {key: value for key, value in vars(args).items()
+               if key not in ("command", "func", "out") and value is not None}
+    if "grid" in options:
+        options["grid"] = (options["grid"], options["grid"])
+    data = make_synthetic(out, **options)
     print(f"manifest:   {data.manifest_path}")
     print(f"splits:     {data.splits_path}")
     print(f"embeddings: {data.embeddings_path}")
@@ -206,20 +198,18 @@ def cmd_inspect_lcm(args) -> int:
         embed_label(table, label, normalize=cfg.normalize_embeddings) for label in labels
     ])
     fmap = load_feature_file(manifest.feature_path(manifest.by_id[args.image]))
-    state = fit_importance(model.joint, fmap[None], np.asarray([targets]), embed_matrix,
-                           cfg.lcm_config(), trained=model.trained)
-    (importance,), (sigma,) = state.importance, sigma_grid(state)
-    (mask,), (fell_back,) = select_features(state, cfg.theta)
+    (selection,) = select_cells(model.joint, [fmap], [targets], embed_matrix, cfg.lcm_config(),
+                                cfg.theta, trained=model.trained)
 
     importance_path = out_dir / f"importance_{args.image}.txt"
     sigma_path = out_dir / f"sigma_{args.image}.txt"
     mask_path = out_dir / f"mask_{args.image}.txt"
-    write_importance_grid(importance_path, importance)
-    write_importance_grid(sigma_path, sigma)
-    write_selection_mask(mask_path, mask)
-    kept = int(mask.sum())
-    fallback = " (no cell cleared theta; fell back to keep-all)" if fell_back else ""
-    print(f"image {args.image} ({split}): kept {kept}/{mask.size} cells "
+    write_importance_grid(importance_path, selection.importance)
+    write_importance_grid(sigma_path, selection.sigma)
+    write_selection_mask(mask_path, selection.mask)
+    kept = int(selection.mask.sum())
+    fallback = " (no cell cleared theta; fell back to keep-all)" if selection.fell_back else ""
+    print(f"image {args.image} ({split}): kept {kept}/{selection.mask.size} cells "
           f"at theta={cfg.theta}{fallback}")
     print(f"importance: {importance_path}")
     print(f"sigma:      {sigma_path}")
@@ -236,18 +226,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a planted-signal synthetic dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-base", type=int, default=8)
-    p.add_argument("--n-validation", type=int, default=0)
-    p.add_argument("--n-novel", type=int, default=4)
-    p.add_argument("--images-per-label", type=int, default=40)
-    p.add_argument("--grid", type=int, default=6, help="grid side length")
-    p.add_argument("--channels", type=int, default=32)
-    p.add_argument("--embed-dim", type=int, default=16)
-    p.add_argument("--signal-fraction", type=float, default=0.5)
-    p.add_argument("--signal-noise", type=float, default=0.3)
-    p.add_argument("--background-scale", type=float, default=1.0)
-    p.add_argument("--extra-label-prob", type=float, default=0.5)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--n-base", type=int)
+    p.add_argument("--n-validation", type=int)
+    p.add_argument("--n-novel", type=int)
+    p.add_argument("--images-per-label", type=int)
+    p.add_argument("--grid", type=int, help="grid side length")
+    p.add_argument("--channels", type=int)
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--signal-fraction", type=float)
+    p.add_argument("--signal-noise", type=float)
+    p.add_argument("--background-scale", type=float)
+    p.add_argument("--extra-label-prob", type=float)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="episodic training on the base split")

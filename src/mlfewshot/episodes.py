@@ -41,15 +41,15 @@ class ManifestRecord:
 class DatasetManifest:
     root: Path
     records: list[ManifestRecord]
-    by_label: dict[str, list[int]] = field(default_factory=dict)
-    by_id: dict[str, int] = field(default_factory=dict)
+    by_label: dict[str, list[int]] = field(init=False)
+    by_id: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.by_label:
-            for idx, record in enumerate(self.records):
-                self.by_id[record.image_id] = idx
-                for label in record.labels:
-                    self.by_label.setdefault(label, []).append(idx)
+        self.by_label, self.by_id = {}, {}
+        for idx, record in enumerate(self.records):
+            self.by_id[record.image_id] = idx
+            for label in record.labels:
+                self.by_label.setdefault(label, []).append(idx)
 
     def feature_path(self, index: int) -> Path:
         return self.root / self.records[index].features
@@ -144,8 +144,7 @@ class EpisodePool:
     pool's manifest indices, sorted) and each pool image's multi-hot row over
     `label_columns`.
 
-    Build it once per split and pass it to every draw; `sample_episode`
-    also takes a plain sequence of manifest indices and builds one itself.
+    Build it once per split and pass it to every draw.
     """
 
     def __init__(self, manifest: DatasetManifest, record_pool):
@@ -183,10 +182,10 @@ def _draw_for_labels(pool: EpisodePool, labels, per_label, taken, rng) -> np.nda
     return np.concatenate(chosen)
 
 
-def sample_episode(manifest: DatasetManifest, record_pool, labels, k_shot: int,
+def sample_episode(manifest: DatasetManifest, pool: EpisodePool, labels, k_shot: int,
                    rng) -> Episode:
-    """Sample a K-shot episode over the given labels from a record pool, an
-    `EpisodePool` or a sequence of manifest indices.
+    """Sample a K-shot episode over the given labels from a pool of the
+    manifest's images.
 
     Support gets exactly k_shot * len(labels) distinct images; queries get
     QUERY_PER_LABEL per label, disjoint from support.  Raises
@@ -199,7 +198,6 @@ def sample_episode(manifest: DatasetManifest, record_pool, labels, k_shot: int,
         raise DataError(f"episode labels must be distinct, got {labels}")
     if k_shot < 1:
         raise DataError(f"k_shot must be >= 1, got {k_shot}")
-    pool = _as_pool(manifest, record_pool)
     taken = np.zeros(pool.records.size, dtype=bool)
     support = _draw_for_labels(pool, labels, k_shot, taken, rng)
     query = _draw_for_labels(pool, labels, QUERY_PER_LABEL, taken, rng)
@@ -215,20 +213,15 @@ def sample_episode(manifest: DatasetManifest, record_pool, labels, k_shot: int,
     )
 
 
-def _as_pool(manifest, record_pool) -> EpisodePool:
-    return record_pool if isinstance(record_pool, EpisodePool) else EpisodePool(manifest, record_pool)
-
-
 def _image_ids(manifest, indices) -> tuple[str, ...]:
     return tuple(manifest.records[i].image_id for i in indices.tolist())
 
 
-def sample_episode_with_retries(manifest, record_pool, labels, k_shot, make_rng) -> Episode:
+def sample_episode_with_retries(manifest, pool: EpisodePool, labels, k_shot, make_rng) -> Episode:
     """Resample with fresh seeds up to SAMPLE_RETRIES times before giving up.
 
     make_rng(attempt) must return a fresh deterministic generator per attempt.
     """
-    pool = _as_pool(manifest, record_pool)
     last = None
     for attempt in range(SAMPLE_RETRIES):
         try:

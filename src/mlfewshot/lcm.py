@@ -6,8 +6,8 @@ everything else frozen.  One fit takes a stack of images of one grid shape
 and fits all their grids in one loop.  A first-order estimate of how much
 the loss would change if a cell were removed, |w * d loss / d w| (the
 Taylor criterion of Molchanov et al., CVPR 2019), is tracked with a
-momentum accumulator, and cells whose sigmoided accumulator clears a
-threshold are kept.
+momentum accumulator, and `select_cells` keeps the cells whose sigmoided
+accumulator clears a threshold.
 
 The fit needs only the loss's gradient in the weights, which has a closed
 form (pooling is linear in the weights), so it runs in plain numpy with no
@@ -58,11 +58,13 @@ def validate_threshold(threshold: float):
 
 
 @dataclass
-class ImportanceMap:
-    """Fitted state for a stack of support images, one grid per image."""
+class Selection:
+    """One support map's fitted grids and the cells kept from it."""
 
-    importance: np.ndarray   # (n, h, w) weights in [0, 1]
-    accumulator: np.ndarray  # (n, h, w) momentum-smoothed loss-change grids, nonnegative
+    importance: np.ndarray   # (h, w) weights in [0, 1]
+    sigma: np.ndarray        # (h, w) sigmoid of the loss-change accumulator
+    mask: np.ndarray         # (h, w) bool: sigma >= theta, or every cell when none clears it
+    fell_back: bool          # whether the mask fell back to every cell
 
 
 def normalize_importance(values: np.ndarray) -> np.ndarray:
@@ -141,10 +143,12 @@ def _image_loss_gradient(joint: JointSpaceParams, fmaps: np.ndarray, targets,
     return gradient
 
 
-def fit_importance(joint: JointSpaceParams, fmaps: np.ndarray, targets,
-                   label_embeddings, config: LcmConfig, *, trained: bool = True) -> ImportanceMap:
+def fit_importance(joint: JointSpaceParams, fmaps: np.ndarray, targets, label_embeddings,
+                   config: LcmConfig, *, trained: bool) -> tuple[np.ndarray, np.ndarray]:
     """Fit the importance weights of an (n, c, h, w) stack of support maps,
     one grid per image, with the model frozen; `targets` is (n, labels).
+    Returns the (n, h, w) weights in [0, 1] and the (n, h, w) momentum-
+    smoothed loss-change grids, which are nonnegative.
 
     Per epoch: one Adam step on the weights minimizing each image's CM loss
     under weighted pooling, clamp to [0, 1] and normalize each grid, then
@@ -172,26 +176,33 @@ def fit_importance(joint: JointSpaceParams, fmaps: np.ndarray, targets,
         weights.grad = gradient(weights.data)
         grid = np.abs(weights.data * weights.grad)
         accumulator = momentum_update(accumulator, grid, iteration)
-    return ImportanceMap(importance=weights.data.copy(), accumulator=accumulator)
+    return weights.data.copy(), accumulator
 
 
-def sigma_grid(state: ImportanceMap) -> np.ndarray:
-    """Sigmoid of the accumulator; what the selection threshold is applied to."""
-    return ad._logistic(state.accumulator)
-
-
-def select_features(state: ImportanceMap, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean keep-masks sigma(accumulator) >= threshold, one per grid (the
-    last two axes), and which grids fell back: a mask that keeps nothing
-    becomes all-true.  Callers report the fallbacks.
-
-    The accumulator is nonnegative, so threshold 0.5 keeps every cell and
-    reduces the pipeline to the base model.
-    """
-    validate_threshold(threshold)
-    mask = sigma_grid(state) >= threshold
-    fell_back = ~mask.any(axis=GRID_AXES)
-    return mask | fell_back[..., None, None], fell_back
+def select_cells(joint: JointSpaceParams, fmaps, targets, label_embeddings,
+                 config: LcmConfig, theta: float, *, trained: bool) -> list[Selection]:
+    """Fit a list of (c, h, w) support maps of any grid shapes, with (n, labels)
+    `targets`, and keep each map's cells whose sigma(accumulator) >= theta;
+    returns one Selection per map, in order.  Each grid shape is fitted as
+    one stack, whose grids are bitwise those of each map fitted alone.  A
+    mask that keeps nothing becomes all-true; callers report the fallbacks.
+    The accumulator is nonnegative, so theta 0.5 keeps every cell and
+    reduces the pipeline to the base model."""
+    validate_threshold(theta)
+    targets = np.asarray(targets, dtype=np.float64)
+    out = [None] * len(fmaps)
+    for shape in dict.fromkeys(np.shape(fmap) for fmap in fmaps):
+        rows = [i for i, fmap in enumerate(fmaps) if np.shape(fmap) == shape]
+        importance, accumulator = fit_importance(
+            joint, np.stack([fmaps[i] for i in rows]), targets[rows], label_embeddings, config,
+            trained=trained)
+        sigma = ad._logistic(accumulator)
+        mask = sigma >= theta
+        fell_back = ~mask.any(axis=GRID_AXES)
+        mask |= fell_back[:, None, None]
+        for j, i in enumerate(rows):
+            out[i] = Selection(importance[j], sigma[j], mask[j], bool(fell_back[j]))
+    return out
 
 
 def write_importance_grid(path, grid: np.ndarray):

@@ -17,7 +17,7 @@ from .embeddings import embed_label
 from .episodes import EpisodePool, records_for_split, sample_episode_with_retries
 from .errors import ConfigError
 from .joint_space import project_labels
-from .lcm import LcmConfig, fit_importance, select_features, sigma_grid
+from .lcm import LcmConfig, select_cells
 from .model import FeatureStore, ModelState, episode_forward, pooled_globals, score_against
 from .prototypes import simple_attention_prototype
 
@@ -132,26 +132,19 @@ def _episode_probabilities(model: ModelState, episode, store, embeddings_by_labe
     shape = (len(episode.query_ids), len(labels))
     detail, fell_back, masks = [], [], None
     if mode == "lcm":
-        embed_matrix = np.stack([embeddings_by_label[label] for label in labels])
-        fmaps = [store.get(image_id) for image_id in episode.support_ids]
-        masks, fell_back, grids = [None] * len(fmaps), [None] * len(fmaps), [None] * len(fmaps)
-        # one fit for each grid shape, over the stack of the maps that have it
-        for grid_shape in dict.fromkeys(fmap.shape for fmap in fmaps):
-            rows = [i for i, fmap in enumerate(fmaps) if fmap.shape == grid_shape]
-            state = fit_importance(model.joint, np.stack([fmaps[i] for i in rows]),
-                                   episode.support_targets[rows], embed_matrix, lcm_config,
-                                   trained=model.trained)
-            mask, fallback = select_features(state, theta)
-            sigma = sigma_grid(state)
-            for j, i in enumerate(rows):
-                masks[i], fell_back[i] = mask[j], bool(fallback[j])
-                grids[i] = (sigma[j], state.importance[j])
+        selections = select_cells(
+            model.joint, [store.get(image_id) for image_id in episode.support_ids],
+            episode.support_targets, np.stack([embeddings_by_label[label] for label in labels]),
+            lcm_config, theta, trained=model.trained)
+        masks = [s.mask for s in selections]
+        fell_back = [s.fell_back for s in selections]
         if collect_detail:
-            detail = [{"image_id": image_id, "sigma": sigma, "mask": mask, "importance": importance}
-                      for image_id, mask, (sigma, importance)
-                      in zip(episode.support_ids, masks, grids)]
+            detail = [{"image_id": image_id, "sigma": s.sigma, "mask": s.mask,
+                       "importance": s.importance}
+                      for image_id, s in zip(episode.support_ids, selections)]
     if mode in ("base", "lcm"):
-        _, logits = episode_forward(model, episode, store, embeddings_by_label, masks=masks)
+        _, logits = episode_forward(model, episode, store, embeddings_by_label, masks=masks,
+                                    dropout_rng=None)
     else:
         vectors = project_labels(model.joint,
                                  np.stack([embeddings_by_label[label] for label in labels]))

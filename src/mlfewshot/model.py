@@ -305,13 +305,15 @@ def score_loss(joint: JointSpaceParams, pooled: Tensor, vectors: Tensor, targets
     return ad.tensor_sum(ad.bce_with_logits(flat, y.reshape(-1)))
 
 
-def episode_forward(model: ModelState, episode, store, embeddings_by_label, *, masks=None,
-                    dropout_rngs=None, training=False):
+def episode_forward(model: ModelState, episode, store, embeddings_by_label, *, masks,
+                    dropout_rng):
     """The episode forward shared by training and evaluation.
 
     Projects the episode's label embeddings, pools each label's support
     cells (only the kept ones when `masks` gives each support image a keep
-    grid), builds the prototypes and scores every query image against them.
+    grid, all of them when it is None), builds the prototypes and scores
+    every query image against them.  Training passes the generator that
+    draws the dropout mask; evaluation passes None.
     `store.get(image_id)` gives a feature map: a FeatureStore, or a plain
     dict of arrays.  Returns (the (n_labels, joint_dim) label joints in
     episode label order, flat query logits).
@@ -321,8 +323,6 @@ def episode_forward(model: ModelState, episode, store, embeddings_by_label, *, m
                                   np.stack([embeddings_by_label[label] for label in labels]))
     fmaps = [store.get(i) for i in episode.support_ids]
     pools = build_pools(model.joint, labels, episode.support_targets, fmaps, masks)
-    rngs = [dropout_rngs.get(label) for label in labels] if dropout_rngs else None
-    protos = build_prototype(model.attention, model.dynconv, pools, label_joints,
-                             rngs=rngs, training=training)
+    protos = build_prototype(model.attention, model.dynconv, pools, label_joints, dropout_rng)
     logits = score_against(model.joint, pooled_globals(store, episode.query_ids), protos)
     return label_joints, logits

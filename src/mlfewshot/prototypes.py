@@ -180,7 +180,7 @@ def init_dynconv(joint_dim: int, inner_dim: int, top_count: int, rng) -> DynConv
 
 
 def attention_prototype(params: AttentionParams, pools: SupportPools, label_joints: Tensor,
-                        rngs=None, training: bool = False) -> Tensor:
+                        rng) -> Tensor:
     """Channel-grouped cross-attention readout of each label's pool, queried
     by that label's vector; returns the (labels, joint_dim) readouts.
 
@@ -188,8 +188,9 @@ def attention_prototype(params: AttentionParams, pools: SupportPools, label_join
     and value; its query is that head's transform of the label vector.  The
     stacked head transforms map every label vector to all its heads' queries
     in one product, one `head_readout` node reads every label's segment out,
-    and the concatenated head outputs pass through the MLP.  In training
-    mode, label i's dropout mask is drawn from rngs[i].
+    and the concatenated head outputs pass through the MLP, with one
+    dropout mask over every label's hidden row drawn from `rng` (None in
+    evaluation).
     """
     joint_dim = params.mlp_w1.shape[0]
     if pools.features.shape[1] != joint_dim:
@@ -199,7 +200,7 @@ def attention_prototype(params: AttentionParams, pools: SupportPools, label_join
     queries = ad.linear(label_joints, ad.concat(params.queries, axis=0))   # (labels, joint_dim)
     merged = ad.head_readout(pools.features, queries, params.heads, pools.sizes)
     hidden = ad.gelu(ad.linear(merged, params.mlp_w1, params.mlp_b1))
-    hidden = ad.dropout(hidden, params.dropout, rng=rngs, training=training)
+    hidden = ad.dropout(hidden, params.dropout, rng)
     return ad.linear(hidden, params.mlp_w2, params.mlp_b2)
 
 
@@ -279,11 +280,11 @@ def dynconv_prototype(params: DynConvParams, selected: Tensor, counts,
 
 
 def build_prototype(attention: AttentionParams, dynconv: DynConvParams,
-                    pools: SupportPools, label_joints: Tensor,
-                    rngs=None, training: bool = False) -> Tensor:
+                    pools: SupportPools, label_joints: Tensor, rng) -> Tensor:
     """Every label's prototype, the sum of its attention and dynamic-convolution
-    components: the (labels, joint_dim) matrix, in pool label order."""
-    att_part = attention_prototype(attention, pools, label_joints, rngs=rngs, training=training)
+    components: the (labels, joint_dim) matrix, in pool label order.  `rng`
+    draws the attention branch's dropout mask; None means evaluation."""
+    att_part = attention_prototype(attention, pools, label_joints, rng)
     selected, counts = select_top_features(pools, label_joints, dynconv.top_count)
     return ad.add(att_part, dynconv_prototype(dynconv, selected, counts, label_joints))
 

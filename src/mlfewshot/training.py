@@ -73,12 +73,11 @@ def warmup_lr(base_lr: float, epoch: int, warmup_epochs: int) -> float:
     return base_lr * min(1.0, epoch / warmup_epochs)
 
 
-def episode_losses(model: ModelState, episode, store, embeddings_by_label,
-                   *, dropout_rngs=None, training=True):
-    """Forward one episode; returns (cm, query) loss tensors."""
+def episode_losses(model: ModelState, episode, store, embeddings_by_label, *, dropout_rng):
+    """Forward one episode, with dropout drawn from `dropout_rng` (None for
+    none); returns (cm, query) loss tensors."""
     label_joints, logits = episode_forward(
-        model, episode, store, embeddings_by_label, dropout_rngs=dropout_rngs,
-        training=training)
+        model, episode, store, embeddings_by_label, masks=None, dropout_rng=dropout_rng)
     # the alignment loss sees support images only; queries contribute
     # through the prototype scoring
     cm = score_loss(model.joint, pooled_globals(store, episode.support_ids), label_joints,
@@ -129,12 +128,9 @@ def train(model: ModelState, manifest, vocabulary, table, settings: TrainSetting
                 episode = sample_episode_with_retries(
                     manifest, record_pool, base_labels, settings.k_shot,
                     lambda attempt: seeding.substream(settings.seed, "sample", epoch, i, attempt))
-                dropout_rngs = {
-                    label: seeding.substream(settings.seed, "dropout", epoch, i, li)
-                    for li, label in enumerate(episode.labels)
-                }
-                cm, q = episode_losses(model, episode, store, embeddings_by_label,
-                                       dropout_rngs=dropout_rngs, training=True)
+                cm, q = episode_losses(
+                    model, episode, store, embeddings_by_label,
+                    dropout_rng=seeding.substream(settings.seed, "dropout", epoch, i))
                 total = ad.add(cm, ad.scale(q, settings.gamma))
                 if not np.isfinite(total.data):
                     raise NumericError(

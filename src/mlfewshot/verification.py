@@ -213,7 +213,7 @@ def _case_conv2d(rng):
 def _case_dropout(rng):
     def f(x):
         # fixed generator per call keeps the mask identical across calls
-        out = ad.dropout(x, 0.4, rng=np.random.default_rng(11), training=True)
+        out = ad.dropout(x, 0.4, np.random.default_rng(11))
         return ad.tensor_sum(ad.mul(out, out))
     return f, Tensor(_r(rng, 4, 4))
 
@@ -325,7 +325,7 @@ def full_model_max_error() -> float:
     params = model.named_parameters()
 
     def loss_tensor():
-        cm, q = episode_losses(model, episode, store, embeddings, training=False)
+        cm, q = episode_losses(model, episode, store, embeddings, dropout_rng=None)
         return ad.add(cm, q)
 
     model.zero_grad()

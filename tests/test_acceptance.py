@@ -19,6 +19,7 @@ from mlfewshot.autodiff import Tensor
 from mlfewshot.config import RunConfig
 from mlfewshot.embeddings import load_vocabulary, parse_embedding_file
 from mlfewshot.episodes import (
+    EpisodePool,
     load_manifest,
     make_synthetic,
     records_for_split,
@@ -268,7 +269,8 @@ def test_metrics_match_brute_force_on_1000_batches():
 def test_ten_thousand_sampled_episodes_are_sound(clean_bundle):
     bundle = clean_bundle
     labels = list(bundle.vocabulary.novel)
-    pool = records_for_split(bundle.manifest, bundle.vocabulary, "novel")
+    pool = EpisodePool(bundle.manifest,
+                       records_for_split(bundle.manifest, bundle.vocabulary, "novel"))
     violations = 0
     for idx in range(10_000):
         k_shot = 1 if idx % 2 == 0 else 2

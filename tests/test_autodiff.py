@@ -298,21 +298,20 @@ def test_linear_rejects_a_bias_of_the_wrong_length():
 def test_dropout_eval_is_identity_and_train_rescales():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal(1000))
-    assert np.array_equal(ad.dropout(x, 0.5, training=False).data, x.data)
-    # eval mode and rate 0 hand back the input itself: no copy, no node
-    assert ad.dropout(x, 0.5, training=False) is x
-    assert ad.dropout(x, 0.0, rng=rng, training=True) is x
-    out = ad.dropout(x, 0.25, rng=np.random.default_rng(42), training=True).data
+    # no generator (evaluation) and rate 0 hand back the input itself: no copy, no node
+    assert ad.dropout(x, 0.5, None) is x
+    assert ad.dropout(x, 0.0, rng) is x
+    out = ad.dropout(x, 0.25, np.random.default_rng(42)).data
     kept = out != 0
     assert 0.65 < kept.mean() < 0.85
     assert np.allclose(out[kept], x.data[kept] / 0.75)
     # same seed, same mask
-    again = ad.dropout(x, 0.25, rng=np.random.default_rng(42), training=True).data
+    again = ad.dropout(x, 0.25, np.random.default_rng(42)).data
     assert np.array_equal(out, again)
     with pytest.raises(DomainError):
-        ad.dropout(x, 1.0, rng=rng, training=True)
+        ad.dropout(x, 1.0, rng)
     with pytest.raises(DomainError):
-        ad.dropout(x, 0.5, training=True)  # rng is mandatory in train mode
+        ad.dropout(x, 1.0, None)
 
 
 # ---------------------------------------------------------------- backward structure
@@ -329,10 +328,9 @@ def test_diamond_graph_accumulates():
     x = Tensor(3.0, requires_grad=True)
     a = ad.add(x, x)
     y = ad.mul(a, a)
-    grads = y.backward()
+    y.backward()
     assert y.item() == 36.0
     assert x.grad == pytest.approx(24.0)
-    assert grads[x] == pytest.approx(24.0)
 
 
 def test_shared_gradient_is_not_written_through(monkeypatch):
@@ -578,13 +576,6 @@ def _case_linear_batched_weight(rng):
     return rand(rng, 2, 5, 4), lambda t: ad.tensor_sum(ad.mul(ad.linear(x, t), c))
 
 
-def _case_dropout_per_row(rng):
-    def f(t):
-        rngs = [np.random.default_rng([99, i]) for i in range(3)]
-        return ad.tensor_sum(ad.dropout(t, 0.3, rng=rngs, training=True))
-    return rand(rng, 3, 4), f
-
-
 def _case_scale_matrix(rng):
     c = rand(rng, 2, 3)
     return rand(rng, 2, 3), lambda t: ad.tensor_sum(ad.mul(ad.scale(t, -0.7), c))
@@ -597,7 +588,7 @@ def _case_tensor_sum_axes(rng):
 
 def _case_dropout(rng):
     # a fresh generator with a fixed seed inside f keeps the mask identical per call
-    return rand(rng, 8), lambda t: ad.tensor_sum(ad.dropout(t, 0.3, rng=np.random.default_rng(99), training=True))
+    return rand(rng, 8), lambda t: ad.tensor_sum(ad.dropout(t, 0.3, np.random.default_rng(99)))
 
 
 def _case_bce(rng):
@@ -662,7 +653,6 @@ GRAD_CASES = {
     "scale_matrix": _case_scale_matrix,
     "tensor_sum_axes": _case_tensor_sum_axes,
     "dropout": _case_dropout,
-    "dropout_per_row": _case_dropout_per_row,
     "bce_with_logits": _case_bce,
     "conv2d_x": _case_conv2d_x,
     "conv2d_kernel": _case_conv2d_kernel,
@@ -772,7 +762,7 @@ def test_fused_head_readout_matches_per_head_loop():
         pool = SupportPools(("x",), features, [count])
 
         def fused_readout():
-            out = attention_prototype(params, pool, ad.reshape(label, (1, dim)))
+            out = attention_prototype(params, pool, ad.reshape(label, (1, dim)), None)
             return ad.reshape(out, (dim,))
 
         _assert_close(fused_readout().data, _attention_per_head(params, features, label).data)

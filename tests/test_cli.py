@@ -11,6 +11,10 @@ from mlfewshot import autodiff, cli, seeding
 from mlfewshot.autodiff import Tensor
 from mlfewshot.cli import main
 from mlfewshot.config import PATH_KEYS
+from mlfewshot.embeddings import embed_label, load_vocabulary, parse_embedding_file
+from mlfewshot.episodes import load_manifest, make_synthetic
+from mlfewshot.features import load_feature_file
+from mlfewshot.lcm import LcmConfig, select_cells, write_importance_grid, write_selection_mask
 from mlfewshot.model import CHECKPOINT_MAGIC, init_model, load_checkpoint, save_checkpoint
 
 TRAIN_FLAGS = ["--d_j", "8", "--n_heads", "2", "--d_c", "4", "--n_d", "4",
@@ -43,6 +47,17 @@ def test_synth_writes_dataset(pipeline):
     for name in ("manifest.jsonl", "labels.tsv", "embeddings.txt", "cells.json"):
         assert (data / name).exists()
     assert len(list((data / "features").glob("*.fmap"))) == 5 * 6
+
+
+def test_synth_without_flags_writes_make_synthetics_defaults(tmp_path):
+    assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+    make_synthetic(tmp_path / "direct")
+
+    def files(root):
+        return {path.relative_to(root): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+
+    assert files(tmp_path / "cli") == files(tmp_path / "direct")
 
 
 def test_train_outputs(pipeline):
@@ -145,6 +160,36 @@ def test_inspect_lcm_writes_grids(pipeline, capsys):
     for prefix in ("importance", "sigma", "mask"):
         grid = (run / f"{prefix}_img00000.txt").read_text().splitlines()
         assert len(grid) == 4 and all(len(row.split()) == 4 for row in grid)
+
+
+def test_inspect_lcm_grids_are_select_cells_on_one_map(pipeline, tmp_path, capsys):
+    data, run, paths = pipeline
+    model, _ = load_checkpoint(run / "model.ckpt")
+    vocabulary = load_vocabulary(data / "labels.tsv")
+    manifest = load_manifest(data / "manifest.jsonl")
+    table = parse_embedding_file(data / "embeddings.txt")
+    record = manifest.record_for("img00000")
+    labels = vocabulary.labels_for(vocabulary.split_of(record.labels[0]))
+    fmap = load_feature_file(manifest.feature_path(manifest.by_id["img00000"]))
+
+    def select(theta):
+        (selection,) = select_cells(
+            model.joint, [fmap], [[float(label in record.labels) for label in labels]],
+            np.stack([embed_label(table, label) for label in labels]), LcmConfig(), theta,
+            trained=model.trained)
+        return selection
+
+    theta = float(np.median(select(0.5).sigma))
+    selection = select(theta)
+    assert 0 < selection.mask.sum() < selection.mask.size    # cells kept and dropped
+    assert main(["inspect-lcm", *paths, "--image", "img00000", "--theta", repr(theta)]) == 0
+    assert f"kept {selection.mask.sum()}/{selection.mask.size} cells" in capsys.readouterr().out
+    write_importance_grid(tmp_path / "importance.txt", selection.importance)
+    write_importance_grid(tmp_path / "sigma.txt", selection.sigma)
+    write_selection_mask(tmp_path / "mask.txt", selection.mask)
+    for prefix in ("importance", "sigma", "mask"):
+        assert (run / f"{prefix}_img00000.txt").read_bytes() \
+            == (tmp_path / f"{prefix}.txt").read_bytes(), prefix
 
 
 def test_gradcheck_ops_pass(capsys):

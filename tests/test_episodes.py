@@ -34,13 +34,14 @@ def toy_manifest(entries):
 
 
 SIX = toy_manifest([(f"i{k}", ["a"] if k < 6 else ["b"]) for k in range(12)])
+SIX_POOL = EpisodePool(SIX, range(12))
 
 
 # ----------------------------------------------------------------- sampling
 
 
 def test_episode_sizes_and_disjointness():
-    ep = sample_episode(SIX, range(12), ("a", "b"), 1, np.random.default_rng(0))
+    ep = sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(0))
     assert len(ep.support_ids) == 2
     assert len(ep.query_ids) == 8
     assert not set(ep.support_ids) & set(ep.query_ids)
@@ -50,11 +51,11 @@ def test_episode_sizes_and_disjointness():
 
 
 def test_sampling_is_seeded():
-    a = sample_episode(SIX, range(12), ("a", "b"), 1, np.random.default_rng(7))
-    b = sample_episode(SIX, range(12), ("a", "b"), 1, np.random.default_rng(7))
+    a = sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(7))
+    b = sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(7))
     assert a.support_ids == b.support_ids and a.query_ids == b.query_ids
     seen = {
-        sample_episode(SIX, range(12), ("a", "b"), 1, np.random.default_rng(s)).support_ids
+        sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(s)).support_ids
         for s in range(30)
     }
     assert len(seen) > 1
@@ -69,7 +70,8 @@ def test_spillover_label_counts_but_fresh_images_still_drawn():
         ("q1", ["a"]), ("q2", ["a"]), ("q3", ["a"]), ("q4", ["a"]),
         ("q5", ["b"]), ("q6", ["b"]), ("q7", ["b"]), ("q8", ["b"]),
     ])
-    ep = sample_episode(manifest, range(13), ("a", "b"), 1, np.random.default_rng(1))
+    ep = sample_episode(manifest, EpisodePool(manifest, range(13)), ("a", "b"), 1,
+                        np.random.default_rng(1))
     assert len(ep.support_ids) == 2
     assert len(set(ep.support_ids)) == 2
     # whenever the shared image lands in support, its row is multi-hot
@@ -83,7 +85,8 @@ def test_multi_hot_restricted_to_episode_labels():
         ("x", ["a", "c"]),
         ("y", ["a"]), ("z", ["a"]), ("w", ["a"]), ("v", ["a"]),
     ])
-    ep = sample_episode(manifest, range(5), ("a",), 1, np.random.default_rng(2))
+    ep = sample_episode(manifest, EpisodePool(manifest, range(5)), ("a",), 1,
+                        np.random.default_rng(2))
     # label c exists on image x but is outside the episode's label set
     assert ep.support_targets.shape[1] == 1
     assert set(np.unique(ep.support_targets)) <= {0.0, 1.0}
@@ -92,7 +95,8 @@ def test_multi_hot_restricted_to_episode_labels():
 def test_insufficient_images_error_fields():
     manifest = toy_manifest([("only", ["a"])])
     with pytest.raises(InsufficientImagesError) as info:
-        sample_episode(manifest, range(1), ("a",), 1, np.random.default_rng(0))
+        sample_episode(manifest, EpisodePool(manifest, range(1)), ("a",), 1,
+                       np.random.default_rng(0))
     err = info.value
     # support succeeds with the single image, queries then run dry
     assert err.label == "a"
@@ -103,16 +107,16 @@ def test_insufficient_images_error_fields():
 
 def test_empty_label_pool_fails_immediately():
     with pytest.raises(InsufficientImagesError) as info:
-        sample_episode(SIX, range(12), ("a", "missing"), 1, np.random.default_rng(0))
+        sample_episode(SIX, SIX_POOL, ("a", "missing"), 1, np.random.default_rng(0))
     assert info.value.label == "missing"
     assert info.value.available == 0
 
 
 def test_degenerate_episode_parameters():
     with pytest.raises(DataError):
-        sample_episode(SIX, range(12), (), 1, np.random.default_rng(0))
+        sample_episode(SIX, SIX_POOL, (), 1, np.random.default_rng(0))
     with pytest.raises(DataError):
-        sample_episode(SIX, range(12), ("a",), 0, np.random.default_rng(0))
+        sample_episode(SIX, SIX_POOL, ("a",), 0, np.random.default_rng(0))
 
 
 def test_retries_eventually_raise_the_last_error():
@@ -124,12 +128,13 @@ def test_retries_eventually_raise_the_last_error():
         return np.random.default_rng(attempt)
 
     with pytest.raises(InsufficientImagesError):
-        sample_episode_with_retries(manifest, range(1), ("a",), 1, make_rng)
+        sample_episode_with_retries(manifest, EpisodePool(manifest, range(1)), ("a",), 1,
+                                    make_rng)
     assert calls == list(range(SAMPLE_RETRIES))
 
 
 def test_retries_return_first_success():
-    ep = sample_episode_with_retries(SIX, range(12), ("a", "b"), 1,
+    ep = sample_episode_with_retries(SIX, SIX_POOL, ("a", "b"), 1,
                                      lambda attempt: np.random.default_rng(attempt))
     assert validate_episode(ep, SIX) == []
 
@@ -157,10 +162,11 @@ def test_sampler_matches_the_set_based_oracle(tiny_data, split):
             k_shot = 1 + index % 3
             if index % 2:
                 # a seeded half of the split (two fifths at every eighth
-                # index), passed as indices: labels run short
+                # index): labels run short
                 kept = seeding.substream(seed, "part", index).permutation(len(records))
                 size = len(records) * (2 if index % 8 == 1 else 2.5) // 5
-                pool = oracle_pool = sorted(records[i] for i in kept[:int(size)])
+                oracle_pool = sorted(records[i] for i in kept[:int(size)])
+                pool = EpisodePool(manifest, oracle_pool)
             else:
                 pool, oracle_pool = whole, records
             attempts = []
@@ -184,14 +190,14 @@ def test_sampler_matches_the_set_based_oracle(tiny_data, split):
 
 def test_sampler_rejects_repeated_labels():
     with pytest.raises(DataError, match="distinct"):
-        sample_episode(SIX, range(12), ("a", "b", "a"), 1, np.random.default_rng(0))
+        sample_episode(SIX, SIX_POOL, ("a", "b", "a"), 1, np.random.default_rng(0))
 
 
 # --------------------------------------------------------------- validation
 
 
 def test_validate_flags_duplicate_support():
-    ep = sample_episode(SIX, range(12), ("a", "b"), 1, np.random.default_rng(3))
+    ep = sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(3))
     broken = Episode(ep.labels, ep.k_shot,
                      (ep.support_ids[0], ep.support_ids[0]),
                      ep.support_targets, ep.query_ids, ep.query_targets)
@@ -199,7 +205,7 @@ def test_validate_flags_duplicate_support():
 
 
 def test_validate_flags_support_query_overlap():
-    ep = sample_episode(SIX, range(12), ("a", "b"), 1, np.random.default_rng(4))
+    ep = sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(4))
     broken = Episode(ep.labels, ep.k_shot, ep.support_ids, ep.support_targets,
                      ep.support_ids + ep.query_ids[2:],
                      np.vstack([ep.support_targets, ep.query_targets[2:]]))
@@ -207,7 +213,7 @@ def test_validate_flags_support_query_overlap():
 
 
 def test_validate_flags_wrong_sizes_and_coverage():
-    ep = sample_episode(SIX, range(12), ("a", "b"), 1, np.random.default_rng(5))
+    ep = sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(5))
     short = Episode(ep.labels, 2, ep.support_ids, ep.support_targets,
                     ep.query_ids, ep.query_targets)
     problems = validate_episode(short)
@@ -219,6 +225,17 @@ def test_validate_flags_wrong_sizes_and_coverage():
 
 
 # ----------------------------------------------------------------- manifest
+
+
+def test_manifest_always_builds_its_indices():
+    # the indices are derived from the records, so none can be handed in
+    # to stand for them
+    record = ManifestRecord("x", "x.fmap", ("a",))
+    with pytest.raises(TypeError):
+        DatasetManifest(root=None, records=[record], by_label={"a": [0]})
+    manifest = DatasetManifest(root=None, records=[record])
+    assert manifest.record_for("x") is record
+    assert manifest.by_label == {"a": [0]} and manifest.by_id == {"x": 0}
 
 
 def test_manifest_round_trip(tmp_path):

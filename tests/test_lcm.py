@@ -8,6 +8,7 @@ import pytest
 
 from mlfewshot.autodiff import DegenerateVectorError, ShapeError, Tensor, _logistic
 from mlfewshot.errors import ConfigError
+from mlfewshot import lcm
 from mlfewshot.joint_space import init_joint_space, project_labels
 from mlfewshot.lcm import (
     LcmConfig,
@@ -16,8 +17,7 @@ from mlfewshot.lcm import (
     momentum_alpha,
     momentum_update,
     normalize_importance,
-    select_features,
-    sigma_grid,
+    select_cells,
     validate_threshold,
     write_importance_grid,
     write_selection_mask,
@@ -101,41 +101,49 @@ def test_momentum_constant_signal_reaches_exact_fraction():
 # ---------------------------------------------------------------- selection
 
 
-def test_sigma_and_selection_hand_values():
-    state_like = type("S", (), {})()
-    state_like.accumulator = np.array([[1.0, 0.0]])
-    sig = sigma_grid(state_like)
-    assert abs(sig[0, 0] - 1.0 / (1.0 + math.exp(-1.0))) <= 1e-15   # ~0.731
-    assert abs(sig[0, 1] - 0.5) <= 1e-15
-    mask, fell_back = select_features(state_like, 0.65)
-    assert mask.tolist() == [[True, False]]
-    assert not fell_back
+def select_from(monkeypatch, accumulator, theta):
+    """select_cells over one map per grid of the (n, h, w) `accumulator`,
+    with the fit stubbed to return it."""
+    accumulator = np.asarray(accumulator, dtype=np.float64)
+    monkeypatch.setattr(lcm, "fit_importance",
+                        lambda *args, **kwargs: (np.ones_like(accumulator), accumulator))
+    fmaps = [np.ones((1, *accumulator.shape[1:]))] * len(accumulator)
+    return select_cells(None, fmaps, np.ones((len(fmaps), 1)), None, LcmConfig(), theta,
+                        trained=True)
 
 
-def test_threshold_half_keeps_everything():
-    state_like = type("S", (), {})()
-    state_like.accumulator = np.abs(np.random.default_rng(0).standard_normal((3, 3)))
-    mask, fell_back = select_features(state_like, 0.5)
-    assert mask.all() and not fell_back
+def test_sigma_and_selection_hand_values(monkeypatch):
+    (selection,) = select_from(monkeypatch, [[[1.0, 0.0]]], 0.65)
+    assert abs(selection.sigma[0, 0] - 1.0 / (1.0 + math.exp(-1.0))) <= 1e-15   # ~0.731
+    assert abs(selection.sigma[0, 1] - 0.5) <= 1e-15
+    assert selection.mask.tolist() == [[True, False]]
+    assert not selection.fell_back
+
+
+def test_threshold_half_keeps_everything(monkeypatch):
+    accumulator = np.abs(np.random.default_rng(0).standard_normal((1, 3, 3)))
+    (selection,) = select_from(monkeypatch, accumulator, 0.5)
+    assert selection.mask.all() and not selection.fell_back
 
 
 @pytest.mark.parametrize("theta", [0.49, 1.0, 1.5, -0.1])
-def test_threshold_validation(theta):
+def test_threshold_validation(theta, monkeypatch):
     with pytest.raises(ConfigError):
         validate_threshold(theta)
+    with pytest.raises(ConfigError):
+        select_from(monkeypatch, np.zeros((1, 2, 2)), theta)
 
 
-def test_fallback_restores_all_cells_and_reports_it(caplog):
+def test_fallback_restores_all_cells_and_reports_it(monkeypatch, caplog):
     # the caller summarises fallbacks; the selection itself logs nothing;
     # each grid of a stack falls back on its own
-    state_like = type("S", (), {})()
-    state_like.accumulator = np.array([np.zeros((2, 2)), [[1.0, 0.0], [0.0, 0.0]]])
     with caplog.at_level(logging.WARNING):
-        out, fell_back = select_features(state_like, 0.65)
-    assert out.dtype == bool and out.shape == (2, 2, 2)
-    assert out[0].all()
-    assert np.array_equal(out[1], [[True, False], [False, False]])
-    assert fell_back.tolist() == [True, False]
+        selections = select_from(monkeypatch, [np.zeros((2, 2)), [[1.0, 0.0], [0.0, 0.0]]],
+                                 0.65)
+    assert all(s.mask.dtype == bool and s.mask.shape == (2, 2) for s in selections)
+    assert selections[0].mask.all()
+    assert np.array_equal(selections[1].mask, [[True, False], [False, False]])
+    assert [s.fell_back for s in selections] == [True, False]
     assert caplog.records == []
 
 
@@ -252,9 +260,10 @@ def test_fit_matches_taped_reference_loop(n_labels):
         targets = random_targets(rng, n_labels, "mixed")
         config = LcmConfig(epochs=20)
         importance, accumulator = tape_fit(joint, fmap, targets, embeds, config)
-        state = fit_importance(joint, fmap[None], targets[None], embeds, config)
-        assert np.max(np.abs(state.importance[0] - importance)) <= 1e-12
-        assert np.max(np.abs(state.accumulator[0] - accumulator)) <= 1e-12
+        fitted, smoothed = fit_importance(joint, fmap[None], targets[None], embeds, config,
+                                          trained=True)
+        assert np.max(np.abs(fitted[0] - importance)) <= 1e-12
+        assert np.max(np.abs(smoothed[0] - accumulator)) <= 1e-12
 
 
 def per_image_fit(joint, fmap, targets_row, embeds, config):
@@ -312,20 +321,23 @@ def test_stacked_fit_matches_per_image_loop_bitwise():
     joint = toy_joint()
     fmaps, targets, embeds = mixed_stack(rng)
     config = LcmConfig(epochs=20)
-    state = fit_importance(joint, fmaps, targets, embeds, config)
-    assert state.importance.shape == state.accumulator.shape == (3, 3, 3)
-    assert np.all(state.importance[1] == 1.0)            # the constant grid
+    fitted, smoothed = fit_importance(joint, fmaps, targets, embeds, config, trained=True)
+    assert fitted.shape == smoothed.shape == (3, 3, 3)
+    assert np.all(fitted[1] == 1.0)                      # the constant grid
     fallbacks = set()
     for theta in (0.5, 0.55, 0.6, 0.65, 0.9):
-        masks, fell_back = select_features(state, theta)
-        for i in range(3):
+        selections = select_cells(joint, list(fmaps), targets, embeds, config, theta,
+                                  trained=True)
+        for i, selection in enumerate(selections):
             importance, accumulator = per_image_fit(joint, fmaps[i], targets[i], embeds, config)
-            assert np.array_equal(state.importance[i], importance)
-            assert np.array_equal(state.accumulator[i], accumulator)
+            assert np.array_equal(fitted[i], importance)
+            assert np.array_equal(smoothed[i], accumulator)
+            assert np.array_equal(selection.importance, importance)
+            assert np.array_equal(selection.sigma, _logistic(accumulator))
             keep = _logistic(accumulator) >= theta
-            assert np.array_equal(masks[i], keep if keep.any() else np.ones_like(keep))
-            assert fell_back[i] == (not keep.any())
-            fallbacks.add(bool(fell_back[i]))
+            assert np.array_equal(selection.mask, keep if keep.any() else np.ones_like(keep))
+            assert selection.fell_back == (not keep.any())
+            fallbacks.add(selection.fell_back)
     assert fallbacks == {True, False}                    # both selection paths ran
 
 
@@ -334,30 +346,30 @@ def test_stacked_fit_matches_taped_reference_loop():
     joint = toy_joint()
     fmaps, targets, embeds = mixed_stack(rng)
     config = LcmConfig(epochs=20)
-    state = fit_importance(joint, fmaps, targets, embeds, config)
+    fitted, smoothed = fit_importance(joint, fmaps, targets, embeds, config, trained=True)
     for i in range(3):
         importance, accumulator = tape_fit(joint, fmaps[i], targets[i], embeds, config)
-        assert np.max(np.abs(state.importance[i] - importance)) <= 1e-12
-        assert np.max(np.abs(state.accumulator[i] - accumulator)) <= 1e-12
+        assert np.max(np.abs(fitted[i] - importance)) <= 1e-12
+        assert np.max(np.abs(smoothed[i] - accumulator)) <= 1e-12
 
 
 def test_degenerate_or_mismatched_inputs_raise():
     joint = toy_joint()
     with pytest.raises(DegenerateVectorError):
         fit_importance(joint, np.zeros((1, 4, 2, 2)), np.array([[1.0]]),
-                       np.ones((1, 3)), LcmConfig())
+                       np.ones((1, 3)), LcmConfig(), trained=True)
     with pytest.raises(DegenerateVectorError):          # zero label vector
         fit_importance(joint, np.ones((1, 4, 2, 2)), np.array([[1.0]]),
-                       np.zeros((1, 3)), LcmConfig())
+                       np.zeros((1, 3)), LcmConfig(), trained=True)
     with pytest.raises(ShapeError):                     # one target, two labels
         fit_importance(joint, np.ones((1, 4, 2, 2)), np.array([[1.0]]),
-                       np.ones((2, 3)), LcmConfig())
+                       np.ones((2, 3)), LcmConfig(), trained=True)
     with pytest.raises(ShapeError):                     # targets for one image of two
         fit_importance(joint, np.ones((2, 4, 2, 2)), np.array([[1.0]]),
-                       np.ones((1, 3)), LcmConfig())
+                       np.ones((1, 3)), LcmConfig(), trained=True)
     with pytest.raises(ConfigError, match="stack"):     # one map, not a stack
         fit_importance(joint, np.ones((4, 2, 2)), np.array([[1.0]]),
-                       np.ones((1, 3)), LcmConfig())
+                       np.ones((1, 3)), LcmConfig(), trained=True)
 
 
 def test_one_degenerate_image_in_a_stack_raises():
@@ -366,7 +378,7 @@ def test_one_degenerate_image_in_a_stack_raises():
     fmaps[1] = 0.0                                      # pools to the zero vector
     with pytest.raises(DegenerateVectorError):
         fit_importance(toy_joint(), fmaps, np.ones((3, 2)), rng.standard_normal((2, 3)),
-                       LcmConfig())
+                       LcmConfig(), trained=True)
 
 
 # ------------------------------------------------------------ fitting loop
@@ -387,10 +399,10 @@ def test_fit_on_uniform_cells_stays_uniform():
     cell = rng.standard_normal(4)
     fmap = np.repeat(cell[:, None], 4, axis=1).reshape(4, 2, 2)
     embeds = rng.standard_normal((2, 3))
-    state = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), embeds,
-                           LcmConfig(epochs=5))
-    assert np.allclose(state.importance, state.importance[0, 0, 0], atol=1e-12)
-    assert np.allclose(state.accumulator, state.accumulator[0, 0, 0], atol=1e-12)
+    importance, accumulator = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), embeds,
+                                             LcmConfig(epochs=5), trained=True)
+    assert np.allclose(importance, importance[0, 0, 0], atol=1e-12)
+    assert np.allclose(accumulator, accumulator[0, 0, 0], atol=1e-12)
 
 
 def test_fit_importance_stays_in_unit_interval():
@@ -398,11 +410,11 @@ def test_fit_importance_stays_in_unit_interval():
     joint = toy_joint()
     fmap = rng.standard_normal((4, 3, 3)) * 3
     embeds = rng.standard_normal((2, 3))
-    state = fit_importance(joint, fmap[None], np.array([[1.0, 1.0]]), embeds,
-                           LcmConfig(epochs=8))
-    assert state.importance.min() >= 0.0 and state.importance.max() <= 1.0
-    assert state.importance.max() == 1.0
-    assert np.all(state.accumulator >= 0.0)
+    importance, accumulator = fit_importance(joint, fmap[None], np.array([[1.0, 1.0]]), embeds,
+                                             LcmConfig(epochs=8), trained=True)
+    assert importance.min() >= 0.0 and importance.max() <= 1.0
+    assert importance.max() == 1.0
+    assert np.all(accumulator >= 0.0)
 
 
 def test_fit_is_deterministic():
@@ -410,10 +422,11 @@ def test_fit_is_deterministic():
     joint = toy_joint()
     fmap = rng.standard_normal((4, 2, 3))
     embeds = rng.standard_normal((2, 3))
-    a = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), embeds, LcmConfig(epochs=4))
-    b = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), embeds, LcmConfig(epochs=4))
-    assert np.array_equal(a.importance, b.importance)
-    assert np.array_equal(a.accumulator, b.accumulator)
+    a = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), embeds, LcmConfig(epochs=4),
+                       trained=True)
+    b = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), embeds, LcmConfig(epochs=4),
+                       trained=True)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_fit_does_not_touch_model_parameters():
@@ -423,7 +436,7 @@ def test_fit_does_not_touch_model_parameters():
     before_t = joint.text.data.copy()
     fmap = rng.standard_normal((4, 2, 2))
     fit_importance(joint, fmap[None], np.array([[1.0]]), rng.standard_normal((1, 3)),
-                   LcmConfig(epochs=3))
+                   LcmConfig(epochs=3), trained=True)
     assert np.array_equal(joint.visual.data, before_v)
     assert np.array_equal(joint.text.data, before_t)
     assert joint.visual.grad is None and joint.text.grad is None

@@ -9,13 +9,14 @@ from mlfewshot import seeding
 from mlfewshot.config import RunConfig
 from mlfewshot.embeddings import embed_label, load_vocabulary, parse_embedding_file
 from mlfewshot.episodes import (
+    EpisodePool,
     load_manifest,
     make_synthetic,
     records_for_split,
     sample_episode_with_retries,
 )
 from mlfewshot.errors import ConfigError
-from mlfewshot.lcm import LcmConfig, fit_importance, select_features
+from mlfewshot.lcm import LcmConfig, select_cells
 from mlfewshot.metrics import (
     EVAL_MODES,
     MetricsReport,
@@ -288,7 +289,7 @@ def test_evaluate_lcm_detail_rows(tiny_setup):
 
 def test_evaluate_lcm_fits_each_grid_shape_alone(tiny_setup):
     # odd-numbered images get a cropped 3x4 grid, so episodes mix grid
-    # shapes; each image's mask must be the one a fit of it alone gives
+    # shapes; each image's grids must be the ones select_cells gives it alone
     manifest, vocabulary, table, model = tiny_setup
     features = FeatureStore(manifest)
     store = {}
@@ -302,7 +303,7 @@ def test_evaluate_lcm_fits_each_grid_shape_alone(tiny_setup):
         _, detail = run_evaluate(model, manifest, vocabulary, table, split="base", episodes=3,
                                  seed=seed, mode="lcm", theta=theta, store=store,
                                  collect_detail=True)
-        record_pool = records_for_split(manifest, vocabulary, "base")
+        record_pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, "base"))
         shapes = set()
         for idx in range(3):
             episode = sample_episode_with_retries(
@@ -311,12 +312,12 @@ def test_evaluate_lcm_fits_each_grid_shape_alone(tiny_setup):
             rows = [entry for entry in detail if entry["episode"] == idx]
             assert [entry["image_id"] for entry in rows] == list(episode.support_ids)
             for i, (image_id, entry) in enumerate(zip(episode.support_ids, rows)):
-                alone = fit_importance(model.joint, store[image_id][None],
-                                       episode.support_targets[i:i + 1], embed_matrix,
-                                       LcmConfig(threshold=theta))
-                (mask,), _ = select_features(alone, theta)
-                assert np.array_equal(entry["mask"], mask)
-                assert np.array_equal(entry["importance"], alone.importance[0])
+                (alone,) = select_cells(model.joint, [store[image_id]],
+                                        episode.support_targets[i:i + 1], embed_matrix,
+                                        LcmConfig(threshold=theta), theta, trained=True)
+                assert np.array_equal(entry["mask"], alone.mask)
+                assert np.array_equal(entry["importance"], alone.importance)
+                assert np.array_equal(entry["sigma"], alone.sigma)
             shapes |= {frozenset(store[image_id].shape for image_id in episode.support_ids)}
     finally:
         model.epoch = 0

@@ -9,7 +9,7 @@ from mlfewshot import autodiff as ad
 from mlfewshot import model as model_module
 from mlfewshot import seeding
 from mlfewshot.autodiff import Tensor
-from mlfewshot.episodes import records_for_split, sample_episode
+from mlfewshot.episodes import EpisodePool, records_for_split, sample_episode
 from mlfewshot.errors import DataError
 from mlfewshot.model import (
     CHECKPOINT_MAGIC,
@@ -338,7 +338,7 @@ def per_image_pools(joint, labels, support_targets, fmaps, masks=None):
 def tiny_episode(tiny_data, seed=5):
     manifest, vocabulary = tiny_data["manifest"], tiny_data["vocabulary"]
     labels = list(vocabulary.base)
-    pool = records_for_split(manifest, vocabulary, "base")
+    pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, "base"))
     episode = sample_episode(manifest, pool, labels, 1, np.random.default_rng(seed))
     embeddings = {label: tiny_data["table"].vectors[label] for label in labels}
     return episode, FeatureStore(manifest), embeddings
@@ -368,7 +368,7 @@ def test_episode_gradients_match_the_per_image_loop(tiny_data, monkeypatch):
 
     def joint_grads():
         model.zero_grad()
-        cm, query = episode_losses(model, episode, store, embeddings, training=False)
+        cm, query = episode_losses(model, episode, store, embeddings, dropout_rng=None)
         ad.add(cm, query).backward()
         return model.joint.visual.grad.copy(), model.joint.text.grad.copy()
 
@@ -379,11 +379,11 @@ def test_episode_gradients_match_the_per_image_loop(tiny_data, monkeypatch):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
-def per_label_forward(model, episode, store, embeddings, *, masks=None, dropout_rngs=None,
-                      training=False):
+def per_label_forward(model, episode, store, embeddings, *, masks, dropout_rng):
     """The episode forward the batched one replaced: each label's embedding
     projected, its kept member cells projected as its pool, and its
-    prototype built on its own, then the prototypes stacked and scored."""
+    prototype built on its own, then the prototypes stacked and scored.
+    Label i's dropout takes row i of one draw from `dropout_rng`."""
     labels = list(episode.labels)
     joints = [ad.reshape(ad.matmul(model.joint.text, Tensor(embeddings[label].reshape(-1, 1))),
                          (model.joint.text.shape[0],))
@@ -394,12 +394,13 @@ def per_label_forward(model, episode, store, embeddings, *, masks=None, dropout_
     kept = np.ones(len(cells), dtype=bool) if masks is None else \
         np.concatenate([np.asarray(mask).reshape(-1) for mask in masks])
     protos = []
-    for li, label in enumerate(labels):
+    draws = [None] * len(labels) if dropout_rng is None else \
+        dropout_rng.random((len(labels), model.joint.text.shape[0]))
+    for li in range(len(labels)):
         members = episode.support_targets[image_of_cell, li] > 0
         pool = ad.matmul(Tensor(cells[members & kept]), ad.transpose(model.joint.visual))
-        rng = dropout_rngs.get(label) if dropout_rngs else None
         protos.append(per_label_prototype(model.attention, model.dynconv, pool, joints[li],
-                                          rng=rng, training=training))
+                                          draws[li]))
     logits = score_against(model.joint, pooled_globals(store, episode.query_ids),
                            ad.concat([ad.reshape(p, (1, p.size)) for p in protos], axis=0))
     return ad.concat([ad.reshape(j, (1, j.size)) for j in joints], axis=0), logits
@@ -423,11 +424,9 @@ def test_episode_forward_matches_the_per_label_loop(tiny_data, case):
     training = case == "training-dropout"
 
     def run(forward):
-        rngs = {label: seeding.substream(5, "dropout", li)
-                for li, label in enumerate(episode.labels)} if training else None
         model.zero_grad()
         joints, logits = forward(model, episode, maps, embeddings, masks=masks,
-                                 dropout_rngs=rngs, training=training)
+                                 dropout_rng=seeding.substream(5, "dropout") if training else None)
         cm = score_loss(model.joint, pooled_globals(maps, episode.support_ids), joints,
                         episode.support_targets)
         query = ad.tensor_sum(ad.bce_with_logits(logits, episode.query_targets.reshape(-1)))

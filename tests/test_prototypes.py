@@ -57,7 +57,7 @@ def test_single_feature_pool_is_mlp_of_that_feature():
     att, _ = make_params(rng)
     row = rng.standard_normal(8)
     pool = one_pool(row.reshape(1, 8))
-    out = attention_prototype(att, pool, label_row(rng.standard_normal(8)))
+    out = attention_prototype(att, pool, label_row(rng.standard_normal(8)), None)
     # softmax over one feature is 1, so the readout is exactly MLP(row)
     from scipy.special import erf
     h = att.mlp_w1.data @ row + att.mlp_b1.data
@@ -86,8 +86,8 @@ def test_attention_is_permutation_invariant():
     pool = make_pool(rng, count=6)
     perm = np.random.default_rng(9).permutation(6)
     shuffled = one_pool(pool.features.data[perm], "cat")
-    a = attention_prototype(att, pool, label)
-    b = attention_prototype(att, shuffled, label)
+    a = attention_prototype(att, pool, label, None)
+    b = attention_prototype(att, shuffled, label, None)
     assert np.allclose(a.data, b.data, atol=1e-12)
 
 
@@ -96,11 +96,10 @@ def test_dropout_only_acts_in_training_mode():
     att, _ = make_params(rng, dropout=0.5)
     pool = make_pool(rng)
     label = label_row(rng.standard_normal(8))
-    quiet = attention_prototype(att, pool, label, training=False)
-    again = attention_prototype(att, pool, label, training=False)
+    quiet = attention_prototype(att, pool, label, None)
+    again = attention_prototype(att, pool, label, None)
     assert np.array_equal(quiet.data, again.data)
-    noisy = attention_prototype(att, pool, label, rngs=[np.random.default_rng(5)],
-                                training=True)
+    noisy = attention_prototype(att, pool, label, np.random.default_rng(5))
     assert not np.array_equal(quiet.data, noisy.data)
 
 
@@ -215,8 +214,8 @@ def test_prototype_is_exact_sum_of_parts():
     att, dyn = make_params(rng)
     pool = make_pool(rng)
     label = label_row(rng.standard_normal(8))
-    proto = build_prototype(att, dyn, pool, label)
-    att_part = attention_prototype(att, pool, label)
+    proto = build_prototype(att, dyn, pool, label, None)
+    att_part = attention_prototype(att, pool, label, None)
     dyn_part = dynconv_prototype(dyn, *select_top_features(pool, label, dyn.top_count), label)
     assert np.array_equal(proto.data, att_part.data + dyn_part.data)
 
@@ -226,8 +225,8 @@ def test_prototype_eval_is_deterministic():
     att, dyn = make_params(rng)
     pool = make_pool(rng)
     label = label_row(rng.standard_normal(8))
-    a = build_prototype(att, dyn, pool, label)
-    b = build_prototype(att, dyn, pool, label)
+    a = build_prototype(att, dyn, pool, label, None)
+    b = build_prototype(att, dyn, pool, label, None)
     assert np.array_equal(a.data, b.data)
 
 
@@ -236,7 +235,7 @@ def test_gradients_reach_every_parameter_group():
     att, dyn = make_params(rng)
     pool = make_pool(rng)
     label = label_row(rng.standard_normal(8), requires_grad=True)
-    proto = build_prototype(att, dyn, pool, label)
+    proto = build_prototype(att, dyn, pool, label, None)
     ad.tensor_sum(proto).backward()
     for name, p in {**att.parameters(), **dyn.parameters()}.items():
         assert p.grad is not None, name
@@ -305,11 +304,12 @@ def column(t):
     return ad.reshape(t, (t.size, 1))
 
 
-def per_label_prototype(attention, dynconv, pool, label_joint, rng=None, training=False):
+def per_label_prototype(attention, dynconv, pool, label_joint, draws=None):
     """One label's prototype as the per-label code built it: each head's
     query and softmax on its own channel slice, the MLP and dropout on one
     vector, the top rows by cosine, and both generated-kernel stages on
-    that label alone, averaged with `mean`."""
+    that label alone, averaged with `mean`.  `draws` is the label's row of
+    the uniform draws behind the batched dropout mask, or None for none."""
     inv_sqrt = 1.0 / math.sqrt(attention.head_dim)
     head_outputs = []
     for transform, chunk in zip(attention.queries, ad.split(pool, attention.heads, axis=1)):
@@ -319,7 +319,9 @@ def per_label_prototype(attention, dynconv, pool, label_joint, rng=None, trainin
         head_outputs.append(column(ad.matmul(weights, chunk)))
     merged = ad.concat(head_outputs, axis=0)
     hidden = ad.gelu(ad.add(ad.matmul(attention.mlp_w1, merged), column(attention.mlp_b1)))
-    hidden = ad.dropout(hidden, attention.dropout, rng=rng, training=training)
+    if draws is not None:
+        hidden = ad.mul(hidden, Tensor(((draws >= attention.dropout)
+                                        / (1.0 - attention.dropout)).reshape(-1, 1)))
     att_part = ad.add(ad.matmul(attention.mlp_w2, hidden), column(attention.mlp_b2))
     att_part = ad.reshape(att_part, (att_part.size,))
 
@@ -359,25 +361,25 @@ def test_batched_prototypes_match_the_per_label_loop(case, caplog):
     training = case == "training-dropout"
     weights = Tensor(rng.standard_normal((3, 8)))
 
-    def rngs():
-        return [np.random.default_rng([5, i]) for i in range(3)] if training else None
+    def rng():
+        return np.random.default_rng(5) if training else None
 
     def batched():
-        return build_prototype(att, dyn, pools, joints, rngs=rngs(), training=training)
+        return build_prototype(att, dyn, pools, joints, rng())
 
     def looped():
+        # label i gets row i of the one draw the batched dropout makes
         starts = np.cumsum(sizes) - sizes
-        generators = rngs() or [None] * 3
+        draws = rng().random((3, 8)) if training else [None] * 3
         return ad.concat([ad.reshape(per_label_prototype(
                               att, dyn, ad.gather_rows(features, np.arange(start, start + n)),
-                              ad.reshape(ad.gather_rows(joints, [i]), (8,)),
-                              generators[i], training), (1, 8))
+                              ad.reshape(ad.gather_rows(joints, [i]), (8,)), draws[i]), (1, 8))
                           for i, (start, n) in enumerate(zip(starts, sizes))], axis=0)
 
     _, counts = select_top_features(pools, joints, dyn.top_count)
     assert counts.tolist() == [4, 2, 4]        # six rows, one of them zero, still give four
     if training:
-        quiet = build_prototype(att, dyn, pools, joints)
+        quiet = build_prototype(att, dyn, pools, joints, None)
         assert not np.array_equal(quiet.data, batched().data)
     assert_close(batched().data, looped().data)
     leaves = [*att.parameters().values(), *dyn.parameters().values(), features, joints]

@@ -10,7 +10,7 @@ import pytest
 from mlfewshot import autodiff as ad
 from mlfewshot import metrics, training, verification
 from mlfewshot.autodiff import Tensor
-from mlfewshot.episodes import records_for_split, sample_episode
+from mlfewshot.episodes import EpisodePool, records_for_split, sample_episode
 from mlfewshot.errors import ConfigError, NumericError
 from mlfewshot.joint_space import JointSpaceParams
 from mlfewshot.model import FeatureStore, load_checkpoint, save_checkpoint, score_loss
@@ -124,11 +124,11 @@ def test_gamma_zero_gradients_are_exactly_zero(tiny_data):
     model = build_tiny_model(tiny_data["table"], seed=34)
     manifest = tiny_data["manifest"]
     store = FeatureStore(manifest)
-    pool = records_for_split(manifest, tiny_data["vocabulary"], "base")
+    pool = EpisodePool(manifest, records_for_split(manifest, tiny_data["vocabulary"], "base"))
     labels = list(tiny_data["vocabulary"].base)
     episode = sample_episode(manifest, pool, labels, 1, np.random.default_rng(0))
     emb = {l: tiny_data["table"].vectors[l] for l in labels}
-    cm, q = episode_losses(model, episode, store, emb, training=False)
+    cm, q = episode_losses(model, episode, store, emb, dropout_rng=None)
     total = ad.add(cm, ad.scale(q, 0.0))
     total.backward()
     for name, p in model.named_parameters().items():
@@ -142,7 +142,8 @@ def test_episode_graph_op_census():
     # every affine layer is one bias-carrying `linear` node: no rank-1
     # ones @ bias product and no `add` per layer
     model, episode, store, embeddings = verification._tiny_episode()
-    cm, q = episode_losses(model, episode, store, embeddings, training=True)
+    cm, q = episode_losses(model, episode, store, embeddings,
+                           dropout_rng=np.random.default_rng(0))
     nodes = ad._toposort(ad.add(cm, q))
     census = collections.Counter(node.op for node in nodes if node.op != "leaf")
     assert census == {"linear": 11, "reshape": 6, "add": 2, "bce_with_logits": 2, "cosine": 2,
@@ -161,7 +162,7 @@ def test_base_evaluation_scores_the_training_forward(tiny_trained, monkeypatch):
     manifest, vocabulary = tiny_trained["manifest"], tiny_trained["vocabulary"]
     model, store = tiny_trained["model"], FeatureStore(manifest)
     labels = list(vocabulary.novel)
-    pool = records_for_split(manifest, vocabulary, "novel")
+    pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, "novel"))
     episode = sample_episode(manifest, pool, labels, 1, np.random.default_rng(3))
     emb = {label: tiny_trained["table"].vectors[label] for label in labels}
     forward, seen = training.episode_forward, []
@@ -172,7 +173,7 @@ def test_base_evaluation_scores_the_training_forward(tiny_trained, monkeypatch):
         return out
 
     monkeypatch.setattr(training, "episode_forward", recording_forward)
-    episode_losses(model, episode, store, emb, training=False)
+    episode_losses(model, episode, store, emb, dropout_rng=None)
     monkeypatch.undo()
     probs, _, _ = metrics._episode_probabilities(model, episode, store, emb, "base",
                                                  0.65, None, False)

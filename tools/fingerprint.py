@@ -4,12 +4,15 @@ In a temporary directory it builds the benchmark's bundle with ``synth``
 (``bench/fixture.py``'s ``BUNDLE``), trains at the desk config (``RunConfig()``
 defaults) with seed 11, keeping its stdout, per-epoch training log and
 checkpoint, evaluates the checkpoint in all four modes at seed 11, and in
-lcm mode once more at seed 3, runs ``inspect-lcm`` on one image and the
-gradient checks, and reads every ``--help`` text, each under its own key.
+lcm mode once more at seed 3, runs ``inspect-lcm`` on one image, once at
+the default theta and once at a theta that keeps some of its cells, runs
+the gradient checks, and reads every ``--help`` text, each under its own key.
 The ``episodes`` key digests the episodes training and evaluation draw, so
 the sampler can show byte identity while the checkpoint's digest moves.
 At seed 11 every support mask falls back to keep-all; at seed 3 some masks
-select cells, so the second lcm report covers the selecting path.  It prints one JSON line
+select cells, so the second lcm report covers the selecting path, and
+``inspect_lcm_selecting`` digests the second ``inspect-lcm`` run's stdout and
+mask, which keeps cells.  It prints one JSON line
 of SHA-256 digests; two checkouts that print the same line produce the
 same bytes.  Each gradient check's max_error has its own digest, keyed
 ``gradcheck_max_error.<case>``, so a change that adds or deletes a case
@@ -42,6 +45,9 @@ SYNTH = ["--seed", SEED, "--embed-dim", "8", "--signal-noise", "0.4",
 MODES = ("base", "lcm", "zeroshot", "simple-attention")
 SELECTING_SEED = "3"   # an evaluation seed at which some lcm masks select cells
 IMAGE = "img00320"
+# between the smallest and largest sigma of IMAGE's cells (about 0.500 and
+# 0.583 at seed 11), so inspect-lcm keeps some of them and drops the rest
+SELECTING_THETA = "0.52"
 COMMANDS = ("synth", "train", "eval", "gradcheck", "inspect-lcm")
 # The gradcheck table prints each max_error to three digits; this prints
 # every one by repr, one case a line, so a change in the last bit shows too.
@@ -121,6 +127,9 @@ def fingerprint(root: Path) -> dict:
                                                "--image", IMAGE))
         for grid in ("importance", "sigma", "mask"):
             out[f"{grid}_{IMAGE}"] = digest(read(f"out/{grid}_{IMAGE}.txt"))
+        stdout = run("inspect-lcm", *paths, "--seed", SEED, "--image", IMAGE,
+                     "--theta", SELECTING_THETA)
+        out["inspect_lcm_selecting"] = digest(stdout + read(f"out/mask_{IMAGE}.txt"))
         out["gradcheck_stdout"] = digest(run("gradcheck"))
         for line in run(code=MAX_ERROR_REPRS).decode().splitlines():
             name, error = line.split(" ", 1)
