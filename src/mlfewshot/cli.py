@@ -9,8 +9,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import seeding
 from .config import (
     NUMERIC_KEYS,
@@ -21,13 +19,13 @@ from .config import (
     parse_config_file,
     run_id,
 )
-from .embeddings import embed_label, load_vocabulary, parse_embedding_file
+from .embeddings import embed_labels, load_vocabulary, parse_embedding_file
 from .episodes import load_manifest, make_synthetic
 from .errors import ConfigError, DataError, NumericError
 from .features import load_feature_file
 from .lcm import select_cells, write_importance_grid, write_selection_mask
 from .metrics import EVAL_MODES, evaluate
-from .model import atomic_open, init_model, load_checkpoint, save_checkpoint
+from .model import FeatureStore, atomic_open, init_model, load_checkpoint, save_checkpoint
 from .optim import Adam
 from .training import train
 
@@ -110,7 +108,6 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg, vocabulary, manifest, table, out_dir = _prepare(args)
 
-    extras = {}
     if args.resume:
         model, extras = _load_model(cfg, manifest, table)
     else:
@@ -120,7 +117,7 @@ def cmd_train(args) -> int:
             dynconv_top=cfg.n_d, scale=cfg.lambda_, dropout=cfg.dropout,
             rng=seeding.substream(cfg.seed, "init"))
     optimizer = Adam(model.named_parameters(), cfg.lr)
-    if any(k.startswith("optim.") for k in extras):
+    if args.resume:
         optimizer.load_state_tensors(extras)
 
     log_path = out_dir / "training_log.csv"
@@ -194,21 +191,19 @@ def cmd_inspect_lcm(args) -> int:
     split = vocabulary.split_of(record.labels[0])
     labels = list(vocabulary.labels_for(split))
     targets = [1.0 if label in record.labels else 0.0 for label in labels]
-    embed_matrix = np.stack([
-        embed_label(table, label, normalize=cfg.normalize_embeddings) for label in labels
-    ])
-    fmap = load_feature_file(manifest.feature_path(manifest.by_id[args.image]))
-    (selection,) = select_cells(model.joint, [fmap], [targets], embed_matrix, cfg.lcm_config(),
-                                cfg.theta, trained=model.trained)
+    selection = select_cells(
+        model.joint, FeatureStore(manifest).get(args.image)[None], [targets],
+        embed_labels(table, labels, normalize=cfg.normalize_embeddings), cfg.lcm_config(),
+        cfg.theta, trained=model.trained)
 
     importance_path = out_dir / f"importance_{args.image}.txt"
     sigma_path = out_dir / f"sigma_{args.image}.txt"
     mask_path = out_dir / f"mask_{args.image}.txt"
-    write_importance_grid(importance_path, selection.importance)
-    write_importance_grid(sigma_path, selection.sigma)
-    write_selection_mask(mask_path, selection.mask)
+    write_importance_grid(importance_path, selection.importance[0])
+    write_importance_grid(sigma_path, selection.sigma[0])
+    write_selection_mask(mask_path, selection.mask[0])
     kept = int(selection.mask.sum())
-    fallback = " (no cell cleared theta; fell back to keep-all)" if selection.fell_back else ""
+    fallback = " (no cell cleared theta; fell back to keep-all)" if selection.fell_back[0] else ""
     print(f"image {args.image} ({split}): kept {kept}/{selection.mask.size} cells "
           f"at theta={cfg.theta}{fallback}")
     print(f"importance: {importance_path}")

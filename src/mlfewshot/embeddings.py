@@ -89,25 +89,28 @@ def label_tokens(label: str) -> list[str]:
     return [t for t in label.lower().replace("_", " ").split() if t]
 
 
-def embed_label(table: EmbeddingTable, label: str, normalize: bool = False) -> np.ndarray:
-    """Mean of the label's token vectors; optionally scaled to unit length.
+def embed_labels(table: EmbeddingTable, labels, *, normalize: bool) -> np.ndarray:
+    """The (labels, dimension) matrix of the labels' embeddings, in order: each
+    the mean of its label's token vectors, scaled to unit length if `normalize`.
 
     A multi-word label ("traffic light") averages its tokens; any token
     absent from the table is an error naming all missing tokens.  A zero mean
     is an error too: no cosine can be taken against it.
     """
-    tokens = label_tokens(label)
-    if not tokens:
-        raise DataError(f"label {label!r} has no tokens")
-    missing = [t for t in tokens if t not in table.vectors]
-    if missing:
-        raise DataError("missing-token: " + ", ".join(missing))
-    stacked = np.stack([table.vectors[t] for t in tokens])
-    vec = stacked.mean(axis=0)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise DataError(f"label {label!r} embeds to a zero vector")
-    return vec / norm if normalize else vec
+    rows = []
+    for label in labels:
+        tokens = label_tokens(label)
+        if not tokens:
+            raise DataError(f"label {label!r} has no tokens")
+        missing = [t for t in tokens if t not in table.vectors]
+        if missing:
+            raise DataError("missing-token: " + ", ".join(missing))
+        vec = np.stack([table.vectors[t] for t in tokens]).mean(axis=0)
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            raise DataError(f"label {label!r} embeds to a zero vector")
+        rows.append(vec / norm if normalize else vec)
+    return np.stack(rows)
 
 
 @dataclass

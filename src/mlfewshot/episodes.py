@@ -60,8 +60,7 @@ class DatasetManifest:
         return self.records[self.by_id[image_id]]
 
 
-def load_manifest(path, vocabulary: LabelVocabulary | None = None,
-                  check_files: bool = True) -> DatasetManifest:
+def load_manifest(path, vocabulary: LabelVocabulary | None = None) -> DatasetManifest:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"manifest {path} does not exist")
@@ -99,11 +98,10 @@ def load_manifest(path, vocabulary: LabelVocabulary | None = None,
     if not records:
         raise DataError(f"manifest {path} lists no images")
     manifest = DatasetManifest(root=path.parent, records=records)
-    if check_files:
-        for idx in range(len(records)):
-            feature_file = manifest.feature_path(idx)
-            if not feature_file.is_file():
-                raise DataError(f"manifest {path}: feature file {feature_file} is missing")
+    for idx in range(len(records)):
+        feature_file = manifest.feature_path(idx)
+        if not feature_file.is_file():
+            raise DataError(f"manifest {path}: feature file {feature_file} is missing")
     return manifest
 
 

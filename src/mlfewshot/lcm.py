@@ -2,8 +2,8 @@
 
 Each support image gets a grid of importance weights, fitted at test time
 by minimizing that image's class-mapping loss under weighted pooling with
-everything else frozen.  One fit takes a stack of images of one grid shape
-and fits all their grids in one loop.  A first-order estimate of how much
+everything else frozen.  A dataset has one map shape, so one fit takes an
+episode's (n, c, h, w) support stack.  A first-order estimate of how much
 the loss would change if a cell were removed, |w * d loss / d w| (the
 Taylor criterion of Molchanov et al., CVPR 2019), is tracked with a
 momentum accumulator, and `select_cells` keeps the cells whose sigmoided
@@ -59,12 +59,12 @@ def validate_threshold(threshold: float):
 
 @dataclass
 class Selection:
-    """One support map's fitted grids and the cells kept from it."""
+    """A support stack's fitted grids and the cells kept from each map."""
 
-    importance: np.ndarray   # (h, w) weights in [0, 1]
-    sigma: np.ndarray        # (h, w) sigmoid of the loss-change accumulator
-    mask: np.ndarray         # (h, w) bool: sigma >= theta, or every cell when none clears it
-    fell_back: bool          # whether the mask fell back to every cell
+    importance: np.ndarray   # (n, h, w) weights in [0, 1]
+    sigma: np.ndarray        # (n, h, w) sigmoid of the loss-change accumulator
+    mask: np.ndarray         # (n, h, w) bool: sigma >= theta, or every cell when none clears it
+    fell_back: np.ndarray    # (n,) bool: whether each map's mask fell back to every cell
 
 
 def normalize_importance(values: np.ndarray) -> np.ndarray:
@@ -180,29 +180,20 @@ def fit_importance(joint: JointSpaceParams, fmaps: np.ndarray, targets, label_em
 
 
 def select_cells(joint: JointSpaceParams, fmaps, targets, label_embeddings,
-                 config: LcmConfig, theta: float, *, trained: bool) -> list[Selection]:
-    """Fit a list of (c, h, w) support maps of any grid shapes, with (n, labels)
-    `targets`, and keep each map's cells whose sigma(accumulator) >= theta;
-    returns one Selection per map, in order.  Each grid shape is fitted as
-    one stack, whose grids are bitwise those of each map fitted alone.  A
-    mask that keeps nothing becomes all-true; callers report the fallbacks.
-    The accumulator is nonnegative, so theta 0.5 keeps every cell and
-    reduces the pipeline to the base model."""
+                 config: LcmConfig, theta: float, *, trained: bool) -> Selection:
+    """Fit an (n, c, h, w) stack of support maps with (n, labels) `targets`
+    in one `fit_importance` call and keep each map's cells whose
+    sigma(accumulator) >= theta, as one Selection of (n, h, w) grids.  A grid
+    that keeps nothing becomes all-true; callers report the fallbacks.  The
+    accumulator is nonnegative, so theta 0.5 keeps every cell: the base model."""
     validate_threshold(theta)
-    targets = np.asarray(targets, dtype=np.float64)
-    out = [None] * len(fmaps)
-    for shape in dict.fromkeys(np.shape(fmap) for fmap in fmaps):
-        rows = [i for i, fmap in enumerate(fmaps) if np.shape(fmap) == shape]
-        importance, accumulator = fit_importance(
-            joint, np.stack([fmaps[i] for i in rows]), targets[rows], label_embeddings, config,
-            trained=trained)
-        sigma = ad._logistic(accumulator)
-        mask = sigma >= theta
-        fell_back = ~mask.any(axis=GRID_AXES)
-        mask |= fell_back[:, None, None]
-        for j, i in enumerate(rows):
-            out[i] = Selection(importance[j], sigma[j], mask[j], bool(fell_back[j]))
-    return out
+    importance, accumulator = fit_importance(joint, fmaps, targets, label_embeddings, config,
+                                             trained=trained)
+    sigma = ad._logistic(accumulator)
+    mask = sigma >= theta
+    fell_back = ~mask.any(axis=GRID_AXES)
+    mask |= fell_back[:, None, None]
+    return Selection(importance, sigma, mask, fell_back)
 
 
 def write_importance_grid(path, grid: np.ndarray):

@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from . import seeding
 from .autodiff import Tensor
-from .embeddings import embed_label
+from .embeddings import embed_labels
 from .episodes import EpisodePool, records_for_split, sample_episode_with_retries
 from .errors import ConfigError
 from .joint_space import project_labels
@@ -124,30 +124,26 @@ class MetricsReport:
         }
 
 
-def _episode_probabilities(model: ModelState, episode, store, embeddings_by_label,
+def _episode_probabilities(model: ModelState, episode, store, label_embeddings,
                            mode, theta, lcm_config, collect_detail):
     """Score every query image against every episode label; returns
     (probability matrix, detail rows, per-support-mask fallback flags)."""
-    labels = list(episode.labels)
-    shape = (len(episode.query_ids), len(labels))
+    shape = (len(episode.query_ids), len(episode.labels))
     detail, fell_back, masks = [], [], None
     if mode == "lcm":
-        selections = select_cells(
-            model.joint, [store.get(image_id) for image_id in episode.support_ids],
-            episode.support_targets, np.stack([embeddings_by_label[label] for label in labels]),
-            lcm_config, theta, trained=model.trained)
-        masks = [s.mask for s in selections]
-        fell_back = [s.fell_back for s in selections]
+        selection = select_cells(
+            model.joint, np.stack([store.get(image_id) for image_id in episode.support_ids]),
+            episode.support_targets, label_embeddings, lcm_config, theta, trained=model.trained)
+        masks, fell_back = selection.mask, selection.fell_back
         if collect_detail:
-            detail = [{"image_id": image_id, "sigma": s.sigma, "mask": s.mask,
-                       "importance": s.importance}
-                      for image_id, s in zip(episode.support_ids, selections)]
+            detail = [{"image_id": image_id, "sigma": selection.sigma[i], "mask": masks[i],
+                       "importance": selection.importance[i]}
+                      for i, image_id in enumerate(episode.support_ids)]
     if mode in ("base", "lcm"):
-        _, logits = episode_forward(model, episode, store, embeddings_by_label, masks=masks,
+        _, logits = episode_forward(model, episode, store, label_embeddings, masks=masks,
                                     dropout_rng=None)
     else:
-        vectors = project_labels(model.joint,
-                                 np.stack([embeddings_by_label[label] for label in labels]))
+        vectors = project_labels(model.joint, label_embeddings)
         if mode == "simple-attention":
             support_globals = pooled_globals(store, episode.support_ids).data
             vectors = ad.concat([
@@ -187,17 +183,14 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split, episodes,
     if not labels:
         raise ConfigError(f"split {split!r} has no labels")
     record_pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, split))
-    embeddings_by_label = {
-        label: embed_label(table, label, normalize=normalize_embeddings)
-        for label in labels
-    }
+    label_embeddings = embed_labels(table, labels, normalize=normalize_embeddings)
 
     def run_episode(idx):
         episode = sample_episode_with_retries(
             manifest, record_pool, labels, k_shot,
             lambda attempt: seeding.substream(seed, "eval", idx, attempt))
         probs, detail, fell_back = _episode_probabilities(
-            model, episode, store, embeddings_by_label, mode, theta, lcm_config, collect_detail)
+            model, episode, store, label_embeddings, mode, theta, lcm_config, collect_detail)
         targets = episode.query_targets
         per_label = per_label_average_precision(probs, targets, episode.labels)
         row = {

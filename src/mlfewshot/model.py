@@ -205,6 +205,8 @@ def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
 class FeatureStore:
     """Loads FMAP1 files referenced by a manifest, with a small cache.
 
+    A dataset has one map shape: every map must have the (c, h, w) shape of
+    the manifest's first, or `get` raises a DataError naming its file.
     Maps are handed out read-only, so each image's globally pooled vector,
     computed on its first request and kept, always matches its map."""
 
@@ -218,7 +220,13 @@ class FeatureStore:
             index = self.manifest.by_id.get(image_id)
             if index is None:
                 raise DataError(f"no-such-image: {image_id!r} is not in the manifest")
-            fmap = load_feature_file(self.manifest.feature_path(index))
+            path = self.manifest.feature_path(index)
+            fmap = load_feature_file(path)
+            first = self.get(self.manifest.records[0].image_id) if index else fmap
+            if fmap.shape != first.shape:
+                raise DataError(f"feature map {path} has shape {fmap.shape}, but the first map, "
+                                f"{self.manifest.feature_path(0)}, has {first.shape}: a dataset "
+                                "has one map shape")
             fmap.flags.writeable = False
             self._cache[image_id] = fmap
         return self._cache[image_id]
@@ -232,39 +240,35 @@ class FeatureStore:
         return self._pooled[image_id]
 
 
-def local_feature_rows(fmaps) -> np.ndarray:
-    """The cells of (c, h, w) feature maps as one (cells, c) numpy matrix,
-    rows in (map, grid row, grid col) order."""
-    return np.concatenate([fmap.reshape(fmap.shape[0], -1).T for fmap in fmaps])
+def local_feature_rows(fmaps: np.ndarray) -> np.ndarray:
+    """The cells of an (n, c, h, w) stack of feature maps as one (n*h*w, c)
+    numpy matrix, rows in (map, grid row, grid col) order."""
+    return fmaps.transpose(0, 2, 3, 1).reshape(-1, fmaps.shape[1])
 
 
-def build_pools(joint: JointSpaceParams, labels, support_targets, fmaps,
+def build_pools(joint: JointSpaceParams, labels, support_targets, fmaps: np.ndarray,
                 masks=None) -> SupportPools:
     """Project the support cells into the joint space and gather each
     label's cells as its pool.
 
-    A label's members are the support images it is on; masks, when given,
-    is one boolean (h, w) keep-grid per support image.  Every support cell
-    is projected once, with one product by `joint.visual`, and one
-    `gather_rows` takes every label's kept member cells, label by label.
-    Rows are in (support image, grid row, grid col) order within a label,
-    the order top-k ties break in, so identical masks give bitwise-identical
-    pools.
+    `fmaps` is the (n, c, h, w) stack of support maps; a label's members are
+    the support images it is on; masks, when given, is an (n, h, w) boolean
+    keep-array.  Every support cell is projected once, with one product by
+    `joint.visual`, and one `gather_rows` takes every label's kept member
+    cells, label by label.  Rows are in (support image, grid row, grid col)
+    order within a label, the order top-k ties break in, so identical masks
+    give bitwise-identical pools.
     """
-    cells = local_feature_rows(fmaps)
-    sizes = [fmap[0].size for fmap in fmaps]                         # cells per map
-    image_of_cell = np.repeat(np.arange(len(fmaps)), sizes)
-    kept = np.ones(len(cells), dtype=bool)
-    if masks is not None:
-        if [np.size(mask) for mask in masks] != sizes:
-            raise ad.ShapeError("build_pools: masks do not cover the support maps' cells")
-        kept = np.concatenate([np.asarray(mask, dtype=bool).reshape(-1) for mask in masks])
-    members = np.asarray(support_targets)[image_of_cell].T > 0       # (labels, cells)
+    grids = fmaps[:, 0].shape                                         # (n, h, w)
+    kept = np.ones(grids, dtype=bool) if masks is None else np.asarray(masks, dtype=bool)
+    if kept.shape != grids:
+        raise ad.ShapeError("build_pools: masks do not cover the support maps' cells")
+    members = np.asarray(support_targets).T > 0                      # (labels, images)
     for label, row in zip(labels, members):
         if not row.any():
             raise DataError(f"label {label!r} has no support images in the episode")
-    chosen = members & kept
-    projected = ad.linear(Tensor(cells), joint.visual)
+    chosen = (members[:, :, None] & kept.reshape(len(fmaps), -1)).reshape(len(members), -1)
+    projected = ad.linear(Tensor(local_feature_rows(fmaps)), joint.visual)
     features = ad.gather_rows(projected, np.nonzero(chosen)[1])
     return SupportPools(labels=labels, features=features, sizes=chosen.sum(axis=1))
 
@@ -305,24 +309,23 @@ def score_loss(joint: JointSpaceParams, pooled: Tensor, vectors: Tensor, targets
     return ad.tensor_sum(ad.bce_with_logits(flat, y.reshape(-1)))
 
 
-def episode_forward(model: ModelState, episode, store, embeddings_by_label, *, masks,
+def episode_forward(model: ModelState, episode, store, label_embeddings, *, masks,
                     dropout_rng):
     """The episode forward shared by training and evaluation.
 
-    Projects the episode's label embeddings, pools each label's support
-    cells (only the kept ones when `masks` gives each support image a keep
-    grid, all of them when it is None), builds the prototypes and scores
-    every query image against them.  Training passes the generator that
-    draws the dropout mask; evaluation passes None.
-    `store.get(image_id)` gives a feature map: a FeatureStore, or a plain
-    dict of arrays.  Returns (the (n_labels, joint_dim) label joints in
-    episode label order, flat query logits).
+    Projects the run's (labels, embed_dim) label-embedding matrix, whose
+    rows are the episode's labels in order, stacks the support maps once,
+    pools each label's support cells (only the kept ones when `masks` is an
+    (n, h, w) keep-array over that stack, all of them when it is None),
+    builds the prototypes and scores every query image against them.
+    Training passes the generator that draws the dropout mask; evaluation
+    passes None.  `store.get(image_id)` gives a feature map: a FeatureStore,
+    or a plain dict of arrays.  Returns (the (n_labels, joint_dim) label
+    joints in episode label order, flat query logits).
     """
-    labels = list(episode.labels)
-    label_joints = project_labels(model.joint,
-                                  np.stack([embeddings_by_label[label] for label in labels]))
-    fmaps = [store.get(i) for i in episode.support_ids]
-    pools = build_pools(model.joint, labels, episode.support_targets, fmaps, masks)
+    label_joints = project_labels(model.joint, label_embeddings)
+    fmaps = np.stack([store.get(i) for i in episode.support_ids])
+    pools = build_pools(model.joint, list(episode.labels), episode.support_targets, fmaps, masks)
     protos = build_prototype(model.attention, model.dynconv, pools, label_joints, dropout_rng)
     logits = score_against(model.joint, pooled_globals(store, episode.query_ids), protos)
     return label_joints, logits

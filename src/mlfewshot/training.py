@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import seeding
-from .embeddings import embed_label
+from .embeddings import embed_labels
 from .episodes import EpisodePool, records_for_split, sample_episode_with_retries
 from .errors import ConfigError, NumericError
 from .model import FeatureStore, ModelState, episode_forward, pooled_globals, score_loss
@@ -73,11 +73,11 @@ def warmup_lr(base_lr: float, epoch: int, warmup_epochs: int) -> float:
     return base_lr * min(1.0, epoch / warmup_epochs)
 
 
-def episode_losses(model: ModelState, episode, store, embeddings_by_label, *, dropout_rng):
-    """Forward one episode, with dropout drawn from `dropout_rng` (None for
-    none); returns (cm, query) loss tensors."""
+def episode_losses(model: ModelState, episode, store, label_embeddings, *, dropout_rng):
+    """Forward one episode against the label-embedding matrix, with dropout
+    drawn from `dropout_rng` (None for none); returns (cm, query) losses."""
     label_joints, logits = episode_forward(
-        model, episode, store, embeddings_by_label, masks=None, dropout_rng=dropout_rng)
+        model, episode, store, label_embeddings, masks=None, dropout_rng=dropout_rng)
     # the alignment loss sees support images only; queries contribute
     # through the prototype scoring
     cm = score_loss(model.joint, pooled_globals(store, episode.support_ids), label_joints,
@@ -104,10 +104,7 @@ def train(model: ModelState, manifest, vocabulary, table, settings: TrainSetting
     if not base_labels:
         raise ConfigError("no base labels to train on")
     record_pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, "base"))
-    embeddings_by_label = {
-        label: embed_label(table, label, normalize=settings.normalize_embeddings)
-        for label in base_labels
-    }
+    label_embeddings = embed_labels(table, base_labels, normalize=settings.normalize_embeddings)
 
     rows = []
     log_handle = None
@@ -129,7 +126,7 @@ def train(model: ModelState, manifest, vocabulary, table, settings: TrainSetting
                     manifest, record_pool, base_labels, settings.k_shot,
                     lambda attempt: seeding.substream(settings.seed, "sample", epoch, i, attempt))
                 cm, q = episode_losses(
-                    model, episode, store, embeddings_by_label,
+                    model, episode, store, label_embeddings,
                     dropout_rng=seeding.substream(settings.seed, "dropout", epoch, i))
                 total = ad.add(cm, ad.scale(q, settings.gamma))
                 if not np.isfinite(total.data):

@@ -312,7 +312,7 @@ def _tiny_episode():
     episode = Episode(labels=labels, k_shot=1, support_ids=support_ids,
                       support_targets=support_targets, query_ids=query_ids,
                       query_targets=query_targets, query_per_label=2)
-    embeddings = {label: rng.standard_normal(embed_dim) for label in labels}
+    embeddings = np.stack([rng.standard_normal(embed_dim) for _ in labels])
     model = init_model(channels=channels, embed_dim=embed_dim, joint_dim=8, heads=2,
                        dynconv_inner=3, dynconv_top=2, scale=10.0, dropout=0.0,
                        rng=rng)

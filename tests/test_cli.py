@@ -11,9 +11,9 @@ from mlfewshot import autodiff, cli, seeding
 from mlfewshot.autodiff import Tensor
 from mlfewshot.cli import main
 from mlfewshot.config import PATH_KEYS
-from mlfewshot.embeddings import embed_label, load_vocabulary, parse_embedding_file
+from mlfewshot.embeddings import embed_labels, load_vocabulary, parse_embedding_file
 from mlfewshot.episodes import load_manifest, make_synthetic
-from mlfewshot.features import load_feature_file
+from mlfewshot.features import load_feature_file, write_feature_file
 from mlfewshot.lcm import LcmConfig, select_cells, write_importance_grid, write_selection_mask
 from mlfewshot.model import CHECKPOINT_MAGIC, init_model, load_checkpoint, save_checkpoint
 
@@ -128,18 +128,22 @@ class SavedState:
         return self.tensors
 
 
-@pytest.mark.parametrize("corrupt", ["missing", "shape"])
+@pytest.mark.parametrize("corrupt", ["missing", "shape", "none"])
 def test_resume_with_bad_optimizer_state_exits_2(pipeline, tmp_path, capsys, corrupt):
     _, run, paths = pipeline
     model, extras = load_checkpoint(run / "model.ckpt")
     state = {k: v for k, v in extras.items() if k.startswith("optim.")}
+    named = "optim.m.joint.visual"
     if corrupt == "missing":
-        del state["optim.m.joint.visual"]
-    else:
-        state["optim.m.joint.visual"] = state["optim.m.joint.visual"][0]
+        del state[named]
+    elif corrupt == "shape":
+        state[named] = state[named][0]
+    else:                                           # no optim.* tensor at all
+        state, named = {}, "optim.steps"
     config = {k[len("config."):]: float(v) for k, v in extras.items() if k.startswith("config.")}
     spare = tmp_path / "model.ckpt"
-    save_checkpoint(spare, model, optimizer=SavedState(state), config_scalars=config)
+    save_checkpoint(spare, model, optimizer=SavedState(state) if state else None,
+                    config_scalars=config)
     fresh = dict(zip(paths[::2], paths[1::2]))
     fresh["--checkpoint"] = str(spare)
     fresh["--output"] = str(tmp_path)
@@ -148,7 +152,7 @@ def test_resume_with_bad_optimizer_state_exits_2(pipeline, tmp_path, capsys, cor
                  "--epochs", "3", "--episodes_per_epoch", "2", "--seed", "3"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "data error" in err and "optim.m.joint.visual" in err
+    assert "data error" in err and named in err
 
 
 def test_inspect_lcm_writes_grids(pipeline, capsys):
@@ -173,20 +177,19 @@ def test_inspect_lcm_grids_are_select_cells_on_one_map(pipeline, tmp_path, capsy
     fmap = load_feature_file(manifest.feature_path(manifest.by_id["img00000"]))
 
     def select(theta):
-        (selection,) = select_cells(
-            model.joint, [fmap], [[float(label in record.labels) for label in labels]],
-            np.stack([embed_label(table, label) for label in labels]), LcmConfig(), theta,
+        return select_cells(
+            model.joint, fmap[None], [[float(label in record.labels) for label in labels]],
+            embed_labels(table, labels, normalize=False), LcmConfig(), theta,
             trained=model.trained)
-        return selection
 
     theta = float(np.median(select(0.5).sigma))
     selection = select(theta)
     assert 0 < selection.mask.sum() < selection.mask.size    # cells kept and dropped
     assert main(["inspect-lcm", *paths, "--image", "img00000", "--theta", repr(theta)]) == 0
     assert f"kept {selection.mask.sum()}/{selection.mask.size} cells" in capsys.readouterr().out
-    write_importance_grid(tmp_path / "importance.txt", selection.importance)
-    write_importance_grid(tmp_path / "sigma.txt", selection.sigma)
-    write_selection_mask(tmp_path / "mask.txt", selection.mask)
+    write_importance_grid(tmp_path / "importance.txt", selection.importance[0])
+    write_importance_grid(tmp_path / "sigma.txt", selection.sigma[0])
+    write_selection_mask(tmp_path / "mask.txt", selection.mask[0])
     for prefix in ("importance", "sigma", "mask"):
         assert (run / f"{prefix}_img00000.txt").read_bytes() \
             == (tmp_path / f"{prefix}.txt").read_bytes(), prefix
@@ -237,6 +240,45 @@ def test_exit_code_2_for_data_errors(pipeline, tmp_path, capsys):
         + struct.pack("<I", 0) + struct.pack("<d", 1.0))
     assert main(["eval", *broken, "--eval_episodes", "1"]) == 2
     assert "bad-name" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def full_episodes(tmp_path_factory):
+    """A bundle of 5 single-label images per label, so every episode of a
+    split (1 support and 4 queries per label) draws every image of it;
+    its maps have the pipeline's widths, so the pipeline's checkpoint fits."""
+    data = tmp_path_factory.mktemp("full_episodes")
+    make_synthetic(data, n_base=2, n_novel=2, images_per_label=5, grid=(4, 4), channels=16,
+                   embed_dim=4, extra_label_prob=0.0, seed=5)
+    return data
+
+
+@pytest.mark.parametrize("reshape", [lambda fmap: fmap[:-1], lambda fmap: fmap[:, :-1]],
+                         ids=["one-channel-fewer", "cropped-grid"])
+@pytest.mark.parametrize("command,image", [
+    (["eval", "--mode", "base"], "img00019"),
+    (["eval", "--mode", "lcm"], "img00019"),
+    (["train", *TRAIN_FLAGS], "img00001"),
+    (["inspect-lcm", "--image", "img00001"], "img00001"),
+], ids=["eval-base", "eval-lcm", "train", "inspect-lcm"])
+def test_a_map_of_another_shape_exits_2_naming_it(pipeline, full_episodes, tmp_path, capsys,
+                                                  command, image, reshape):
+    _, run, paths = pipeline
+    data = tmp_path / "data"
+    shutil.copytree(full_episodes, data)
+    bad = data / "features" / f"{image}.fmap"
+    write_feature_file(bad, reshape(load_feature_file(bad)))
+    given = dict(zip(paths[::2], paths[1::2]))
+    given.update({"--manifest": str(data / "manifest.jsonl"),
+                  "--splits": str(data / "labels.tsv"),
+                  "--embeddings": str(data / "embeddings.txt"),
+                  "--output": str(tmp_path / "out")})
+    if command[0] == "train":
+        given["--checkpoint"] = str(tmp_path / "model.ckpt")
+    argv = [part for pair in given.items() for part in pair]
+    assert main([command[0], *argv, *command[1:], "--eval_episodes", "1", "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bad) in err and "one map shape" in err
 
 
 def _nan_in_visual(model):

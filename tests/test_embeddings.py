@@ -6,7 +6,7 @@ import pytest
 from mlfewshot.embeddings import (
     EmbeddingTable,
     LabelVocabulary,
-    embed_label,
+    embed_labels,
     label_tokens,
     load_vocabulary,
     parse_embedding_file,
@@ -66,13 +66,13 @@ def test_label_tokens_lowercase_and_split():
 def test_embed_label_averages_tokens():
     table = EmbeddingTable(2, {"traffic": np.array([1.0, 0.0]),
                                "light": np.array([0.0, 2.0])})
-    vec = embed_label(table, "traffic_light")
-    assert np.array_equal(vec, [0.5, 1.0])
+    matrix = embed_labels(table, ["traffic_light", "light"], normalize=False)
+    assert np.array_equal(matrix, [[0.5, 1.0], [0.0, 2.0]])
 
 
 def test_embed_label_normalize_flag():
     table = EmbeddingTable(2, {"cat": np.array([3.0, 4.0])})
-    vec = embed_label(table, "cat", normalize=True)
+    (vec,) = embed_labels(table, ["cat"], normalize=True)
     assert np.allclose(vec, [0.6, 0.8], atol=1e-15)
     assert abs(np.linalg.norm(vec) - 1.0) <= 1e-15
 
@@ -82,13 +82,13 @@ def test_embed_label_rejects_a_zero_mean(normalize):
     # opposite tokens average to zero: nothing can be scored against that
     table = EmbeddingTable(2, {"up": np.array([1.0, -2.0]), "down": np.array([-1.0, 2.0])})
     with pytest.raises(DataError, match="'up_down' embeds to a zero vector"):
-        embed_label(table, "up_down", normalize=normalize)
+        embed_labels(table, ["up_down"], normalize=normalize)
 
 
 def test_embed_label_lists_every_missing_token():
     table = EmbeddingTable(2, {"cat": np.array([1.0, 0.0])})
     with pytest.raises(DataError, match="missing-token: polar, bear"):
-        embed_label(table, "Polar_Bear")
+        embed_labels(table, ["Polar_Bear"], normalize=False)
 
 
 def test_vocabulary_round_trip_and_splits(tmp_path):

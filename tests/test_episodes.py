@@ -242,8 +242,10 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "m.jsonl"
     records = [ManifestRecord("a", "a.fmap", ("x", "y")), ManifestRecord("b", "b.fmap", ("y",))]
     write_manifest(path, records, provenance="toy")
+    for record in records:
+        (tmp_path / record.features).touch()          # the check is that each file exists
     assert path.read_text().startswith("# toy\n")
-    back = load_manifest(path, check_files=False)
+    back = load_manifest(path)
     assert [(r.image_id, r.features, r.labels) for r in back.records] == \
            [("a", "a.fmap", ("x", "y")), ("b", "b.fmap", ("y",))]
     assert back.by_label["y"] == [0, 1]
@@ -262,7 +264,7 @@ def test_manifest_line_errors(tmp_path, line, fragment):
     path = tmp_path / "m.jsonl"
     path.write_text(line + "\n")
     with pytest.raises(DataError, match=fragment):
-        load_manifest(path, check_files=False)
+        load_manifest(path)
 
 
 def test_manifest_bytes_that_are_not_utf8_are_a_data_error(tmp_path):
@@ -270,7 +272,7 @@ def test_manifest_bytes_that_are_not_utf8_are_a_data_error(tmp_path):
     path.write_bytes(b'{"id": "a", "features": "f", "labels": ["x"]}\n'
                      b'{"id": "\xff", "features": "f", "labels": ["x"]}\n')
     with pytest.raises(DataError, match=r"m\.jsonl: line 2 is not UTF-8"):
-        load_manifest(path, check_files=False)
+        load_manifest(path)
 
 
 def test_manifest_duplicate_id_and_empty_file(tmp_path):
@@ -278,24 +280,24 @@ def test_manifest_duplicate_id_and_empty_file(tmp_path):
     row = '{"id": "a", "features": "f", "labels": ["x"]}'
     path.write_text(row + "\n" + row + "\n")
     with pytest.raises(DataError, match="duplicate image id"):
-        load_manifest(path, check_files=False)
+        load_manifest(path)
     (tmp_path / "empty.jsonl").write_text("# nothing\n")
     with pytest.raises(DataError, match="lists no images"):
-        load_manifest(tmp_path / "empty.jsonl", check_files=False)
+        load_manifest(tmp_path / "empty.jsonl")
 
 
 def test_manifest_missing_feature_file(tmp_path):
     path = tmp_path / "m.jsonl"
     path.write_text('{"id": "a", "features": "gone.fmap", "labels": ["x"]}\n')
     with pytest.raises(DataError, match="missing"):
-        load_manifest(path, check_files=True)
+        load_manifest(path)
 
 
 def test_manifest_vocabulary_check(tiny_data, tmp_path):
     path = tmp_path / "m.jsonl"
     path.write_text('{"id": "a", "features": "f", "labels": ["nosuch"]}\n')
     with pytest.raises(DataError, match="outside the vocabulary"):
-        load_manifest(path, vocabulary=tiny_data["vocabulary"], check_files=False)
+        load_manifest(path, vocabulary=tiny_data["vocabulary"])
 
 
 def test_records_for_split_excludes_cross_split_images(tiny_data):

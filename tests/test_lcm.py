@@ -102,28 +102,28 @@ def test_momentum_constant_signal_reaches_exact_fraction():
 
 
 def select_from(monkeypatch, accumulator, theta):
-    """select_cells over one map per grid of the (n, h, w) `accumulator`,
-    with the fit stubbed to return it."""
+    """select_cells over a stack of one map per grid of the (n, h, w)
+    `accumulator`, with the fit stubbed to return it."""
     accumulator = np.asarray(accumulator, dtype=np.float64)
     monkeypatch.setattr(lcm, "fit_importance",
                         lambda *args, **kwargs: (np.ones_like(accumulator), accumulator))
-    fmaps = [np.ones((1, *accumulator.shape[1:]))] * len(accumulator)
+    fmaps = np.ones((len(accumulator), 1, *accumulator.shape[1:]))
     return select_cells(None, fmaps, np.ones((len(fmaps), 1)), None, LcmConfig(), theta,
                         trained=True)
 
 
 def test_sigma_and_selection_hand_values(monkeypatch):
-    (selection,) = select_from(monkeypatch, [[[1.0, 0.0]]], 0.65)
-    assert abs(selection.sigma[0, 0] - 1.0 / (1.0 + math.exp(-1.0))) <= 1e-15   # ~0.731
-    assert abs(selection.sigma[0, 1] - 0.5) <= 1e-15
-    assert selection.mask.tolist() == [[True, False]]
-    assert not selection.fell_back
+    selection = select_from(monkeypatch, [[[1.0, 0.0]]], 0.65)
+    assert abs(selection.sigma[0, 0, 0] - 1.0 / (1.0 + math.exp(-1.0))) <= 1e-15   # ~0.731
+    assert abs(selection.sigma[0, 0, 1] - 0.5) <= 1e-15
+    assert selection.mask.tolist() == [[[True, False]]]
+    assert selection.fell_back.tolist() == [False]
 
 
 def test_threshold_half_keeps_everything(monkeypatch):
     accumulator = np.abs(np.random.default_rng(0).standard_normal((1, 3, 3)))
-    (selection,) = select_from(monkeypatch, accumulator, 0.5)
-    assert selection.mask.all() and not selection.fell_back
+    selection = select_from(monkeypatch, accumulator, 0.5)
+    assert selection.mask.all() and not selection.fell_back.any()
 
 
 @pytest.mark.parametrize("theta", [0.49, 1.0, 1.5, -0.1])
@@ -138,12 +138,12 @@ def test_fallback_restores_all_cells_and_reports_it(monkeypatch, caplog):
     # the caller summarises fallbacks; the selection itself logs nothing;
     # each grid of a stack falls back on its own
     with caplog.at_level(logging.WARNING):
-        selections = select_from(monkeypatch, [np.zeros((2, 2)), [[1.0, 0.0], [0.0, 0.0]]],
-                                 0.65)
-    assert all(s.mask.dtype == bool and s.mask.shape == (2, 2) for s in selections)
-    assert selections[0].mask.all()
-    assert np.array_equal(selections[1].mask, [[True, False], [False, False]])
-    assert [s.fell_back for s in selections] == [True, False]
+        selection = select_from(monkeypatch, [np.zeros((2, 2)), [[1.0, 0.0], [0.0, 0.0]]],
+                                0.65)
+    assert selection.mask.dtype == bool and selection.mask.shape == (2, 2, 2)
+    assert selection.mask[0].all()
+    assert np.array_equal(selection.mask[1], [[True, False], [False, False]])
+    assert selection.fell_back.tolist() == [True, False]
     assert caplog.records == []
 
 
@@ -326,18 +326,17 @@ def test_stacked_fit_matches_per_image_loop_bitwise():
     assert np.all(fitted[1] == 1.0)                      # the constant grid
     fallbacks = set()
     for theta in (0.5, 0.55, 0.6, 0.65, 0.9):
-        selections = select_cells(joint, list(fmaps), targets, embeds, config, theta,
-                                  trained=True)
-        for i, selection in enumerate(selections):
+        selection = select_cells(joint, fmaps, targets, embeds, config, theta, trained=True)
+        for i in range(len(fmaps)):
             importance, accumulator = per_image_fit(joint, fmaps[i], targets[i], embeds, config)
             assert np.array_equal(fitted[i], importance)
             assert np.array_equal(smoothed[i], accumulator)
-            assert np.array_equal(selection.importance, importance)
-            assert np.array_equal(selection.sigma, _logistic(accumulator))
+            assert np.array_equal(selection.importance[i], importance)
+            assert np.array_equal(selection.sigma[i], _logistic(accumulator))
             keep = _logistic(accumulator) >= theta
-            assert np.array_equal(selection.mask, keep if keep.any() else np.ones_like(keep))
-            assert selection.fell_back == (not keep.any())
-            fallbacks.add(selection.fell_back)
+            assert np.array_equal(selection.mask[i], keep if keep.any() else np.ones_like(keep))
+            assert selection.fell_back[i] == (not keep.any())
+            fallbacks.add(bool(selection.fell_back[i]))
     assert fallbacks == {True, False}                    # both selection paths ran
 
 

@@ -7,16 +7,9 @@ import pytest
 
 from mlfewshot import seeding
 from mlfewshot.config import RunConfig
-from mlfewshot.embeddings import embed_label, load_vocabulary, parse_embedding_file
-from mlfewshot.episodes import (
-    EpisodePool,
-    load_manifest,
-    make_synthetic,
-    records_for_split,
-    sample_episode_with_retries,
-)
+from mlfewshot.embeddings import load_vocabulary, parse_embedding_file
+from mlfewshot.episodes import load_manifest, make_synthetic
 from mlfewshot.errors import ConfigError
-from mlfewshot.lcm import LcmConfig, select_cells
 from mlfewshot.metrics import (
     EVAL_MODES,
     MetricsReport,
@@ -28,7 +21,7 @@ from mlfewshot.metrics import (
     micro_average_precision,
     per_label_average_precision,
 )
-from mlfewshot.model import FeatureStore, init_model
+from mlfewshot.model import init_model
 
 
 # ------------------------------------------------------- oracles (independent)
@@ -285,43 +278,6 @@ def test_evaluate_lcm_detail_rows(tiny_setup):
         assert entry["importance"].shape == (4, 4)
         assert entry["episode"] in (0, 1)
         assert entry["image_id"].startswith("img")
-
-
-def test_evaluate_lcm_fits_each_grid_shape_alone(tiny_setup):
-    # odd-numbered images get a cropped 3x4 grid, so episodes mix grid
-    # shapes; each image's grids must be the ones select_cells gives it alone
-    manifest, vocabulary, table, model = tiny_setup
-    features = FeatureStore(manifest)
-    store = {}
-    for image_id in manifest.by_id:
-        fmap = features.get(image_id)
-        store[image_id] = fmap[:, :3, :] if int(image_id[3:]) % 2 else fmap
-    theta, seed, labels = 0.55, 7, list(vocabulary.labels_for("base"))
-    embed_matrix = np.stack([embed_label(table, label) for label in labels])
-    model.epoch = 1                                 # mark as trained
-    try:
-        _, detail = run_evaluate(model, manifest, vocabulary, table, split="base", episodes=3,
-                                 seed=seed, mode="lcm", theta=theta, store=store,
-                                 collect_detail=True)
-        record_pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, "base"))
-        shapes = set()
-        for idx in range(3):
-            episode = sample_episode_with_retries(
-                manifest, record_pool, labels, 1,
-                lambda attempt: seeding.substream(seed, "eval", idx, attempt))
-            rows = [entry for entry in detail if entry["episode"] == idx]
-            assert [entry["image_id"] for entry in rows] == list(episode.support_ids)
-            for i, (image_id, entry) in enumerate(zip(episode.support_ids, rows)):
-                (alone,) = select_cells(model.joint, [store[image_id]],
-                                        episode.support_targets[i:i + 1], embed_matrix,
-                                        LcmConfig(threshold=theta), theta, trained=True)
-                assert np.array_equal(entry["mask"], alone.mask)
-                assert np.array_equal(entry["importance"], alone.importance)
-                assert np.array_equal(entry["sigma"], alone.sigma)
-            shapes |= {frozenset(store[image_id].shape for image_id in episode.support_ids)}
-    finally:
-        model.epoch = 0
-    assert any(len(grids) > 1 for grids in shapes)  # some episode mixed grid shapes
 
 
 def test_evaluate_lcm_summarises_fallbacks_in_one_warning(tiny_setup, caplog):

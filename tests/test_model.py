@@ -245,7 +245,7 @@ def test_feature_store_keeps_each_pooled_vector(tiny_data):
 
 def test_local_feature_rows_shape_and_order():
     fmap = np.arange(6 * 2 * 3, dtype=np.float64).reshape(6, 2, 3)
-    rows = local_feature_rows([fmap])
+    rows = local_feature_rows(fmap[None])
     assert isinstance(rows, np.ndarray)
     assert rows.shape == (6, 6)
     assert np.array_equal(rows[5], fmap[:, 1, 2])
@@ -264,7 +264,7 @@ def by_label(pools):
 def test_build_pools_members_in_support_order():
     model = small_model()
     rng = np.random.default_rng(1)
-    fmaps = [rng.standard_normal((6, 2, 2)) for _ in range(2)]
+    fmaps = rng.standard_normal((2, 6, 2, 2))
     targets = np.array([[1.0, 0.0], [1.0, 1.0]])
     pools = by_label(build_pools(model.joint, ("a", "b"), targets, fmaps))
     assert np.allclose(pools["a"],
@@ -276,21 +276,21 @@ def test_build_pools_members_in_support_order():
 def test_build_pools_full_mask_equals_no_mask():
     model = small_model()
     rng = np.random.default_rng(2)
-    fmaps = [rng.standard_normal((6, 2, 2))]
+    fmaps = rng.standard_normal((1, 6, 2, 2))
     targets = np.array([[1.0]])
     plain = build_pools(model.joint, ("a",), targets, fmaps)
     masked = build_pools(model.joint, ("a",), targets, fmaps,
-                         masks=[np.ones((2, 2), dtype=bool)])
+                         masks=np.ones((1, 2, 2), dtype=bool))
     assert np.array_equal(plain.features.data, masked.features.data)
 
 
 def test_build_pools_mask_drops_cells():
     model = small_model()
     rng = np.random.default_rng(3)
-    fmaps = [rng.standard_normal((6, 2, 2)) for _ in range(3)]
+    fmaps = rng.standard_normal((3, 6, 2, 2))
     targets = np.array([[1.0], [0.0], [1.0]])
-    masks = [np.array([[True, False], [False, True]]), np.ones((2, 2), dtype=bool),
-             np.array([[False, True], [True, True]])]
+    masks = np.array([[[True, False], [False, True]], [[True, True], [True, True]],
+                      [[False, True], [True, True]]])
     pools = build_pools(model.joint, ("a",), targets, fmaps, masks=masks)
     assert np.allclose(pools.features.data,
                        np.vstack([project(model, fmaps[0])[[0, 3]],
@@ -300,20 +300,20 @@ def test_build_pools_mask_drops_cells():
 
 def test_build_pools_unsupported_label_is_an_error():
     model = small_model()
-    fmaps = [np.zeros((6, 2, 2))]
+    fmaps = np.zeros((1, 6, 2, 2))
     targets = np.array([[0.0]])
     with pytest.raises(DataError, match="no support images"):
         build_pools(model.joint, ("a",), targets, fmaps)
 
 
 @pytest.mark.parametrize("masks", [
-    [np.ones((1, 2), dtype=bool)],                                  # smaller than its map
-    [np.ones((3, 2), dtype=bool)],                                  # larger than its map
-    [np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool)],     # one mask too many
+    np.ones((1, 1, 2), dtype=bool),                                 # smaller than its map
+    np.ones((1, 3, 2), dtype=bool),                                 # larger than its map
+    np.ones((2, 2, 2), dtype=bool),                                 # one mask too many
 ])
 def test_build_pools_masks_must_cover_every_cell(masks):
     model = small_model()
-    fmaps = [np.ones((6, 2, 2))]
+    fmaps = np.ones((1, 6, 2, 2))
     with pytest.raises(ad.ShapeError, match="masks do not cover"):
         build_pools(model.joint, ("a",), np.array([[1.0]]), fmaps, masks=masks)
 
@@ -328,7 +328,7 @@ def per_image_pools(joint, labels, support_targets, fmaps, masks=None):
     per_label = []
     for li, label in enumerate(labels):
         pieces = [projections[i] if masks is None else
-                  ad.gather_rows(projections[i], np.flatnonzero(np.asarray(masks[i]).reshape(-1)))
+                  ad.gather_rows(projections[i], np.flatnonzero(masks[i]))
                   for i in range(len(fmaps)) if support_targets[i, li] > 0]
         per_label.append(pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0))
     return SupportPools(labels=labels, features=ad.concat(per_label, axis=0),
@@ -340,18 +340,17 @@ def tiny_episode(tiny_data, seed=5):
     labels = list(vocabulary.base)
     pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, "base"))
     episode = sample_episode(manifest, pool, labels, 1, np.random.default_rng(seed))
-    embeddings = {label: tiny_data["table"].vectors[label] for label in labels}
+    embeddings = np.stack([tiny_data["table"].vectors[label] for label in labels])
     return episode, FeatureStore(manifest), embeddings
 
 
 def test_build_pools_matches_the_per_image_loop(tiny_data):
     model = build_tiny_model(tiny_data["table"])
     episode, store, _ = tiny_episode(tiny_data)
-    fmaps = [store.get(i) for i in episode.support_ids]
+    fmaps = np.stack([store.get(i) for i in episode.support_ids])
     rng = np.random.default_rng(6)
-    masks = [rng.random(fmap[0].shape) < 0.5 for fmap in fmaps]
-    for mask in masks:
-        mask[0, 0] = True
+    masks = rng.random((len(fmaps), *fmaps.shape[2:])) < 0.5
+    masks[:, 0, 0] = True
     args = (model.joint, episode.labels, episode.support_targets, fmaps)
     for chosen in (None, masks):
         new, old = build_pools(*args, masks=chosen), per_image_pools(*args, masks=chosen)
@@ -385,14 +384,13 @@ def per_label_forward(model, episode, store, embeddings, *, masks, dropout_rng):
     prototype built on its own, then the prototypes stacked and scored.
     Label i's dropout takes row i of one draw from `dropout_rng`."""
     labels = list(episode.labels)
-    joints = [ad.reshape(ad.matmul(model.joint.text, Tensor(embeddings[label].reshape(-1, 1))),
+    joints = [ad.reshape(ad.matmul(model.joint.text, Tensor(embeddings[li].reshape(-1, 1))),
                          (model.joint.text.shape[0],))
-              for label in labels]
-    fmaps = [store.get(i) for i in episode.support_ids]
+              for li in range(len(labels))]
+    fmaps = np.stack([store.get(i) for i in episode.support_ids])
     cells = local_feature_rows(fmaps)
-    image_of_cell = np.repeat(np.arange(len(fmaps)), [fmap[0].size for fmap in fmaps])
-    kept = np.ones(len(cells), dtype=bool) if masks is None else \
-        np.concatenate([np.asarray(mask).reshape(-1) for mask in masks])
+    image_of_cell = np.repeat(np.arange(len(fmaps)), fmaps[0, 0].size)
+    kept = np.ones(len(cells), dtype=bool) if masks is None else masks.reshape(-1)
     protos = []
     draws = [None] * len(labels) if dropout_rng is None else \
         dropout_rng.random((len(labels), model.joint.text.shape[0]))
@@ -414,10 +412,10 @@ def test_episode_forward_matches_the_per_label_loop(tiny_data, case):
     masks = None
     if case == "lcm-short-pool":
         # two kept cells per support map: a label on one image pools two rows
-        masks = [np.arange(maps[i][0].size).reshape(maps[i][0].shape) < 2
-                 for i in episode.support_ids]
+        masks = np.stack([np.arange(maps[i][0].size).reshape(maps[i][0].shape) < 2
+                          for i in episode.support_ids])
         sizes = build_pools(model.joint, episode.labels, episode.support_targets,
-                            [maps[i] for i in episode.support_ids], masks).sizes
+                            np.stack([maps[i] for i in episode.support_ids]), masks).sizes
         assert sizes.min() < model.dynconv.top_count
     if case == "zero-norm-row":
         maps[episode.support_ids[0]][:, 0, 0] = 0.0

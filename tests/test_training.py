@@ -127,7 +127,7 @@ def test_gamma_zero_gradients_are_exactly_zero(tiny_data):
     pool = EpisodePool(manifest, records_for_split(manifest, tiny_data["vocabulary"], "base"))
     labels = list(tiny_data["vocabulary"].base)
     episode = sample_episode(manifest, pool, labels, 1, np.random.default_rng(0))
-    emb = {l: tiny_data["table"].vectors[l] for l in labels}
+    emb = np.stack([tiny_data["table"].vectors[l] for l in labels])
     cm, q = episode_losses(model, episode, store, emb, dropout_rng=None)
     total = ad.add(cm, ad.scale(q, 0.0))
     total.backward()
@@ -164,7 +164,7 @@ def test_base_evaluation_scores_the_training_forward(tiny_trained, monkeypatch):
     labels = list(vocabulary.novel)
     pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, "novel"))
     episode = sample_episode(manifest, pool, labels, 1, np.random.default_rng(3))
-    emb = {label: tiny_trained["table"].vectors[label] for label in labels}
+    emb = np.stack([tiny_trained["table"].vectors[label] for label in labels])
     forward, seen = training.episode_forward, []
 
     def recording_forward(*args, **kwargs):
