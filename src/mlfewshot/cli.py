@@ -22,7 +22,6 @@ from .config import (
 from .embeddings import embed_labels, load_vocabulary, parse_embedding_file
 from .episodes import load_manifest, make_synthetic
 from .errors import ConfigError, DataError, NumericError
-from .features import load_feature_file
 from .lcm import select_cells, write_importance_grid, write_selection_mask
 from .metrics import EVAL_MODES, evaluate
 from .model import FeatureStore, atomic_open, init_model, load_checkpoint, save_checkpoint
@@ -51,8 +50,9 @@ def _config_from_args(args) -> RunConfig:
 
 def _prepare(args):
     """What train, eval and inspect-lcm share: the run config with every
-    path key set, the loaded vocabulary, manifest and embedding table, and
-    the created output directory."""
+    path key set, the loaded vocabulary, manifest and embedding table, the
+    run's one FeatureStore (every map and the channel count are read through
+    it, so each file is read at most once) and the created output directory."""
     cfg = _config_from_args(args)
     for name in PATH_KEYS:
         if getattr(cfg, name) is None:
@@ -62,20 +62,15 @@ def _prepare(args):
     table = parse_embedding_file(cfg.embeddings)
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, vocabulary, manifest, table, out_dir
+    return cfg, vocabulary, manifest, table, FeatureStore(manifest), out_dir
 
 
-def _channels(manifest) -> int:
-    """The channel count of the manifest's feature maps, read from its first."""
-    return load_feature_file(manifest.feature_path(0)).shape[0]
-
-
-def _load_model(cfg, manifest, table):
+def _load_model(cfg, store, table):
     """Load the checkpoint and check that its two projections take the
     widths of this run's feature maps and word vectors."""
     model, extras = load_checkpoint(cfg.checkpoint)
     for name, tensor, width, what in (
-            ("joint.visual", model.joint.visual, _channels(manifest), "feature channels"),
+            ("joint.visual", model.joint.visual, store.shape[0], "feature channels"),
             ("joint.text", model.joint.text, table.dimension, "embedding dimensions")):
         if tensor.shape[1] != width:
             raise DataError(f"checkpoint {cfg.checkpoint}: {name} takes {tensor.shape[1]} "
@@ -106,13 +101,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, vocabulary, manifest, table, out_dir = _prepare(args)
+    cfg, vocabulary, manifest, table, store, out_dir = _prepare(args)
 
     if args.resume:
-        model, extras = _load_model(cfg, manifest, table)
+        model, extras = _load_model(cfg, store, table)
     else:
         model = init_model(
-            channels=_channels(manifest), embed_dim=table.dimension,
+            channels=store.shape[0], embed_dim=table.dimension,
             joint_dim=cfg.d_j, heads=cfg.n_heads, dynconv_inner=cfg.d_c,
             dynconv_top=cfg.n_d, scale=cfg.lambda_, dropout=cfg.dropout,
             rng=seeding.substream(cfg.seed, "init"))
@@ -122,7 +117,7 @@ def cmd_train(args) -> int:
 
     log_path = out_dir / "training_log.csv"
     result = train(model, manifest, vocabulary, table, cfg.train_settings(),
-                   optimizer=optimizer, log_path=log_path)
+                   store=store, optimizer=optimizer, log_path=log_path)
     save_checkpoint(cfg.checkpoint, model, optimizer=optimizer,
                     config_scalars=canonical_dict(cfg))
     identifier = run_id(cfg)
@@ -145,12 +140,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, vocabulary, manifest, table, out_dir = _prepare(args)
-    model, _ = _load_model(cfg, manifest, table)
+    cfg, vocabulary, manifest, table, store, out_dir = _prepare(args)
+    model, _ = _load_model(cfg, store, table)
     report, _ = evaluate(
         model, manifest, vocabulary, table, split=args.split,
         episodes=cfg.eval_episodes, k_shot=cfg.k_shot, seed=cfg.seed,
-        mode=args.mode, theta=cfg.theta, lcm_config=cfg.lcm_config(),
+        mode=args.mode, theta=cfg.theta, lcm_config=cfg.lcm_config(), store=store,
         normalize_embeddings=cfg.normalize_embeddings, threads=cfg.threads)
     report_path = out_dir / f"report_{args.mode}.json"
     _write_json(report_path, {
@@ -184,15 +179,15 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_inspect_lcm(args) -> int:
-    cfg, vocabulary, manifest, table, out_dir = _prepare(args)
-    model, _ = _load_model(cfg, manifest, table)
+    cfg, vocabulary, manifest, table, store, out_dir = _prepare(args)
+    model, _ = _load_model(cfg, store, table)
 
     record = manifest.record_for(args.image)
     split = vocabulary.split_of(record.labels[0])
     labels = list(vocabulary.labels_for(split))
     targets = [1.0 if label in record.labels else 0.0 for label in labels]
     selection = select_cells(
-        model.joint, FeatureStore(manifest).get(args.image)[None], [targets],
+        model.joint, store.get(args.image)[None], [targets],
         embed_labels(table, labels, normalize=cfg.normalize_embeddings), cfg.lcm_config(),
         cfg.theta, trained=model.trained)
 

@@ -129,18 +129,19 @@ def _episode_probabilities(model: ModelState, episode, store, label_embeddings,
     """Score every query image against every episode label; returns
     (probability matrix, detail rows, per-support-mask fallback flags)."""
     shape = (len(episode.query_ids), len(episode.labels))
-    detail, fell_back, masks = [], [], None
-    if mode == "lcm":
-        selection = select_cells(
-            model.joint, np.stack([store.get(image_id) for image_id in episode.support_ids]),
-            episode.support_targets, label_embeddings, lcm_config, theta, trained=model.trained)
-        masks, fell_back = selection.mask, selection.fell_back
-        if collect_detail:
-            detail = [{"image_id": image_id, "sigma": selection.sigma[i], "mask": masks[i],
-                       "importance": selection.importance[i]}
-                      for i, image_id in enumerate(episode.support_ids)]
+    detail, fell_back = [], []
     if mode in ("base", "lcm"):
-        _, logits = episode_forward(model, episode, store, label_embeddings, masks=masks,
+        fmaps = np.stack([store.get(image_id) for image_id in episode.support_ids])
+        masks = None
+        if mode == "lcm":
+            selection = select_cells(model.joint, fmaps, episode.support_targets,
+                                     label_embeddings, lcm_config, theta, trained=model.trained)
+            masks, fell_back = selection.mask, selection.fell_back
+            if collect_detail:
+                detail = [{"image_id": image_id, "sigma": selection.sigma[i], "mask": masks[i],
+                           "importance": selection.importance[i]}
+                          for i, image_id in enumerate(episode.support_ids)]
+        _, logits = episode_forward(model, episode, store, fmaps, label_embeddings, masks=masks,
                                     dropout_rng=None)
     else:
         vectors = project_labels(model.joint, label_embeddings)

@@ -222,14 +222,18 @@ class FeatureStore:
                 raise DataError(f"no-such-image: {image_id!r} is not in the manifest")
             path = self.manifest.feature_path(index)
             fmap = load_feature_file(path)
-            first = self.get(self.manifest.records[0].image_id) if index else fmap
-            if fmap.shape != first.shape:
+            if index and fmap.shape != self.shape:
                 raise DataError(f"feature map {path} has shape {fmap.shape}, but the first map, "
-                                f"{self.manifest.feature_path(0)}, has {first.shape}: a dataset "
+                                f"{self.manifest.feature_path(0)}, has {self.shape}: a dataset "
                                 "has one map shape")
             fmap.flags.writeable = False
             self._cache[image_id] = fmap
         return self._cache[image_id]
+
+    @property
+    def shape(self) -> tuple:
+        """The dataset's one (c, h, w) map shape, read from its first map."""
+        return self.get(self.manifest.records[0].image_id).shape
 
     def pooled(self, image_id: str) -> np.ndarray:
         """The image's (channels,) globally pooled feature, read-only."""
@@ -240,37 +244,25 @@ class FeatureStore:
         return self._pooled[image_id]
 
 
-def local_feature_rows(fmaps: np.ndarray) -> np.ndarray:
-    """The cells of an (n, c, h, w) stack of feature maps as one (n*h*w, c)
-    numpy matrix, rows in (map, grid row, grid col) order."""
-    return fmaps.transpose(0, 2, 3, 1).reshape(-1, fmaps.shape[1])
-
-
-def build_pools(joint: JointSpaceParams, labels, support_targets, fmaps: np.ndarray,
-                masks=None) -> SupportPools:
+def build_pools(joint: JointSpaceParams, labels, fmaps: np.ndarray, keep) -> SupportPools:
     """Project the support cells into the joint space and gather each
-    label's cells as its pool.
+    label's kept cells as its pool.
 
-    `fmaps` is the (n, c, h, w) stack of support maps; a label's members are
-    the support images it is on; masks, when given, is an (n, h, w) boolean
-    keep-array.  Every support cell is projected once, with one product by
-    `joint.visual`, and one `gather_rows` takes every label's kept member
-    cells, label by label.  Rows are in (support image, grid row, grid col)
-    order within a label, the order top-k ties break in, so identical masks
-    give bitwise-identical pools.
+    `fmaps` is the (n, c, h, w) stack of support maps and `keep` the
+    (labels, n*h*w) boolean keep-matrix: row l marks the cells label l
+    pools, in (support image, grid row, grid col) order.  Every support
+    cell is projected once, with one product by `joint.visual`, and one
+    `gather_rows` takes every label's kept cells, label by label, in that
+    order, the order top-k ties break in, so identical keep-matrices give
+    bitwise-identical pools.  A label that keeps no cell is rejected by
+    `SupportPools`.
     """
-    grids = fmaps[:, 0].shape                                         # (n, h, w)
-    kept = np.ones(grids, dtype=bool) if masks is None else np.asarray(masks, dtype=bool)
-    if kept.shape != grids:
-        raise ad.ShapeError("build_pools: masks do not cover the support maps' cells")
-    members = np.asarray(support_targets).T > 0                      # (labels, images)
-    for label, row in zip(labels, members):
-        if not row.any():
-            raise DataError(f"label {label!r} has no support images in the episode")
-    chosen = (members[:, :, None] & kept.reshape(len(fmaps), -1)).reshape(len(members), -1)
-    projected = ad.linear(Tensor(local_feature_rows(fmaps)), joint.visual)
-    features = ad.gather_rows(projected, np.nonzero(chosen)[1])
-    return SupportPools(labels=labels, features=features, sizes=chosen.sum(axis=1))
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != (len(labels), fmaps[:, 0].size):
+        raise ad.ShapeError(f"build_pools: keep-matrix {keep.shape} is not (labels, cells)")
+    cells = fmaps.transpose(0, 2, 3, 1).reshape(-1, fmaps.shape[1])     # (n*h*w, c)
+    features = ad.gather_rows(ad.linear(Tensor(cells), joint.visual), np.nonzero(keep)[1])
+    return SupportPools(labels=labels, features=features, sizes=keep.sum(axis=1))
 
 
 def pooled_globals(store, image_ids) -> Tensor:
@@ -309,23 +301,26 @@ def score_loss(joint: JointSpaceParams, pooled: Tensor, vectors: Tensor, targets
     return ad.tensor_sum(ad.bce_with_logits(flat, y.reshape(-1)))
 
 
-def episode_forward(model: ModelState, episode, store, label_embeddings, *, masks,
-                    dropout_rng):
+def episode_forward(model: ModelState, episode, store, fmaps: np.ndarray, label_embeddings,
+                    *, masks, dropout_rng):
     """The episode forward shared by training and evaluation.
 
     Projects the run's (labels, embed_dim) label-embedding matrix, whose
-    rows are the episode's labels in order, stacks the support maps once,
-    pools each label's support cells (only the kept ones when `masks` is an
-    (n, h, w) keep-array over that stack, all of them when it is None),
-    builds the prototypes and scores every query image against them.
-    Training passes the generator that draws the dropout mask; evaluation
-    passes None.  `store.get(image_id)` gives a feature map: a FeatureStore,
-    or a plain dict of arrays.  Returns (the (n_labels, joint_dim) label
-    joints in episode label order, flat query logits).
+    rows are the episode's labels in order, pools each label's cells of the
+    (n, c, h, w) support stack `fmaps`, builds the prototypes and scores
+    every query image against them.  A label pools its member images' cells
+    that `masks` keeps, all of them when it is None: an (n, h, w) keep-array
+    keeps the same cells for every label, a (labels, n, h, w) one each
+    label's own.  Training passes the generator that draws the dropout
+    mask; evaluation passes None.  `store.get(image_id)` gives a query's
+    feature map: a FeatureStore, or a plain dict of arrays.  Returns (the
+    (n_labels, joint_dim) label joints in label order, flat query logits).
     """
     label_joints = project_labels(model.joint, label_embeddings)
-    fmaps = np.stack([store.get(i) for i in episode.support_ids])
-    pools = build_pools(model.joint, list(episode.labels), episode.support_targets, fmaps, masks)
+    members = (episode.support_targets.T > 0)[:, :, None, None]         # (labels, n, 1, 1)
+    kept = np.ones(fmaps[:, 0].shape, dtype=bool) if masks is None else masks
+    keep = (members & kept).reshape(len(members), -1)
+    pools = build_pools(model.joint, list(episode.labels), fmaps, keep)
     protos = build_prototype(model.attention, model.dynconv, pools, label_joints, dropout_rng)
     logits = score_against(model.joint, pooled_globals(store, episode.query_ids), protos)
     return label_joints, logits

@@ -9,6 +9,7 @@ query images against the constructed prototypes.
 import csv
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -17,7 +18,8 @@ from . import seeding
 from .embeddings import embed_labels
 from .episodes import EpisodePool, records_for_split, sample_episode_with_retries
 from .errors import ConfigError, NumericError
-from .model import FeatureStore, ModelState, episode_forward, pooled_globals, score_loss
+from .model import (FeatureStore, ModelState, atomic_open, episode_forward, pooled_globals,
+                    score_loss)
 from .optim import Adam
 
 
@@ -76,8 +78,9 @@ def warmup_lr(base_lr: float, epoch: int, warmup_epochs: int) -> float:
 def episode_losses(model: ModelState, episode, store, label_embeddings, *, dropout_rng):
     """Forward one episode against the label-embedding matrix, with dropout
     drawn from `dropout_rng` (None for none); returns (cm, query) losses."""
+    fmaps = np.stack([store.get(image_id) for image_id in episode.support_ids])
     label_joints, logits = episode_forward(
-        model, episode, store, label_embeddings, masks=None, dropout_rng=dropout_rng)
+        model, episode, store, fmaps, label_embeddings, masks=None, dropout_rng=dropout_rng)
     # the alignment loss sees support images only; queries contribute
     # through the prototype scoring
     cm = score_loss(model.joint, pooled_globals(store, episode.support_ids), label_joints,
@@ -108,13 +111,18 @@ def train(model: ModelState, manifest, vocabulary, table, settings: TrainSetting
 
     rows = []
     log_handle = None
-    writer = None
     if log_path is not None:
-        fresh = model.epoch == 0
-        log_handle = open(log_path, "a" if not fresh else "w", newline="")
-        writer = csv.writer(log_handle)
-        if fresh:
-            writer.writerow(["epoch", "cm_loss", "query_loss", "total_loss", "lr"])
+        # a header and one row per epoch the model has finished: a resume
+        # drops rows an interrupted run logged past its checkpoint
+        earlier = []
+        if model.epoch > 0 and Path(log_path).is_file():
+            with open(log_path, newline="") as old:
+                earlier = [row for row in list(csv.reader(old))[1:]
+                           if row and row[0].isdigit() and int(row[0]) < model.epoch]
+        with atomic_open(log_path, "w") as handle:
+            csv.writer(handle).writerows(
+                [["epoch", "cm_loss", "query_loss", "total_loss", "lr"], *earlier])
+        log_handle = open(log_path, "a", newline="")
     try:
         for epoch in range(model.epoch, settings.epochs):
             lr = warmup_lr(settings.lr, epoch, settings.warmup_epochs)
@@ -143,9 +151,9 @@ def train(model: ModelState, manifest, vocabulary, table, settings: TrainSetting
             row = EpochRow(epoch=epoch, cm_loss=cm_sum / n, query_loss=query_sum / n,
                            total_loss=total_sum / n, lr=lr)
             rows.append(row)
-            if writer is not None:
-                writer.writerow([row.epoch, repr(row.cm_loss), repr(row.query_loss),
-                                 repr(row.total_loss), repr(row.lr)])
+            if log_handle is not None:
+                csv.writer(log_handle).writerow(
+                    [row.epoch, *map(repr, (row.cm_loss, row.query_loss, row.total_loss, row.lr))])
                 log_handle.flush()
             model.epoch = epoch + 1
     finally:

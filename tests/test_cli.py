@@ -1,13 +1,17 @@
 """End-to-end command-line pipeline on a tiny generated dataset."""
 
+import collections
+import importlib
 import json
+import pkgutil
 import shutil
 import struct
 
 import numpy as np
 import pytest
 
-from mlfewshot import autodiff, cli, seeding
+import mlfewshot
+from mlfewshot import autodiff, cli, seeding, training
 from mlfewshot.autodiff import Tensor
 from mlfewshot.cli import main
 from mlfewshot.config import PATH_KEYS
@@ -116,6 +120,65 @@ def test_resume_continues_training(pipeline, tmp_path, capsys):
     assert "trained to epoch 3" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["epochs_completed"] == 3
+    # resumed into a directory with no log: the new log still has its header
+    log_lines = (tmp_path / "training_log.csv").read_text().splitlines()
+    assert log_lines[0] == "epoch,cm_loss,query_loss,total_loss,lr"
+    assert [line.split(",")[0] for line in log_lines[1:]] == ["2"]
+
+
+def run_flags(paths, out):
+    """The pipeline's path flags with the checkpoint and output in `out`."""
+    given = dict(zip(paths[::2], paths[1::2]))
+    given.update({"--checkpoint": str(out / "model.ckpt"), "--output": str(out)})
+    return [item for pair in given.items() for item in pair]
+
+
+class Interrupted(Exception):
+    """Stands in for a run stopped from outside."""
+
+
+def test_interrupted_resume_matches_a_straight_run(pipeline, tmp_path, monkeypatch):
+    # train 2 epochs; resume to 5 and stop in the second resumed epoch,
+    # after the first one's log row is written; resume to 5 again
+    _, _, paths = pipeline
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    assert main(["train", *run_flags(paths, straight), *TRAIN_FLAGS, "--epochs", "5"]) == 0
+    assert main(["train", *run_flags(paths, resumed), *TRAIN_FLAGS]) == 0
+    losses, calls = training.episode_losses, []
+
+    def interrupted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 2:                          # each epoch has two episodes
+            raise Interrupted
+        return losses(*args, **kwargs)
+
+    monkeypatch.setattr(training, "episode_losses", interrupted)
+    resume = ["train", *run_flags(paths, resumed), "--resume", *TRAIN_FLAGS, "--epochs", "5"]
+    with pytest.raises(Interrupted):
+        main(resume)
+    monkeypatch.undo()
+    assert main(resume) == 0
+    for name in ("training_log.csv", "model.ckpt"):
+        assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
+
+
+def test_each_feature_file_is_read_at_most_once(pipeline, tmp_path, monkeypatch):
+    _, _, paths = pipeline
+    original, reads = load_feature_file, collections.Counter()
+
+    def counting(path):
+        reads[str(path)] += 1
+        return original(path)
+
+    for info in pkgutil.iter_modules(mlfewshot.__path__):
+        module = importlib.import_module(f"mlfewshot.{info.name}")
+        if getattr(module, "load_feature_file", None) is original:
+            monkeypatch.setattr(module, "load_feature_file", counting)
+    for argv in (["train", *run_flags(paths, tmp_path), *TRAIN_FLAGS],
+                 ["eval", *run_flags(paths, tmp_path), "--mode", "lcm", "--eval_episodes", "2"]):
+        reads.clear()
+        assert main(argv) == 0
+        assert reads and max(reads.values()) == 1, argv[0]
 
 
 class SavedState:

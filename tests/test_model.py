@@ -10,7 +10,7 @@ from mlfewshot import model as model_module
 from mlfewshot import seeding
 from mlfewshot.autodiff import Tensor
 from mlfewshot.episodes import EpisodePool, records_for_split, sample_episode
-from mlfewshot.errors import DataError
+from mlfewshot.errors import ConfigError, DataError
 from mlfewshot.model import (
     CHECKPOINT_MAGIC,
     FeatureStore,
@@ -18,7 +18,6 @@ from mlfewshot.model import (
     episode_forward,
     init_model,
     load_checkpoint,
-    local_feature_rows,
     pooled_globals,
     read_checkpoint_tensors,
     save_checkpoint,
@@ -243,14 +242,6 @@ def test_feature_store_keeps_each_pooled_vector(tiny_data):
 # ------------------------------------------------------------ pools, scores
 
 
-def test_local_feature_rows_shape_and_order():
-    fmap = np.arange(6 * 2 * 3, dtype=np.float64).reshape(6, 2, 3)
-    rows = local_feature_rows(fmap[None])
-    assert isinstance(rows, np.ndarray)
-    assert rows.shape == (6, 6)
-    assert np.array_equal(rows[5], fmap[:, 1, 2])
-
-
 def project(model, fmap):
     """One support map's cells in the joint space, written out in numpy."""
     return fmap.reshape(fmap.shape[0], -1).T @ model.joint.visual.data.T
@@ -261,75 +252,79 @@ def by_label(pools):
     return dict(zip(pools.labels, np.split(pools.features.data, np.cumsum(pools.sizes)[:-1])))
 
 
+def member_keep(targets, fmaps):
+    """The keep-matrix that pools every cell of each label's member images."""
+    return np.repeat(np.asarray(targets).T > 0, fmaps[0, 0].size, axis=1)
+
+
 def test_build_pools_members_in_support_order():
     model = small_model()
     rng = np.random.default_rng(1)
-    fmaps = rng.standard_normal((2, 6, 2, 2))
+    fmaps = rng.standard_normal((2, 6, 2, 3))
     targets = np.array([[1.0, 0.0], [1.0, 1.0]])
-    pools = by_label(build_pools(model.joint, ("a", "b"), targets, fmaps))
+    pools = by_label(build_pools(model.joint, ("a", "b"), fmaps, member_keep(targets, fmaps)))
     assert np.allclose(pools["a"],
                        np.vstack([project(model, fmaps[0]), project(model, fmaps[1])]),
                        atol=1e-12)
     assert np.allclose(pools["b"], project(model, fmaps[1]), atol=1e-12)
-
-
-def test_build_pools_full_mask_equals_no_mask():
-    model = small_model()
-    rng = np.random.default_rng(2)
-    fmaps = rng.standard_normal((1, 6, 2, 2))
-    targets = np.array([[1.0]])
-    plain = build_pools(model.joint, ("a",), targets, fmaps)
-    masked = build_pools(model.joint, ("a",), targets, fmaps,
-                         masks=np.ones((1, 2, 2), dtype=bool))
-    assert np.array_equal(plain.features.data, masked.features.data)
+    # rows run in (support image, grid row, grid col) order: row 5 is cell (1, 2)
+    assert np.allclose(pools["b"][5], model.joint.visual.data @ fmaps[1][:, 1, 2], atol=1e-12)
 
 
 def test_build_pools_mask_drops_cells():
     model = small_model()
     rng = np.random.default_rng(3)
     fmaps = rng.standard_normal((3, 6, 2, 2))
-    targets = np.array([[1.0], [0.0], [1.0]])
-    masks = np.array([[[True, False], [False, True]], [[True, True], [True, True]],
-                      [[False, True], [True, True]]])
-    pools = build_pools(model.joint, ("a",), targets, fmaps, masks=masks)
-    assert np.allclose(pools.features.data,
-                       np.vstack([project(model, fmaps[0])[[0, 3]],
-                                  project(model, fmaps[2])[[1, 2, 3]]]),
-                       atol=1e-12)
+    cases = [
+        # one label on images 0 and 2, some of their cells kept
+        (("a",), [[1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1]],
+         {"a": [(0, [0, 3]), (2, [1, 2, 3])]}),
+        # two labels on images 0 and 1: label a drops image 0's cells, label b keeps them
+        (("a", "b"), [[0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0]],
+         {"a": [(1, [0, 1, 2, 3])], "b": [(0, [0, 1, 2, 3]), (1, [0, 1, 2, 3])]}),
+    ]
+    for labels, keep, expected in cases:
+        pools = by_label(build_pools(model.joint, labels, fmaps, np.array(keep, dtype=bool)))
+        for label, cells in expected.items():
+            assert np.allclose(pools[label],
+                               np.vstack([project(model, fmaps[i])[kept] for i, kept in cells]),
+                               atol=1e-12), label
 
 
 def test_build_pools_unsupported_label_is_an_error():
+    # a label whose keep row is empty
     model = small_model()
     fmaps = np.zeros((1, 6, 2, 2))
-    targets = np.array([[0.0]])
-    with pytest.raises(DataError, match="no support images"):
-        build_pools(model.joint, ("a",), targets, fmaps)
+    keep = np.array([[True] * 4, [False] * 4])
+    with pytest.raises(ConfigError, match="support pool for 'b'"):
+        build_pools(model.joint, ("a", "b"), fmaps, keep)
 
 
 @pytest.mark.parametrize("masks", [
-    np.ones((1, 1, 2), dtype=bool),                                 # smaller than its map
-    np.ones((1, 3, 2), dtype=bool),                                 # larger than its map
-    np.ones((2, 2, 2), dtype=bool),                                 # one mask too many
+    np.ones((1, 3), dtype=bool),                                    # fewer cells than the maps
+    np.ones((1, 5), dtype=bool),                                    # more cells than the maps
+    np.ones((2, 4), dtype=bool),                                    # one row too many
+    np.ones(4, dtype=bool),                                         # not one row per label
 ])
 def test_build_pools_masks_must_cover_every_cell(masks):
+    # `masks` is the keep-matrix, which must be (labels, support cells)
     model = small_model()
     fmaps = np.ones((1, 6, 2, 2))
-    with pytest.raises(ad.ShapeError, match="masks do not cover"):
-        build_pools(model.joint, ("a",), np.array([[1.0]]), fmaps, masks=masks)
+    with pytest.raises(ad.ShapeError, match="keep-matrix"):
+        build_pools(model.joint, ("a",), fmaps, masks)
 
 
-def per_image_pools(joint, labels, support_targets, fmaps, masks=None):
+def per_image_pools(joint, labels, fmaps, keep):
     """The pool builder `build_pools` replaced: each support map projected on
-    the tape on its own, then each label's member projections gathered under
-    their masks and joined, label by label."""
+    the tape on its own, then each label's kept cells of each map gathered
+    and joined, label by label."""
     projections = [ad.matmul(ad.transpose(ad.reshape(Tensor(fmap), (fmap.shape[0], fmap[0].size))),
                              ad.transpose(joint.visual))
                    for fmap in fmaps]
     per_label = []
-    for li, label in enumerate(labels):
-        pieces = [projections[i] if masks is None else
-                  ad.gather_rows(projections[i], np.flatnonzero(masks[i]))
-                  for i in range(len(fmaps)) if support_targets[i, li] > 0]
+    for row in np.asarray(keep).reshape(len(labels), len(fmaps), -1):
+        pieces = [ad.gather_rows(projections[i], np.flatnonzero(kept))
+                  for i, kept in enumerate(row) if kept.any()]
         per_label.append(pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0))
     return SupportPools(labels=labels, features=ad.concat(per_label, axis=0),
                         sizes=[features.shape[0] for features in per_label])
@@ -344,16 +339,21 @@ def tiny_episode(tiny_data, seed=5):
     return episode, FeatureStore(manifest), embeddings
 
 
+def support_stack(store, episode):
+    return np.stack([store.get(i) for i in episode.support_ids])
+
+
 def test_build_pools_matches_the_per_image_loop(tiny_data):
     model = build_tiny_model(tiny_data["table"])
     episode, store, _ = tiny_episode(tiny_data)
-    fmaps = np.stack([store.get(i) for i in episode.support_ids])
+    fmaps = support_stack(store, episode)
     rng = np.random.default_rng(6)
     masks = rng.random((len(fmaps), *fmaps.shape[2:])) < 0.5
     masks[:, 0, 0] = True
-    args = (model.joint, episode.labels, episode.support_targets, fmaps)
-    for chosen in (None, masks):
-        new, old = build_pools(*args, masks=chosen), per_image_pools(*args, masks=chosen)
+    members = member_keep(episode.support_targets, fmaps)
+    for keep in (members, members & masks.reshape(1, -1)):
+        args = (model.joint, episode.labels, fmaps, keep)
+        new, old = build_pools(*args), per_image_pools(*args)
         assert np.array_equal(new.sizes, old.sizes)
         new, old = by_label(new), by_label(old)
         for label in episode.labels:
@@ -378,7 +378,38 @@ def test_episode_gradients_match_the_per_image_loop(tiny_data, monkeypatch):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
-def per_label_forward(model, episode, store, embeddings, *, masks, dropout_rng):
+def test_episode_forward_broadcasts_masks_into_one_keep_matrix(tiny_data, monkeypatch):
+    # None, an (n, h, w) and a (labels, n, h, w) keep-all mask give one
+    # keep-matrix, the members'; a label-wise mask drops a cell from its
+    # own label's row only
+    model = build_tiny_model(tiny_data["table"])
+    episode, store, embeddings = tiny_episode(tiny_data)
+    fmaps = support_stack(store, episode)
+    grid, labels = fmaps[:, 0].shape, len(episode.labels)
+    keeps = []
+
+    def recording_pools(joint, labels, fmaps, keep):
+        keeps.append(keep)
+        return build_pools(joint, labels, fmaps, keep)
+
+    monkeypatch.setattr(model_module, "build_pools", recording_pools)
+    first = int(np.flatnonzero(episode.support_targets[:, 0])[0])   # label 0's first member
+    label_wise = np.ones((labels, *grid), dtype=bool)
+    label_wise[0, first, 0, 0] = False
+    logits = [episode_forward(model, episode, store, fmaps, embeddings, masks=masks,
+                              dropout_rng=None)[1].data
+              for masks in (None, np.ones(grid, dtype=bool),
+                            np.ones((labels, *grid), dtype=bool), label_wise)]
+    members = member_keep(episode.support_targets, fmaps)
+    for keep, out in zip(keeps[:3], logits[:3]):
+        assert np.array_equal(keep, members)
+        assert out.tobytes() == logits[0].tobytes()
+    dropped = np.zeros_like(members)
+    dropped[0, first * fmaps[0, 0].size] = True
+    assert np.array_equal(keeps[3], members & ~dropped)
+
+
+def per_label_forward(model, episode, store, fmaps, embeddings, *, masks, dropout_rng):
     """The episode forward the batched one replaced: each label's embedding
     projected, its kept member cells projected as its pool, and its
     prototype built on its own, then the prototypes stacked and scored.
@@ -387,8 +418,7 @@ def per_label_forward(model, episode, store, embeddings, *, masks, dropout_rng):
     joints = [ad.reshape(ad.matmul(model.joint.text, Tensor(embeddings[li].reshape(-1, 1))),
                          (model.joint.text.shape[0],))
               for li in range(len(labels))]
-    fmaps = np.stack([store.get(i) for i in episode.support_ids])
-    cells = local_feature_rows(fmaps)
+    cells = fmaps.transpose(0, 2, 3, 1).reshape(-1, fmaps.shape[1])
     image_of_cell = np.repeat(np.arange(len(fmaps)), fmaps[0, 0].size)
     kept = np.ones(len(cells), dtype=bool) if masks is None else masks.reshape(-1)
     protos = []
@@ -414,16 +444,18 @@ def test_episode_forward_matches_the_per_label_loop(tiny_data, case):
         # two kept cells per support map: a label on one image pools two rows
         masks = np.stack([np.arange(maps[i][0].size).reshape(maps[i][0].shape) < 2
                           for i in episode.support_ids])
-        sizes = build_pools(model.joint, episode.labels, episode.support_targets,
-                            np.stack([maps[i] for i in episode.support_ids]), masks).sizes
-        assert sizes.min() < model.dynconv.top_count
     if case == "zero-norm-row":
         maps[episode.support_ids[0]][:, 0, 0] = 0.0
+    fmaps = support_stack(maps, episode)
+    if masks is not None:
+        keep = member_keep(episode.support_targets, fmaps) & masks.reshape(1, -1)
+        sizes = build_pools(model.joint, episode.labels, fmaps, keep).sizes
+        assert sizes.min() < model.dynconv.top_count
     training = case == "training-dropout"
 
     def run(forward):
         model.zero_grad()
-        joints, logits = forward(model, episode, maps, embeddings, masks=masks,
+        joints, logits = forward(model, episode, maps, fmaps, embeddings, masks=masks,
                                  dropout_rng=seeding.substream(5, "dropout") if training else None)
         cm = score_loss(model.joint, pooled_globals(maps, episode.support_ids), joints,
                         episode.support_targets)
