@@ -242,6 +242,16 @@ def test_feature_store_keeps_each_pooled_vector(tiny_data):
 # ------------------------------------------------------------ pools, scores
 
 
+def test_local_feature_rows_shape_and_order():
+    # build_pools lays a support map's cells out as rows in (grid row, grid col) order
+    model = small_model()
+    fmap = np.arange(6 * 2 * 3, dtype=np.float64).reshape(6, 2, 3)
+    rows = build_pools(model.joint, ("a",), fmap[None], np.ones((1, 6), dtype=bool)).features.data
+    assert isinstance(rows, np.ndarray)
+    assert rows.shape == (6, 8)
+    assert np.allclose(rows[5], model.joint.visual.data @ fmap[:, 1, 2], atol=1e-12)
+
+
 def project(model, fmap):
     """One support map's cells in the joint space, written out in numpy."""
     return fmap.reshape(fmap.shape[0], -1).T @ model.joint.visual.data.T
@@ -267,8 +277,6 @@ def test_build_pools_members_in_support_order():
                        np.vstack([project(model, fmaps[0]), project(model, fmaps[1])]),
                        atol=1e-12)
     assert np.allclose(pools["b"], project(model, fmaps[1]), atol=1e-12)
-    # rows run in (support image, grid row, grid col) order: row 5 is cell (1, 2)
-    assert np.allclose(pools["b"][5], model.joint.visual.data @ fmaps[1][:, 1, 2], atol=1e-12)
 
 
 def test_build_pools_mask_drops_cells():
