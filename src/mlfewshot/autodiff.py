@@ -315,7 +315,7 @@ def mean(a, axis=None):
 
 
 def reshape(a, shape):
-    if int(np.prod(shape)) != a.size:
+    if math.prod(shape) != a.size:
         raise _shape_error("reshape", a.shape, shape)
     data = a.data.reshape(shape)
 
@@ -513,9 +513,10 @@ def layer_norm(a, gain, bias):
     d = a.shape[-1] if a.ndim else 0
     if a.ndim < 1 or gain.shape != (d,) or bias.shape != (d,):
         raise _shape_error("layer_norm", a.shape, gain.shape, bias.shape)
-    mu = a.data.mean(axis=-1, keepdims=True)
+    # the two means as `.mean` computes them, without its dispatch
+    mu = np.add.reduce(a.data, axis=-1, keepdims=True) / d
     centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     data = xhat * gain.data + bias.data
@@ -540,8 +541,9 @@ def cosine(a, b):
     either operand is rejected."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise _shape_error("cosine", a.shape, b.shape)
-    na = np.linalg.norm(a.data, axis=1)
-    nb = np.linalg.norm(b.data, axis=1)
+    # row norms as `np.linalg.norm(x, axis=1)` computes them, without its dispatch
+    na = np.sqrt(np.add.reduce(a.data * a.data, axis=1))
+    nb = np.sqrt(np.add.reduce(b.data * b.data, axis=1))
     if not (np.all(na) and np.all(nb)):
         raise DegenerateVectorError("degenerate-vector: cosine of a zero-length vector")
     c = (a.data @ b.data.T) / (na[:, None] * nb[None, :])

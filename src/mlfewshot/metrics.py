@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .joint_space import project_labels
 from .lcm import LcmConfig, select_cells
 from .model import FeatureStore, ModelState, episode_forward, pooled_globals, score_against
-from .prototypes import simple_attention_prototype
+from .prototypes import LabelSide, label_side, simple_attention_prototype
 
 EVAL_MODES = ("base", "lcm", "zeroshot", "simple-attention")
 
@@ -91,16 +91,17 @@ def f1_scores(prob_matrix, target_matrix) -> tuple[float, float]:
         raise ConfigError(f"f1_scores: {p.shape} vs {y.shape}")
     predicted = p > 0.5
     actual = y > 0.5
+    # integer counts per label (column)
+    tp = (predicted & actual).sum(axis=0)
+    fp = (predicted & ~actual).sum(axis=0)
+    fn = (~predicted & actual).sum(axis=0)
 
-    def f1(pred, act):
-        tp = float(np.logical_and(pred, act).sum())
-        fp = float(np.logical_and(pred, ~act).sum())
-        fn = float(np.logical_and(~pred, act).sum())
+    def f1(tp, fp, fn):
         denom = 2 * tp + fp + fn
-        return 0.0 if denom == 0 else 2 * tp / denom
+        return np.divide(2 * tp, denom, out=np.zeros(np.shape(denom)), where=denom > 0)
 
-    micro = f1(predicted.reshape(-1), actual.reshape(-1))
-    macro = float(np.mean([f1(predicted[:, li], actual[:, li]) for li in range(y.shape[1])]))
+    micro = float(f1(tp.sum(), fp.sum(), fn.sum()))
+    macro = float(np.mean(f1(tp, fp, fn)))
     return micro, macro
 
 
@@ -124,10 +125,11 @@ class MetricsReport:
         }
 
 
-def _episode_probabilities(model: ModelState, episode, store, label_embeddings,
+def _episode_probabilities(model: ModelState, episode, store, label_embeddings, side: LabelSide,
                            mode, theta, lcm_config, collect_detail):
     """Score every query image against every episode label; returns
-    (probability matrix, detail rows, per-support-mask fallback flags)."""
+    (probability matrix, detail rows, per-support-mask fallback flags).
+    `side` is the run's label side; lcm mode fits against the embeddings."""
     shape = (len(episode.query_ids), len(episode.labels))
     detail, fell_back = [], []
     if mode in ("base", "lcm"):
@@ -141,10 +143,9 @@ def _episode_probabilities(model: ModelState, episode, store, label_embeddings,
                 detail = [{"image_id": image_id, "sigma": selection.sigma[i], "mask": masks[i],
                            "importance": selection.importance[i]}
                           for i, image_id in enumerate(episode.support_ids)]
-        _, logits = episode_forward(model, episode, store, fmaps, label_embeddings, masks=masks,
-                                    dropout_rng=None)
+        logits = episode_forward(model, episode, store, fmaps, side, masks=masks, dropout_rng=None)
     else:
-        vectors = project_labels(model.joint, label_embeddings)
+        vectors = side.joints
         if mode == "simple-attention":
             support_globals = pooled_globals(store, episode.support_ids).data
             vectors = ad.concat([
@@ -185,13 +186,17 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split, episodes,
         raise ConfigError(f"split {split!r} has no labels")
     record_pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, split))
     label_embeddings = embed_labels(table, labels, normalize=normalize_embeddings)
+    # a frozen model and episodes that carry all of the split's labels: one side serves them all
+    side = label_side(model.attention, model.dynconv,
+                      project_labels(model.joint, label_embeddings))
 
     def run_episode(idx):
         episode = sample_episode_with_retries(
             manifest, record_pool, labels, k_shot,
             lambda attempt: seeding.substream(seed, "eval", idx, attempt))
         probs, detail, fell_back = _episode_probabilities(
-            model, episode, store, label_embeddings, mode, theta, lcm_config, collect_detail)
+            model, episode, store, label_embeddings, side, mode, theta, lcm_config,
+            collect_detail)
         targets = episode.query_targets
         per_label = per_label_average_precision(probs, targets, episode.labels)
         row = {

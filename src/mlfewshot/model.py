@@ -19,10 +19,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError
 from .features import global_pool, load_feature_file
-from .joint_space import JointSpaceParams, init_joint_space, project_labels
+from .joint_space import JointSpaceParams, init_joint_space
 from .prototypes import (
     AttentionParams,
     DynConvParams,
+    LabelSide,
     SupportPools,
     build_prototype,
     init_attention,
@@ -301,26 +302,23 @@ def score_loss(joint: JointSpaceParams, pooled: Tensor, vectors: Tensor, targets
     return ad.tensor_sum(ad.bce_with_logits(flat, y.reshape(-1)))
 
 
-def episode_forward(model: ModelState, episode, store, fmaps: np.ndarray, label_embeddings,
-                    *, masks, dropout_rng):
+def episode_forward(model: ModelState, episode, store, fmaps: np.ndarray, side: LabelSide,
+                    *, masks, dropout_rng) -> Tensor:
     """The episode forward shared by training and evaluation.
 
-    Projects the run's (labels, embed_dim) label-embedding matrix, whose
-    rows are the episode's labels in order, pools each label's cells of the
-    (n, c, h, w) support stack `fmaps`, builds the prototypes and scores
-    every query image against them.  A label pools its member images' cells
-    that `masks` keeps, all of them when it is None: an (n, h, w) keep-array
-    keeps the same cells for every label, a (labels, n, h, w) one each
-    label's own.  Training passes the generator that draws the dropout
-    mask; evaluation passes None.  `store.get(image_id)` gives a query's
-    feature map: a FeatureStore, or a plain dict of arrays.  Returns (the
-    (n_labels, joint_dim) label joints in label order, flat query logits).
+    Pools each label's cells of the (n, c, h, w) support stack `fmaps`,
+    builds the prototypes from `side`, the label side of the episode's
+    labels in order, and scores every query image against them.  A label
+    pools its member images' cells that `masks` keeps, all of them when it
+    is None: an (n, h, w) keep-array keeps the same cells for every label, a
+    (labels, n, h, w) one each label's own.  Training passes the generator
+    that draws the dropout mask; evaluation passes None.
+    `store.get(image_id)` gives a query's feature map: a FeatureStore, or a
+    plain dict of arrays.  Returns the flat query logits, image-major.
     """
-    label_joints = project_labels(model.joint, label_embeddings)
     members = (episode.support_targets.T > 0)[:, :, None, None]         # (labels, n, 1, 1)
     kept = np.ones(fmaps[:, 0].shape, dtype=bool) if masks is None else masks
     keep = (members & kept).reshape(len(members), -1)
     pools = build_pools(model.joint, list(episode.labels), fmaps, keep)
-    protos = build_prototype(model.attention, model.dynconv, pools, label_joints, dropout_rng)
-    logits = score_against(model.joint, pooled_globals(store, episode.query_ids), protos)
-    return label_joints, logits
+    protos = build_prototype(model.attention, model.dynconv, pools, side, dropout_rng)
+    return score_against(model.joint, pooled_globals(store, episode.query_ids), protos)

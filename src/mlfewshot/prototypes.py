@@ -6,7 +6,9 @@ embedding, and a dynamic-convolution branch whose two kernels are generated
 from that embedding and applied to the features most similar to it.  Every
 function here builds all of an episode's labels at once: their support
 features are one row-segmented matrix, their label vectors one matrix, and
-each step is one tape op for every label together.
+each step is one tape op for every label together.  What the label
+vectors alone give, their head queries and generated kernels, is one
+`LabelSide`: training builds it per episode, evaluation once per run.
 """
 
 import logging
@@ -179,26 +181,55 @@ def init_dynconv(joint_dim: int, inner_dim: int, top_count: int, rng) -> DynConv
     )
 
 
-def attention_prototype(params: AttentionParams, pools: SupportPools, label_joints: Tensor,
+@dataclass
+class LabelSide:
+    """What the prototypes take from the label vectors alone.
+
+    joints: the (labels, joint_dim) label vectors; queries: every label's
+    head queries, (labels, joint_dim); kernel1 and kernel2: every label's
+    generated (inner_dim, joint_dim) and (joint_dim, inner_dim) kernels.
+    A frozen model's side serves every episode over the same labels.
+    """
+
+    joints: Tensor
+    queries: Tensor
+    kernel1: Tensor
+    kernel2: Tensor
+
+
+def label_side(attention: AttentionParams, dynconv: DynConvParams, joints: Tensor) -> LabelSide:
+    """The label side of the (labels, joint_dim) label vectors: the stacked
+    head transforms map every label vector to all its heads' queries in one
+    product, and each kernel is one linear map of the label vectors."""
+    labels = joints.shape[0]
+    inner, joint = dynconv.inner_dim, dynconv.joint_dim
+    return LabelSide(
+        joints=joints,
+        queries=ad.linear(joints, ad.concat(attention.queries, axis=0)),
+        kernel1=ad.reshape(ad.linear(joints, dynconv.gen1_weight, dynconv.gen1_bias),
+                           (labels, inner, joint)),
+        kernel2=ad.reshape(ad.linear(joints, dynconv.gen2_weight, dynconv.gen2_bias),
+                           (labels, joint, inner)))
+
+
+def attention_prototype(params: AttentionParams, pools: SupportPools, side: LabelSide,
                         rng) -> Tensor:
     """Channel-grouped cross-attention readout of each label's pool, queried
-    by that label's vector; returns the (labels, joint_dim) readouts.
+    by that label's `side.queries` row; returns the (labels, joint_dim)
+    readouts.
 
     Head j sees the j-th channel slice of every pooled feature as both key
-    and value; its query is that head's transform of the label vector.  The
-    stacked head transforms map every label vector to all its heads' queries
-    in one product, one `head_readout` node reads every label's segment out,
-    and the concatenated head outputs pass through the MLP, with one
-    dropout mask over every label's hidden row drawn from `rng` (None in
-    evaluation).
+    and value, and the j-th slice of the label's queries as its query.  One
+    `head_readout` node reads every label's segment out, and the
+    concatenated head outputs pass through the MLP, with one dropout mask
+    over every label's hidden row drawn from `rng` (None in evaluation).
     """
     joint_dim = params.mlp_w1.shape[0]
     if pools.features.shape[1] != joint_dim:
         raise ConfigError(
             f"pool features have dim {pools.features.shape[1]}, attention expects {joint_dim}"
         )
-    queries = ad.linear(label_joints, ad.concat(params.queries, axis=0))   # (labels, joint_dim)
-    merged = ad.head_readout(pools.features, queries, params.heads, pools.sizes)
+    merged = ad.head_readout(pools.features, side.queries, params.heads, pools.sizes)
     hidden = ad.gelu(ad.linear(merged, params.mlp_w1, params.mlp_b1))
     hidden = ad.dropout(hidden, params.dropout, rng)
     return ad.linear(hidden, params.mlp_w2, params.mlp_b2)
@@ -218,19 +249,19 @@ def select_top_features(pools: SupportPools, label_joints: Tensor,
         raise ConfigError(f"top_count must be >= 1, got {top_count}")
     values = pools.features.data
     joints = label_joints.data
-    label_norms = np.linalg.norm(joints, axis=1)
+    label_norms = np.sqrt(np.add.reduce(joints * joints, axis=1))
     if not np.all(label_norms):
         raise ad.DegenerateVectorError("degenerate-vector: label vector has zero length")
-    norms = np.linalg.norm(values, axis=1)
+    norms = np.sqrt(np.add.reduce(values * values, axis=1))
     segment = pools.segment
     rows = np.flatnonzero(norms)
     zero_rows = np.bincount(segment[norms == 0.0], minlength=len(pools.labels))
-    for label, zeros, size in zip(pools.labels, zero_rows, pools.sizes):
-        if zeros == size:
+    for li in np.flatnonzero(zero_rows):                 # only labels with zero-norm rows
+        label = pools.labels[li]
+        if zero_rows[li] == pools.sizes[li]:
             raise ConfigError(f"empty-selection: every feature in pool {label!r} has zero norm")
-        if zeros:
-            log.warning("pool %r: %d features have zero norm, excluded from selection",
-                        label, zeros)
+        log.warning("pool %r: %d features have zero norm, excluded from selection",
+                    label, zero_rows[li])
     owner = segment[rows]
     similarity = np.einsum("ij,ij->i", values[rows], joints[owner]) \
         / (norms[rows] * label_norms[owner])
@@ -247,46 +278,42 @@ def select_top_features(pools: SupportPools, label_joints: Tensor,
 
 
 def dynconv_prototype(params: DynConvParams, selected: Tensor, counts,
-                      label_joints: Tensor) -> Tensor:
+                      side: LabelSide) -> Tensor:
     """Two generated-kernel stages over each label's selected features,
     mean-combined; returns the (labels, joint_dim) outputs.
 
-    Both kernels of every label come from one linear map of the label
-    vectors each.  Each stage is matrix-multiply, layer norm, ReLU, applied
-    to the (labels, width, joint_dim) `selected` rows batch by batch; a
-    label's output averages its first counts[i] rows, the ones actually
-    selected, and ignores the padding after them.
+    Each stage is matrix-multiply by the label's `side.kernel1` or
+    `side.kernel2`, layer norm, ReLU, applied to the (labels, width,
+    joint_dim) `selected` rows batch by batch; a label's output averages its
+    first counts[i] rows, the ones actually selected, and ignores the
+    padding after them.
     """
     counts = np.asarray(counts, dtype=np.intp)
     if selected.ndim != 3 or selected.shape[1] < 1 or counts.shape != selected.shape[:1] \
             or np.any(counts < 1) or np.any(counts > selected.shape[1]):
         raise ConfigError("dynconv: needs at least one selected feature per label")
     labels, width = selected.shape[:2]
-    inner, joint = params.inner_dim, params.joint_dim
-    kernel1 = ad.reshape(ad.linear(label_joints, params.gen1_weight, params.gen1_bias),
-                         (labels, inner, joint))
-    kernel2 = ad.reshape(ad.linear(label_joints, params.gen2_weight, params.gen2_bias),
-                         (labels, joint, inner))
-    mid = ad.relu(ad.layer_norm(ad.linear(selected, kernel1),
+    mid = ad.relu(ad.layer_norm(ad.linear(selected, side.kernel1),
                                 params.norm1_gain, params.norm1_bias))
-    out_rows = ad.relu(ad.layer_norm(ad.linear(mid, kernel2),
+    out_rows = ad.relu(ad.layer_norm(ad.linear(mid, side.kernel2),
                                      params.norm2_gain, params.norm2_bias))
     # row i of the averaging matrix holds 1/counts[i] over label i's selected rows
     averaging = np.zeros((labels, labels, width))
     averaging[np.arange(labels), np.arange(labels)] = \
         (np.arange(width) < counts[:, None]) / counts[:, None]
     return ad.matmul(Tensor(averaging.reshape(labels, labels * width)),
-                     ad.reshape(out_rows, (labels * width, joint)))
+                     ad.reshape(out_rows, (labels * width, params.joint_dim)))
 
 
 def build_prototype(attention: AttentionParams, dynconv: DynConvParams,
-                    pools: SupportPools, label_joints: Tensor, rng) -> Tensor:
+                    pools: SupportPools, side: LabelSide, rng) -> Tensor:
     """Every label's prototype, the sum of its attention and dynamic-convolution
-    components: the (labels, joint_dim) matrix, in pool label order.  `rng`
-    draws the attention branch's dropout mask; None means evaluation."""
-    att_part = attention_prototype(attention, pools, label_joints, rng)
-    selected, counts = select_top_features(pools, label_joints, dynconv.top_count)
-    return ad.add(att_part, dynconv_prototype(dynconv, selected, counts, label_joints))
+    components: the (labels, joint_dim) matrix, in pool label order.  `side`
+    is the label side of the pools' labels, in that order; `rng` draws the
+    attention branch's dropout mask, None means evaluation."""
+    att_part = attention_prototype(attention, pools, side, rng)
+    selected, counts = select_top_features(pools, side.joints, dynconv.top_count)
+    return ad.add(att_part, dynconv_prototype(dynconv, selected, counts, side))
 
 
 def simple_attention_prototype(global_joints: Tensor, label_joint: Tensor, scale: float) -> Tensor:

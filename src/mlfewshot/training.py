@@ -18,9 +18,11 @@ from . import seeding
 from .embeddings import embed_labels
 from .episodes import EpisodePool, records_for_split, sample_episode_with_retries
 from .errors import ConfigError, NumericError
+from .joint_space import project_labels
 from .model import (FeatureStore, ModelState, atomic_open, episode_forward, pooled_globals,
                     score_loss)
 from .optim import Adam
+from .prototypes import label_side
 
 
 @dataclass
@@ -77,13 +79,17 @@ def warmup_lr(base_lr: float, epoch: int, warmup_epochs: int) -> float:
 
 def episode_losses(model: ModelState, episode, store, label_embeddings, *, dropout_rng):
     """Forward one episode against the label-embedding matrix, with dropout
-    drawn from `dropout_rng` (None for none); returns (cm, query) losses."""
+    drawn from `dropout_rng` (None for none); returns (cm, query) losses.
+    The parameters move after every step, so each episode projects the
+    labels and builds their label side afresh, on the tape."""
     fmaps = np.stack([store.get(image_id) for image_id in episode.support_ids])
-    label_joints, logits = episode_forward(
-        model, episode, store, fmaps, label_embeddings, masks=None, dropout_rng=dropout_rng)
+    side = label_side(model.attention, model.dynconv,
+                      project_labels(model.joint, label_embeddings))
+    logits = episode_forward(model, episode, store, fmaps, side, masks=None,
+                             dropout_rng=dropout_rng)
     # the alignment loss sees support images only; queries contribute
     # through the prototype scoring
-    cm = score_loss(model.joint, pooled_globals(store, episode.support_ids), label_joints,
+    cm = score_loss(model.joint, pooled_globals(store, episode.support_ids), side.joints,
                     episode.support_targets)
     y = np.asarray(episode.query_targets, dtype=np.float64).reshape(-1)
     return cm, ad.tensor_sum(ad.bce_with_logits(logits, y))

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from mlfewshot import seeding
+from mlfewshot import metrics, seeding
 from mlfewshot.config import RunConfig
 from mlfewshot.embeddings import load_vocabulary, parse_embedding_file
 from mlfewshot.episodes import load_manifest, make_synthetic
@@ -297,6 +297,26 @@ def test_evaluate_lcm_summarises_fallbacks_in_one_warning(tiny_setup, caplog):
                         if r.levelno == logging.WARNING]
             assert warnings == [f"lcm: {fell_back} of {len(detail)} support masks "
                                 f"fell back to keep-all at theta={theta}"], threads
+    finally:
+        model.epoch = 0
+
+
+def test_evaluate_builds_the_label_side_once_per_run(tiny_setup, monkeypatch):
+    # the model is frozen and every episode carries the split's labels
+    manifest, vocabulary, table, model = tiny_setup
+    build, calls = metrics.label_side, []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(metrics, "label_side", counting)
+    model.epoch = 1                                 # lcm needs a trained model
+    try:
+        for mode in EVAL_MODES:
+            calls.clear()
+            run_evaluate(model, manifest, vocabulary, table, episodes=3, seed=5, mode=mode)
+            assert len(calls) == 1, mode
     finally:
         model.epoch = 0
 

@@ -11,6 +11,7 @@ from mlfewshot import seeding
 from mlfewshot.autodiff import Tensor
 from mlfewshot.episodes import EpisodePool, records_for_split, sample_episode
 from mlfewshot.errors import ConfigError, DataError
+from mlfewshot.joint_space import project_labels
 from mlfewshot.model import (
     CHECKPOINT_MAGIC,
     FeatureStore,
@@ -25,7 +26,7 @@ from mlfewshot.model import (
     score_loss,
 )
 from mlfewshot.optim import Adam
-from mlfewshot.prototypes import SupportPools
+from mlfewshot.prototypes import SupportPools, label_side
 from mlfewshot.training import episode_losses
 
 from conftest import build_tiny_model
@@ -386,6 +387,10 @@ def test_episode_gradients_match_the_per_image_loop(tiny_data, monkeypatch):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
+def episode_side(model, embeddings):
+    return label_side(model.attention, model.dynconv, project_labels(model.joint, embeddings))
+
+
 def test_episode_forward_broadcasts_masks_into_one_keep_matrix(tiny_data, monkeypatch):
     # None, an (n, h, w) and a (labels, n, h, w) keep-all mask give one
     # keep-matrix, the members'; a label-wise mask drops a cell from its
@@ -393,6 +398,7 @@ def test_episode_forward_broadcasts_masks_into_one_keep_matrix(tiny_data, monkey
     model = build_tiny_model(tiny_data["table"])
     episode, store, embeddings = tiny_episode(tiny_data)
     fmaps = support_stack(store, episode)
+    side = episode_side(model, embeddings)
     grid, labels = fmaps[:, 0].shape, len(episode.labels)
     keeps = []
 
@@ -404,8 +410,8 @@ def test_episode_forward_broadcasts_masks_into_one_keep_matrix(tiny_data, monkey
     first = int(np.flatnonzero(episode.support_targets[:, 0])[0])   # label 0's first member
     label_wise = np.ones((labels, *grid), dtype=bool)
     label_wise[0, first, 0, 0] = False
-    logits = [episode_forward(model, episode, store, fmaps, embeddings, masks=masks,
-                              dropout_rng=None)[1].data
+    logits = [episode_forward(model, episode, store, fmaps, side, masks=masks,
+                              dropout_rng=None).data
               for masks in (None, np.ones(grid, dtype=bool),
                             np.ones((labels, *grid), dtype=bool), label_wise)]
     members = member_keep(episode.support_targets, fmaps)
@@ -415,6 +421,14 @@ def test_episode_forward_broadcasts_masks_into_one_keep_matrix(tiny_data, monkey
     dropped = np.zeros_like(members)
     dropped[0, first * fmaps[0, 0].size] = True
     assert np.array_equal(keeps[3], members & ~dropped)
+    # one side serves two episodes over the same labels: each episode's
+    # logits are bitwise those of a side built for it alone
+    for other in (episode, tiny_episode(tiny_data, seed=6)[0]):
+        other_maps = support_stack(store, other)
+        shared, own = (episode_forward(model, other, store, other_maps, s, masks=None,
+                                       dropout_rng=None).data
+                       for s in (side, episode_side(model, embeddings)))
+        assert shared.tobytes() == own.tobytes()
 
 
 def per_label_forward(model, episode, store, fmaps, embeddings, *, masks, dropout_rng):
@@ -472,7 +486,11 @@ def test_episode_forward_matches_the_per_label_loop(tiny_data, case):
         return [joints.data, logits.data] + [p.grad.copy()
                                              for p in model.named_parameters().values()]
 
-    for new, old in zip(run(episode_forward), run(per_label_forward)):
+    def batched_forward(model, episode, store, fmaps, embeddings, **kwargs):
+        side = episode_side(model, embeddings)
+        return side.joints, episode_forward(model, episode, store, fmaps, side, **kwargs)
+
+    for new, old in zip(run(batched_forward), run(per_label_forward)):
         assert_close(new, old)
 
 

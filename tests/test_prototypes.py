@@ -17,6 +17,7 @@ from mlfewshot.prototypes import (
     dynconv_prototype,
     init_attention,
     init_dynconv,
+    label_side,
     select_top_features,
     simple_attention_prototype,
 )
@@ -54,10 +55,11 @@ def make_params(rng, dim=8, heads=2, inner=3, top=3, dropout=0.0):
 
 def test_single_feature_pool_is_mlp_of_that_feature():
     rng = np.random.default_rng(0)
-    att, _ = make_params(rng)
+    att, dyn = make_params(rng)
     row = rng.standard_normal(8)
     pool = one_pool(row.reshape(1, 8))
-    out = attention_prototype(att, pool, label_row(rng.standard_normal(8)), None)
+    out = attention_prototype(att, pool, label_side(att, dyn, label_row(rng.standard_normal(8))),
+                              None)
     # softmax over one feature is 1, so the readout is exactly MLP(row)
     from scipy.special import erf
     h = att.mlp_w1.data @ row + att.mlp_b1.data
@@ -81,25 +83,25 @@ def test_channel_split_concat_reconstructs():
 
 def test_attention_is_permutation_invariant():
     rng = np.random.default_rng(3)
-    att, _ = make_params(rng)
-    label = label_row(rng.standard_normal(8))
+    att, dyn = make_params(rng)
+    side = label_side(att, dyn, label_row(rng.standard_normal(8)))
     pool = make_pool(rng, count=6)
     perm = np.random.default_rng(9).permutation(6)
     shuffled = one_pool(pool.features.data[perm], "cat")
-    a = attention_prototype(att, pool, label, None)
-    b = attention_prototype(att, shuffled, label, None)
+    a = attention_prototype(att, pool, side, None)
+    b = attention_prototype(att, shuffled, side, None)
     assert np.allclose(a.data, b.data, atol=1e-12)
 
 
 def test_dropout_only_acts_in_training_mode():
     rng = np.random.default_rng(4)
-    att, _ = make_params(rng, dropout=0.5)
+    att, dyn = make_params(rng, dropout=0.5)
     pool = make_pool(rng)
-    label = label_row(rng.standard_normal(8))
-    quiet = attention_prototype(att, pool, label, None)
-    again = attention_prototype(att, pool, label, None)
+    side = label_side(att, dyn, label_row(rng.standard_normal(8)))
+    quiet = attention_prototype(att, pool, side, None)
+    again = attention_prototype(att, pool, side, None)
     assert np.array_equal(quiet.data, again.data)
-    noisy = attention_prototype(att, pool, label, np.random.default_rng(5))
+    noisy = attention_prototype(att, pool, side, np.random.default_rng(5))
     assert not np.array_equal(quiet.data, noisy.data)
 
 
@@ -164,12 +166,12 @@ def test_zero_label_vector_rejected():
 def test_dynconv_divides_by_actual_count():
     # a top_count larger than the pool means the mean runs over the pool
     rng = np.random.default_rng(8)
-    _, dyn = make_params(rng, top=10)
-    label = label_row(rng.standard_normal(8))
+    att, dyn = make_params(rng, top=10)
+    side = label_side(att, dyn, label_row(rng.standard_normal(8)))
     rows = rng.standard_normal((3, 8))
-    out3 = dynconv_prototype(dyn, Tensor(rows[None]), [3], label)
+    out3 = dynconv_prototype(dyn, Tensor(rows[None]), [3], side)
     # doubling every row duplicates the stage outputs; the mean is unchanged
-    out6 = dynconv_prototype(dyn, Tensor(np.vstack([rows, rows])[None]), [6], label)
+    out6 = dynconv_prototype(dyn, Tensor(np.vstack([rows, rows])[None]), [6], side)
     assert np.allclose(out3.data, out6.data, atol=1e-12)
 
 
@@ -186,24 +188,26 @@ def test_dynconv_zero_generators_zero_norm_bias_gives_zero():
         norm2_bias=Tensor(np.zeros(dim)),
         top_count=2,
     )
-    out = dynconv_prototype(dyn, Tensor(np.ones((1, 2, dim))), [2], label_row(np.ones(dim)))
+    att = init_attention(dim, 1, np.random.default_rng(0), dropout=0.0)
+    out = dynconv_prototype(dyn, Tensor(np.ones((1, 2, dim))), [2],
+                            label_side(att, dyn, label_row(np.ones(dim))))
     assert np.array_equal(out.data, np.zeros((1, dim)))
 
 
 def test_dynconv_output_is_nonnegative():
     rng = np.random.default_rng(9)
-    _, dyn = make_params(rng)
+    att, dyn = make_params(rng)
     out = dynconv_prototype(dyn, Tensor(rng.standard_normal((1, 4, 8))), [4],
-                            label_row(rng.standard_normal(8)))
+                            label_side(att, dyn, label_row(rng.standard_normal(8))))
     assert np.all(out.data >= 0.0)
 
 
 def test_dynconv_rejects_empty_selection():
     rng = np.random.default_rng(10)
-    _, dyn = make_params(rng)
+    att, dyn = make_params(rng)
     with pytest.raises(ConfigError):
         dynconv_prototype(dyn, Tensor(np.zeros((1, 0, 8))), [0],
-                          label_row(rng.standard_normal(8)))
+                          label_side(att, dyn, label_row(rng.standard_normal(8))))
 
 
 # ----------------------------------------------------------- full prototype
@@ -213,10 +217,11 @@ def test_prototype_is_exact_sum_of_parts():
     rng = np.random.default_rng(11)
     att, dyn = make_params(rng)
     pool = make_pool(rng)
-    label = label_row(rng.standard_normal(8))
-    proto = build_prototype(att, dyn, pool, label, None)
-    att_part = attention_prototype(att, pool, label, None)
-    dyn_part = dynconv_prototype(dyn, *select_top_features(pool, label, dyn.top_count), label)
+    side = label_side(att, dyn, label_row(rng.standard_normal(8)))
+    proto = build_prototype(att, dyn, pool, side, None)
+    att_part = attention_prototype(att, pool, side, None)
+    dyn_part = dynconv_prototype(dyn, *select_top_features(pool, side.joints, dyn.top_count),
+                                 side)
     assert np.array_equal(proto.data, att_part.data + dyn_part.data)
 
 
@@ -224,9 +229,9 @@ def test_prototype_eval_is_deterministic():
     rng = np.random.default_rng(12)
     att, dyn = make_params(rng)
     pool = make_pool(rng)
-    label = label_row(rng.standard_normal(8))
-    a = build_prototype(att, dyn, pool, label, None)
-    b = build_prototype(att, dyn, pool, label, None)
+    side = label_side(att, dyn, label_row(rng.standard_normal(8)))
+    a = build_prototype(att, dyn, pool, side, None)
+    b = build_prototype(att, dyn, pool, side, None)
     assert np.array_equal(a.data, b.data)
 
 
@@ -235,7 +240,7 @@ def test_gradients_reach_every_parameter_group():
     att, dyn = make_params(rng)
     pool = make_pool(rng)
     label = label_row(rng.standard_normal(8), requires_grad=True)
-    proto = build_prototype(att, dyn, pool, label, None)
+    proto = build_prototype(att, dyn, pool, label_side(att, dyn, label), None)
     ad.tensor_sum(proto).backward()
     for name, p in {**att.parameters(), **dyn.parameters()}.items():
         assert p.grad is not None, name
@@ -365,7 +370,7 @@ def test_batched_prototypes_match_the_per_label_loop(case, caplog):
         return np.random.default_rng(5) if training else None
 
     def batched():
-        return build_prototype(att, dyn, pools, joints, rng())
+        return build_prototype(att, dyn, pools, label_side(att, dyn, joints), rng())
 
     def looped():
         # label i gets row i of the one draw the batched dropout makes
@@ -379,7 +384,7 @@ def test_batched_prototypes_match_the_per_label_loop(case, caplog):
     _, counts = select_top_features(pools, joints, dyn.top_count)
     assert counts.tolist() == [4, 2, 4]        # six rows, one of them zero, still give four
     if training:
-        quiet = build_prototype(att, dyn, pools, joints, None)
+        quiet = build_prototype(att, dyn, pools, label_side(att, dyn, joints), None)
         assert not np.array_equal(quiet.data, batched().data)
     assert_close(batched().data, looped().data)
     leaves = [*att.parameters().values(), *dyn.parameters().values(), features, joints]

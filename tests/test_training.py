@@ -12,9 +12,10 @@ from mlfewshot import metrics, training, verification
 from mlfewshot.autodiff import Tensor
 from mlfewshot.episodes import EpisodePool, records_for_split, sample_episode
 from mlfewshot.errors import ConfigError, NumericError
-from mlfewshot.joint_space import JointSpaceParams
+from mlfewshot.joint_space import JointSpaceParams, project_labels
 from mlfewshot.model import FeatureStore, load_checkpoint, save_checkpoint, score_loss
 from mlfewshot.optim import Adam
+from mlfewshot.prototypes import label_side
 from mlfewshot.training import (
     TrainSettings,
     episode_losses,
@@ -169,16 +170,32 @@ def test_base_evaluation_scores_the_training_forward(tiny_trained, monkeypatch):
 
     def recording_forward(*args, **kwargs):
         out = forward(*args, **kwargs)
-        seen.append(out[1].data.copy())
+        seen.append(out.data.copy())
         return out
 
     monkeypatch.setattr(training, "episode_forward", recording_forward)
     episode_losses(model, episode, store, emb, dropout_rng=None)
     monkeypatch.undo()
-    probs, _, _ = metrics._episode_probabilities(model, episode, store, emb, "base",
+    side = label_side(model.attention, model.dynconv, project_labels(model.joint, emb))
+    probs, _, _ = metrics._episode_probabilities(model, episode, store, emb, side, "base",
                                                  0.65, None, False)
     assert len(seen) == 1
     assert np.array_equal(probs, ad._logistic(seen[0].reshape(probs.shape)))
+
+
+def test_training_builds_the_label_side_once_per_episode(tiny_data, monkeypatch):
+    # the parameters move after every step, so each episode builds its own
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return label_side(*args)
+
+    monkeypatch.setattr(training, "label_side", counting)
+    model = build_tiny_model(tiny_data["table"], seed=37)
+    train(model, tiny_data["manifest"], tiny_data["vocabulary"], tiny_data["table"],
+          TrainSettings(epochs=1, warmup_epochs=0, episodes_per_epoch=3, seed=37))
+    assert len(calls) == 3
 
 
 # ------------------------------------------------------------ training loop
