@@ -212,11 +212,11 @@ def label_side(attention: AttentionParams, dynconv: DynConvParams, joints: Tenso
                            (labels, joint, inner)))
 
 
-def attention_prototype(params: AttentionParams, pools: SupportPools, side: LabelSide,
+def attention_prototype(params: AttentionParams, pools: SupportPools, queries: Tensor,
                         rng) -> Tensor:
     """Channel-grouped cross-attention readout of each label's pool, queried
-    by that label's `side.queries` row; returns the (labels, joint_dim)
-    readouts.
+    by that label's row of the (labels, joint_dim) `queries` (a `LabelSide`'s);
+    returns the (labels, joint_dim) readouts.
 
     Head j sees the j-th channel slice of every pooled feature as both key
     and value, and the j-th slice of the label's queries as its query.  One
@@ -229,7 +229,7 @@ def attention_prototype(params: AttentionParams, pools: SupportPools, side: Labe
         raise ConfigError(
             f"pool features have dim {pools.features.shape[1]}, attention expects {joint_dim}"
         )
-    merged = ad.head_readout(pools.features, side.queries, params.heads, pools.sizes)
+    merged = ad.head_readout(pools.features, queries, params.heads, pools.sizes)
     hidden = ad.gelu(ad.linear(merged, params.mlp_w1, params.mlp_b1))
     hidden = ad.dropout(hidden, params.dropout, rng)
     return ad.linear(hidden, params.mlp_w2, params.mlp_b2)
@@ -278,24 +278,24 @@ def select_top_features(pools: SupportPools, label_joints: Tensor,
 
 
 def dynconv_prototype(params: DynConvParams, selected: Tensor, counts,
-                      side: LabelSide) -> Tensor:
+                      kernel1: Tensor, kernel2: Tensor) -> Tensor:
     """Two generated-kernel stages over each label's selected features,
     mean-combined; returns the (labels, joint_dim) outputs.
 
-    Each stage is matrix-multiply by the label's `side.kernel1` or
-    `side.kernel2`, layer norm, ReLU, applied to the (labels, width,
-    joint_dim) `selected` rows batch by batch; a label's output averages its
-    first counts[i] rows, the ones actually selected, and ignores the
-    padding after them.
+    Each stage is matrix-multiply by the label's generated kernel (a
+    `LabelSide`'s `kernel1`, then its `kernel2`), layer norm, ReLU, applied
+    to the (labels, width, joint_dim) `selected` rows batch by batch; a
+    label's output averages its first counts[i] rows, the ones actually
+    selected, and ignores the padding after them.
     """
     counts = np.asarray(counts, dtype=np.intp)
     if selected.ndim != 3 or selected.shape[1] < 1 or counts.shape != selected.shape[:1] \
             or np.any(counts < 1) or np.any(counts > selected.shape[1]):
         raise ConfigError("dynconv: needs at least one selected feature per label")
     labels, width = selected.shape[:2]
-    mid = ad.relu(ad.layer_norm(ad.linear(selected, side.kernel1),
+    mid = ad.relu(ad.layer_norm(ad.linear(selected, kernel1),
                                 params.norm1_gain, params.norm1_bias))
-    out_rows = ad.relu(ad.layer_norm(ad.linear(mid, side.kernel2),
+    out_rows = ad.relu(ad.layer_norm(ad.linear(mid, kernel2),
                                      params.norm2_gain, params.norm2_bias))
     # row i of the averaging matrix holds 1/counts[i] over label i's selected rows
     averaging = np.zeros((labels, labels, width))
@@ -311,9 +311,10 @@ def build_prototype(attention: AttentionParams, dynconv: DynConvParams,
     components: the (labels, joint_dim) matrix, in pool label order.  `side`
     is the label side of the pools' labels, in that order; `rng` draws the
     attention branch's dropout mask, None means evaluation."""
-    att_part = attention_prototype(attention, pools, side, rng)
+    att_part = attention_prototype(attention, pools, side.queries, rng)
     selected, counts = select_top_features(pools, side.joints, dynconv.top_count)
-    return ad.add(att_part, dynconv_prototype(dynconv, selected, counts, side))
+    dyn_part = dynconv_prototype(dynconv, selected, counts, side.kernel1, side.kernel2)
+    return ad.add(att_part, dyn_part)
 
 
 def simple_attention_prototype(global_joints: Tensor, label_joint: Tensor, scale: float) -> Tensor:

@@ -752,8 +752,7 @@ def test_batched_score_against_matches_per_pair_loop():
 
 
 def test_fused_head_readout_matches_per_head_loop():
-    from mlfewshot.prototypes import (SupportPools, attention_prototype, init_attention,
-                                      init_dynconv, label_side)
+    from mlfewshot.prototypes import SupportPools, attention_prototype, init_attention
     for seed, (dim, heads, count) in enumerate([(8, 2, 6), (8, 4, 1), (12, 3, 9)]):
         rng = np.random.default_rng([37, seed])
         params = init_attention(dim, heads, rng, dropout=0.3)
@@ -761,11 +760,10 @@ def test_fused_head_readout_matches_per_head_loop():
         label = Tensor(rng.standard_normal(dim), requires_grad=True)
         c = Tensor(rng.standard_normal(dim))
         pool = SupportPools(("x",), features, [count])
-        dynconv = init_dynconv(dim, 1, 1, np.random.default_rng(0))
 
         def fused_readout():
-            side = label_side(params, dynconv, ad.reshape(label, (1, dim)))
-            out = attention_prototype(params, pool, side, None)
+            queries = ad.linear(ad.reshape(label, (1, dim)), ad.concat(params.queries, axis=0))
+            out = attention_prototype(params, pool, queries, None)
             return ad.reshape(out, (dim,))
 
         _assert_close(fused_readout().data, _attention_per_head(params, features, label).data)

@@ -19,7 +19,8 @@ SPEC = {"run_seconds": 30, "workloads": [{"name": "eval-base"}],
 
 
 @pytest.fixture
-def checkouts(tmp_path):
+def checkouts(tmp_path, monkeypatch):
+    """A change and a parent checkout, the tool reading the change as its own."""
     roots = []
     for name in ("change", "parent"):
         root = tmp_path / name
@@ -27,6 +28,7 @@ def checkouts(tmp_path):
         (root / "bench" / "run.py").write_text("")
         (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
         roots.append(root.resolve())
+    monkeypatch.setattr(pairs_tool, "ROOT", roots[0])
     return roots
 
 
@@ -41,11 +43,10 @@ def stub(values, calls):
 
 
 def test_order_alternates_with_seed_parity(checkouts, capsys):
-    change, parent = checkouts
+    _, parent = checkouts
     calls = []
     values = {(side, seed): (1.0, 1) for side in ("change", "parent") for seed in (4, 5, 6)}
-    args = ["--root", str(change), "--against", str(parent), "--workload", "eval-base",
-            "--seeds", "4-6"]
+    args = ["--against", str(parent), "--workload", "eval-base", "--seeds", "4-6"]
     assert pairs_tool.main(args, run=stub(values, calls)) == 0
     assert [(side, seed) for side, seed, _ in calls] == [
         ("parent", 4), ("change", 4), ("change", 5), ("parent", 5),
@@ -66,7 +67,7 @@ def test_summary_counts_wins_and_applies_the_rule():
         runs += [{"seed": seed, "side": "parent", "metrics": {"episode_ms.p90": ms, "hits": 3}},
                  {"seed": seed, "side": "change",
                   "metrics": {"episode_ms.p90": change_ms, "hits": 3 - seed % 2}}]
-    summary = pairs_tool.summarise(runs, SPEC["end_to_end"])
+    summary = pairs_tool.summarise(runs, SPEC["end_to_end"], True)
     assert summary["pairs"] == 10
     ms = summary["metrics"]["episode_ms.p90"]
     assert ms["wins"] == 9 and ms["gain_holds"]
@@ -83,31 +84,47 @@ def test_gain_needs_ten_pairs_and_a_gap_wider_than_the_parents_spread():
                 for s, pair in enumerate(zip(parent_ms, change_ms))
                 for side, ms in zip(("parent", "change"), pair)]
 
-    few = pairs_tool.summarise(runs([2.0] * 9, [1.0] * 9), SPEC["end_to_end"])
+    few = pairs_tool.summarise(runs([2.0] * 9, [1.0] * 9), SPEC["end_to_end"], True)
     assert few["metrics"]["episode_ms.p90"]["wins"] == 9
     assert not few["metrics"]["episode_ms.p90"]["gain_holds"]
     spread = [1.0, 3.0] * 5                                   # parent quartiles 1.0 and 3.0
-    narrow = pairs_tool.summarise(runs(spread, [x - 0.1 for x in spread]), SPEC["end_to_end"])
+    narrow = pairs_tool.summarise(runs(spread, [x - 0.1 for x in spread]), SPEC["end_to_end"],
+                                  True)
     assert narrow["metrics"]["episode_ms.p90"]["wins"] == 10
     assert not narrow["metrics"]["episode_ms.p90"]["gain_holds"]
+
+
+def test_runs_off_the_benchmarks_length_never_report_a_gain(checkouts, capsys):
+    _, parent = checkouts
+    calls = []
+    values = {(side, seed): ({"parent": 2.0 + 0.01 * seed, "change": 1.0}[side], 1)
+              for side in ("change", "parent") for seed in range(1, 11)}
+    for seconds, holds in ((None, True), ("8", False)):
+        args = ["--against", str(parent), "--workload", "eval-base", "--seeds", "1-10"]
+        args += ["--seconds", seconds] if seconds else []
+        assert pairs_tool.main(args, run=stub(values, calls)) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+        ms = summary["metrics"]["episode_ms.p90"]
+        assert (summary["seconds"], ms["wins"], ms["gain_holds"]) == (
+            30 if holds else 8.0, 10, holds)
 
 
 @pytest.mark.parametrize("returncode, last_line", [
     (2, ""), (0, '{"correct": false, "attempted": 50, "failed": 0, "metrics": {}}')])
 def test_a_failed_run_exits_1(checkouts, capsys, monkeypatch, returncode, last_line):
-    change, parent = checkouts
+    _, parent = checkouts
     done = SimpleNamespace(returncode=returncode, stderr="boom",
                            stdout=f'{{"provenance": {{}}}}\n{last_line}\n')
     monkeypatch.setattr(pairs_tool.subprocess, "run", lambda command, **kwargs: done)
-    assert pairs_tool.main(["--root", str(change), "--against", str(parent),
-                            "--workload", "eval-base", "--seeds", "1-2"]) == 1
+    assert pairs_tool.main(["--against", str(parent), "--workload", "eval-base",
+                            "--seeds", "1-2"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
 
 
 def test_unknown_workload_is_a_usage_error(checkouts):
-    change, parent = checkouts
+    _, parent = checkouts
     with pytest.raises(SystemExit) as leave:
-        pairs_tool.main(["--root", str(change), "--against", str(parent),
-                         "--workload", "eval-turbo", "--seeds", "1-2"])
+        pairs_tool.main(["--against", str(parent), "--workload", "eval-turbo",
+                         "--seeds", "1-2"])
     assert leave.value.code == 2

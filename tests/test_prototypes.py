@@ -50,15 +50,27 @@ def make_params(rng, dim=8, heads=2, inner=3, top=3, dropout=0.0):
     return att, dyn
 
 
+def head_queries(att, joints):
+    """Every label's head queries, the ops `label_side` builds them with."""
+    return ad.linear(joints, ad.concat(att.queries, axis=0))
+
+
+def kernels(dyn, joints):
+    """Every label's two generated kernels, the ops `label_side` builds them with."""
+    labels, inner, dim = joints.shape[0], dyn.inner_dim, dyn.joint_dim
+    return (ad.reshape(ad.linear(joints, dyn.gen1_weight, dyn.gen1_bias), (labels, inner, dim)),
+            ad.reshape(ad.linear(joints, dyn.gen2_weight, dyn.gen2_bias), (labels, dim, inner)))
+
+
 # ---------------------------------------------------------------- attention
 
 
 def test_single_feature_pool_is_mlp_of_that_feature():
     rng = np.random.default_rng(0)
-    att, dyn = make_params(rng)
+    att, _ = make_params(rng)
     row = rng.standard_normal(8)
     pool = one_pool(row.reshape(1, 8))
-    out = attention_prototype(att, pool, label_side(att, dyn, label_row(rng.standard_normal(8))),
+    out = attention_prototype(att, pool, head_queries(att, label_row(rng.standard_normal(8))),
                               None)
     # softmax over one feature is 1, so the readout is exactly MLP(row)
     from scipy.special import erf
@@ -83,25 +95,25 @@ def test_channel_split_concat_reconstructs():
 
 def test_attention_is_permutation_invariant():
     rng = np.random.default_rng(3)
-    att, dyn = make_params(rng)
-    side = label_side(att, dyn, label_row(rng.standard_normal(8)))
+    att, _ = make_params(rng)
+    queries = head_queries(att, label_row(rng.standard_normal(8)))
     pool = make_pool(rng, count=6)
     perm = np.random.default_rng(9).permutation(6)
     shuffled = one_pool(pool.features.data[perm], "cat")
-    a = attention_prototype(att, pool, side, None)
-    b = attention_prototype(att, shuffled, side, None)
+    a = attention_prototype(att, pool, queries, None)
+    b = attention_prototype(att, shuffled, queries, None)
     assert np.allclose(a.data, b.data, atol=1e-12)
 
 
 def test_dropout_only_acts_in_training_mode():
     rng = np.random.default_rng(4)
-    att, dyn = make_params(rng, dropout=0.5)
+    att, _ = make_params(rng, dropout=0.5)
     pool = make_pool(rng)
-    side = label_side(att, dyn, label_row(rng.standard_normal(8)))
-    quiet = attention_prototype(att, pool, side, None)
-    again = attention_prototype(att, pool, side, None)
+    queries = head_queries(att, label_row(rng.standard_normal(8)))
+    quiet = attention_prototype(att, pool, queries, None)
+    again = attention_prototype(att, pool, queries, None)
     assert np.array_equal(quiet.data, again.data)
-    noisy = attention_prototype(att, pool, side, np.random.default_rng(5))
+    noisy = attention_prototype(att, pool, queries, np.random.default_rng(5))
     assert not np.array_equal(quiet.data, noisy.data)
 
 
@@ -166,12 +178,12 @@ def test_zero_label_vector_rejected():
 def test_dynconv_divides_by_actual_count():
     # a top_count larger than the pool means the mean runs over the pool
     rng = np.random.default_rng(8)
-    att, dyn = make_params(rng, top=10)
-    side = label_side(att, dyn, label_row(rng.standard_normal(8)))
+    _, dyn = make_params(rng, top=10)
+    kernel1, kernel2 = kernels(dyn, label_row(rng.standard_normal(8)))
     rows = rng.standard_normal((3, 8))
-    out3 = dynconv_prototype(dyn, Tensor(rows[None]), [3], side)
+    out3 = dynconv_prototype(dyn, Tensor(rows[None]), [3], kernel1, kernel2)
     # doubling every row duplicates the stage outputs; the mean is unchanged
-    out6 = dynconv_prototype(dyn, Tensor(np.vstack([rows, rows])[None]), [6], side)
+    out6 = dynconv_prototype(dyn, Tensor(np.vstack([rows, rows])[None]), [6], kernel1, kernel2)
     assert np.allclose(out3.data, out6.data, atol=1e-12)
 
 
@@ -188,26 +200,25 @@ def test_dynconv_zero_generators_zero_norm_bias_gives_zero():
         norm2_bias=Tensor(np.zeros(dim)),
         top_count=2,
     )
-    att = init_attention(dim, 1, np.random.default_rng(0), dropout=0.0)
     out = dynconv_prototype(dyn, Tensor(np.ones((1, 2, dim))), [2],
-                            label_side(att, dyn, label_row(np.ones(dim))))
+                            *kernels(dyn, label_row(np.ones(dim))))
     assert np.array_equal(out.data, np.zeros((1, dim)))
 
 
 def test_dynconv_output_is_nonnegative():
     rng = np.random.default_rng(9)
-    att, dyn = make_params(rng)
+    _, dyn = make_params(rng)
     out = dynconv_prototype(dyn, Tensor(rng.standard_normal((1, 4, 8))), [4],
-                            label_side(att, dyn, label_row(rng.standard_normal(8))))
+                            *kernels(dyn, label_row(rng.standard_normal(8))))
     assert np.all(out.data >= 0.0)
 
 
 def test_dynconv_rejects_empty_selection():
     rng = np.random.default_rng(10)
-    att, dyn = make_params(rng)
+    _, dyn = make_params(rng)
     with pytest.raises(ConfigError):
         dynconv_prototype(dyn, Tensor(np.zeros((1, 0, 8))), [0],
-                          label_side(att, dyn, label_row(rng.standard_normal(8))))
+                          *kernels(dyn, label_row(rng.standard_normal(8))))
 
 
 # ----------------------------------------------------------- full prototype
@@ -219,10 +230,22 @@ def test_prototype_is_exact_sum_of_parts():
     pool = make_pool(rng)
     side = label_side(att, dyn, label_row(rng.standard_normal(8)))
     proto = build_prototype(att, dyn, pool, side, None)
-    att_part = attention_prototype(att, pool, side, None)
+    att_part = attention_prototype(att, pool, side.queries, None)
     dyn_part = dynconv_prototype(dyn, *select_top_features(pool, side.joints, dyn.top_count),
-                                 side)
+                                 side.kernel1, side.kernel2)
     assert np.array_equal(proto.data, att_part.data + dyn_part.data)
+
+
+def test_label_side_is_each_branchs_label_inputs():
+    rng = np.random.default_rng(14)
+    att, dyn = make_params(rng)
+    joints = Tensor(rng.standard_normal((3, 8)))
+    side = label_side(att, dyn, joints)
+    assert side.joints is joints
+    assert np.array_equal(side.queries.data, head_queries(att, joints).data)
+    for got, want in zip((side.kernel1, side.kernel2), kernels(dyn, joints)):
+        assert np.array_equal(got.data, want.data)
+    assert side.kernel1.shape == (3, 3, 8) and side.kernel2.shape == (3, 8, 3)
 
 
 def test_prototype_eval_is_deterministic():

@@ -11,11 +11,13 @@ always runs on a warmer or a quieter machine.
 It prints one JSON line per run, as it finishes, then one summary line.  For
 each end-to-end metric of this checkout's ``BENCHMARK.json`` the summary
 gives each side's median and quartiles, the change's wins (a tie counts for
-neither side) and whether a gain holds: at least ten pairs, the change
-better in at least nine tenths of them, and the medians apart by more than
-the distance between the parent's quartiles, in the direction the metric's
-``better`` names.  A run that exits non-zero or reports ``correct: false``
-stops the tool with exit status 1.
+neither side) and whether a gain holds: runs of the benchmark's own
+``run_seconds``, at least ten pairs, the change better in at least nine
+tenths of them, and the medians apart by more than the distance between the
+parent's quartiles, in the direction the metric's ``better`` names.  Shorter
+or longer runs (``--seconds``) are for a quick look and never report a gain.
+A run that exits non-zero or reports ``correct: false`` stops the tool with
+exit status 1.
 """
 
 import argparse
@@ -65,10 +67,11 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(runs, metrics) -> dict:
+def summarise(runs, metrics, full_length) -> dict:
     """Per metric, each side's quartiles, the change's wins over the pairs
     and whether a gain holds.  `runs` are the per-run records; `metrics`
-    the ``end_to_end`` entries of BENCHMARK.json."""
+    the ``end_to_end`` entries of BENCHMARK.json; `full_length` whether the
+    runs lasted the benchmark's ``run_seconds``, without which no gain holds."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["seed"], {})[run["side"]] = run["metrics"]
@@ -84,7 +87,7 @@ def summarise(runs, metrics) -> dict:
         gain = sign * (parent["median"] - sides["change"]["median"])
         out["metrics"][name] = {
             "unit": metric["unit"], "better": metric["better"], **sides, "wins": wins,
-            "gain_holds": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+            "gain_holds": full_length and len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
             and gain > parent["q3"] - parent["q1"],
         }
     return out
@@ -112,28 +115,29 @@ def main(argv=None, run=run_bench) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, metavar="A-B")
     parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--root", type=Path, default=ROOT, help=argparse.SUPPRESS)
+                        help="run length (default: BENCHMARK.json's run_seconds; "
+                             "any other length never reports a gain)")
     args = parser.parse_args(argv)
-    for root in (args.root, args.against):
+    for root in (ROOT, args.against):
         if not (root / "bench" / "run.py").is_file():
             parser.error(f"{root} holds no bench/run.py")
     try:
         seeds = parse_seeds(args.seeds)
     except ValueError as bad:
         parser.error(f"--seeds: {bad}")
-    spec = json.loads((args.root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         parser.error(f"--workload: {args.workload!r} is not a workload of BENCHMARK.json")
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     try:
-        runs = pairs(run, args.root.resolve(), args.against.resolve(), args.workload, seeds,
-                     seconds)
+        runs = pairs(run, ROOT, args.against.resolve(), args.workload, seeds, seconds)
     except RunFailed as failed:
         print(f"error: {failed}", file=sys.stderr)
         return 1
     print(json.dumps({"summary": {"workload": args.workload, "seconds": seconds,
-                                  **summarise(runs, spec["end_to_end"])}}, sort_keys=True))
+                                  **summarise(runs, spec["end_to_end"],
+                                              seconds == spec["run_seconds"])}},
+                     sort_keys=True))
     return 0
 
 
