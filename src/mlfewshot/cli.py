@@ -22,6 +22,7 @@ from .config import (
 from .embeddings import embed_labels, load_vocabulary, parse_embedding_file
 from .episodes import load_manifest, make_synthetic
 from .errors import ConfigError, DataError, NumericError
+from .joint_space import project_labels
 from .lcm import select_cells, write_importance_grid, write_selection_mask
 from .metrics import EVAL_MODES, evaluate
 from .model import FeatureStore, atomic_open, init_model, load_checkpoint, save_checkpoint
@@ -66,8 +67,8 @@ def _prepare(args):
 
 
 def _load_model(cfg, store, table):
-    """Load the checkpoint and check that its two projections take the
-    widths of this run's feature maps and word vectors."""
+    """Load the checkpoint; check that its projections take the widths of
+    the run's maps and word vectors, and that it has the config's sizes."""
     model, extras = load_checkpoint(cfg.checkpoint)
     for name, tensor, width, what in (
             ("joint.visual", model.joint.visual, store.shape[0], "feature channels"),
@@ -75,6 +76,13 @@ def _load_model(cfg, store, table):
         if tensor.shape[1] != width:
             raise DataError(f"checkpoint {cfg.checkpoint}: {name} takes {tensor.shape[1]} "
                             f"{what}, but the data has {width}")
+    for name, value in (("d_j", model.joint.visual.shape[0]), ("n_heads", model.attention.heads),
+                        ("d_c", model.dynconv.inner_dim), ("n_d", model.dynconv.top_count),
+                        ("lambda_", model.joint.scale), ("dropout", model.attention.dropout)):
+        if value != getattr(cfg, name):
+            key = name.rstrip("_")
+            raise ConfigError(f"checkpoint {cfg.checkpoint} has {key} {value}, but the run "
+                              f"config has {key} {getattr(cfg, name)}")
     return model, extras
 
 
@@ -186,10 +194,10 @@ def cmd_inspect_lcm(args) -> int:
     split = vocabulary.split_of(record.labels[0])
     labels = list(vocabulary.labels_for(split))
     targets = [1.0 if label in record.labels else 0.0 for label in labels]
-    selection = select_cells(
-        model.joint, store.get(args.image)[None], [targets],
-        embed_labels(table, labels, normalize=cfg.normalize_embeddings), cfg.lcm_config(),
-        cfg.theta, trained=model.trained)
+    label_joints = project_labels(
+        model.joint, embed_labels(table, labels, normalize=cfg.normalize_embeddings)).data
+    selection = select_cells(model.joint, store.get(args.image)[None], [targets], label_joints,
+                             cfg.lcm_config(), cfg.theta, trained=model.trained)
 
     importance_path = out_dir / f"importance_{args.image}.txt"
     sigma_path = out_dir / f"sigma_{args.image}.txt"

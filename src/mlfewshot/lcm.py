@@ -2,12 +2,13 @@
 
 Each support image gets a grid of importance weights, fitted at test time
 by minimizing that image's class-mapping loss under weighted pooling with
-everything else frozen.  A dataset has one map shape, so one fit takes an
-episode's (n, c, h, w) support stack.  A first-order estimate of how much
-the loss would change if a cell were removed, |w * d loss / d w| (the
-Taylor criterion of Molchanov et al., CVPR 2019), is tracked with a
-momentum accumulator, and `select_cells` keeps the cells whose sigmoided
-accumulator clears a threshold.
+everything else frozen, against the initial prototypes: the label vectors
+in the joint space, which callers take from their run's label side.  A
+dataset has one map shape, so one fit takes an episode's (n, c, h, w)
+stack.  A first-order estimate of how much the loss would change if a cell
+were removed, |w * d loss / d w| (the Taylor criterion of Molchanov et al.,
+CVPR 2019), is tracked with a momentum accumulator, and `select_cells`
+keeps the cells whose sigmoided accumulator clears a threshold.
 
 The fit needs only the loss's gradient in the weights, which has a closed
 form (pooling is linear in the weights), so it runs in plain numpy with no
@@ -95,14 +96,14 @@ def momentum_update(accumulator: np.ndarray, grid: np.ndarray, iteration: int) -
     return alpha * np.asarray(accumulator, dtype=np.float64) + (1.0 - alpha) * np.asarray(grid, dtype=np.float64)
 
 
-def _image_loss_gradient(joint: JointSpaceParams, fmaps: np.ndarray, targets,
-                         label_embeddings):
+def _image_loss_gradient(joint: JointSpaceParams, fmaps: np.ndarray, targets, label_joints):
     """Closed-form d loss / d importance of each image's CM loss under
     weighted pooling, for every image of an (n, c, h, w) stack with
-    (n, labels) targets, as a function of the (n, h, w) weights.
+    (n, labels) targets against the (labels, joint_dim) `label_joints`, as
+    a function of the (n, h, w) weights.
 
     Per image, with M = visual @ fmap_flat / cells, v = M w, unit label
-    vectors u_l, cosines c_l = u_l . v / |v| and residuals
+    joints u_l, cosines c_l = u_l . v / |v| and residuals
     r_l = sigma(scale * c_l) - y_l:
     d loss / d v = (scale / |v|) * (sum_l r_l u_l - (r . c) v / |v|) and
     d loss / d w = M^T (d loss / d v).
@@ -115,7 +116,6 @@ def _image_loss_gradient(joint: JointSpaceParams, fmaps: np.ndarray, targets,
     cells = height * width
     pooling = np.matmul(joint.visual.data, fmaps.reshape(count, channels, cells)) / cells
     pooling_t = pooling.transpose(0, 2, 1)
-    label_joints = np.asarray(label_embeddings, dtype=np.float64) @ joint.text.data.T
     label_norms = np.linalg.norm(label_joints, axis=1)
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != (count, label_norms.shape[0]):
@@ -143,12 +143,13 @@ def _image_loss_gradient(joint: JointSpaceParams, fmaps: np.ndarray, targets,
     return gradient
 
 
-def fit_importance(joint: JointSpaceParams, fmaps: np.ndarray, targets, label_embeddings,
-                   config: LcmConfig, *, trained: bool) -> tuple[np.ndarray, np.ndarray]:
+def fit_importance(joint: JointSpaceParams, fmaps: np.ndarray, targets, label_joints,
+                   config: LcmConfig) -> tuple[np.ndarray, np.ndarray]:
     """Fit the importance weights of an (n, c, h, w) stack of support maps,
-    one grid per image, with the model frozen; `targets` is (n, labels).
-    Returns the (n, h, w) weights in [0, 1] and the (n, h, w) momentum-
-    smoothed loss-change grids, which are nonnegative.
+    one grid per image, with the model frozen, against the (labels, joint_dim)
+    `label_joints`; `targets` is (n, labels).  Returns the (n, h, w) weights
+    in [0, 1] and the (n, h, w) momentum-smoothed loss-change grids, which
+    are nonnegative.
 
     Per epoch: one Adam step on the weights minimizing each image's CM loss
     under weighted pooling, clamp to [0, 1] and normalize each grid, then
@@ -158,13 +159,11 @@ def fit_importance(joint: JointSpaceParams, fmaps: np.ndarray, targets, label_em
     Images do not interact: every operation is elementwise or per image, so
     each image's grids are bitwise those of a stack of that image alone.
     """
-    if not trained:
-        raise ConfigError("untrained-model: importance weights are fitted on a trained model")
     fmaps = np.asarray(fmaps, dtype=np.float64)
     if fmaps.ndim != 4:
         raise ConfigError(f"fit_importance: expected an (n, c, h, w) stack of feature maps, "
                           f"got {fmaps.shape}")
-    gradient = _image_loss_gradient(joint, fmaps, targets, label_embeddings)
+    gradient = _image_loss_gradient(joint, fmaps, targets, label_joints)
     weights = Tensor(np.ones((fmaps.shape[0], *fmaps.shape[2:])))
     accumulator = np.zeros(weights.shape)
     optimizer = Adam({"importance": weights}, lr=config.learning_rate)
@@ -179,16 +178,18 @@ def fit_importance(joint: JointSpaceParams, fmaps: np.ndarray, targets, label_em
     return weights.data.copy(), accumulator
 
 
-def select_cells(joint: JointSpaceParams, fmaps, targets, label_embeddings,
+def select_cells(joint: JointSpaceParams, fmaps, targets, label_joints,
                  config: LcmConfig, theta: float, *, trained: bool) -> Selection:
     """Fit an (n, c, h, w) stack of support maps with (n, labels) `targets`
-    in one `fit_importance` call and keep each map's cells whose
-    sigma(accumulator) >= theta, as one Selection of (n, h, w) grids.  A grid
-    that keeps nothing becomes all-true; callers report the fallbacks.  The
-    accumulator is nonnegative, so theta 0.5 keeps every cell: the base model."""
+    against the (labels, joint_dim) `label_joints` of a trained model in one
+    `fit_importance` call and keep each map's cells whose sigma(accumulator)
+    >= theta, as one Selection of (n, h, w) grids.  A grid that keeps nothing
+    becomes all-true; callers report the fallbacks.  The accumulator is
+    nonnegative, so theta 0.5 keeps every cell: the base model."""
+    if not trained:
+        raise ConfigError("untrained-model: importance weights are fitted on a trained model")
     validate_threshold(theta)
-    importance, accumulator = fit_importance(joint, fmaps, targets, label_embeddings, config,
-                                             trained=trained)
+    importance, accumulator = fit_importance(joint, fmaps, targets, label_joints, config)
     sigma = ad._logistic(accumulator)
     mask = sigma >= theta
     fell_back = ~mask.any(axis=GRID_AXES)

@@ -125,11 +125,11 @@ class MetricsReport:
         }
 
 
-def _episode_probabilities(model: ModelState, episode, store, label_embeddings, side: LabelSide,
+def _episode_probabilities(model: ModelState, episode, store, side: LabelSide,
                            mode, theta, lcm_config, collect_detail):
     """Score every query image against every episode label; returns
     (probability matrix, detail rows, per-support-mask fallback flags).
-    `side` is the run's label side; lcm mode fits against the embeddings."""
+    `side` is the run's label side; lcm mode fits against its joints."""
     shape = (len(episode.query_ids), len(episode.labels))
     detail, fell_back = [], []
     if mode in ("base", "lcm"):
@@ -137,7 +137,7 @@ def _episode_probabilities(model: ModelState, episode, store, label_embeddings, 
         masks = None
         if mode == "lcm":
             selection = select_cells(model.joint, fmaps, episode.support_targets,
-                                     label_embeddings, lcm_config, theta, trained=model.trained)
+                                     side.joints.data, lcm_config, theta, trained=model.trained)
             masks, fell_back = selection.mask, selection.fell_back
             if collect_detail:
                 detail = [{"image_id": image_id, "sigma": selection.sigma[i], "mask": masks[i],
@@ -159,44 +159,35 @@ def _episode_probabilities(model: ModelState, episode, store, label_embeddings, 
 
 
 def evaluate(model: ModelState, manifest, vocabulary, table, *, split, episodes, k_shot,
-             seed, mode, theta, lcm_config: LcmConfig | None, store=None,
+             seed, mode, theta, lcm_config: LcmConfig, store: FeatureStore,
              normalize_embeddings, collect_detail=False,
              threads) -> tuple[MetricsReport, list]:
-    """Evaluate over seeded episodes of the given split.
+    """Evaluate seeded episodes of `split`, reading maps through the run's `store`.
 
     Episode sampling depends only on (seed, episode index), so different
     modes at the same seed see identical episodes.  "lcm" mode fits with
-    `lcm_config` and selects at `theta`; other modes may pass None.  Detail
-    rows carry the per-support-image importance data in "lcm" mode when
-    asked.  Support masks that fall back to keep-all are summarised in one
-    warning.
+    `lcm_config` against the label side's joints and selects at `theta`;
+    the other modes ignore both.  Detail rows carry the per-support-image
+    importance data in "lcm" mode when asked.  Support masks that fall back
+    to keep-all are summarised in one warning.  `RunConfig.validate` owns
+    the rules on `episodes` and `threads`.
     """
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown-mode: {mode!r} is not one of {EVAL_MODES}")
-    if mode == "lcm" and lcm_config is None:
-        raise ConfigError("lcm mode needs an lcm_config to fit importance with, got None")
-    if episodes < 1:
-        raise ConfigError(f"episodes must be >= 1, got {episodes}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    if store is None:
-        store = FeatureStore(manifest)
     labels = list(vocabulary.labels_for(split))
     if not labels:
         raise ConfigError(f"split {split!r} has no labels")
     record_pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, split))
-    label_embeddings = embed_labels(table, labels, normalize=normalize_embeddings)
     # a frozen model and episodes that carry all of the split's labels: one side serves them all
-    side = label_side(model.attention, model.dynconv,
-                      project_labels(model.joint, label_embeddings))
+    side = label_side(model.attention, model.dynconv, project_labels(
+        model.joint, embed_labels(table, labels, normalize=normalize_embeddings)))
 
     def run_episode(idx):
         episode = sample_episode_with_retries(
             manifest, record_pool, labels, k_shot,
             lambda attempt: seeding.substream(seed, "eval", idx, attempt))
         probs, detail, fell_back = _episode_probabilities(
-            model, episode, store, label_embeddings, side, mode, theta, lcm_config,
-            collect_detail)
+            model, episode, store, side, mode, theta, lcm_config, collect_detail)
         targets = episode.query_targets
         per_label = per_label_average_precision(probs, targets, episode.labels)
         row = {

@@ -244,9 +244,8 @@ def select_top_features(pools: SupportPools, label_joints: Tensor,
     the (labels, width, joint_dim) selected rows, width the most any label
     selected, and each label's count: label i's first counts[i] rows are
     its picks in similarity order, the rest repeat its first pick as padding.
+    `top_count` is at least one: `init_dynconv` checks it.
     """
-    if top_count < 1:
-        raise ConfigError(f"top_count must be >= 1, got {top_count}")
     values = pools.features.data
     joints = label_joints.data
     label_norms = np.sqrt(np.add.reduce(joints * joints, axis=1))

@@ -96,19 +96,16 @@ def episode_losses(model: ModelState, episode, store, label_embeddings, *, dropo
 
 
 def train(model: ModelState, manifest, vocabulary, table, settings: TrainSettings,
-          *, store=None, optimizer=None, log_path=None) -> TrainResult:
-    """Run episodic training from model.epoch up to settings.epochs.
+          *, store: FeatureStore, optimizer: Adam, log_path=None) -> TrainResult:
+    """Run episodic training from model.epoch up to settings.epochs, stepping
+    the caller's `optimizer`, fresh or restored to resume, over the model.
 
     Deterministic for a fixed seed: episode sampling, dropout, and parameter
     updates all draw from named substreams of settings.seed.
     """
-    if store is None:
-        store = FeatureStore(manifest)
     # a loaded checkpoint holds frozen parameters; training needs their gradients
     for p in model.named_parameters().values():
         p.requires_grad = True
-    if optimizer is None:
-        optimizer = Adam(model.named_parameters(), settings.lr)
     base_labels = list(vocabulary.base)
     if not base_labels:
         raise ConfigError("no base labels to train on")

@@ -387,7 +387,7 @@ def lcm_gradient_max_error() -> float:
         return _image_loss(frozen, fmap_t, targets, label_joints, Tensor(weights)).item()
 
     analytic = lcm._image_loss_gradient(joint, fmap[None], targets[None],
-                                        label_embeddings)(weights[None])[0]
+                                        label_joints.data)(weights[None])[0]
     return _central_difference_error(loss_value, weights, analytic)
 
 

@@ -36,11 +36,12 @@ from mlfewshot.metrics import (
     micro_average_precision,
     per_label_average_precision,
 )
-from mlfewshot.model import init_model, load_checkpoint, save_checkpoint
+from mlfewshot.model import FeatureStore, init_model, load_checkpoint, save_checkpoint
 from mlfewshot.optim import Adam
-from mlfewshot.training import TrainSettings, train
+from mlfewshot.training import TrainSettings
 from mlfewshot.verification import _frozen_view, _image_loss, weighted_pool
 
+from conftest import run_train
 from oracles import validate_episode
 
 DESK = RunConfig()                     # d_j 64, 8 heads, d_c 16, n_d 8, 30 epochs
@@ -86,7 +87,7 @@ def _build(tmp_path_factory, tag, knobs, episodes_per_epoch) -> Bundle:
                              lr=DESK.lr, gamma=DESK.gamma, seed=TRAIN_SEED)
     log_path = root / "training_log.csv"
     started = time.monotonic()
-    train(model, manifest, vocabulary, table, settings, log_path=log_path)
+    run_train(model, manifest, vocabulary, table, settings, log_path=log_path)
     elapsed = time.monotonic() - started
     checkpoint = root / "model.ckpt"
     save_checkpoint(checkpoint, model)
@@ -108,9 +109,9 @@ def noisy_bundle(tmp_path_factory):
 def _novel_report(bundle, mode, episodes=TEST_EPISODES, theta=0.65, detail=False):
     return evaluate(bundle.model, bundle.manifest, bundle.vocabulary, bundle.table,
                     split="novel", episodes=episodes, k_shot=1, seed=EVAL_SEED,
-                    mode=mode, theta=theta,
-                    lcm_config=LcmConfig(threshold=theta) if mode == "lcm" else None,
-                    normalize_embeddings=False, collect_detail=detail, threads=4)
+                    mode=mode, theta=theta, lcm_config=LcmConfig(threshold=theta),
+                    store=FeatureStore(bundle.manifest), normalize_embeddings=False,
+                    collect_detail=detail, threads=4)
 
 
 # -------------------------------------------------------------- gradient verification
@@ -177,11 +178,10 @@ def test_loss_change_taylor_matches_definition_exact_and_numeric():
     targets = np.array([1.0, 0.0])
     label_embeddings = rng.standard_normal((2, 5))
     rho = rng.uniform(0.3, 1.0, size=(3, 3))
-    gradient = _image_loss_gradient(joint, fmap[None], targets[None], label_embeddings)
-    grid = np.abs(rho * gradient(rho[None])[0])
-
     frozen = _frozen_view(joint)
     joints = project_labels(frozen, label_embeddings)
+    gradient = _image_loss_gradient(joint, fmap[None], targets[None], joints.data)
+    grid = np.abs(rho * gradient(rho[None])[0])
 
     def loss_at(weights):
         return _image_loss(frozen, Tensor(fmap), targets, joints, Tensor(weights)).item()
@@ -366,12 +366,12 @@ def _short_training(tmp_path, seed=5):
     settings = TrainSettings(epochs=2, warmup_epochs=1, episodes_per_epoch=2,
                              k_shot=1, lr=0.001, gamma=1.0, seed=seed)
     optimizer = Adam(model.named_parameters(), settings.lr)
-    train(model, manifest, vocabulary, table, settings, optimizer=optimizer)
+    run_train(model, manifest, vocabulary, table, settings, optimizer=optimizer)
     checkpoint = tmp_path / "model.ckpt"
     save_checkpoint(checkpoint, model, optimizer=optimizer)
     report, _ = evaluate(model, manifest, vocabulary, table, split="novel", episodes=3,
-                         k_shot=1, seed=seed, mode="base", theta=0.65, lcm_config=None,
-                         normalize_embeddings=False, threads=1)
+                         k_shot=1, seed=seed, mode="base", theta=0.65, lcm_config=LcmConfig(),
+                         store=FeatureStore(manifest), normalize_embeddings=False, threads=1)
     return checkpoint.read_bytes(), json.dumps(report.to_dict(), sort_keys=True)
 
 

@@ -18,11 +18,13 @@ from mlfewshot.config import PATH_KEYS
 from mlfewshot.embeddings import embed_labels, load_vocabulary, parse_embedding_file
 from mlfewshot.episodes import load_manifest, make_synthetic
 from mlfewshot.features import load_feature_file, write_feature_file
+from mlfewshot.joint_space import project_labels
 from mlfewshot.lcm import LcmConfig, select_cells, write_importance_grid, write_selection_mask
 from mlfewshot.model import CHECKPOINT_MAGIC, init_model, load_checkpoint, save_checkpoint
 
-TRAIN_FLAGS = ["--d_j", "8", "--n_heads", "2", "--d_c", "4", "--n_d", "4",
-               "--epochs", "2", "--warmup_epochs", "1", "--episodes_per_epoch", "2",
+# the pipeline model's sizes; a run on its checkpoint must state them
+MODEL_FLAGS = ["--d_j", "8", "--n_heads", "2", "--d_c", "4", "--n_d", "4"]
+TRAIN_FLAGS = [*MODEL_FLAGS, "--epochs", "2", "--warmup_epochs", "1", "--episodes_per_epoch", "2",
                "--seed", "3"]
 
 
@@ -80,7 +82,7 @@ def test_train_outputs(pipeline):
 @pytest.mark.parametrize("mode", ["base", "lcm", "zeroshot", "simple-attention"])
 def test_eval_modes(pipeline, mode, capsys):
     _, run, paths = pipeline
-    code = main(["eval", *paths, "--mode", mode, "--split", "novel",
+    code = main(["eval", *paths, *MODEL_FLAGS, "--mode", mode, "--split", "novel",
                  "--eval_episodes", "2", "--seed", "3"])
     assert code == 0
     out = capsys.readouterr().out
@@ -94,7 +96,7 @@ def test_eval_modes(pipeline, mode, capsys):
 
 def test_eval_reports_same_run_id_as_train(pipeline):
     _, run, paths = pipeline
-    assert main(["eval", *paths, "--eval_episodes", "1", "--seed", "3"]) == 0
+    assert main(["eval", *paths, *MODEL_FLAGS, "--eval_episodes", "1", "--seed", "3"]) == 0
     train_id = json.loads((run / "run_manifest.json").read_text())["run_id"]
     # eval overrides eval_episodes, which is part of the semantic config,
     # so its id may differ; rerunning with the training value must agree
@@ -175,7 +177,8 @@ def test_each_feature_file_is_read_at_most_once(pipeline, tmp_path, monkeypatch)
         if getattr(module, "load_feature_file", None) is original:
             monkeypatch.setattr(module, "load_feature_file", counting)
     for argv in (["train", *run_flags(paths, tmp_path), *TRAIN_FLAGS],
-                 ["eval", *run_flags(paths, tmp_path), "--mode", "lcm", "--eval_episodes", "2"]):
+                 ["eval", *run_flags(paths, tmp_path), *MODEL_FLAGS, "--mode", "lcm",
+                  "--eval_episodes", "2"]):
         reads.clear()
         assert main(argv) == 0
         assert reads and max(reads.values()) == 1, argv[0]
@@ -189,6 +192,25 @@ class SavedState:
 
     def state_tensors(self):
         return self.tensors
+
+
+@pytest.mark.parametrize("key,value,saved", [
+    ("d_j", "16", "8"), ("n_heads", "4", "2"), ("d_c", "3", "4"), ("n_d", "5", "4"),
+    ("lambda", "5.0", "10.0"), ("dropout", "0.2", "0.1")])
+def test_a_config_that_does_not_match_the_checkpoint_exits_1(pipeline, tmp_path, capsys,
+                                                             key, value, saved):
+    # the artifacts record the run config, so it must be the loaded model's
+    _, run, paths = pipeline
+    shutil.copy(run / "model.ckpt", tmp_path / "model.ckpt")
+    before = (tmp_path / "model.ckpt").read_bytes()
+    for argv in (["train", "--resume", *TRAIN_FLAGS, "--epochs", "3"],
+                 ["eval", *MODEL_FLAGS, "--eval_episodes", "1"]):
+        assert main([argv[0], *run_flags(paths, tmp_path), *argv[1:], f"--{key}", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and \
+            f"has {key} {saved}, but the run config has {key} {value}" in err, argv[0]
+    assert (tmp_path / "model.ckpt").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 @pytest.mark.parametrize("corrupt", ["missing", "shape", "none"])
@@ -220,7 +242,7 @@ def test_resume_with_bad_optimizer_state_exits_2(pipeline, tmp_path, capsys, cor
 
 def test_inspect_lcm_writes_grids(pipeline, capsys):
     _, run, paths = pipeline
-    code = main(["inspect-lcm", *paths, "--image", "img00000"])
+    code = main(["inspect-lcm", *paths, *MODEL_FLAGS, "--image", "img00000"])
     assert code == 0
     out = capsys.readouterr().out
     assert "image img00000 (base)" in out
@@ -242,13 +264,14 @@ def test_inspect_lcm_grids_are_select_cells_on_one_map(pipeline, tmp_path, capsy
     def select(theta):
         return select_cells(
             model.joint, fmap[None], [[float(label in record.labels) for label in labels]],
-            embed_labels(table, labels, normalize=False), LcmConfig(), theta,
-            trained=model.trained)
+            project_labels(model.joint, embed_labels(table, labels, normalize=False)).data,
+            LcmConfig(), theta, trained=model.trained)
 
     theta = float(np.median(select(0.5).sigma))
     selection = select(theta)
     assert 0 < selection.mask.sum() < selection.mask.size    # cells kept and dropped
-    assert main(["inspect-lcm", *paths, "--image", "img00000", "--theta", repr(theta)]) == 0
+    assert main(["inspect-lcm", *paths, *MODEL_FLAGS, "--image", "img00000",
+                 "--theta", repr(theta)]) == 0
     assert f"kept {selection.mask.sum()}/{selection.mask.size} cells" in capsys.readouterr().out
     write_importance_grid(tmp_path / "importance.txt", selection.importance[0])
     write_importance_grid(tmp_path / "sigma.txt", selection.sigma[0])
@@ -319,10 +342,10 @@ def full_episodes(tmp_path_factory):
 @pytest.mark.parametrize("reshape", [lambda fmap: fmap[:-1], lambda fmap: fmap[:, :-1]],
                          ids=["one-channel-fewer", "cropped-grid"])
 @pytest.mark.parametrize("command,image", [
-    (["eval", "--mode", "base"], "img00019"),
-    (["eval", "--mode", "lcm"], "img00019"),
+    (["eval", *MODEL_FLAGS, "--mode", "base"], "img00019"),
+    (["eval", *MODEL_FLAGS, "--mode", "lcm"], "img00019"),
     (["train", *TRAIN_FLAGS], "img00001"),
-    (["inspect-lcm", "--image", "img00001"], "img00001"),
+    (["inspect-lcm", *MODEL_FLAGS, "--image", "img00001"], "img00001"),
 ], ids=["eval-base", "eval-lcm", "train", "inspect-lcm"])
 def test_a_map_of_another_shape_exits_2_naming_it(pipeline, full_episodes, tmp_path, capsys,
                                                   command, image, reshape):
@@ -377,7 +400,7 @@ def test_eval_of_a_checkpoint_that_does_not_fit_exits_2(pipeline, tmp_path, caps
     given = dict(zip(paths[::2], paths[1::2]), **{"--checkpoint": str(spare),
                                                    "--output": str(tmp_path / "out")})
     argv = [part for pair in given.items() for part in pair]
-    assert main(["eval", *argv, "--eval_episodes", "1"]) == 2
+    assert main(["eval", *argv, *MODEL_FLAGS, "--eval_episodes", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and fragment in err
     assert "Traceback" not in err
@@ -417,7 +440,7 @@ def test_config_file_with_flag_override(pipeline, tmp_path, capsys):
     _, run, paths = pipeline
     cfg = tmp_path / "run.cfg"
     cfg.write_text("eval_episodes = 2   # file value\nseed = 3\n")
-    assert main(["eval", *paths, "--config", str(cfg),
+    assert main(["eval", *paths, *MODEL_FLAGS, "--config", str(cfg),
                  "--eval_episodes", "1"]) == 0
     payload = json.loads((run / "report_base.json").read_text())
     assert payload["report"]["episodes"] == 1       # flag beat the file

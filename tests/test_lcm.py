@@ -32,13 +32,17 @@ def toy_joint(channels=4, embed=3, joint=5, seed=0, scale=10.0):
     return init_joint_space(channels, embed, joint, scale, np.random.default_rng(seed))
 
 
-def tape_gradient(joint, fmap, targets, embeds, weights):
+def prototypes(joint, embeds):
+    """The label vectors in the joint space, which the fit scores against."""
+    return project_labels(joint, embeds).data
+
+
+def tape_gradient(joint, fmap, targets, label_joints, weights):
     """d loss / d weights of the taped image loss: the reference the
     closed-form gradient must match."""
-    frozen = _frozen_view(joint)
     leaf = Tensor(np.array(weights, copy=True), requires_grad=True)
-    _image_loss(frozen, Tensor(fmap), np.asarray(targets, dtype=np.float64),
-                project_labels(frozen, embeds), leaf).backward()
+    _image_loss(_frozen_view(joint), Tensor(fmap), np.asarray(targets, dtype=np.float64),
+                Tensor(label_joints), leaf).backward()
     return leaf.grad
 
 
@@ -155,13 +159,13 @@ def test_taylor_matches_autodiff_direct():
     joint = toy_joint()
     fmap = rng.standard_normal((4, 2, 3))
     targets = np.array([1.0, 0.0])
-    embeds = rng.standard_normal((2, 3))
+    labels = prototypes(joint, rng.standard_normal((2, 3)))
     rho = rng.uniform(0.2, 1.0, size=(2, 3))
-    gradient = _image_loss_gradient(joint, fmap[None], targets[None], embeds)
+    gradient = _image_loss_gradient(joint, fmap[None], targets[None], labels)
     grid = np.abs(rho * gradient(rho[None])[0])
     assert grid.shape == (2, 3)
     assert np.all(grid >= 0.0)
-    want = np.abs(rho * tape_gradient(joint, fmap, targets, embeds, rho))
+    want = np.abs(rho * tape_gradient(joint, fmap, targets, labels, rho))
     assert np.max(np.abs(grid - want)) <= 1e-12
 
 
@@ -208,7 +212,7 @@ def test_exact_loss_change_is_abs_difference():
 # ------------------------------------------------ closed form against the tape
 
 
-def tape_fit(joint, fmap, targets, embeds, config):
+def tape_fit(joint, fmap, targets, labels, config):
     """The taped fitting loop: one tape for each Adam step and one more for
     each loss-change grid."""
     weights = Tensor(np.ones(fmap.shape[1:]), requires_grad=True)
@@ -216,11 +220,11 @@ def tape_fit(joint, fmap, targets, embeds, config):
     optimizer = Adam({"importance": weights}, lr=config.learning_rate)
     for iteration in range(1, config.epochs + 1):
         optimizer.zero_grad()
-        weights.grad = tape_gradient(joint, fmap, targets, embeds, weights.data)
+        weights.grad = tape_gradient(joint, fmap, targets, labels, weights.data)
         optimizer.step()
         np.clip(weights.data, 0.0, 1.0, out=weights.data)
         weights.data[...] = normalize_importance(weights.data)
-        grid = np.abs(weights.data * tape_gradient(joint, fmap, targets, embeds, weights.data))
+        grid = np.abs(weights.data * tape_gradient(joint, fmap, targets, labels, weights.data))
         accumulator = momentum_update(accumulator, grid, iteration)
     return weights.data, accumulator
 
@@ -241,11 +245,11 @@ def test_closed_form_gradient_matches_tape(n_labels, kind):
         joint = toy_joint(seed=trial)
         h, w = rng.integers(1, 5, size=2)
         fmap = rng.standard_normal((4, h, w)) * rng.uniform(0.5, 3.0)
-        embeds = rng.standard_normal((n_labels, 3))
+        labels = prototypes(joint, rng.standard_normal((n_labels, 3)))
         targets = random_targets(rng, n_labels, kind)
         weights = rng.uniform(0.0, 1.0, size=(h, w))
-        want = tape_gradient(joint, fmap, targets, embeds, weights)
-        got = _image_loss_gradient(joint, fmap[None], targets[None], embeds)(weights[None])
+        want = tape_gradient(joint, fmap, targets, labels, weights)
+        got = _image_loss_gradient(joint, fmap[None], targets[None], labels)(weights[None])
         assert got.shape == (1, h, w)
         assert np.max(np.abs(got[0] - want)) <= 1e-12
 
@@ -256,24 +260,22 @@ def test_fit_matches_taped_reference_loop(n_labels):
     for trial in range(3):
         joint = toy_joint(seed=trial)
         fmap = rng.standard_normal((4, 3, 3)) * 2.0
-        embeds = rng.standard_normal((n_labels, 3))
+        labels = prototypes(joint, rng.standard_normal((n_labels, 3)))
         targets = random_targets(rng, n_labels, "mixed")
         config = LcmConfig(epochs=20)
-        importance, accumulator = tape_fit(joint, fmap, targets, embeds, config)
-        fitted, smoothed = fit_importance(joint, fmap[None], targets[None], embeds, config,
-                                          trained=True)
+        importance, accumulator = tape_fit(joint, fmap, targets, labels, config)
+        fitted, smoothed = fit_importance(joint, fmap[None], targets[None], labels, config)
         assert np.max(np.abs(fitted[0] - importance)) <= 1e-12
         assert np.max(np.abs(smoothed[0] - accumulator)) <= 1e-12
 
 
-def per_image_fit(joint, fmap, targets_row, embeds, config):
+def per_image_fit(joint, fmap, targets_row, label_joints, config):
     """One image's closed-form fit on its own (h, w) grid, with the
     one-image products and the one-grid normalization written out: the
     loop a stacked fit must reproduce bitwise for each image."""
     channels, height, width = fmap.shape
     cells = height * width
     pooling = joint.visual.data @ fmap.reshape(channels, cells) / cells
-    label_joints = embeds @ joint.text.data.T
     units = label_joints / np.linalg.norm(label_joints, axis=1)[:, None]
 
     def gradient(w):
@@ -320,15 +322,16 @@ def test_stacked_fit_matches_per_image_loop_bitwise():
     rng = np.random.default_rng(13)
     joint = toy_joint()
     fmaps, targets, embeds = mixed_stack(rng)
+    labels = prototypes(joint, embeds)
     config = LcmConfig(epochs=20)
-    fitted, smoothed = fit_importance(joint, fmaps, targets, embeds, config, trained=True)
+    fitted, smoothed = fit_importance(joint, fmaps, targets, labels, config)
     assert fitted.shape == smoothed.shape == (3, 3, 3)
     assert np.all(fitted[1] == 1.0)                      # the constant grid
     fallbacks = set()
     for theta in (0.5, 0.55, 0.6, 0.65, 0.9):
-        selection = select_cells(joint, fmaps, targets, embeds, config, theta, trained=True)
+        selection = select_cells(joint, fmaps, targets, labels, config, theta, trained=True)
         for i in range(len(fmaps)):
-            importance, accumulator = per_image_fit(joint, fmaps[i], targets[i], embeds, config)
+            importance, accumulator = per_image_fit(joint, fmaps[i], targets[i], labels, config)
             assert np.array_equal(fitted[i], importance)
             assert np.array_equal(smoothed[i], accumulator)
             assert np.array_equal(selection.importance[i], importance)
@@ -344,31 +347,32 @@ def test_stacked_fit_matches_taped_reference_loop():
     rng = np.random.default_rng(14)
     joint = toy_joint()
     fmaps, targets, embeds = mixed_stack(rng)
+    labels = prototypes(joint, embeds)
     config = LcmConfig(epochs=20)
-    fitted, smoothed = fit_importance(joint, fmaps, targets, embeds, config, trained=True)
+    fitted, smoothed = fit_importance(joint, fmaps, targets, labels, config)
     for i in range(3):
-        importance, accumulator = tape_fit(joint, fmaps[i], targets[i], embeds, config)
+        importance, accumulator = tape_fit(joint, fmaps[i], targets[i], labels, config)
         assert np.max(np.abs(fitted[i] - importance)) <= 1e-12
         assert np.max(np.abs(smoothed[i] - accumulator)) <= 1e-12
 
 
 def test_degenerate_or_mismatched_inputs_raise():
-    joint = toy_joint()
+    joint = toy_joint()                                 # label joints have 5 dimensions
     with pytest.raises(DegenerateVectorError):
         fit_importance(joint, np.zeros((1, 4, 2, 2)), np.array([[1.0]]),
-                       np.ones((1, 3)), LcmConfig(), trained=True)
+                       np.ones((1, 5)), LcmConfig())
     with pytest.raises(DegenerateVectorError):          # zero label vector
         fit_importance(joint, np.ones((1, 4, 2, 2)), np.array([[1.0]]),
-                       np.zeros((1, 3)), LcmConfig(), trained=True)
+                       np.zeros((1, 5)), LcmConfig())
     with pytest.raises(ShapeError):                     # one target, two labels
         fit_importance(joint, np.ones((1, 4, 2, 2)), np.array([[1.0]]),
-                       np.ones((2, 3)), LcmConfig(), trained=True)
+                       np.ones((2, 5)), LcmConfig())
     with pytest.raises(ShapeError):                     # targets for one image of two
         fit_importance(joint, np.ones((2, 4, 2, 2)), np.array([[1.0]]),
-                       np.ones((1, 3)), LcmConfig(), trained=True)
+                       np.ones((1, 5)), LcmConfig())
     with pytest.raises(ConfigError, match="stack"):     # one map, not a stack
         fit_importance(joint, np.ones((4, 2, 2)), np.array([[1.0]]),
-                       np.ones((1, 3)), LcmConfig(), trained=True)
+                       np.ones((1, 5)), LcmConfig())
 
 
 def test_one_degenerate_image_in_a_stack_raises():
@@ -376,8 +380,8 @@ def test_one_degenerate_image_in_a_stack_raises():
     fmaps = rng.standard_normal((3, 4, 2, 2))
     fmaps[1] = 0.0                                      # pools to the zero vector
     with pytest.raises(DegenerateVectorError):
-        fit_importance(toy_joint(), fmaps, np.ones((3, 2)), rng.standard_normal((2, 3)),
-                       LcmConfig(), trained=True)
+        fit_importance(toy_joint(), fmaps, np.ones((3, 2)), rng.standard_normal((2, 5)),
+                       LcmConfig())
 
 
 # ------------------------------------------------------------ fitting loop
@@ -386,8 +390,8 @@ def test_one_degenerate_image_in_a_stack_raises():
 def test_fit_requires_trained_model():
     joint = toy_joint()
     with pytest.raises(ConfigError, match="untrained-model"):
-        fit_importance(joint, np.zeros((1, 4, 2, 2)), np.array([[1.0]]),
-                       np.zeros((1, 3)), LcmConfig(), trained=False)
+        select_cells(joint, np.zeros((1, 4, 2, 2)), np.array([[1.0]]),
+                     np.zeros((1, 5)), LcmConfig(), 0.65, trained=False)
 
 
 def test_fit_on_uniform_cells_stays_uniform():
@@ -397,9 +401,9 @@ def test_fit_on_uniform_cells_stays_uniform():
     joint = toy_joint()
     cell = rng.standard_normal(4)
     fmap = np.repeat(cell[:, None], 4, axis=1).reshape(4, 2, 2)
-    embeds = rng.standard_normal((2, 3))
-    importance, accumulator = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), embeds,
-                                             LcmConfig(epochs=5), trained=True)
+    labels = prototypes(joint, rng.standard_normal((2, 3)))
+    importance, accumulator = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), labels,
+                                             LcmConfig(epochs=5))
     assert np.allclose(importance, importance[0, 0, 0], atol=1e-12)
     assert np.allclose(accumulator, accumulator[0, 0, 0], atol=1e-12)
 
@@ -408,9 +412,9 @@ def test_fit_importance_stays_in_unit_interval():
     rng = np.random.default_rng(7)
     joint = toy_joint()
     fmap = rng.standard_normal((4, 3, 3)) * 3
-    embeds = rng.standard_normal((2, 3))
-    importance, accumulator = fit_importance(joint, fmap[None], np.array([[1.0, 1.0]]), embeds,
-                                             LcmConfig(epochs=8), trained=True)
+    labels = prototypes(joint, rng.standard_normal((2, 3)))
+    importance, accumulator = fit_importance(joint, fmap[None], np.array([[1.0, 1.0]]), labels,
+                                             LcmConfig(epochs=8))
     assert importance.min() >= 0.0 and importance.max() <= 1.0
     assert importance.max() == 1.0
     assert np.all(accumulator >= 0.0)
@@ -420,11 +424,9 @@ def test_fit_is_deterministic():
     rng = np.random.default_rng(9)
     joint = toy_joint()
     fmap = rng.standard_normal((4, 2, 3))
-    embeds = rng.standard_normal((2, 3))
-    a = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), embeds, LcmConfig(epochs=4),
-                       trained=True)
-    b = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), embeds, LcmConfig(epochs=4),
-                       trained=True)
+    labels = prototypes(joint, rng.standard_normal((2, 3)))
+    a = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), labels, LcmConfig(epochs=4))
+    b = fit_importance(joint, fmap[None], np.array([[1.0, 0.0]]), labels, LcmConfig(epochs=4))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -434,8 +436,8 @@ def test_fit_does_not_touch_model_parameters():
     before_v = joint.visual.data.copy()
     before_t = joint.text.data.copy()
     fmap = rng.standard_normal((4, 2, 2))
-    fit_importance(joint, fmap[None], np.array([[1.0]]), rng.standard_normal((1, 3)),
-                   LcmConfig(epochs=3), trained=True)
+    labels = prototypes(joint, rng.standard_normal((1, 3)))
+    fit_importance(joint, fmap[None], np.array([[1.0]]), labels, LcmConfig(epochs=3))
     assert np.array_equal(joint.visual.data, before_v)
     assert np.array_equal(joint.text.data, before_t)
     assert joint.visual.grad is None and joint.text.grad is None

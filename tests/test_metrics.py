@@ -21,7 +21,7 @@ from mlfewshot.metrics import (
     micro_average_precision,
     per_label_average_precision,
 )
-from mlfewshot.model import init_model
+from mlfewshot.model import FeatureStore, init_model
 
 
 # ------------------------------------------------------- oracles (independent)
@@ -178,12 +178,13 @@ def test_report_dict_sorts_labels():
 
 
 def run_evaluate(model, manifest, vocabulary, table, **given):
-    """evaluate() on the novel split in base mode, with RunConfig()'s value
-    for every other argument that is not given."""
+    """evaluate() on the novel split in base mode, over a FeatureStore of the
+    manifest, with RunConfig()'s value for every other argument not given."""
     cfg = RunConfig()
     arguments = dict(split="novel", episodes=cfg.eval_episodes, k_shot=cfg.k_shot,
                      seed=cfg.seed, mode="base", theta=cfg.theta, lcm_config=cfg.lcm_config(),
-                     normalize_embeddings=cfg.normalize_embeddings, threads=cfg.threads)
+                     store=FeatureStore(manifest), normalize_embeddings=cfg.normalize_embeddings,
+                     threads=cfg.threads)
     return evaluate(model, manifest, vocabulary, table, **{**arguments, **given})
 
 
@@ -208,24 +209,6 @@ def test_evaluate_rejects_bad_arguments(tiny_setup):
         run_evaluate(model, manifest, vocabulary, table, mode="turbo")
     with pytest.raises(ConfigError, match="no labels"):
         run_evaluate(model, manifest, vocabulary, table, split="validation")
-
-
-def test_evaluate_rejects_zero_episodes(tiny_setup):
-    manifest, vocabulary, table, model = tiny_setup
-    with pytest.raises(ConfigError, match="episodes must be >= 1, got 0"):
-        run_evaluate(model, manifest, vocabulary, table, episodes=0)
-
-
-def test_evaluate_rejects_zero_threads(tiny_setup):
-    manifest, vocabulary, table, model = tiny_setup
-    with pytest.raises(ConfigError, match="threads must be >= 1, got 0"):
-        run_evaluate(model, manifest, vocabulary, table, threads=0)
-
-
-def test_evaluate_lcm_without_lcm_config_is_a_config_error(tiny_setup):
-    manifest, vocabulary, table, model = tiny_setup
-    with pytest.raises(ConfigError, match="lcm_config"):
-        run_evaluate(model, manifest, vocabulary, table, mode="lcm", lcm_config=None)
 
 
 def test_evaluate_is_deterministic(tiny_setup):
@@ -302,21 +285,30 @@ def test_evaluate_lcm_summarises_fallbacks_in_one_warning(tiny_setup, caplog):
 
 
 def test_evaluate_builds_the_label_side_once_per_run(tiny_setup, monkeypatch):
-    # the model is frozen and every episode carries the split's labels
+    # the model is frozen and every episode carries the split's labels;
+    # lcm fits every episode against that one side's joints
     manifest, vocabulary, table, model = tiny_setup
-    build, calls = metrics.label_side, []
+    build, select, sides, fitted = metrics.label_side, metrics.select_cells, [], []
 
     def counting(*args):
-        calls.append(args)
-        return build(*args)
+        sides.append(build(*args))
+        return sides[-1]
+
+    def recording(joint, fmaps, targets, label_joints, *args, **kwargs):
+        fitted.append(label_joints)
+        return select(joint, fmaps, targets, label_joints, *args, **kwargs)
 
     monkeypatch.setattr(metrics, "label_side", counting)
+    monkeypatch.setattr(metrics, "select_cells", recording)
     model.epoch = 1                                 # lcm needs a trained model
     try:
         for mode in EVAL_MODES:
-            calls.clear()
+            sides.clear()
+            fitted.clear()
             run_evaluate(model, manifest, vocabulary, table, episodes=3, seed=5, mode=mode)
-            assert len(calls) == 1, mode
+            assert len(sides) == 1, mode
+            assert len(fitted) == (3 if mode == "lcm" else 0), mode
+            assert all(labels is sides[0].joints.data for labels in fitted), mode
     finally:
         model.epoch = 0
 

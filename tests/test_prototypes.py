@@ -85,6 +85,13 @@ def test_head_count_must_divide_joint_dim():
         init_attention(8, 3, np.random.default_rng(0), dropout=0.0)
 
 
+@pytest.mark.parametrize("inner,top", [(0, 3), (3, 0)])
+def test_dynconv_sizes_must_be_positive(inner, top):
+    # the one check of top_count, on the init and the checkpoint-load paths alike
+    with pytest.raises(ConfigError, match="dynconv needs positive dims"):
+        init_dynconv(8, inner, top, np.random.default_rng(0))
+
+
 def test_channel_split_concat_reconstructs():
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((3, 8)))

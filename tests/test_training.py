@@ -19,11 +19,10 @@ from mlfewshot.prototypes import label_side
 from mlfewshot.training import (
     TrainSettings,
     episode_losses,
-    train,
     warmup_lr,
 )
 
-from conftest import build_tiny_model
+from conftest import build_tiny_model, run_train
 
 
 # ----------------------------------------------------------------- schedule
@@ -112,8 +111,8 @@ def test_gamma_zero_leaves_prototype_modules_untouched(tiny_data):
     before = {n: p.data.copy() for n, p in model.named_parameters().items()}
     settings = TrainSettings(epochs=2, warmup_epochs=1, episodes_per_epoch=3,
                              lr=0.01, gamma=0.0, seed=33)
-    train(model, tiny_data["manifest"], tiny_data["vocabulary"],
-          tiny_data["table"], settings)
+    run_train(model, tiny_data["manifest"], tiny_data["vocabulary"],
+              tiny_data["table"], settings)
     for name, p in model.named_parameters().items():
         if name.startswith(("attention.", "dynconv.")):
             assert np.array_equal(p.data, before[name]), name
@@ -177,7 +176,7 @@ def test_base_evaluation_scores_the_training_forward(tiny_trained, monkeypatch):
     episode_losses(model, episode, store, emb, dropout_rng=None)
     monkeypatch.undo()
     side = label_side(model.attention, model.dynconv, project_labels(model.joint, emb))
-    probs, _, _ = metrics._episode_probabilities(model, episode, store, emb, side, "base",
+    probs, _, _ = metrics._episode_probabilities(model, episode, store, side, "base",
                                                  0.65, None, False)
     assert len(seen) == 1
     assert np.array_equal(probs, ad._logistic(seen[0].reshape(probs.shape)))
@@ -193,8 +192,8 @@ def test_training_builds_the_label_side_once_per_episode(tiny_data, monkeypatch)
 
     monkeypatch.setattr(training, "label_side", counting)
     model = build_tiny_model(tiny_data["table"], seed=37)
-    train(model, tiny_data["manifest"], tiny_data["vocabulary"], tiny_data["table"],
-          TrainSettings(epochs=1, warmup_epochs=0, episodes_per_epoch=3, seed=37))
+    run_train(model, tiny_data["manifest"], tiny_data["vocabulary"], tiny_data["table"],
+              TrainSettings(epochs=1, warmup_epochs=0, episodes_per_epoch=3, seed=37))
     assert len(calls) == 3
 
 
@@ -204,8 +203,8 @@ def test_training_builds_the_label_side_once_per_episode(tiny_data, monkeypatch)
 def test_zero_epochs_is_identity(tiny_data):
     model = build_tiny_model(tiny_data["table"], seed=35)
     before = {n: p.data.copy() for n, p in model.named_parameters().items()}
-    result = train(model, tiny_data["manifest"], tiny_data["vocabulary"],
-                   tiny_data["table"], TrainSettings(epochs=0, seed=35))
+    result = run_train(model, tiny_data["manifest"], tiny_data["vocabulary"],
+                       tiny_data["table"], TrainSettings(epochs=0, seed=35))
     assert result.rows == []
     assert model.epoch == 0
     for name, p in model.named_parameters().items():
@@ -218,8 +217,8 @@ def test_training_is_deterministic_and_loss_falls(tiny_data, tmp_path):
 
     def run():
         model = build_tiny_model(tiny_data["table"], seed=36)
-        return train(model, tiny_data["manifest"], tiny_data["vocabulary"],
-                     tiny_data["table"], settings)
+        return run_train(model, tiny_data["manifest"], tiny_data["vocabulary"],
+                         tiny_data["table"], settings)
 
     a, b = run(), run()
     for name, p in a.model.named_parameters().items():
@@ -237,17 +236,17 @@ def test_resume_matches_straight_run(tiny_data):
     straight = build_tiny_model(tiny_data["table"], seed=37)
     target = TrainSettings(epochs=4, warmup_epochs=1, episodes_per_epoch=3,
                            lr=0.004, seed=37)
-    train(straight, tiny_data["manifest"], tiny_data["vocabulary"],
-          tiny_data["table"], target)
+    run_train(straight, tiny_data["manifest"], tiny_data["vocabulary"],
+              tiny_data["table"], target)
 
     resumed = build_tiny_model(tiny_data["table"], seed=37)
     first = TrainSettings(epochs=2, warmup_epochs=1, episodes_per_epoch=3,
                           lr=0.004, seed=37)
-    half = train(resumed, tiny_data["manifest"], tiny_data["vocabulary"],
-                 tiny_data["table"], first)
+    half = run_train(resumed, tiny_data["manifest"], tiny_data["vocabulary"],
+                     tiny_data["table"], first)
     assert resumed.epoch == 2
-    train(resumed, tiny_data["manifest"], tiny_data["vocabulary"],
-          tiny_data["table"], target, optimizer=half.optimizer)
+    run_train(resumed, tiny_data["manifest"], tiny_data["vocabulary"],
+              tiny_data["table"], target, optimizer=half.optimizer)
     for name, p in straight.named_parameters().items():
         assert np.array_equal(p.data, resumed.named_parameters()[name].data), name
 
@@ -258,20 +257,20 @@ def test_resume_from_checkpoint_matches_straight_run(tiny_data, tmp_path):
     straight = build_tiny_model(tiny_data["table"], seed=41)
     target = TrainSettings(epochs=4, warmup_epochs=1, episodes_per_epoch=3,
                            lr=0.004, seed=41)
-    train(straight, tiny_data["manifest"], tiny_data["vocabulary"],
-          tiny_data["table"], target)
+    run_train(straight, tiny_data["manifest"], tiny_data["vocabulary"],
+              tiny_data["table"], target)
 
     first = TrainSettings(epochs=2, warmup_epochs=1, episodes_per_epoch=3,
                           lr=0.004, seed=41)
-    half = train(build_tiny_model(tiny_data["table"], seed=41), tiny_data["manifest"],
-                 tiny_data["vocabulary"], tiny_data["table"], first)
+    half = run_train(build_tiny_model(tiny_data["table"], seed=41), tiny_data["manifest"],
+                     tiny_data["vocabulary"], tiny_data["table"], first)
     path = tmp_path / "half.ckpt"
     save_checkpoint(path, half.model, optimizer=half.optimizer)
     resumed, extras = load_checkpoint(path)
     optimizer = Adam(resumed.named_parameters(), target.lr)
     optimizer.load_state_tensors(extras)
-    train(resumed, tiny_data["manifest"], tiny_data["vocabulary"],
-          tiny_data["table"], target, optimizer=optimizer)
+    run_train(resumed, tiny_data["manifest"], tiny_data["vocabulary"],
+              tiny_data["table"], target, optimizer=optimizer)
     assert resumed.epoch == 4
     for name, p in straight.named_parameters().items():
         assert np.array_equal(p.data, resumed.named_parameters()[name].data), name
@@ -281,9 +280,9 @@ def test_nan_loss_aborts_with_replay_coordinates(tiny_data):
     model = build_tiny_model(tiny_data["table"], seed=38)
     model.joint.visual.data[0, 0] = np.nan
     with pytest.raises(NumericError, match=r"epoch 0 episode 0 \(seed 38\)"):
-        train(model, tiny_data["manifest"], tiny_data["vocabulary"],
-              tiny_data["table"], TrainSettings(epochs=2, warmup_epochs=1, seed=38,
-                                                episodes_per_epoch=2))
+        run_train(model, tiny_data["manifest"], tiny_data["vocabulary"],
+                  tiny_data["table"], TrainSettings(epochs=2, warmup_epochs=1, seed=38,
+                                                    episodes_per_epoch=2))
 
 
 def test_csv_log_format_and_resume_append(tiny_data, tmp_path):
@@ -291,12 +290,12 @@ def test_csv_log_format_and_resume_append(tiny_data, tmp_path):
     model = build_tiny_model(tiny_data["table"], seed=39)
     first = TrainSettings(epochs=2, warmup_epochs=1, episodes_per_epoch=2,
                           lr=0.004, seed=39)
-    result = train(model, tiny_data["manifest"], tiny_data["vocabulary"],
-                   tiny_data["table"], first, log_path=log)
+    result = run_train(model, tiny_data["manifest"], tiny_data["vocabulary"],
+                       tiny_data["table"], first, log_path=log)
     target = TrainSettings(epochs=4, warmup_epochs=1, episodes_per_epoch=2,
                            lr=0.004, seed=39)
-    train(model, tiny_data["manifest"], tiny_data["vocabulary"],
-          tiny_data["table"], target, optimizer=result.optimizer, log_path=log)
+    run_train(model, tiny_data["manifest"], tiny_data["vocabulary"],
+              tiny_data["table"], target, optimizer=result.optimizer, log_path=log)
 
     with open(log, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -316,5 +315,5 @@ def test_training_requires_base_labels(tiny_data):
     empty = LabelVocabulary(base=(), validation=(), novel=("a",))
     model = build_tiny_model(tiny_data["table"], seed=40)
     with pytest.raises(ConfigError, match="no base labels"):
-        train(model, tiny_data["manifest"], empty, tiny_data["table"],
-              TrainSettings(epochs=1, warmup_epochs=0, seed=40))
+        run_train(model, tiny_data["manifest"], empty, tiny_data["table"],
+                  TrainSettings(epochs=1, warmup_epochs=0, seed=40))
