@@ -6,7 +6,9 @@ each leaf created with requires_grad=True.  Gradients accumulate across
 shared subexpressions, so diamond-shaped graphs come out right.
 
 Ops take only the shapes the model feeds them: elementwise ops take equal
-shapes (no broadcasting, not even of a scalar) and ``matmul`` two matrices.
+shapes (no broadcasting, not even of a scalar), ``matmul`` two matrices,
+``tensor_sum`` and ``mean`` reduce the whole tensor to a scalar, and
+``concat`` and ``split`` work along the first axis, on rows.
 
 Scoring and attention run as whole matrices, one node each: ``linear``
 maps every row through a weight matrix (or each batch of rows through its
@@ -24,6 +26,8 @@ import math
 
 import numpy as np
 
+from .errors import DataError
+
 LAYER_NORM_EPS = 1e-5
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -37,8 +41,8 @@ class DomainError(ValueError):
     """Raised when an input lies outside an op's documented domain."""
 
 
-class DegenerateVectorError(ValueError):
-    """Raised when cosine similarity meets a zero-length vector."""
+class DegenerateVectorError(DataError):
+    """Raised when cosine similarity meets a zero-length vector in the data."""
 
 
 def _shape_error(op, *shapes):
@@ -277,41 +281,25 @@ def linear(x, weight, bias=None):
     return _node(data, parents, "linear", backward)
 
 
-def _normalize_axes(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
-
-
-def tensor_sum(a, axis=None):
-    axes = _normalize_axes(axis, a.ndim)
-    data = a.data.sum(axis=axes if axes else None)
-
+def tensor_sum(a):
+    """The sum of every entry, a scalar."""
     def backward(g):
         if a.requires_grad:
-            expanded = np.expand_dims(g, axes) if axes else g
-            a.accumulate(np.broadcast_to(expanded, a.shape).copy())
+            a.accumulate(np.full(a.shape, g))
 
-    return _node(data, (a,), "sum", backward)
+    return _node(a.data.sum(), (a,), "sum", backward)
 
 
-def mean(a, axis=None):
-    axes = _normalize_axes(axis, a.ndim)
-    count = 1
-    for ax in axes:
-        count *= a.shape[ax]
-    if count == 0:
+def mean(a):
+    """The mean of every entry, a scalar."""
+    if a.size == 0:
         raise _shape_error("mean", a.shape)
-    data = a.data.mean(axis=axes if axes else None)
 
     def backward(g):
         if a.requires_grad:
-            expanded = np.expand_dims(g, axes) if axes else g
-            a.accumulate(np.broadcast_to(expanded, a.shape) / count)
+            a.accumulate(np.broadcast_to(g, a.shape) / a.size)
 
-    return _node(data, (a,), "mean", backward)
+    return _node(a.data.mean(), (a,), "mean", backward)
 
 
 def reshape(a, shape):
@@ -338,58 +326,42 @@ def transpose(a):
     return _node(data, (a,), "transpose", backward)
 
 
-def concat(parts, axis=0):
+def concat(parts):
+    """Join tensors along the first axis, on rows; their other axes agree."""
     parts = list(parts)
-    if not parts:
-        raise ShapeError("concat: needs at least one input")
-    ndim = parts[0].ndim
-    axis = axis % max(ndim, 1)
-    for p in parts:
-        if p.ndim != ndim:
-            raise _shape_error("concat", *(q.shape for q in parts))
-        for ax in range(ndim):
-            if ax != axis and p.shape[ax] != parts[0].shape[ax]:
-                raise _shape_error("concat", *(q.shape for q in parts))
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    if not parts or any(p.ndim == 0 or p.shape[1:] != parts[0].shape[1:] for p in parts):
+        raise _shape_error("concat", *(p.shape for p in parts))
+    data = np.concatenate([p.data for p in parts])
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
     def backward(g):
         for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                index = [slice(None)] * ndim
-                index[axis] = slice(start, stop)
-                p.accumulate(g[tuple(index)])
+                p.accumulate(g[start:stop])
 
     return _node(data, tuple(parts), "concat", backward)
 
 
-def split(a, sections, axis=0):
-    """Split into `sections` equal contiguous pieces along an axis.
+def split(a, sections):
+    """Split into `sections` equal contiguous blocks of rows.
 
-    Returns a tuple of tensors; concatenating them along the same axis
-    reconstructs the input bitwise.
+    Returns a tuple of tensors; concatenating them reconstructs the input
+    bitwise.
     """
-    axis = axis % max(a.ndim, 1)
-    length = a.shape[axis]
-    if sections < 1 or length % sections != 0:
-        raise ShapeError(f"split: cannot split axis of length {length} into {sections} sections")
-    step = length // sections
+    if a.ndim == 0 or sections < 1 or a.shape[0] % sections != 0:
+        raise ShapeError(f"split: cannot split shape {a.shape} into {sections} row blocks")
+    step = a.shape[0] // sections
     pieces = []
     for s in range(sections):
-        start = s * step
-        index = [slice(None)] * a.ndim
-        index[axis] = slice(start, start + step)
-        index = tuple(index)
-        data = a.data[index].copy()
+        rows = slice(s * step, (s + 1) * step)
 
-        def backward(g, index=index):
+        def backward(g, rows=rows):
             if a.requires_grad:
                 full = np.zeros_like(a.data)
-                full[index] = g
+                full[rows] = g
                 a.accumulate(full)
 
-        pieces.append(_node(data, (a,), "split", backward))
+        pieces.append(_node(a.data[rows].copy(), (a,), "split", backward))
     return tuple(pieces)
 
 

@@ -23,7 +23,7 @@ from .embeddings import embed_labels, load_vocabulary, parse_embedding_file
 from .episodes import load_manifest, make_synthetic
 from .errors import ConfigError, DataError, NumericError
 from .joint_space import project_labels
-from .lcm import select_cells, write_importance_grid, write_selection_mask
+from .lcm import select_cells
 from .metrics import EVAL_MODES, evaluate
 from .model import FeatureStore, atomic_open, init_model, load_checkpoint, save_checkpoint
 from .optim import Adam
@@ -62,7 +62,10 @@ def _prepare(args):
     manifest = load_manifest(cfg.manifest, vocabulary=vocabulary)
     table = parse_embedding_file(cfg.embeddings)
     out_dir = Path(cfg.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as bad:
+        raise DataError(f"output directory {out_dir} cannot be created: {bad.strerror}") from bad
     return cfg, vocabulary, manifest, table, FeatureStore(manifest), out_dir
 
 
@@ -110,6 +113,9 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, vocabulary, manifest, table, store, out_dir = _prepare(args)
+    # the checkpoint is written after the last epoch: refuse a path it cannot take first
+    if not Path(cfg.checkpoint).parent.is_dir():
+        raise DataError(f"checkpoint {cfg.checkpoint}: its directory does not exist")
 
     if args.resume:
         model, extras = _load_model(cfg, store, table)
@@ -197,21 +203,22 @@ def cmd_inspect_lcm(args) -> int:
     label_joints = project_labels(
         model.joint, embed_labels(table, labels, normalize=cfg.normalize_embeddings)).data
     selection = select_cells(model.joint, store.get(args.image)[None], [targets], label_joints,
-                             cfg.lcm_config(), cfg.theta, trained=model.trained)
+                             cfg.lcm_config(), trained=model.trained)
 
-    importance_path = out_dir / f"importance_{args.image}.txt"
-    sigma_path = out_dir / f"sigma_{args.image}.txt"
-    mask_path = out_dir / f"mask_{args.image}.txt"
-    write_importance_grid(importance_path, selection.importance[0])
-    write_importance_grid(sigma_path, selection.sigma[0])
-    write_selection_mask(mask_path, selection.mask[0])
+    paths = {}
+    for name, grid, form in (("importance", selection.importance[0], "{:.6f}"),
+                             ("sigma", selection.sigma[0], "{:.6f}"),
+                             ("mask", selection.mask[0].astype(int), "{}")):
+        paths[name] = out_dir / f"{name}_{args.image}.txt"
+        with atomic_open(paths[name], "w") as handle:
+            for row in grid:
+                handle.write(" ".join(form.format(v) for v in row) + "\n")
     kept = int(selection.mask.sum())
     fallback = " (no cell cleared theta; fell back to keep-all)" if selection.fell_back[0] else ""
     print(f"image {args.image} ({split}): kept {kept}/{selection.mask.size} cells "
           f"at theta={cfg.theta}{fallback}")
-    print(f"importance: {importance_path}")
-    print(f"sigma:      {sigma_path}")
-    print(f"mask:       {mask_path}")
+    for name, path in paths.items():
+        print(f"{name + ':':<12}{path}")
     return 0
 
 

@@ -105,8 +105,12 @@ def _convert(key: str, raw, kind):
 
 def parse_config_file(path) -> dict[str, str]:
     """Read "key = value" lines; '#' starts a comment, blank lines skipped."""
+    try:
+        handle = open(path, encoding="utf-8")
+    except OSError as bad:
+        raise ConfigError(f"config file {path} cannot be read: {bad.strerror}") from bad
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    with handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

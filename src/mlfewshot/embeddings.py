@@ -167,10 +167,9 @@ def load_vocabulary(path) -> LabelVocabulary:
     )
 
 
-def write_vocabulary(path, vocabulary: LabelVocabulary, provenance: str | None = None):
+def write_vocabulary(path, vocabulary: LabelVocabulary, provenance: str):
     with open(path, "w", encoding="utf-8") as handle:
-        if provenance:
-            handle.write(f"# {provenance}\n")
+        handle.write(f"# {provenance}\n")
         for split in SPLIT_NAMES:
             for label in vocabulary.labels_for(split):
                 handle.write(f"{split}\t{label}\n")

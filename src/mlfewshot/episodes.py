@@ -105,10 +105,9 @@ def load_manifest(path, vocabulary: LabelVocabulary | None = None) -> DatasetMan
     return manifest
 
 
-def write_manifest(path, records, provenance: str | None = None):
+def write_manifest(path, records, provenance: str):
     with open(path, "w", encoding="utf-8") as handle:
-        if provenance:
-            handle.write(f"# {provenance}\n")
+        handle.write(f"# {provenance}\n")
         for record in records:
             handle.write(json.dumps(
                 {"id": record.image_id, "features": record.features, "labels": list(record.labels)},
@@ -303,14 +302,13 @@ def make_synthetic(out_dir, *, n_base=8, n_validation=0, n_novel=4, images_per_l
             assignment: list[str | None] = [None] * (h * w)
             for pos, cell in enumerate(cells):
                 assignment[cell] = image_labels[pos % len(image_labels)]
-            fmap = np.empty((channels, h, w))
-            for cell in range(h * w):
-                row, col = divmod(cell, w)
-                if assignment[cell] is None:
-                    fmap[:, row, col] = background_scale * rng.standard_normal(channels)
-                else:
-                    fmap[:, row, col] = signatures[assignment[cell]] \
-                        + signal_noise * rng.standard_normal(channels)
+            # one noise row per cell, drawn in cell order
+            noise = rng.standard_normal((h * w, channels))
+            planted = [cell for cell in range(h * w) if assignment[cell] is not None]
+            values = background_scale * noise
+            values[planted] = np.array([signatures[assignment[cell]] for cell in planted]) \
+                + signal_noise * noise[planted]
+            fmap = values.T.reshape(channels, h, w)
             image_id = f"img{counter:05d}"
             counter += 1
             rel = f"features/{image_id}.fmap"

@@ -8,12 +8,14 @@ dataset has one map shape, so one fit takes an episode's (n, c, h, w)
 stack.  A first-order estimate of how much the loss would change if a cell
 were removed, |w * d loss / d w| (the Taylor criterion of Molchanov et al.,
 CVPR 2019), is tracked with a momentum accumulator, and `select_cells`
-keeps the cells whose sigmoided accumulator clears a threshold.
+keeps the cells whose sigmoided accumulator clears `LcmConfig.threshold`,
+the run's theta.
 
 The fit needs only the loss's gradient in the weights, which has a closed
 form (pooling is linear in the weights), so it runs in plain numpy with no
 tape.  The taped form of the same loss is in verification.py, whose
-gradient check measures the closed form against it.
+gradient check measures the closed form against it.  This module holds
+the method only; the `inspect-lcm` command writes the grids it fits.
 """
 
 import math
@@ -25,7 +27,6 @@ from . import autodiff as ad
 from .autodiff import DegenerateVectorError, Tensor
 from .errors import ConfigError
 from .joint_space import JointSpaceParams
-from .model import atomic_open
 from .optim import Adam
 
 
@@ -45,17 +46,14 @@ class LcmConfig:
     epochs: int = 20
 
     def __post_init__(self):
-        validate_threshold(self.threshold)
+        # sigma of a nonnegative accumulator is always >= 0.5, so 0.5 keeps everything
+        if not 0.5 <= self.threshold < 1.0:
+            raise ConfigError(f"theta (the selection threshold) must lie in [0.5, 1), "
+                              f"got {self.threshold}")
         if self.epochs < 1:
             raise ConfigError(f"lcm_epochs must be >= 1, got {self.epochs}")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ConfigError(f"lcm_lr must be positive and finite, got {self.learning_rate}")
-
-
-def validate_threshold(threshold: float):
-    # sigma of a nonnegative accumulator is always >= 0.5, so 0.5 keeps everything
-    if not 0.5 <= threshold < 1.0:
-        raise ConfigError(f"theta (the selection threshold) must lie in [0.5, 1), got {threshold}")
 
 
 @dataclass
@@ -64,7 +62,7 @@ class Selection:
 
     importance: np.ndarray   # (n, h, w) weights in [0, 1]
     sigma: np.ndarray        # (n, h, w) sigmoid of the loss-change accumulator
-    mask: np.ndarray         # (n, h, w) bool: sigma >= theta, or every cell when none clears it
+    mask: np.ndarray         # (n, h, w) bool: sigma >= threshold, or every cell when none clears it
     fell_back: np.ndarray    # (n,) bool: whether each map's mask fell back to every cell
 
 
@@ -179,33 +177,19 @@ def fit_importance(joint: JointSpaceParams, fmaps: np.ndarray, targets, label_jo
 
 
 def select_cells(joint: JointSpaceParams, fmaps, targets, label_joints,
-                 config: LcmConfig, theta: float, *, trained: bool) -> Selection:
+                 config: LcmConfig, *, trained: bool) -> Selection:
     """Fit an (n, c, h, w) stack of support maps with (n, labels) `targets`
     against the (labels, joint_dim) `label_joints` of a trained model in one
     `fit_importance` call and keep each map's cells whose sigma(accumulator)
-    >= theta, as one Selection of (n, h, w) grids.  A grid that keeps nothing
-    becomes all-true; callers report the fallbacks.  The accumulator is
-    nonnegative, so theta 0.5 keeps every cell: the base model."""
+    >= `config.threshold`, as one Selection of (n, h, w) grids.  A grid that
+    keeps nothing becomes all-true; callers report the fallbacks.  The
+    accumulator is nonnegative, so threshold 0.5 keeps every cell: the base
+    model."""
     if not trained:
         raise ConfigError("untrained-model: importance weights are fitted on a trained model")
-    validate_threshold(theta)
     importance, accumulator = fit_importance(joint, fmaps, targets, label_joints, config)
     sigma = ad._logistic(accumulator)
-    mask = sigma >= theta
+    mask = sigma >= config.threshold
     fell_back = ~mask.any(axis=GRID_AXES)
     mask |= fell_back[:, None, None]
     return Selection(importance, sigma, mask, fell_back)
-
-
-def write_importance_grid(path, grid: np.ndarray):
-    """Write a (h, w) grid as text, one row per line."""
-    grid = np.asarray(grid)
-    with atomic_open(path, "w") as handle:
-        for row in grid:
-            handle.write(" ".join(f"{v:.6f}" for v in row) + "\n")
-
-
-def write_selection_mask(path, mask: np.ndarray):
-    with atomic_open(path, "w") as handle:
-        for row in np.asarray(mask).astype(int):
-            handle.write(" ".join(str(v) for v in row) + "\n")

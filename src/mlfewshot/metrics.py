@@ -126,7 +126,7 @@ class MetricsReport:
 
 
 def _episode_probabilities(model: ModelState, episode, store, side: LabelSide,
-                           mode, theta, lcm_config, collect_detail):
+                           mode, lcm_config, collect_detail):
     """Score every query image against every episode label; returns
     (probability matrix, detail rows, per-support-mask fallback flags).
     `side` is the run's label side; lcm mode fits against its joints."""
@@ -137,7 +137,7 @@ def _episode_probabilities(model: ModelState, episode, store, side: LabelSide,
         masks = None
         if mode == "lcm":
             selection = select_cells(model.joint, fmaps, episode.support_targets,
-                                     side.joints.data, lcm_config, theta, trained=model.trained)
+                                     side.joints.data, lcm_config, trained=model.trained)
             masks, fell_back = selection.mask, selection.fell_back
             if collect_detail:
                 detail = [{"image_id": image_id, "sigma": selection.sigma[i], "mask": masks[i],
@@ -153,7 +153,7 @@ def _episode_probabilities(model: ModelState, episode, store, side: LabelSide,
                     ad.linear(Tensor(support_globals[episode.support_targets[:, li] > 0]),
                               model.joint.visual),
                     Tensor(label_joint), model.joint.scale)
-                for li, label_joint in enumerate(vectors.data)], axis=0)
+                for li, label_joint in enumerate(vectors.data)])
         logits = score_against(model.joint, pooled_globals(store, episode.query_ids), vectors)
     return ad._logistic(logits.data.reshape(shape)), detail, fell_back
 
@@ -166,14 +166,16 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split, episodes,
 
     Episode sampling depends only on (seed, episode index), so different
     modes at the same seed see identical episodes.  "lcm" mode fits with
-    `lcm_config` against the label side's joints and selects at `theta`;
-    the other modes ignore both.  Detail rows carry the per-support-image
-    importance data in "lcm" mode when asked.  Support masks that fall back
-    to keep-all are summarised in one warning.  `RunConfig.validate` owns
-    the rules on `episodes` and `threads`.
+    `lcm_config` against the label side's joints and selects at its
+    threshold, which `theta` must equal.  Detail rows carry the
+    per-support-image importance data in "lcm" mode when asked.  Support
+    masks that fall back to keep-all are summarised in one warning.
+    `RunConfig.validate` owns the rules on `episodes` and `threads`.
     """
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown-mode: {mode!r} is not one of {EVAL_MODES}")
+    if theta != lcm_config.threshold:
+        raise ConfigError(f"theta {theta} differs from the LCM threshold {lcm_config.threshold}")
     labels = list(vocabulary.labels_for(split))
     if not labels:
         raise ConfigError(f"split {split!r} has no labels")
@@ -187,7 +189,7 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split, episodes,
             manifest, record_pool, labels, k_shot,
             lambda attempt: seeding.substream(seed, "eval", idx, attempt))
         probs, detail, fell_back = _episode_probabilities(
-            model, episode, store, side, mode, theta, lcm_config, collect_detail)
+            model, episode, store, side, mode, lcm_config, collect_detail)
         targets = episode.query_targets
         per_label = per_label_average_precision(probs, targets, episode.labels)
         row = {
@@ -211,7 +213,7 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split, episodes,
     flags = [flag for _, _, f in results for flag in f]
     if any(flags):
         log.warning("lcm: %d of %d support masks fell back to keep-all at theta=%s",
-                    sum(flags), len(flags), theta)
+                    sum(flags), len(flags), lcm_config.threshold)
     per_label_values: dict[str, list[float]] = {}
     for row in rows:
         for label, value in row["per_label_ap"].items():

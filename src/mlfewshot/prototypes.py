@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
 
@@ -205,7 +205,7 @@ def label_side(attention: AttentionParams, dynconv: DynConvParams, joints: Tenso
     inner, joint = dynconv.inner_dim, dynconv.joint_dim
     return LabelSide(
         joints=joints,
-        queries=ad.linear(joints, ad.concat(attention.queries, axis=0)),
+        queries=ad.linear(joints, ad.concat(attention.queries)),
         kernel1=ad.reshape(ad.linear(joints, dynconv.gen1_weight, dynconv.gen1_bias),
                            (labels, inner, joint)),
         kernel2=ad.reshape(ad.linear(joints, dynconv.gen2_weight, dynconv.gen2_bias),
@@ -258,7 +258,7 @@ def select_top_features(pools: SupportPools, label_joints: Tensor,
     for li in np.flatnonzero(zero_rows):                 # only labels with zero-norm rows
         label = pools.labels[li]
         if zero_rows[li] == pools.sizes[li]:
-            raise ConfigError(f"empty-selection: every feature in pool {label!r} has zero norm")
+            raise DataError(f"empty-selection: every feature in pool {label!r} has zero norm")
         log.warning("pool %r: %d features have zero norm, excluded from selection",
                     label, zero_rows[li])
     owner = segment[rows]

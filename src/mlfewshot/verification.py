@@ -108,8 +108,8 @@ def _case_matmul(rng):
 
 
 def _case_sum_mean(rng):
-    return (lambda x: ad.add(ad.tensor_sum(ad.mean(x, axis=1)),
-                             ad.mean(ad.tensor_sum(x, axis=0))),
+    c = Tensor(_r(rng, 3, 5))
+    return (lambda x: ad.add(ad.tensor_sum(ad.mul(x, c)), ad.mean(ad.mul(x, x))),
             Tensor(_r(rng, 3, 5)))
 
 
@@ -122,8 +122,8 @@ def _case_reshape_transpose(rng):
 def _case_concat_split(rng):
     c = Tensor(_r(rng, 2, 3))
     def f(x):
-        top, bottom = ad.split(x, 2, axis=0)
-        joined = ad.concat([ad.mul(top, c), bottom], axis=0)
+        top, bottom = ad.split(x, 2)
+        joined = ad.concat([ad.mul(top, c), bottom])
         return ad.tensor_sum(ad.mul(joined, joined))
     return f, Tensor(_r(rng, 4, 3))
 

@@ -33,7 +33,7 @@ def _column(t):
 
 def _rows(vectors):
     """The matrix whose rows are the given 1-d tensors, on the tape."""
-    return ad.concat([_row(v) for v in vectors], axis=0)
+    return ad.concat([_row(v) for v in vectors])
 
 
 # ---------------------------------------------------------------- forwards
@@ -178,15 +178,16 @@ def test_bce_hand_value_at_zero_logit():
 def test_split_concat_round_trip_bitwise():
     rng = np.random.default_rng(7)
     x = Tensor(rng.standard_normal((6, 8)))
-    for axis, sections in [(0, 3), (1, 4), (1, 8)]:
-        parts = ad.split(x, sections, axis=axis)
-        back = ad.concat(parts, axis=axis)
+    for sections in (1, 2, 3, 6):
+        parts = ad.split(x, sections)
+        assert [p.shape for p in parts] == [(6 // sections, 8)] * sections
+        back = ad.concat(parts)
         assert np.array_equal(back.data, x.data)
 
 
 def test_split_rejects_uneven():
     with pytest.raises(ShapeError):
-        ad.split(Tensor(np.zeros((5, 4))), 3, axis=0)
+        ad.split(Tensor(np.zeros((5, 4))), 3)
 
 
 def test_elementwise_ops_reject_unequal_shapes():
@@ -419,18 +420,8 @@ def _case_matmul_mm_rhs(rng):
     return rand(rng, 4, 2), lambda t: ad.tensor_sum(ad.matmul(c, t))
 
 
-def _case_sum_axis(rng):
-    c = rand(rng, 4)
-    return rand(rng, 3, 4), lambda t: ad.tensor_sum(ad.mul(ad.tensor_sum(t, axis=0), c))
-
-
 def _case_mean_all(rng):
     return rand(rng, 3, 4), lambda t: ad.mean(t)
-
-
-def _case_mean_axes(rng):
-    c = rand(rng, 2)
-    return rand(rng, 2, 3, 4), lambda t: ad.tensor_sum(ad.mul(ad.mean(t, axis=(1, 2)), c))
 
 
 def _case_reshape(rng):
@@ -446,12 +437,12 @@ def _case_transpose(rng):
 def _case_concat(rng):
     other = rand(rng, 3, 3)
     c = rand(rng, 5, 3)
-    return rand(rng, 2, 3), lambda t: ad.tensor_sum(ad.mul(ad.concat([t, other], axis=0), c))
+    return rand(rng, 2, 3), lambda t: ad.tensor_sum(ad.mul(ad.concat([t, other]), c))
 
 
 def _case_split(rng):
-    c = rand(rng, 4, 2)
-    return rand(rng, 4, 6), lambda t: ad.tensor_sum(ad.mul(ad.split(t, 3, axis=1)[1], c))
+    c = rand(rng, 2, 4)
+    return rand(rng, 6, 4), lambda t: ad.tensor_sum(ad.mul(ad.split(t, 3)[1], c))
 
 
 def _case_gather_rows(rng):
@@ -581,9 +572,8 @@ def _case_scale_matrix(rng):
     return rand(rng, 2, 3), lambda t: ad.tensor_sum(ad.mul(ad.scale(t, -0.7), c))
 
 
-def _case_tensor_sum_axes(rng):
-    c = rand(rng, 3)
-    return rand(rng, 2, 3, 4), lambda t: ad.tensor_sum(ad.mul(ad.tensor_sum(t, axis=(0, 2)), c))
+def _case_tensor_sum(rng):
+    return rand(rng, 2, 3, 4), lambda t: ad.mul(ad.tensor_sum(t), ad.mean(ad.mul(t, t)))
 
 
 def _case_dropout(rng):
@@ -619,9 +609,7 @@ GRAD_CASES = {
     "scale": _case_scale,
     "matmul_mm": _case_matmul_mm,
     "matmul_mm_rhs": _case_matmul_mm_rhs,
-    "sum_axis": _case_sum_axis,
     "mean_all": _case_mean_all,
-    "mean_axes": _case_mean_axes,
     "reshape": _case_reshape,
     "transpose": _case_transpose,
     "concat": _case_concat,
@@ -651,7 +639,7 @@ GRAD_CASES = {
     "linear_batched_x": _case_linear_batched_x,
     "linear_batched_weight": _case_linear_batched_weight,
     "scale_matrix": _case_scale_matrix,
-    "tensor_sum_axes": _case_tensor_sum_axes,
+    "tensor_sum": _case_tensor_sum,
     "dropout": _case_dropout,
     "bce_with_logits": _case_bce,
     "conv2d_x": _case_conv2d_x,
@@ -699,7 +687,7 @@ def _score_against_per_pair(joint, pooled_rows, vectors):
             c = ad.cosine(ad.reshape(visual_joint, (1, visual_joint.size)),
                           ad.reshape(vector, (1, vector.size)))
             scores.append(ad.reshape(ad.scale(c, joint.scale), (1,)))
-    return ad.concat(scores, axis=0)
+    return ad.concat(scores)
 
 
 def _attention_per_head(params, features, label_joint):
@@ -707,11 +695,13 @@ def _attention_per_head(params, features, label_joint):
     mode, so dropout is the identity)."""
     inv_sqrt = 1.0 / math.sqrt(params.head_dim)
     head_outputs = []
-    for transform, chunk in zip(params.queries, ad.split(features, params.heads, axis=1)):
+    # each head's channel slice, on the tape: a row block of the transpose
+    chunks = [ad.transpose(t) for t in ad.split(ad.transpose(features), params.heads)]
+    for transform, chunk in zip(params.queries, chunks):
         query = ad.matmul(transform, _column(label_joint))
         attention = ad.softmax(_row(ad.scale(ad.matmul(chunk, query), inv_sqrt)))
         head_outputs.append(_column(ad.matmul(attention, chunk)))
-    merged = ad.concat(head_outputs, axis=0)
+    merged = ad.concat(head_outputs)
     hidden = ad.gelu(ad.add(ad.matmul(params.mlp_w1, merged), _column(params.mlp_b1)))
     out = ad.add(ad.matmul(params.mlp_w2, hidden), _column(params.mlp_b2))
     return ad.reshape(out, (out.size,))
@@ -762,7 +752,7 @@ def test_fused_head_readout_matches_per_head_loop():
         pool = SupportPools(("x",), features, [count])
 
         def fused_readout():
-            queries = ad.linear(ad.reshape(label, (1, dim)), ad.concat(params.queries, axis=0))
+            queries = ad.linear(ad.reshape(label, (1, dim)), ad.concat(params.queries))
             out = attention_prototype(params, pool, queries, None)
             return ad.reshape(out, (dim,))
 

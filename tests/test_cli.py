@@ -19,7 +19,7 @@ from mlfewshot.embeddings import embed_labels, load_vocabulary, parse_embedding_
 from mlfewshot.episodes import load_manifest, make_synthetic
 from mlfewshot.features import load_feature_file, write_feature_file
 from mlfewshot.joint_space import project_labels
-from mlfewshot.lcm import LcmConfig, select_cells, write_importance_grid, write_selection_mask
+from mlfewshot.lcm import LcmConfig, select_cells
 from mlfewshot.model import CHECKPOINT_MAGIC, init_model, load_checkpoint, save_checkpoint
 
 # the pipeline model's sizes; a run on its checkpoint must state them
@@ -251,7 +251,7 @@ def test_inspect_lcm_writes_grids(pipeline, capsys):
         assert len(grid) == 4 and all(len(row.split()) == 4 for row in grid)
 
 
-def test_inspect_lcm_grids_are_select_cells_on_one_map(pipeline, tmp_path, capsys):
+def test_inspect_lcm_grids_are_select_cells_on_one_map(pipeline, capsys):
     data, run, paths = pipeline
     model, _ = load_checkpoint(run / "model.ckpt")
     vocabulary = load_vocabulary(data / "labels.tsv")
@@ -265,7 +265,7 @@ def test_inspect_lcm_grids_are_select_cells_on_one_map(pipeline, tmp_path, capsy
         return select_cells(
             model.joint, fmap[None], [[float(label in record.labels) for label in labels]],
             project_labels(model.joint, embed_labels(table, labels, normalize=False)).data,
-            LcmConfig(), theta, trained=model.trained)
+            LcmConfig(threshold=theta), trained=model.trained)
 
     theta = float(np.median(select(0.5).sigma))
     selection = select(theta)
@@ -273,12 +273,12 @@ def test_inspect_lcm_grids_are_select_cells_on_one_map(pipeline, tmp_path, capsy
     assert main(["inspect-lcm", *paths, *MODEL_FLAGS, "--image", "img00000",
                  "--theta", repr(theta)]) == 0
     assert f"kept {selection.mask.sum()}/{selection.mask.size} cells" in capsys.readouterr().out
-    write_importance_grid(tmp_path / "importance.txt", selection.importance[0])
-    write_importance_grid(tmp_path / "sigma.txt", selection.sigma[0])
-    write_selection_mask(tmp_path / "mask.txt", selection.mask[0])
-    for prefix in ("importance", "sigma", "mask"):
-        assert (run / f"{prefix}_img00000.txt").read_bytes() \
-            == (tmp_path / f"{prefix}.txt").read_bytes(), prefix
+    # each grid one row per line: six decimals for the fitted values, 0/1 for the mask
+    for prefix, grid in (("importance", selection.importance[0]), ("sigma", selection.sigma[0]),
+                         ("mask", selection.mask[0])):
+        text = "".join(" ".join(f"{v:.6f}" if prefix != "mask" else str(int(v)) for v in row)
+                       + "\n" for row in grid)
+        assert (run / f"{prefix}_img00000.txt").read_text() == text, prefix
 
 
 def test_gradcheck_ops_pass(capsys):
@@ -420,6 +420,73 @@ def test_zero_label_embedding_is_a_data_error(pipeline, tmp_path, capsys):
     assert main(["train", *flat, *TRAIN_FLAGS]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "'lab00'" in err and "zero vector" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "training_log.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def zeroed_novel(pipeline, tmp_path_factory):
+    """The pipeline's data with every novel-split map all zeros (still valid
+    FMAP1 files)."""
+    data, _, _ = pipeline
+    root = tmp_path_factory.mktemp("zeroed") / "data"
+    shutil.copytree(data, root)
+    vocabulary = load_vocabulary(root / "labels.tsv")
+    manifest = load_manifest(root / "manifest.jsonl")
+    for idx, record in enumerate(manifest.records):
+        if vocabulary.split_of(record.labels[0]) == "novel":
+            path = manifest.feature_path(idx)
+            write_feature_file(path, np.zeros_like(load_feature_file(path)))
+    return root
+
+
+@pytest.mark.parametrize("mode", ["base", "zeroshot", "lcm"])
+def test_zero_length_feature_vectors_exit_2(pipeline, zeroed_novel, tmp_path, capsys, mode):
+    _, _, paths = pipeline
+    given = dict(zip(paths[::2], paths[1::2]))
+    given.update({"--manifest": str(zeroed_novel / "manifest.jsonl"),
+                  "--splits": str(zeroed_novel / "labels.tsv"),
+                  "--embeddings": str(zeroed_novel / "embeddings.txt"),
+                  "--output": str(tmp_path)})
+    argv = [part for pair in given.items() for part in pair]
+    assert main(["eval", *argv, *MODEL_FLAGS, "--mode", mode, "--eval_episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_a_missing_config_file_exits_1(pipeline, tmp_path, capsys):
+    _, _, paths = pipeline
+    missing = tmp_path / "missing.cfg"
+    assert main(["eval", *paths, *MODEL_FLAGS, "--config", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
+def test_an_output_path_that_is_a_file_exits_2(pipeline, tmp_path, capsys):
+    _, _, paths = pipeline
+    taken = tmp_path / "report"
+    taken.write_text("not a directory\n")
+    given = dict(zip(paths[::2], paths[1::2]), **{"--output": str(taken)})
+    argv = [part for pair in given.items() for part in pair]
+    assert main(["eval", *argv, *MODEL_FLAGS, "--eval_episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(taken) in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_a_checkpoint_in_a_missing_directory_exits_2_before_training(pipeline, tmp_path,
+                                                                      capsys):
+    _, _, paths = pipeline
+    checkpoint = tmp_path / "missing" / "model.ckpt"
+    given = dict(zip(paths[::2], paths[1::2]), **{"--checkpoint": str(checkpoint),
+                                                   "--output": str(tmp_path / "out")})
+    argv = [part for pair in given.items() for part in pair]
+    assert main(["train", *argv, *TRAIN_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(checkpoint) in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "training_log.csv").exists()
 

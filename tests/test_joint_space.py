@@ -52,7 +52,7 @@ def test_cm_loss_aligned_positive_pair_is_tiny():
 def test_cm_loss_sums_over_all_pairs():
     params = identity_params(dim=2, scale=10.0)
     e1, e2 = Tensor(np.array([1.0, 0.0])), Tensor(np.array([0.0, 1.0]))
-    pooled = ad.concat([ad.reshape(e1, (1, 2)), ad.reshape(e2, (1, 2))], axis=0)
+    pooled = ad.concat([ad.reshape(e1, (1, 2)), ad.reshape(e2, (1, 2))])
     joints = project_labels(params, np.stack([e1.data, e2.data]))
     targets = np.eye(2)
     loss = score_loss(params, pooled, joints, targets)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mlfewshot.autodiff import DegenerateVectorError, ShapeError, Tensor, _logistic
+from mlfewshot.episodes import make_synthetic
 from mlfewshot.errors import ConfigError
-from mlfewshot import lcm
+from mlfewshot import cli, lcm
 from mlfewshot.joint_space import init_joint_space, project_labels
 from mlfewshot.lcm import (
     LcmConfig,
@@ -18,10 +19,8 @@ from mlfewshot.lcm import (
     momentum_update,
     normalize_importance,
     select_cells,
-    validate_threshold,
-    write_importance_grid,
-    write_selection_mask,
 )
+from mlfewshot.model import init_model, save_checkpoint
 from mlfewshot.optim import Adam
 from mlfewshot.verification import _frozen_view, _image_loss, weighted_pool
 
@@ -112,8 +111,8 @@ def select_from(monkeypatch, accumulator, theta):
     monkeypatch.setattr(lcm, "fit_importance",
                         lambda *args, **kwargs: (np.ones_like(accumulator), accumulator))
     fmaps = np.ones((len(accumulator), 1, *accumulator.shape[1:]))
-    return select_cells(None, fmaps, np.ones((len(fmaps), 1)), None, LcmConfig(), theta,
-                        trained=True)
+    return select_cells(None, fmaps, np.ones((len(fmaps), 1)), None,
+                        LcmConfig(threshold=theta), trained=True)
 
 
 def test_sigma_and_selection_hand_values(monkeypatch):
@@ -131,11 +130,9 @@ def test_threshold_half_keeps_everything(monkeypatch):
 
 
 @pytest.mark.parametrize("theta", [0.49, 1.0, 1.5, -0.1])
-def test_threshold_validation(theta, monkeypatch):
-    with pytest.raises(ConfigError):
-        validate_threshold(theta)
-    with pytest.raises(ConfigError):
-        select_from(monkeypatch, np.zeros((1, 2, 2)), theta)
+def test_threshold_validation(theta):
+    with pytest.raises(ConfigError, match="theta"):
+        LcmConfig(threshold=theta)
 
 
 def test_fallback_restores_all_cells_and_reports_it(monkeypatch, caplog):
@@ -329,7 +326,8 @@ def test_stacked_fit_matches_per_image_loop_bitwise():
     assert np.all(fitted[1] == 1.0)                      # the constant grid
     fallbacks = set()
     for theta in (0.5, 0.55, 0.6, 0.65, 0.9):
-        selection = select_cells(joint, fmaps, targets, labels, config, theta, trained=True)
+        selection = select_cells(joint, fmaps, targets, labels,
+                                 LcmConfig(threshold=theta, epochs=20), trained=True)
         for i in range(len(fmaps)):
             importance, accumulator = per_image_fit(joint, fmaps[i], targets[i], labels, config)
             assert np.array_equal(fitted[i], importance)
@@ -391,7 +389,7 @@ def test_fit_requires_trained_model():
     joint = toy_joint()
     with pytest.raises(ConfigError, match="untrained-model"):
         select_cells(joint, np.zeros((1, 4, 2, 2)), np.array([[1.0]]),
-                     np.zeros((1, 5)), LcmConfig(), 0.65, trained=False)
+                     np.zeros((1, 5)), LcmConfig(), trained=False)
 
 
 def test_fit_on_uniform_cells_stays_uniform():
@@ -452,32 +450,55 @@ def test_config_validation():
         LcmConfig(learning_rate=0.0)
 
 
-# -------------------------------------------------------------- text output
+# ------------------------------------------------------- inspect-lcm's grids
 
 
-def test_grid_files_are_parseable(tmp_path):
-    grid = np.array([[0.25, 1.0], [0.5, 0.125]])
-    gpath = tmp_path / "imp.txt"
-    write_importance_grid(gpath, grid)
-    back = np.array([[float(v) for v in line.split()]
-                     for line in gpath.read_text().splitlines()])
-    assert np.allclose(back, grid, atol=1e-6)
+@pytest.fixture(scope="module")
+def inspect_argv(tmp_path_factory):
+    """`inspect-lcm` on one image of a tiny generated dataset, with a
+    checkpoint marked trained; the output directory flag comes last."""
+    root = tmp_path_factory.mktemp("inspect")
+    make_synthetic(root, n_base=2, n_novel=1, images_per_label=3, grid=(3, 3), channels=8,
+                   embed_dim=4, seed=1)
+    model = init_model(channels=8, embed_dim=4, joint_dim=4, heads=2, dynconv_inner=2,
+                       dynconv_top=2, scale=10.0, dropout=0.1, rng=np.random.default_rng(0))
+    model.epoch = 1
+    save_checkpoint(root / "model.ckpt", model)
+    return ["inspect-lcm", "--manifest", str(root / "manifest.jsonl"),
+            "--splits", str(root / "labels.tsv"), "--embeddings", str(root / "embeddings.txt"),
+            "--checkpoint", str(root / "model.ckpt"), "--d_j", "4", "--n_heads", "2",
+            "--d_c", "2", "--n_d", "2", "--image", "img00000", "--output"]
 
-    mask = np.array([[True, False], [False, True]])
-    mpath = tmp_path / "mask.txt"
-    write_selection_mask(mpath, mask)
-    lines = mpath.read_text().splitlines()
-    assert lines == ["1 0", "0 1"]
+
+def test_grid_files_are_parseable(inspect_argv, tmp_path):
+    assert cli.main([*inspect_argv, str(tmp_path)]) == 0
+    grids = {}
+    for name in ("importance", "sigma", "mask"):
+        lines = (tmp_path / f"{name}_img00000.txt").read_text().splitlines()
+        grids[name] = [line.split(" ") for line in lines]
+        assert len(lines) == 3 and all(len(row) == 3 for row in grids[name]), name
+    for name in ("importance", "sigma"):
+        assert all(len(v.split(".")[1]) == 6 for row in grids[name] for v in row), name
+    importance, sigma = (np.array(grids[name], dtype=float) for name in ("importance", "sigma"))
+    assert np.all((importance >= 0.0) & (importance <= 1.0))
+    assert np.all((sigma >= 0.5) & (sigma <= 1.0))
+    assert {v for row in grids["mask"] for v in row} <= {"0", "1"}
 
 
-def test_failed_grid_writes_keep_the_previous_files(tmp_path):
-    gpath, mpath = tmp_path / "imp.txt", tmp_path / "mask.txt"
-    write_importance_grid(gpath, np.array([[0.25, 1.0]]))
-    write_selection_mask(mpath, np.array([[True, False]]))
+def test_failed_grid_writes_keep_the_previous_files(inspect_argv, tmp_path, monkeypatch):
+    assert cli.main([*inspect_argv, str(tmp_path)]) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    # the first row is written before the second fails to format
-    with pytest.raises(ValueError):
-        write_importance_grid(gpath, np.array([[0.5, 0.5], ["x", 0.5]], dtype=object))
-    with pytest.raises(ValueError):
-        write_selection_mask(mpath, np.array([[1, "x"]], dtype=object))
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    select = cli.select_cells
+    for broken in ("importance", "sigma"):
+        def unformattable(*args, **kwargs):
+            # the grid's first row is written before its second fails to format
+            selection = select(*args, **kwargs)
+            grid = getattr(selection, broken).astype(object)
+            grid[0, 1, 0] = "x"
+            setattr(selection, broken, grid)
+            return selection
+
+        monkeypatch.setattr(cli, "select_cells", unformattable)
+        with pytest.raises(ValueError):
+            cli.main([*inspect_argv, str(tmp_path)])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before, broken

@@ -10,6 +10,7 @@ from mlfewshot.config import RunConfig
 from mlfewshot.embeddings import load_vocabulary, parse_embedding_file
 from mlfewshot.episodes import load_manifest, make_synthetic
 from mlfewshot.errors import ConfigError
+from mlfewshot.lcm import LcmConfig
 from mlfewshot.metrics import (
     EVAL_MODES,
     MetricsReport,
@@ -209,6 +210,8 @@ def test_evaluate_rejects_bad_arguments(tiny_setup):
         run_evaluate(model, manifest, vocabulary, table, mode="turbo")
     with pytest.raises(ConfigError, match="no labels"):
         run_evaluate(model, manifest, vocabulary, table, split="validation")
+    with pytest.raises(ConfigError, match="theta 0.7 differs from the LCM threshold 0.65"):
+        run_evaluate(model, manifest, vocabulary, table, theta=0.7)
 
 
 def test_evaluate_is_deterministic(tiny_setup):
@@ -273,6 +276,7 @@ def test_evaluate_lcm_summarises_fallbacks_in_one_warning(tiny_setup, caplog):
             with caplog.at_level(logging.WARNING, logger="mlfewshot"):
                 _, detail = run_evaluate(model, manifest, vocabulary, table,
                                          episodes=4, seed=3, mode="lcm", theta=theta,
+                                         lcm_config=LcmConfig(threshold=theta),
                                          collect_detail=True, threads=threads)
             fell_back = sum(not (entry["sigma"] >= theta).any() for entry in detail)
             assert fell_back > 0

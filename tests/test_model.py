@@ -334,8 +334,8 @@ def per_image_pools(joint, labels, fmaps, keep):
     for row in np.asarray(keep).reshape(len(labels), len(fmaps), -1):
         pieces = [ad.gather_rows(projections[i], np.flatnonzero(kept))
                   for i, kept in enumerate(row) if kept.any()]
-        per_label.append(pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0))
-    return SupportPools(labels=labels, features=ad.concat(per_label, axis=0),
+        per_label.append(pieces[0] if len(pieces) == 1 else ad.concat(pieces))
+    return SupportPools(labels=labels, features=ad.concat(per_label),
                         sizes=[features.shape[0] for features in per_label])
 
 
@@ -452,8 +452,8 @@ def per_label_forward(model, episode, store, fmaps, embeddings, *, masks, dropou
         protos.append(per_label_prototype(model.attention, model.dynconv, pool, joints[li],
                                           draws[li]))
     logits = score_against(model.joint, pooled_globals(store, episode.query_ids),
-                           ad.concat([ad.reshape(p, (1, p.size)) for p in protos], axis=0))
-    return ad.concat([ad.reshape(j, (1, j.size)) for j in joints], axis=0), logits
+                           ad.concat([ad.reshape(p, (1, p.size)) for p in protos]))
+    return ad.concat([ad.reshape(j, (1, j.size)) for j in joints]), logits
 
 
 @pytest.mark.parametrize("case", ["lcm-short-pool", "zero-norm-row", "training-dropout"])
@@ -499,8 +499,8 @@ def test_score_against_matrix_matches_flat():
     rng = np.random.default_rng(4)
     globals_ = [Tensor(rng.standard_normal(6)) for _ in range(3)]
     vectors = [Tensor(rng.standard_normal(8)) for _ in range(2)]
-    flat = score_against(model.joint, ad.concat([ad.reshape(g, (1, 6)) for g in globals_], axis=0),
-                         ad.concat([ad.reshape(v, (1, 8)) for v in vectors], axis=0))
+    flat = score_against(model.joint, ad.concat([ad.reshape(g, (1, 6)) for g in globals_]),
+                         ad.concat([ad.reshape(v, (1, 8)) for v in vectors]))
     assert flat.shape == (6,)
     # image-major: entry (i, j) of the score matrix is flat[i * n_vectors + j]
     matrix = flat.data.reshape(3, 2)

@@ -8,7 +8,7 @@ import pytest
 
 from mlfewshot import autodiff as ad
 from mlfewshot.autodiff import Tensor
-from mlfewshot.errors import ConfigError
+from mlfewshot.errors import ConfigError, DataError
 from mlfewshot.prototypes import (
     DynConvParams,
     SupportPools,
@@ -52,7 +52,7 @@ def make_params(rng, dim=8, heads=2, inner=3, top=3, dropout=0.0):
 
 def head_queries(att, joints):
     """Every label's head queries, the ops `label_side` builds them with."""
-    return ad.linear(joints, ad.concat(att.queries, axis=0))
+    return ad.linear(joints, ad.concat(att.queries))
 
 
 def kernels(dyn, joints):
@@ -92,11 +92,18 @@ def test_dynconv_sizes_must_be_positive(inner, top):
         init_dynconv(8, inner, top, np.random.default_rng(0))
 
 
+def channel_slices(x, count):
+    """The `count` equal channel (column) slices of a matrix, on the tape:
+    row blocks of its transpose, transposed back."""
+    return [ad.transpose(part) for part in ad.split(ad.transpose(x), count)]
+
+
 def test_channel_split_concat_reconstructs():
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((3, 8)))
-    parts = ad.split(x, 4, axis=1)
-    back = ad.concat(parts, axis=1)
+    parts = channel_slices(x, 4)
+    assert [p.shape for p in parts] == [(3, 2)] * 4
+    back = ad.transpose(ad.concat([ad.transpose(p) for p in parts]))
     assert np.array_equal(back.data, x.data)
 
 
@@ -168,7 +175,7 @@ def test_top_selection_saturates_at_pool_size():
 
 def test_all_zero_pool_is_an_error():
     pool = one_pool(np.zeros((2, 2)))
-    with pytest.raises(ConfigError, match="empty-selection"):
+    with pytest.raises(DataError, match="empty-selection"):
         select_top_features(pool, label_row([1.0, 0.0]), 1)
 
 
@@ -343,16 +350,17 @@ def per_label_prototype(attention, dynconv, pool, label_joint, draws=None):
     """One label's prototype as the per-label code built it: each head's
     query and softmax on its own channel slice, the MLP and dropout on one
     vector, the top rows by cosine, and both generated-kernel stages on
-    that label alone, averaged with `mean`.  `draws` is the label's row of
-    the uniform draws behind the batched dropout mask, or None for none."""
+    that label alone, averaged as a ones row times the stage's rows.
+    `draws` is the label's row of the uniform draws behind the batched
+    dropout mask, or None for none."""
     inv_sqrt = 1.0 / math.sqrt(attention.head_dim)
     head_outputs = []
-    for transform, chunk in zip(attention.queries, ad.split(pool, attention.heads, axis=1)):
+    for transform, chunk in zip(attention.queries, channel_slices(pool, attention.heads)):
         query = ad.matmul(transform, column(label_joint))
         weights = ad.softmax(ad.reshape(ad.scale(ad.matmul(chunk, query), inv_sqrt),
                                         (1, chunk.shape[0])))
         head_outputs.append(column(ad.matmul(weights, chunk)))
-    merged = ad.concat(head_outputs, axis=0)
+    merged = ad.concat(head_outputs)
     hidden = ad.gelu(ad.add(ad.matmul(attention.mlp_w1, merged), column(attention.mlp_b1)))
     if draws is not None:
         hidden = ad.mul(hidden, Tensor(((draws >= attention.dropout)
@@ -374,7 +382,9 @@ def per_label_prototype(attention, dynconv, pool, label_joint, draws=None):
                                 dynconv.norm1_gain, dynconv.norm1_bias))
     out_rows = ad.relu(ad.layer_norm(ad.matmul(mid, ad.transpose(kernel2)),
                                      dynconv.norm2_gain, dynconv.norm2_bias))
-    return ad.add(att_part, ad.mean(out_rows, axis=0))
+    count = out_rows.shape[0]
+    mean_row = ad.scale(ad.matmul(Tensor(np.ones((1, count))), out_rows), 1.0 / count)
+    return ad.add(att_part, ad.reshape(mean_row, (joint,)))
 
 
 def assert_close(a, b, tol=1e-12):
@@ -409,7 +419,7 @@ def test_batched_prototypes_match_the_per_label_loop(case, caplog):
         return ad.concat([ad.reshape(per_label_prototype(
                               att, dyn, ad.gather_rows(features, np.arange(start, start + n)),
                               ad.reshape(ad.gather_rows(joints, [i]), (8,)), draws[i]), (1, 8))
-                          for i, (start, n) in enumerate(zip(starts, sizes))], axis=0)
+                          for i, (start, n) in enumerate(zip(starts, sizes))])
 
     _, counts = select_top_features(pools, joints, dyn.top_count)
     assert counts.tolist() == [4, 2, 4]        # six rows, one of them zero, still give four

@@ -90,8 +90,8 @@ def test_query_loss_matches_independent_bce_oracle():
     globals_ = [Tensor(rng.standard_normal(3)) for _ in range(4)]
     protos = [Tensor(rng.standard_normal(3)) for _ in range(2)]
     targets = (rng.random((4, 2)) < 0.5).astype(np.float64)
-    loss = score_loss(joint, ad.concat([ad.reshape(g, (1, 3)) for g in globals_], axis=0),
-                      ad.concat([ad.reshape(p, (1, 3)) for p in protos], axis=0), targets)
+    loss = score_loss(joint, ad.concat([ad.reshape(g, (1, 3)) for g in globals_]),
+                      ad.concat([ad.reshape(p, (1, 3)) for p in protos]), targets)
     expected = 0.0
     for i, g in enumerate(globals_):
         for j, p in enumerate(protos):
@@ -177,7 +177,7 @@ def test_base_evaluation_scores_the_training_forward(tiny_trained, monkeypatch):
     monkeypatch.undo()
     side = label_side(model.attention, model.dynconv, project_labels(model.joint, emb))
     probs, _, _ = metrics._episode_probabilities(model, episode, store, side, "base",
-                                                 0.65, None, False)
+                                                 None, False)
     assert len(seen) == 1
     assert np.array_equal(probs, ad._logistic(seen[0].reshape(probs.shape)))
 
