@@ -53,23 +53,23 @@ def _shape_error(op, *shapes):
 class Tensor:
     """A float64 array plus the bookkeeping needed for backward().
 
-    Leaves are created directly (optionally with requires_grad=True);
-    interior nodes are created by ops, which attach a closure that
-    pushes the node's gradient to its parents.  A leaf's `grad_home`, set
-    by an optimizer, is the array its gradient is written into.
+    `Tensor(data, requires_grad)` builds a leaf and checks its data is finite;
+    interior nodes are built only by ops, through `_node`, with a closure that
+    pushes the node's gradient to its parents.  A leaf's `grad_home`, set by
+    an optimizer, is the array its gradient is written into.
     """
 
     __slots__ = ("data", "grad", "grad_home", "requires_grad", "op", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _op="leaf"):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
-        if _op == "leaf" and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise DomainError("tensor: leaf data must be finite")
         self.data = arr
         self.grad = None
         self.grad_home = None
         self.requires_grad = bool(requires_grad)
-        self.op = _op
+        self.op = "leaf"
         self._parents = ()
         self._backward = None
 
@@ -155,17 +155,16 @@ def _toposort(root):
 
 
 def _node(data, parents, op, backward):
+    """Every interior node.  One whose parents need no gradient is a constant:
+    no parents and no backward, so the graph that built it can be freed."""
     needs = any(p.requires_grad for p in parents)
-    if not needs:
-        # constants need no graph; drop references so memory is freed early
-        return Tensor(data, _op=op)
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64)
     out.grad = out.grad_home = None
-    out.requires_grad = True
+    out.requires_grad = needs
     out.op = op
-    out._parents = tuple(parents)
-    out._backward = backward
+    out._parents = tuple(parents) if needs else ()
+    out._backward = backward if needs else None
     return out
 
 

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: synth, train, eval, gradcheck, inspect-lcm.  Exit codes:
-0 success, 1 configuration error, 2 data error, 3 numeric error.
+0 success, 1 configuration or command-usage error, 2 data error, 3 numeric error.
 """
 
 import argparse
@@ -96,14 +96,12 @@ def _write_json(path, payload):
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # the flags are make_synthetic's keywords; one not given keeps its default there
     options = {key: value for key, value in vars(args).items()
                if key not in ("command", "func", "out") and value is not None}
     if "grid" in options:
         options["grid"] = (options["grid"], options["grid"])
-    data = make_synthetic(out, **options)
+    data = make_synthetic(args.out, **options)
     print(f"manifest:   {data.manifest_path}")
     print(f"splits:     {data.splits_path}")
     print(f"embeddings: {data.embeddings_path}")
@@ -275,7 +273,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as leave:
-        return int(leave.code or 0)
+        # argparse has printed its usage error (code 2) or the help (code 0)
+        return 1 if leave.code else 0
     try:
         return args.func(args)
     except ConfigError as err:

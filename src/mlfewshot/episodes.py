@@ -20,7 +20,7 @@ from .embeddings import (
     write_embedding_file,
     write_vocabulary,
 )
-from .errors import DataError, InsufficientImagesError
+from .errors import ConfigError, DataError, InsufficientImagesError
 from .features import write_feature_file
 
 log = logging.getLogger(__name__)
@@ -60,13 +60,14 @@ class DatasetManifest:
         return self.records[self.by_id[image_id]]
 
 
-def load_manifest(path, vocabulary: LabelVocabulary | None = None) -> DatasetManifest:
+def load_manifest(path, vocabulary: LabelVocabulary) -> DatasetManifest:
+    """Read a manifest; every label must be in `vocabulary` and every feature file exist."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"manifest {path} does not exist")
     records = []
     ids = set()
-    known = set(vocabulary.all_labels()) if vocabulary is not None else None
+    known = set(vocabulary.all_labels())
     for lineno, line in enumerate(utf8_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -88,12 +89,11 @@ def load_manifest(path, vocabulary: LabelVocabulary | None = None) -> DatasetMan
         if obj["id"] in ids:
             raise DataError(f"manifest {path}: duplicate image id {obj['id']!r}")
         ids.add(obj["id"])
-        if known is not None:
-            unknown = [l for l in labels if l not in known]
-            if unknown:
-                raise DataError(
-                    f"manifest {path}: image {obj['id']!r} has labels outside the vocabulary: {unknown}"
-                )
+        unknown = [l for l in labels if l not in known]
+        if unknown:
+            raise DataError(
+                f"manifest {path}: image {obj['id']!r} has labels outside the vocabulary: {unknown}"
+            )
         records.append(ManifestRecord(obj["id"], obj["features"], labels))
     if not records:
         raise DataError(f"manifest {path} lists no images")
@@ -138,8 +138,8 @@ class Episode:
 class EpisodePool:
     """The images an episode may draw from, indexed for sampling: each
     label's candidates as a sorted array of positions into `records` (the
-    pool's manifest indices, sorted) and each pool image's multi-hot row over
-    `label_columns`.
+    pool's manifest indices, sorted) and `image_ids` (their ids, in the same
+    order), and each pool image's multi-hot row over `label_columns`.
 
     Build it once per split and pass it to every draw.
     """
@@ -147,6 +147,7 @@ class EpisodePool:
     def __init__(self, manifest: DatasetManifest, record_pool):
         pool = set(record_pool)
         self.records = np.array(sorted(pool), dtype=np.intp)
+        self.image_ids = [manifest.records[i].image_id for i in self.records.tolist()]
         self.label_columns = {label: i for i, label in enumerate(manifest.by_label)}
         self.targets = np.zeros((self.records.size, len(self.label_columns)))
         self.candidates = {}
@@ -179,10 +180,8 @@ def _draw_for_labels(pool: EpisodePool, labels, per_label, taken, rng) -> np.nda
     return np.concatenate(chosen)
 
 
-def sample_episode(manifest: DatasetManifest, pool: EpisodePool, labels, k_shot: int,
-                   rng) -> Episode:
-    """Sample a K-shot episode over the given labels from a pool of the
-    manifest's images.
+def sample_episode(pool: EpisodePool, labels, k_shot: int, rng) -> Episode:
+    """Sample a K-shot episode over the given labels from the pool's images.
 
     Support gets exactly k_shot * len(labels) distinct images; queries get
     QUERY_PER_LABEL per label, disjoint from support.  Raises
@@ -203,26 +202,23 @@ def sample_episode(manifest: DatasetManifest, pool: EpisodePool, labels, k_shot:
     return Episode(
         labels=labels,
         k_shot=k_shot,
-        support_ids=_image_ids(manifest, pool.records[support]),
+        support_ids=tuple(pool.image_ids[i] for i in support.tolist()),
         support_targets=pool.targets[support[:, None], columns],
-        query_ids=_image_ids(manifest, pool.records[query]),
+        query_ids=tuple(pool.image_ids[i] for i in query.tolist()),
         query_targets=pool.targets[query[:, None], columns],
     )
 
 
-def _image_ids(manifest, indices) -> tuple[str, ...]:
-    return tuple(manifest.records[i].image_id for i in indices.tolist())
-
-
-def sample_episode_with_retries(manifest, pool: EpisodePool, labels, k_shot, make_rng) -> Episode:
-    """Resample with fresh seeds up to SAMPLE_RETRIES times before giving up.
+def sample_episode_with_retries(pool: EpisodePool, labels, k_shot, make_rng) -> Episode:
+    """`sample_episode` from the pool, resampled with fresh seeds up to
+    SAMPLE_RETRIES times before giving up.
 
     make_rng(attempt) must return a fresh deterministic generator per attempt.
     """
     last = None
     for attempt in range(SAMPLE_RETRIES):
         try:
-            return sample_episode(manifest, pool, labels, k_shot, make_rng(attempt))
+            return sample_episode(pool, labels, k_shot, make_rng(attempt))
         except InsufficientImagesError as err:
             last = err
     raise last
@@ -254,16 +250,27 @@ def make_synthetic(out_dir, *, n_base=8, n_validation=0, n_novel=4, images_per_l
     white noise of scale `signal_noise`) in disjoint random cell sets
     covering `signal_fraction` of the grid; remaining cells are pure white
     noise of scale `background_scale`.  With signal_fraction 1.0 and zero
-    noise, every cell equals one of the image's signatures exactly.
+    noise, every cell equals one of the image's signatures exactly.  Sizes
+    out of range raise ConfigError before anything is written.
     """
+    h, w = grid
+    for name, value in (("grid sides", min(h, w)), ("embed_dim", embed_dim),
+                        ("images_per_label", images_per_label)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+    if channels < embed_dim:
+        raise ConfigError(f"channels ({channels}) must be >= embed_dim ({embed_dim}): "
+                          "the signature map needs orthonormal columns")
+    if min(n_base, n_validation, n_novel) < 0 or n_base + n_validation + n_novel < 1:
+        raise ConfigError(f"label counts must be >= 0 with at least one label, got n_base "
+                          f"{n_base}, n_validation {n_validation}, n_novel {n_novel}")
     if not 0.0 < signal_fraction <= 1.0:
-        raise DataError(f"signal_fraction must lie in (0, 1], got {signal_fraction}")
+        raise ConfigError(f"signal_fraction must lie in (0, 1], got {signal_fraction}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     feature_dir = out_dir / "features"
     feature_dir.mkdir(exist_ok=True)
     rng = np.random.default_rng(seed)
-    h, w = grid
 
     names = [f"lab{i:02d}" for i in range(n_base + n_validation + n_novel)]
     vocabulary = LabelVocabulary(

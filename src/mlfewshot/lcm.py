@@ -81,19 +81,6 @@ def normalize_importance(values: np.ndarray) -> np.ndarray:
                                              where=out > 0, initial=1.0))
 
 
-def momentum_alpha(iteration: int) -> float:
-    """Warm-up coefficient min(1 - 1/(i+1), MOMENTUM_CAP) for iteration i >= 1."""
-    if iteration < 1:
-        raise ConfigError(f"momentum iteration starts at 1, got {iteration}")
-    return min(1.0 - 1.0 / (iteration + 1), MOMENTUM_CAP)
-
-
-def momentum_update(accumulator: np.ndarray, grid: np.ndarray, iteration: int) -> np.ndarray:
-    """f_i = alpha_i * f_{i-1} + (1 - alpha_i) * g_i with f_0 = 0."""
-    alpha = momentum_alpha(iteration)
-    return alpha * np.asarray(accumulator, dtype=np.float64) + (1.0 - alpha) * np.asarray(grid, dtype=np.float64)
-
-
 def _image_loss_gradient(joint: JointSpaceParams, fmaps: np.ndarray, targets, label_joints):
     """Closed-form d loss / d importance of each image's CM loss under
     weighted pooling, for every image of an (n, c, h, w) stack with
@@ -151,8 +138,9 @@ def fit_importance(joint: JointSpaceParams, fmaps: np.ndarray, targets, label_jo
 
     Per epoch: one Adam step on the weights minimizing each image's CM loss
     under weighted pooling, clamp to [0, 1] and normalize each grid, then
-    refresh the loss-change grids and fold them into the momentum
-    accumulator.  The gradient behind each grid is also the one the next
+    fold the loss-change grids g_i = |w * d loss / d w| into the momentum
+    f_i = a_i f_{i-1} + (1 - a_i) g_i, with f_0 = 0 and a_i = min(1 - 1/(i+1),
+    MOMENTUM_CAP).  The gradient behind each grid is also the one the next
     epoch's Adam step takes, so every epoch evaluates the gradient once.
     Images do not interact: every operation is elementwise or per image, so
     each image's grids are bitwise those of a stack of that image alone.
@@ -171,8 +159,8 @@ def fit_importance(joint: JointSpaceParams, fmaps: np.ndarray, targets, label_jo
         np.clip(weights.data, 0.0, 1.0, out=weights.data)
         weights.data[...] = normalize_importance(weights.data)
         weights.grad = gradient(weights.data)
-        grid = np.abs(weights.data * weights.grad)
-        accumulator = momentum_update(accumulator, grid, iteration)
+        alpha = min(1.0 - 1.0 / (iteration + 1), MOMENTUM_CAP)
+        accumulator = alpha * accumulator + (1.0 - alpha) * np.abs(weights.data * weights.grad)
     return weights.data.copy(), accumulator
 
 

@@ -186,7 +186,7 @@ def evaluate(model: ModelState, manifest, vocabulary, table, *, split, episodes,
 
     def run_episode(idx):
         episode = sample_episode_with_retries(
-            manifest, record_pool, labels, k_shot,
+            record_pool, labels, k_shot,
             lambda attempt: seeding.substream(seed, "eval", idx, attempt))
         probs, detail, fell_back = _episode_probabilities(
             model, episode, store, side, mode, lcm_config, collect_detail)

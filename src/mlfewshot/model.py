@@ -161,9 +161,10 @@ def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
 
     The model is built at the checkpoint's sizes and each parameter read
     under its `named_parameters()` name; a missing, wrong-shaped or
-    non-finite tensor is a DataError naming it.  Parameters come back
-    frozen, so evaluation builds no backward graph; `training.train` makes
-    them trainable again."""
+    non-finite tensor is a DataError naming it, as is a `trainer.epoch`
+    that is not a whole number >= 0 or a `model.top_count` that is not one
+    >= 1.  Parameters come back frozen, so evaluation builds no backward
+    graph; `training.train` makes them trainable again."""
     tensors = read_checkpoint_tensors(path)
 
     def read(name, shape):
@@ -180,6 +181,11 @@ def load_checkpoint(path) -> tuple[ModelState, dict[str, np.ndarray]]:
     scale, dropout, top_count, epoch = (
         read(name, ()) for name in ("model.scale", "model.dropout", "model.top_count",
                                     "trainer.epoch"))
+    # both are counts; init_dynconv rejects a top_count of 0
+    for name, value in (("trainer.epoch", epoch), ("model.top_count", top_count)):
+        if value < 0 or value != int(value):
+            raise DataError(f"checkpoint {path}: tensor {name!r} holds {float(value)}, "
+                            "not a whole number >= 0")
     try:
         visual, text = tensors["joint.visual"].shape, tensors["joint.text"].shape
         model = init_model(

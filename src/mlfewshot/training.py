@@ -100,6 +100,10 @@ def train(model: ModelState, manifest, vocabulary, table, settings: TrainSetting
     """Run episodic training from model.epoch up to settings.epochs, stepping
     the caller's `optimizer`, fresh or restored to resume, over the model.
 
+    With `log_path`, the CSV log there is rewritten whole, atomically, before
+    the first epoch and after each one: the header, an earlier log's rows for
+    epochs below model.epoch, and this run's rows.
+
     Deterministic for a fixed seed: episode sampling, dropout, and parameter
     updates all draw from named substreams of settings.seed.
     """
@@ -113,53 +117,48 @@ def train(model: ModelState, manifest, vocabulary, table, settings: TrainSetting
     label_embeddings = embed_labels(table, base_labels, normalize=settings.normalize_embeddings)
 
     rows = []
-    log_handle = None
-    if log_path is not None:
-        # a header and one row per epoch the model has finished: a resume
-        # drops rows an interrupted run logged past its checkpoint
-        earlier = []
-        if model.epoch > 0 and Path(log_path).is_file():
-            with open(log_path, newline="") as old:
-                earlier = [row for row in list(csv.reader(old))[1:]
-                           if row and row[0].isdigit() and int(row[0]) < model.epoch]
-        with atomic_open(log_path, "w") as handle:
-            csv.writer(handle).writerows(
-                [["epoch", "cm_loss", "query_loss", "total_loss", "lr"], *earlier])
-        log_handle = open(log_path, "a", newline="")
-    try:
-        for epoch in range(model.epoch, settings.epochs):
-            lr = warmup_lr(settings.lr, epoch, settings.warmup_epochs)
-            cm_sum = 0.0
-            query_sum = 0.0
-            total_sum = 0.0
-            for i in range(settings.episodes_per_epoch):
-                episode = sample_episode_with_retries(
-                    manifest, record_pool, base_labels, settings.k_shot,
-                    lambda attempt: seeding.substream(settings.seed, "sample", epoch, i, attempt))
-                cm, q = episode_losses(
-                    model, episode, store, label_embeddings,
-                    dropout_rng=seeding.substream(settings.seed, "dropout", epoch, i))
-                total = ad.add(cm, ad.scale(q, settings.gamma))
-                if not np.isfinite(total.data):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch} episode {i} "
-                        f"(seed {settings.seed})")
-                optimizer.zero_grad()
-                total.backward()
-                optimizer.step(lr=lr)
-                cm_sum += cm.item()
-                query_sum += q.item()
-                total_sum += total.item()
-            n = settings.episodes_per_epoch
-            row = EpochRow(epoch=epoch, cm_loss=cm_sum / n, query_loss=query_sum / n,
-                           total_loss=total_sum / n, lr=lr)
-            rows.append(row)
-            if log_handle is not None:
-                csv.writer(log_handle).writerow(
-                    [row.epoch, *map(repr, (row.cm_loss, row.query_loss, row.total_loss, row.lr))])
-                log_handle.flush()
-            model.epoch = epoch + 1
-    finally:
-        if log_handle is not None:
-            log_handle.close()
+    earlier = []
+    if log_path is not None and model.epoch > 0 and Path(log_path).is_file():
+        with open(log_path, newline="") as old:
+            earlier = [row for row in list(csv.reader(old))[1:]
+                       if row and row[0].isdigit() and int(row[0]) < model.epoch]
+
+    def write_log():
+        if log_path is not None:
+            with atomic_open(log_path, "w") as handle:
+                writer = csv.writer(handle)
+                writer.writerows([["epoch", "cm_loss", "query_loss", "total_loss", "lr"], *earlier])
+                writer.writerows(
+                    [r.epoch, *map(repr, (r.cm_loss, r.query_loss, r.total_loss, r.lr))]
+                    for r in rows)
+
+    write_log()
+    for epoch in range(model.epoch, settings.epochs):
+        lr = warmup_lr(settings.lr, epoch, settings.warmup_epochs)
+        cm_sum = 0.0
+        query_sum = 0.0
+        total_sum = 0.0
+        for i in range(settings.episodes_per_epoch):
+            episode = sample_episode_with_retries(
+                record_pool, base_labels, settings.k_shot,
+                lambda attempt: seeding.substream(settings.seed, "sample", epoch, i, attempt))
+            cm, q = episode_losses(
+                model, episode, store, label_embeddings,
+                dropout_rng=seeding.substream(settings.seed, "dropout", epoch, i))
+            total = ad.add(cm, ad.scale(q, settings.gamma))
+            if not np.isfinite(total.data):
+                raise NumericError(
+                    f"non-finite loss at epoch {epoch} episode {i} "
+                    f"(seed {settings.seed})")
+            optimizer.zero_grad()
+            total.backward()
+            optimizer.step(lr=lr)
+            cm_sum += cm.item()
+            query_sum += q.item()
+            total_sum += total.item()
+        n = settings.episodes_per_epoch
+        rows.append(EpochRow(epoch=epoch, cm_loss=cm_sum / n, query_loss=query_sum / n,
+                             total_loss=total_sum / n, lr=lr))
+        write_log()
+        model.epoch = epoch + 1
     return TrainResult(model=model, optimizer=optimizer, rows=rows)

@@ -275,7 +275,7 @@ def test_ten_thousand_sampled_episodes_are_sound(clean_bundle):
     for idx in range(10_000):
         k_shot = 1 if idx % 2 == 0 else 2
         episode = sample_episode_with_retries(
-            bundle.manifest, pool, labels, k_shot,
+            pool, labels, k_shot,
             lambda attempt: seeding.substream(99, "soundness", idx, attempt))
         problems = validate_episode(episode)
         if problems:

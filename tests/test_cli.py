@@ -66,6 +66,31 @@ def test_synth_without_flags_writes_make_synthetics_defaults(tmp_path):
     assert files(tmp_path / "cli") == files(tmp_path / "direct")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grid", "0"], ["--grid", "-2"], ["--channels", "0"], ["--channels", "4", "--embed-dim", "8"],
+    ["--embed-dim", "0"], ["--images-per-label", "0"], ["--images-per-label", "-1"],
+    ["--n-base", "0", "--n-novel", "0"], ["--n-base", "-1"], ["--signal-fraction", "0"]])
+def test_synth_sizes_out_of_range_exit_1_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--mode", "bogus"], ["bogus"], ["train", "--epochs"],
+    ["synth", "--out", "unused", "--seed", "abc"], []])
+def test_command_usage_errors_exit_1(capsys, argv):
+    assert main(argv) == 1
+    assert "usage: mlfewshot" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: mlfewshot" in capsys.readouterr().out
+
+
 def test_train_outputs(pipeline):
     _, run, _ = pipeline
     assert (run / "model.ckpt").exists()
@@ -240,6 +265,29 @@ def test_resume_with_bad_optimizer_state_exits_2(pipeline, tmp_path, capsys, cor
     assert "data error" in err and named in err
 
 
+@pytest.mark.parametrize("field,value,tensor", [
+    ("epoch", -2, "trainer.epoch"), ("epoch", 2.5, "trainer.epoch"),
+    ("top_count", 4.5, "model.top_count")])
+def test_a_checkpoint_count_that_is_not_whole_exits_2(pipeline, tmp_path, capsys, field, value,
+                                                     tensor):
+    _, run, paths = pipeline
+    model, extras = load_checkpoint(run / "model.ckpt")
+    if field == "epoch":
+        model.epoch = value
+    else:
+        model.dynconv.top_count = value
+    config = {k[len("config."):]: float(v) for k, v in extras.items() if k.startswith("config.")}
+    save_checkpoint(tmp_path / "model.ckpt", model, optimizer=SavedState(
+        {k: v for k, v in extras.items() if k.startswith("optim.")}), config_scalars=config)
+    before = (tmp_path / "model.ckpt").read_bytes()
+    assert main(["train", *run_flags(paths, tmp_path), "--resume", *TRAIN_FLAGS,
+                 "--epochs", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"'{tensor}'" in err
+    assert (tmp_path / "model.ckpt").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_inspect_lcm_writes_grids(pipeline, capsys):
     _, run, paths = pipeline
     code = main(["inspect-lcm", *paths, *MODEL_FLAGS, "--image", "img00000"])
@@ -255,7 +303,7 @@ def test_inspect_lcm_grids_are_select_cells_on_one_map(pipeline, capsys):
     data, run, paths = pipeline
     model, _ = load_checkpoint(run / "model.ckpt")
     vocabulary = load_vocabulary(data / "labels.tsv")
-    manifest = load_manifest(data / "manifest.jsonl")
+    manifest = load_manifest(data / "manifest.jsonl", vocabulary)
     table = parse_embedding_file(data / "embeddings.txt")
     record = manifest.record_for("img00000")
     labels = vocabulary.labels_for(vocabulary.split_of(record.labels[0]))
@@ -432,7 +480,7 @@ def zeroed_novel(pipeline, tmp_path_factory):
     root = tmp_path_factory.mktemp("zeroed") / "data"
     shutil.copytree(data, root)
     vocabulary = load_vocabulary(root / "labels.tsv")
-    manifest = load_manifest(root / "manifest.jsonl")
+    manifest = load_manifest(root / "manifest.jsonl", vocabulary)
     for idx, record in enumerate(manifest.records):
         if vocabulary.split_of(record.labels[0]) == "novel":
             path = manifest.feature_path(idx)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mlfewshot import seeding
-from mlfewshot.embeddings import parse_embedding_file
-from mlfewshot.errors import DataError, InsufficientImagesError
+from mlfewshot.embeddings import LabelVocabulary, parse_embedding_file
+from mlfewshot.errors import ConfigError, DataError, InsufficientImagesError
 from mlfewshot.episodes import (
     SAMPLE_RETRIES,
     DatasetManifest,
@@ -35,13 +35,15 @@ def toy_manifest(entries):
 
 SIX = toy_manifest([(f"i{k}", ["a"] if k < 6 else ["b"]) for k in range(12)])
 SIX_POOL = EpisodePool(SIX, range(12))
+# the labels of the hand-written manifests below
+XY = LabelVocabulary(base=("x", "y"))
 
 
 # ----------------------------------------------------------------- sampling
 
 
 def test_episode_sizes_and_disjointness():
-    ep = sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(0))
+    ep = sample_episode(SIX_POOL, ("a", "b"), 1, np.random.default_rng(0))
     assert len(ep.support_ids) == 2
     assert len(ep.query_ids) == 8
     assert not set(ep.support_ids) & set(ep.query_ids)
@@ -51,11 +53,11 @@ def test_episode_sizes_and_disjointness():
 
 
 def test_sampling_is_seeded():
-    a = sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(7))
-    b = sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(7))
+    a = sample_episode(SIX_POOL, ("a", "b"), 1, np.random.default_rng(7))
+    b = sample_episode(SIX_POOL, ("a", "b"), 1, np.random.default_rng(7))
     assert a.support_ids == b.support_ids and a.query_ids == b.query_ids
     seen = {
-        sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(s)).support_ids
+        sample_episode(SIX_POOL, ("a", "b"), 1, np.random.default_rng(s)).support_ids
         for s in range(30)
     }
     assert len(seen) > 1
@@ -70,7 +72,7 @@ def test_spillover_label_counts_but_fresh_images_still_drawn():
         ("q1", ["a"]), ("q2", ["a"]), ("q3", ["a"]), ("q4", ["a"]),
         ("q5", ["b"]), ("q6", ["b"]), ("q7", ["b"]), ("q8", ["b"]),
     ])
-    ep = sample_episode(manifest, EpisodePool(manifest, range(13)), ("a", "b"), 1,
+    ep = sample_episode(EpisodePool(manifest, range(13)), ("a", "b"), 1,
                         np.random.default_rng(1))
     assert len(ep.support_ids) == 2
     assert len(set(ep.support_ids)) == 2
@@ -85,7 +87,7 @@ def test_multi_hot_restricted_to_episode_labels():
         ("x", ["a", "c"]),
         ("y", ["a"]), ("z", ["a"]), ("w", ["a"]), ("v", ["a"]),
     ])
-    ep = sample_episode(manifest, EpisodePool(manifest, range(5)), ("a",), 1,
+    ep = sample_episode(EpisodePool(manifest, range(5)), ("a",), 1,
                         np.random.default_rng(2))
     # label c exists on image x but is outside the episode's label set
     assert ep.support_targets.shape[1] == 1
@@ -95,7 +97,7 @@ def test_multi_hot_restricted_to_episode_labels():
 def test_insufficient_images_error_fields():
     manifest = toy_manifest([("only", ["a"])])
     with pytest.raises(InsufficientImagesError) as info:
-        sample_episode(manifest, EpisodePool(manifest, range(1)), ("a",), 1,
+        sample_episode(EpisodePool(manifest, range(1)), ("a",), 1,
                        np.random.default_rng(0))
     err = info.value
     # support succeeds with the single image, queries then run dry
@@ -107,16 +109,16 @@ def test_insufficient_images_error_fields():
 
 def test_empty_label_pool_fails_immediately():
     with pytest.raises(InsufficientImagesError) as info:
-        sample_episode(SIX, SIX_POOL, ("a", "missing"), 1, np.random.default_rng(0))
+        sample_episode(SIX_POOL, ("a", "missing"), 1, np.random.default_rng(0))
     assert info.value.label == "missing"
     assert info.value.available == 0
 
 
 def test_degenerate_episode_parameters():
     with pytest.raises(DataError):
-        sample_episode(SIX, SIX_POOL, (), 1, np.random.default_rng(0))
+        sample_episode(SIX_POOL, (), 1, np.random.default_rng(0))
     with pytest.raises(DataError):
-        sample_episode(SIX, SIX_POOL, ("a",), 0, np.random.default_rng(0))
+        sample_episode(SIX_POOL, ("a",), 0, np.random.default_rng(0))
 
 
 def test_retries_eventually_raise_the_last_error():
@@ -128,13 +130,13 @@ def test_retries_eventually_raise_the_last_error():
         return np.random.default_rng(attempt)
 
     with pytest.raises(InsufficientImagesError):
-        sample_episode_with_retries(manifest, EpisodePool(manifest, range(1)), ("a",), 1,
+        sample_episode_with_retries(EpisodePool(manifest, range(1)), ("a",), 1,
                                     make_rng)
     assert calls == list(range(SAMPLE_RETRIES))
 
 
 def test_retries_return_first_success():
-    ep = sample_episode_with_retries(SIX, SIX_POOL, ("a", "b"), 1,
+    ep = sample_episode_with_retries(SIX_POOL, ("a", "b"), 1,
                                      lambda attempt: np.random.default_rng(attempt))
     assert validate_episode(ep, SIX) == []
 
@@ -176,7 +178,7 @@ def test_sampler_matches_the_set_based_oracle(tiny_data, split):
                 return seeding.substream(seed, "oracle", index, attempt)
 
             got = _outcome(lambda: sample_episode_with_retries(
-                manifest, pool, labels, k_shot, make_rng))
+                pool, labels, k_shot, make_rng))
             tries = len(attempts)
             attempts.clear()
             assert got == _outcome(lambda: set_based_sample_episode_with_retries(
@@ -190,14 +192,14 @@ def test_sampler_matches_the_set_based_oracle(tiny_data, split):
 
 def test_sampler_rejects_repeated_labels():
     with pytest.raises(DataError, match="distinct"):
-        sample_episode(SIX, SIX_POOL, ("a", "b", "a"), 1, np.random.default_rng(0))
+        sample_episode(SIX_POOL, ("a", "b", "a"), 1, np.random.default_rng(0))
 
 
 # --------------------------------------------------------------- validation
 
 
 def test_validate_flags_duplicate_support():
-    ep = sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(3))
+    ep = sample_episode(SIX_POOL, ("a", "b"), 1, np.random.default_rng(3))
     broken = Episode(ep.labels, ep.k_shot,
                      (ep.support_ids[0], ep.support_ids[0]),
                      ep.support_targets, ep.query_ids, ep.query_targets)
@@ -205,7 +207,7 @@ def test_validate_flags_duplicate_support():
 
 
 def test_validate_flags_support_query_overlap():
-    ep = sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(4))
+    ep = sample_episode(SIX_POOL, ("a", "b"), 1, np.random.default_rng(4))
     broken = Episode(ep.labels, ep.k_shot, ep.support_ids, ep.support_targets,
                      ep.support_ids + ep.query_ids[2:],
                      np.vstack([ep.support_targets, ep.query_targets[2:]]))
@@ -213,7 +215,7 @@ def test_validate_flags_support_query_overlap():
 
 
 def test_validate_flags_wrong_sizes_and_coverage():
-    ep = sample_episode(SIX, SIX_POOL, ("a", "b"), 1, np.random.default_rng(5))
+    ep = sample_episode(SIX_POOL, ("a", "b"), 1, np.random.default_rng(5))
     short = Episode(ep.labels, 2, ep.support_ids, ep.support_targets,
                     ep.query_ids, ep.query_targets)
     problems = validate_episode(short)
@@ -245,7 +247,7 @@ def test_manifest_round_trip(tmp_path):
     for record in records:
         (tmp_path / record.features).touch()          # the check is that each file exists
     assert path.read_text().startswith("# toy\n")
-    back = load_manifest(path)
+    back = load_manifest(path, XY)
     assert [(r.image_id, r.features, r.labels) for r in back.records] == \
            [("a", "a.fmap", ("x", "y")), ("b", "b.fmap", ("y",))]
     assert back.by_label["y"] == [0, 1]
@@ -264,7 +266,7 @@ def test_manifest_line_errors(tmp_path, line, fragment):
     path = tmp_path / "m.jsonl"
     path.write_text(line + "\n")
     with pytest.raises(DataError, match=fragment):
-        load_manifest(path)
+        load_manifest(path, XY)
 
 
 def test_manifest_bytes_that_are_not_utf8_are_a_data_error(tmp_path):
@@ -272,7 +274,7 @@ def test_manifest_bytes_that_are_not_utf8_are_a_data_error(tmp_path):
     path.write_bytes(b'{"id": "a", "features": "f", "labels": ["x"]}\n'
                      b'{"id": "\xff", "features": "f", "labels": ["x"]}\n')
     with pytest.raises(DataError, match=r"m\.jsonl: line 2 is not UTF-8"):
-        load_manifest(path)
+        load_manifest(path, XY)
 
 
 def test_manifest_duplicate_id_and_empty_file(tmp_path):
@@ -280,17 +282,17 @@ def test_manifest_duplicate_id_and_empty_file(tmp_path):
     row = '{"id": "a", "features": "f", "labels": ["x"]}'
     path.write_text(row + "\n" + row + "\n")
     with pytest.raises(DataError, match="duplicate image id"):
-        load_manifest(path)
+        load_manifest(path, XY)
     (tmp_path / "empty.jsonl").write_text("# nothing\n")
     with pytest.raises(DataError, match="lists no images"):
-        load_manifest(tmp_path / "empty.jsonl")
+        load_manifest(tmp_path / "empty.jsonl", XY)
 
 
 def test_manifest_missing_feature_file(tmp_path):
     path = tmp_path / "m.jsonl"
     path.write_text('{"id": "a", "features": "gone.fmap", "labels": ["x"]}\n')
     with pytest.raises(DataError, match="missing"):
-        load_manifest(path)
+        load_manifest(path, XY)
 
 
 def test_manifest_vocabulary_check(tiny_data, tmp_path):
@@ -335,7 +337,7 @@ def test_synthetic_cells_match_features_at_zero_noise(tmp_path):
     data = make_synthetic(tmp_path, n_base=2, n_novel=1, images_per_label=3,
                           grid=(3, 3), channels=6, embed_dim=4,
                           signal_fraction=1.0, signal_noise=0.0, seed=3)
-    manifest = load_manifest(data.manifest_path)
+    manifest = load_manifest(data.manifest_path, data.vocabulary)
     sig_names = list(data.signatures)
     sig_matrix = np.stack([data.signatures[n] for n in sig_names])
     hits = misses = 0
@@ -358,7 +360,7 @@ def test_synthetic_multi_label_images_within_split(tmp_path):
     data = make_synthetic(tmp_path, n_base=3, n_novel=2, images_per_label=20,
                           grid=(3, 3), channels=5, embed_dim=4,
                           extra_label_prob=1.0, seed=4)
-    manifest = load_manifest(data.manifest_path)
+    manifest = load_manifest(data.manifest_path, data.vocabulary)
     multi = [r for r in manifest.records if len(r.labels) == 2]
     assert multi   # extra_label_prob 1.0 forces a second label wherever possible
     base, novel = set(data.vocabulary.base), set(data.vocabulary.novel)
@@ -368,7 +370,7 @@ def test_synthetic_multi_label_images_within_split(tmp_path):
 
 
 def test_synthetic_rejects_bad_fraction(tmp_path):
-    with pytest.raises(DataError, match="signal_fraction"):
+    with pytest.raises(ConfigError, match="signal_fraction"):
         make_synthetic(tmp_path, signal_fraction=0.0)
 
 

@@ -15,8 +15,6 @@ from mlfewshot.lcm import (
     LcmConfig,
     _image_loss_gradient,
     fit_importance,
-    momentum_alpha,
-    momentum_update,
     normalize_importance,
     select_cells,
 )
@@ -74,31 +72,6 @@ def test_normalize_invariants_on_random_grids():
         flat_in, flat_out = grid.reshape(-1), out.reshape(-1)
         order = np.argsort(flat_in)
         assert np.all(np.diff(flat_out[order]) >= -1e-15)
-
-
-# ----------------------------------------------------------------- momentum
-
-
-def test_momentum_alpha_values():
-    assert momentum_alpha(1) == 0.5
-    assert momentum_alpha(19) == pytest.approx(0.95, abs=1e-12)
-    assert momentum_alpha(100) == 0.95    # capped
-
-
-def test_momentum_first_update_is_half_gradient():
-    g = np.array([[2.0, 4.0]])
-    f1 = momentum_update(np.zeros((1, 2)), g, 1)
-    assert np.allclose(f1, g / 2.0, atol=1e-15)
-
-
-def test_momentum_constant_signal_reaches_exact_fraction():
-    # alpha_i = i/(i+1) below the cap gives f_i = i/(i+1) * g;
-    # the cap at 0.95 makes f_20 = 0.05g + 0.95*0.95g = 0.9525g exactly
-    g = np.array([3.0])
-    f = np.zeros(1)
-    for i in range(1, 21):
-        f = momentum_update(f, g, i)
-    assert abs(f[0] - 0.9525 * 3.0) <= 1e-12
 
 
 # ---------------------------------------------------------------- selection
@@ -209,6 +182,14 @@ def test_exact_loss_change_is_abs_difference():
 # ------------------------------------------------ closed form against the tape
 
 
+def momentum(accumulator, grid, iteration):
+    """The loss-change accumulator's update from its definition:
+    f_i = alpha_i * f_{i-1} + (1 - alpha_i) * g_i, with the warm-up
+    coefficient alpha_i = min(1 - 1/(i+1), 0.95) for iteration i >= 1."""
+    alpha = min(1.0 - 1.0 / (iteration + 1), 0.95)
+    return alpha * accumulator + (1.0 - alpha) * grid
+
+
 def tape_fit(joint, fmap, targets, labels, config):
     """The taped fitting loop: one tape for each Adam step and one more for
     each loss-change grid."""
@@ -222,7 +203,7 @@ def tape_fit(joint, fmap, targets, labels, config):
         np.clip(weights.data, 0.0, 1.0, out=weights.data)
         weights.data[...] = normalize_importance(weights.data)
         grid = np.abs(weights.data * tape_gradient(joint, fmap, targets, labels, weights.data))
-        accumulator = momentum_update(accumulator, grid, iteration)
+        accumulator = momentum(accumulator, grid, iteration)
     return weights.data, accumulator
 
 
@@ -301,8 +282,7 @@ def per_image_fit(joint, fmap, targets_row, label_joints, config):
         np.clip(weights.data, 0.0, 1.0, out=weights.data)
         weights.data[...] = normalize(weights.data)
         weights.grad = gradient(weights.data)
-        accumulator = momentum_update(accumulator, np.abs(weights.data * weights.grad),
-                                      iteration)
+        accumulator = momentum(accumulator, np.abs(weights.data * weights.grad), iteration)
     return weights.data, accumulator
 
 

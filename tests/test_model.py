@@ -343,7 +343,7 @@ def tiny_episode(tiny_data, seed=5):
     manifest, vocabulary = tiny_data["manifest"], tiny_data["vocabulary"]
     labels = list(vocabulary.base)
     pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, "base"))
-    episode = sample_episode(manifest, pool, labels, 1, np.random.default_rng(seed))
+    episode = sample_episode(pool, labels, 1, np.random.default_rng(seed))
     embeddings = np.stack([tiny_data["table"].vectors[label] for label in labels])
     return episode, FeatureStore(manifest), embeddings
 

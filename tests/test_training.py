@@ -126,7 +126,7 @@ def test_gamma_zero_gradients_are_exactly_zero(tiny_data):
     store = FeatureStore(manifest)
     pool = EpisodePool(manifest, records_for_split(manifest, tiny_data["vocabulary"], "base"))
     labels = list(tiny_data["vocabulary"].base)
-    episode = sample_episode(manifest, pool, labels, 1, np.random.default_rng(0))
+    episode = sample_episode(pool, labels, 1, np.random.default_rng(0))
     emb = np.stack([tiny_data["table"].vectors[l] for l in labels])
     cm, q = episode_losses(model, episode, store, emb, dropout_rng=None)
     total = ad.add(cm, ad.scale(q, 0.0))
@@ -163,7 +163,7 @@ def test_base_evaluation_scores_the_training_forward(tiny_trained, monkeypatch):
     model, store = tiny_trained["model"], FeatureStore(manifest)
     labels = list(vocabulary.novel)
     pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, "novel"))
-    episode = sample_episode(manifest, pool, labels, 1, np.random.default_rng(3))
+    episode = sample_episode(pool, labels, 1, np.random.default_rng(3))
     emb = np.stack([tiny_trained["table"].vectors[label] for label in labels])
     forward, seen = training.episode_forward, []
 
@@ -308,6 +308,41 @@ def test_csv_log_format_and_resume_append(tiny_data, tmp_path):
         assert lr >= 0.0
     assert float(rows[1][4]) == 0.0            # epoch 0 runs at lr 0
     assert float(rows[2][4]) == 0.004          # ramp finished after 1 epoch
+
+
+def test_a_log_write_that_fails_mid_row_keeps_the_complete_log(tiny_data, tmp_path,
+                                                               monkeypatch):
+    settings = TrainSettings(epochs=3, warmup_epochs=1, episodes_per_epoch=2, lr=0.004, seed=41)
+    straight = tmp_path / "straight.csv"
+    run_train(build_tiny_model(tiny_data["table"], seed=41), tiny_data["manifest"],
+              tiny_data["vocabulary"], tiny_data["table"],
+              TrainSettings(epochs=2, warmup_epochs=1, episodes_per_epoch=2, lr=0.004, seed=41),
+              log_path=straight)
+    real_writer = csv.writer
+
+    class TornWriter:
+        """Writes the start of epoch 2's row, then fails."""
+
+        def __init__(self, handle):
+            self.handle, self.inner = handle, real_writer(handle)
+
+        def writerow(self, row):
+            if row[0] == 2:
+                self.handle.write("2,0.5")
+                raise OSError("disk full")
+            self.inner.writerow(row)
+
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
+
+    monkeypatch.setattr(training.csv, "writer", TornWriter)
+    log = tmp_path / "log.csv"
+    with pytest.raises(OSError, match="disk full"):
+        run_train(build_tiny_model(tiny_data["table"], seed=41), tiny_data["manifest"],
+                  tiny_data["vocabulary"], tiny_data["table"], settings, log_path=log)
+    assert log.read_bytes() == straight.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "straight.csv"]
 
 
 def test_training_requires_base_labels(tiny_data):

@@ -3,7 +3,10 @@
 In a temporary directory it builds the benchmark's bundle with ``synth``
 (``bench/fixture.py``'s ``BUNDLE``), trains at the desk config (``RunConfig()``
 defaults) with seed 11, keeping its stdout, per-epoch training log and
-checkpoint, evaluates the checkpoint in all four modes at seed 11, and in
+checkpoint, resumes a copy of that checkpoint and log in a side directory
+for two more epochs (``train --resume --epochs 32``), keeping the same three
+under ``resume_stdout``, ``resume_training_log`` and ``resume_checkpoint``,
+evaluates the first checkpoint in all four modes at seed 11, and in
 lcm mode once more at seed 3, runs ``inspect-lcm`` on one image, once at
 the default theta and once at a theta that keeps some of its cells, runs
 the gradient checks, and reads every ``--help`` text, each under its own key.
@@ -34,6 +37,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -118,6 +122,14 @@ def fingerprint(root: Path) -> dict:
         out["train_stdout"] = digest(run("train", *paths, "--seed", SEED))
         out["training_log"] = digest(read("out/training_log.csv"))
         out["checkpoint"] = digest(read("model.ckpt"))
+        (Path(work) / "resume").mkdir()
+        for name in ("model.ckpt", "out/training_log.csv"):
+            shutil.copy(Path(work) / name, Path(work) / "resume")
+        resume_paths = [*paths[:6], "--checkpoint", "resume/model.ckpt", "--output", "resume"]
+        out["resume_stdout"] = digest(run("train", *resume_paths, "--seed", SEED, "--resume",
+                                          "--epochs", "32"))
+        out["resume_training_log"] = digest(read("resume/training_log.csv"))
+        out["resume_checkpoint"] = digest(read("resume/model.ckpt"))
         for mode in MODES:
             run("eval", *paths, "--seed", SEED, "--mode", mode)
             out[f"report_{mode}"] = digest(read(f"out/report_{mode}.json"))
