@@ -114,6 +114,8 @@ def cmd_train(args) -> int:
     # the checkpoint is written after the last epoch: refuse a path it cannot take first
     if not Path(cfg.checkpoint).parent.is_dir():
         raise DataError(f"checkpoint {cfg.checkpoint}: its directory does not exist")
+    if Path(cfg.checkpoint).is_dir():
+        raise DataError(f"checkpoint {cfg.checkpoint} is a directory, not a file")
 
     if args.resume:
         model, extras = _load_model(cfg, store, table)

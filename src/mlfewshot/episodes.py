@@ -250,8 +250,9 @@ def make_synthetic(out_dir, *, n_base=8, n_validation=0, n_novel=4, images_per_l
     white noise of scale `signal_noise`) in disjoint random cell sets
     covering `signal_fraction` of the grid; remaining cells are pure white
     noise of scale `background_scale`.  With signal_fraction 1.0 and zero
-    noise, every cell equals one of the image's signatures exactly.  Sizes
-    out of range raise ConfigError before anything is written.
+    noise, every cell equals one of the image's signatures exactly.  Sizes,
+    seed, noise, scale or probability out of range raise ConfigError, and an
+    `out_dir` that cannot be a directory DataError, before anything is written.
     """
     h, w = grid
     for name, value in (("grid sides", min(h, w)), ("embed_dim", embed_dim),
@@ -266,10 +267,18 @@ def make_synthetic(out_dir, *, n_base=8, n_validation=0, n_novel=4, images_per_l
                           f"{n_base}, n_validation {n_validation}, n_novel {n_novel}")
     if not 0.0 < signal_fraction <= 1.0:
         raise ConfigError(f"signal_fraction must lie in (0, 1], got {signal_fraction}")
+    if not 0.0 <= extra_label_prob <= 1.0:
+        raise ConfigError(f"extra_label_prob must lie in [0, 1], got {extra_label_prob}")
+    for name, value in (("seed", seed), ("signal_noise", signal_noise),
+                        ("background_scale", background_scale)):
+        if not 0 <= value < np.inf:
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     feature_dir = out_dir / "features"
-    feature_dir.mkdir(exist_ok=True)
+    try:
+        feature_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as bad:
+        raise DataError(f"output directory {out_dir} cannot be created: {bad.strerror}") from bad
     rng = np.random.default_rng(seed)
 
     names = [f"lab{i:02d}" for i in range(n_base + n_validation + n_novel)]

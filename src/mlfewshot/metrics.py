@@ -18,7 +18,7 @@ from .episodes import EpisodePool, records_for_split, sample_episode_with_retrie
 from .errors import ConfigError
 from .joint_space import project_labels
 from .lcm import LcmConfig, select_cells
-from .model import FeatureStore, ModelState, episode_forward, pooled_globals, score_against
+from .model import FeatureStore, ModelState, episode_prototypes, pooled_globals, score_against
 from .prototypes import LabelSide, label_side, simple_attention_prototype
 
 EVAL_MODES = ("base", "lcm", "zeroshot", "simple-attention")
@@ -129,9 +129,13 @@ def _episode_probabilities(model: ModelState, episode, store, side: LabelSide,
                            mode, lcm_config, collect_detail):
     """Score every query image against every episode label; returns
     (probability matrix, detail rows, per-support-mask fallback flags).
-    `side` is the run's label side; lcm mode fits against its joints."""
+    `side` is the run's label side; lcm mode fits against its joints.  A mode
+    only picks the vectors one `score_against` call scores the queries
+    against: zeroshot the label joints, simple-attention each label's
+    softmax-weighted support globals, base and lcm `episode_prototypes`."""
     shape = (len(episode.query_ids), len(episode.labels))
     detail, fell_back = [], []
+    vectors = side.joints
     if mode in ("base", "lcm"):
         fmaps = np.stack([store.get(image_id) for image_id in episode.support_ids])
         masks = None
@@ -143,18 +147,16 @@ def _episode_probabilities(model: ModelState, episode, store, side: LabelSide,
                 detail = [{"image_id": image_id, "sigma": selection.sigma[i], "mask": masks[i],
                            "importance": selection.importance[i]}
                           for i, image_id in enumerate(episode.support_ids)]
-        logits = episode_forward(model, episode, store, fmaps, side, masks=masks, dropout_rng=None)
-    else:
-        vectors = side.joints
-        if mode == "simple-attention":
-            support_globals = pooled_globals(store, episode.support_ids).data
-            vectors = ad.concat([
-                simple_attention_prototype(
-                    ad.linear(Tensor(support_globals[episode.support_targets[:, li] > 0]),
-                              model.joint.visual),
-                    Tensor(label_joint), model.joint.scale)
-                for li, label_joint in enumerate(vectors.data)])
-        logits = score_against(model.joint, pooled_globals(store, episode.query_ids), vectors)
+        vectors = episode_prototypes(model, episode, fmaps, side, masks=masks, dropout_rng=None)
+    elif mode == "simple-attention":
+        support_globals = pooled_globals(store, episode.support_ids).data
+        vectors = ad.concat([
+            simple_attention_prototype(
+                ad.linear(Tensor(support_globals[episode.support_targets[:, li] > 0]),
+                          model.joint.visual),
+                Tensor(label_joint), model.joint.scale)
+            for li, label_joint in enumerate(vectors.data)])
+    logits = score_against(model.joint, pooled_globals(store, episode.query_ids), vectors)
     return ad._logistic(logits.data.reshape(shape)), detail, fell_back
 
 

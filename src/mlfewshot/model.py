@@ -53,10 +53,6 @@ class ModelState:
         params.update(self.dynconv.parameters())
         return params
 
-    def zero_grad(self):
-        for p in self.named_parameters().values():
-            p.grad = None
-
 
 def init_model(*, channels, embed_dim, joint_dim, heads, dynconv_inner, dynconv_top,
                scale, dropout, rng) -> ModelState:
@@ -119,7 +115,8 @@ def read_checkpoint_tensors(path) -> dict[str, np.ndarray]:
     """Read the raw named-tensor manifest, validating the framing."""
     path = Path(path)
     if not path.is_file():
-        raise DataError(f"no-checkpoint: {path} does not exist")
+        missing = "is not a file" if path.exists() else "does not exist"
+        raise DataError(f"no-checkpoint: {path} {missing}")
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < len(CHECKPOINT_MAGIC) or blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -261,8 +258,8 @@ def build_pools(joint: JointSpaceParams, labels, fmaps: np.ndarray, keep) -> Sup
     cell is projected once, with one product by `joint.visual`, and one
     `gather_rows` takes every label's kept cells, label by label, in that
     order, the order top-k ties break in, so identical keep-matrices give
-    bitwise-identical pools.  A label that keeps no cell is rejected by
-    `SupportPools`.
+    bitwise-identical pools.  A label that keeps no cell is rejected by the
+    first op that reads the pools, `attention_prototype`'s `head_readout`.
     """
     keep = np.asarray(keep, dtype=bool)
     if keep.shape != (len(labels), fmaps[:, 0].size):
@@ -308,23 +305,21 @@ def score_loss(joint: JointSpaceParams, pooled: Tensor, vectors: Tensor, targets
     return ad.tensor_sum(ad.bce_with_logits(flat, y.reshape(-1)))
 
 
-def episode_forward(model: ModelState, episode, store, fmaps: np.ndarray, side: LabelSide,
-                    *, masks, dropout_rng) -> Tensor:
-    """The episode forward shared by training and evaluation.
+def episode_prototypes(model: ModelState, episode, fmaps: np.ndarray, side: LabelSide,
+                       *, masks, dropout_rng) -> Tensor:
+    """The episode's (labels, joint_dim) prototypes, for training and the
+    `base` and `lcm` evaluation modes, which score them with `score_against`.
 
-    Pools each label's cells of the (n, c, h, w) support stack `fmaps`,
+    Pools each label's cells of the (n, c, h, w) support stack `fmaps` and
     builds the prototypes from `side`, the label side of the episode's
-    labels in order, and scores every query image against them.  A label
-    pools its member images' cells that `masks` keeps, all of them when it
-    is None: an (n, h, w) keep-array keeps the same cells for every label, a
-    (labels, n, h, w) one each label's own.  Training passes the generator
-    that draws the dropout mask; evaluation passes None.
-    `store.get(image_id)` gives a query's feature map: a FeatureStore, or a
-    plain dict of arrays.  Returns the flat query logits, image-major.
+    labels in order.  A label pools its member images' cells that `masks`
+    keeps, all of them when it is None: an (n, h, w) keep-array keeps the
+    same cells for every label, a (labels, n, h, w) one each label's own.
+    Training passes the generator that draws the dropout mask; evaluation
+    passes None.
     """
     members = (episode.support_targets.T > 0)[:, :, None, None]         # (labels, n, 1, 1)
     kept = np.ones(fmaps[:, 0].shape, dtype=bool) if masks is None else masks
     keep = (members & kept).reshape(len(members), -1)
-    pools = build_pools(model.joint, list(episode.labels), fmaps, keep)
-    protos = build_prototype(model.attention, model.dynconv, pools, side, dropout_rng)
-    return score_against(model.joint, pooled_globals(store, episode.query_ids), protos)
+    pools = build_pools(model.joint, episode.labels, fmaps, keep)
+    return build_prototype(model.attention, model.dynconv, pools, side, dropout_rng)

@@ -30,23 +30,13 @@ class SupportPools:
 
     features: (rows, joint_dim) projected local features, on tape, one
     segment of rows per label in label order; a label's rows are in
-    (support image, grid row, grid col) order.  sizes: each label's row count.
+    (support image, grid row, grid col) order.  sizes: each label's row
+    count, at least one; `attention_prototype`'s `head_readout` checks both.
     """
 
     labels: tuple
     features: Tensor
     sizes: np.ndarray
-
-    def __post_init__(self):
-        self.labels = tuple(self.labels)
-        self.sizes = np.asarray(self.sizes, dtype=np.intp)
-        if self.features.ndim != 2 or self.sizes.shape != (len(self.labels),) \
-                or self.sizes.sum() != self.features.shape[0]:
-            raise ConfigError(f"support pools for {self.labels!r} must be a non-empty matrix "
-                              "split into one row segment per label")
-        for label, size in zip(self.labels, self.sizes):
-            if size < 1:
-                raise ConfigError(f"support pool for {label!r} must be a non-empty matrix")
 
     @property
     def segment(self) -> np.ndarray:
@@ -68,10 +58,6 @@ class AttentionParams:
     @property
     def heads(self):
         return len(self.queries)
-
-    @property
-    def head_dim(self):
-        return self.queries[0].shape[0]
 
     def parameters(self) -> dict[str, Tensor]:
         out = {f"attention.query.{j}": q for j, q in enumerate(self.queries)}
@@ -224,11 +210,6 @@ def attention_prototype(params: AttentionParams, pools: SupportPools, queries: T
     concatenated head outputs pass through the MLP, with one dropout mask
     over every label's hidden row drawn from `rng` (None in evaluation).
     """
-    joint_dim = params.mlp_w1.shape[0]
-    if pools.features.shape[1] != joint_dim:
-        raise ConfigError(
-            f"pool features have dim {pools.features.shape[1]}, attention expects {joint_dim}"
-        )
     merged = ad.head_readout(pools.features, queries, params.heads, pools.sizes)
     hidden = ad.gelu(ad.linear(merged, params.mlp_w1, params.mlp_b1))
     hidden = ad.dropout(hidden, params.dropout, rng)

@@ -19,8 +19,8 @@ from .embeddings import embed_labels
 from .episodes import EpisodePool, records_for_split, sample_episode_with_retries
 from .errors import ConfigError, NumericError
 from .joint_space import project_labels
-from .model import (FeatureStore, ModelState, atomic_open, episode_forward, pooled_globals,
-                    score_loss)
+from .model import (FeatureStore, ModelState, atomic_open, episode_prototypes, pooled_globals,
+                    score_against, score_loss)
 from .optim import Adam
 from .prototypes import label_side
 
@@ -81,12 +81,13 @@ def episode_losses(model: ModelState, episode, store, label_embeddings, *, dropo
     """Forward one episode against the label-embedding matrix, with dropout
     drawn from `dropout_rng` (None for none); returns (cm, query) losses.
     The parameters move after every step, so each episode projects the
-    labels and builds their label side afresh, on the tape."""
+    labels and builds their label side afresh, on the tape.  Queries are
+    scored against `episode_prototypes` as in `base`-mode evaluation."""
     fmaps = np.stack([store.get(image_id) for image_id in episode.support_ids])
     side = label_side(model.attention, model.dynconv,
                       project_labels(model.joint, label_embeddings))
-    logits = episode_forward(model, episode, store, fmaps, side, masks=None,
-                             dropout_rng=dropout_rng)
+    protos = episode_prototypes(model, episode, fmaps, side, masks=None, dropout_rng=dropout_rng)
+    logits = score_against(model.joint, pooled_globals(store, episode.query_ids), protos)
     # the alignment loss sees support images only; queries contribute
     # through the prototype scoring
     cm = score_loss(model.joint, pooled_globals(store, episode.support_ids), side.joints,

@@ -4,8 +4,8 @@ the autodiff module at call time, so a broken (or deliberately corrupted) op
 is caught when the suite runs.
 
 The central-difference checker and the taped LCM image loss (weighted
-pooling into the scaled-cosine BCE, with the joint space frozen) live here,
-beside the one suite that runs them; the program itself runs neither.
+pooling into the scaled-cosine BCE) live here, beside the one suite that
+runs them; the program itself runs neither.
 """
 
 from dataclasses import dataclass
@@ -66,10 +66,7 @@ def grad_check(f, x):
     over components of |analytic - numeric| / max(1, |analytic|).
     """
     leaf = Tensor(np.array(x.data, copy=True), requires_grad=True)
-    out = f(leaf)
-    if out.ndim != 0:
-        raise ad.ShapeError(f"grad_check: f must return a scalar, got shape {out.shape}")
-    out.backward()
+    f(leaf).backward()
     analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
     point = np.array(x.data, copy=True)
     return _central_difference_error(lambda: f(Tensor(point)).item(), point, analytic)
@@ -328,7 +325,6 @@ def full_model_max_error() -> float:
         cm, q = episode_losses(model, episode, store, embeddings, dropout_rng=None)
         return ad.add(cm, q)
 
-    model.zero_grad()
     loss_tensor().backward()
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for name, p in params.items()}
@@ -351,22 +347,13 @@ def weighted_pool(fmap: Tensor, weights: Tensor) -> Tensor:
     return ad.scale(ad.reshape(pooled, (channels,)), 1.0 / cells)
 
 
-def _frozen_view(joint: JointSpaceParams) -> JointSpaceParams:
-    # shares data, drops requires_grad: only the importance weights may train
-    return JointSpaceParams(
-        visual=Tensor(joint.visual.data),
-        text=Tensor(joint.text.data),
-        scale=joint.scale,
-    )
-
-
-def _image_loss(frozen: JointSpaceParams, fmap: Tensor, targets_row: np.ndarray,
+def _image_loss(joint: JointSpaceParams, fmap: Tensor, targets_row: np.ndarray,
                 label_joints: Tensor, weights: Tensor):
     """One image's CM loss with importance-weighted pooling, on the tape:
     the loss whose weight gradient `lcm._image_loss_gradient` writes in
-    closed form."""
+    closed form.  The suite reads its value only, never its gradient."""
     pooled = weighted_pool(fmap, weights)
-    flat = score_against(frozen, ad.reshape(pooled, (1, pooled.shape[0])), label_joints)
+    flat = score_against(joint, ad.reshape(pooled, (1, pooled.shape[0])), label_joints)
     return ad.tensor_sum(ad.bce_with_logits(flat, targets_row))
 
 
@@ -379,12 +366,11 @@ def lcm_gradient_max_error() -> float:
     targets = np.array([1.0, 0.0, 1.0])
     label_embeddings = rng.standard_normal((3, 3))
     weights = rng.uniform(0.2, 1.0, size=(3, 3))
-    frozen = _frozen_view(joint)
-    label_joints = project_labels(frozen, label_embeddings)
+    label_joints = project_labels(joint, label_embeddings)
     fmap_t = Tensor(fmap)
 
     def loss_value():
-        return _image_loss(frozen, fmap_t, targets, label_joints, Tensor(weights)).item()
+        return _image_loss(joint, fmap_t, targets, label_joints, Tensor(weights)).item()
 
     analytic = lcm._image_loss_gradient(joint, fmap[None], targets[None],
                                         label_joints.data)(weights[None])[0]

@@ -6,8 +6,15 @@ import numpy as np
 from mlfewshot.autodiff import Tensor
 from mlfewshot.episodes import QUERY_PER_LABEL, SAMPLE_RETRIES, Episode
 from mlfewshot.errors import DataError, InsufficientImagesError
-from mlfewshot.joint_space import project_labels
-from mlfewshot.verification import _frozen_view, _image_loss
+from mlfewshot.joint_space import JointSpaceParams, project_labels
+from mlfewshot.verification import _image_loss
+
+
+def _frozen_view(joint: JointSpaceParams) -> JointSpaceParams:
+    """The joint space on the same data with requires_grad dropped, so a
+    backward through the taped LCM image loss trains the weights alone."""
+    return JointSpaceParams(visual=Tensor(joint.visual.data), text=Tensor(joint.text.data),
+                            scale=joint.scale)
 
 
 def loss_change_exact(joint, fmap, targets_row, label_embeddings, importance, row, col) -> float:

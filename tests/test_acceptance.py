@@ -39,10 +39,10 @@ from mlfewshot.metrics import (
 from mlfewshot.model import FeatureStore, init_model, load_checkpoint, save_checkpoint
 from mlfewshot.optim import Adam
 from mlfewshot.training import TrainSettings
-from mlfewshot.verification import _frozen_view, _image_loss, weighted_pool
+from mlfewshot.verification import _image_loss, weighted_pool
 
 from conftest import run_train
-from oracles import validate_episode
+from oracles import _frozen_view, validate_episode
 
 DESK = RunConfig()                     # d_j 64, 8 heads, d_c 16, n_d 8, 30 epochs
 TRAIN_SEED = 11

@@ -693,7 +693,7 @@ def _score_against_per_pair(joint, pooled_rows, vectors):
 def _attention_per_head(params, features, label_joint):
     """The per-head split/softmax loop `attention_prototype` replaced (eval
     mode, so dropout is the identity)."""
-    inv_sqrt = 1.0 / math.sqrt(params.head_dim)
+    inv_sqrt = 1.0 / math.sqrt(params.mlp_w1.shape[0] // params.heads)
     head_outputs = []
     # each head's channel slice, on the tape: a row block of the transpose
     chunks = [ad.transpose(t) for t in ad.split(ad.transpose(features), params.heads)]

@@ -69,13 +69,25 @@ def test_synth_without_flags_writes_make_synthetics_defaults(tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--grid", "0"], ["--grid", "-2"], ["--channels", "0"], ["--channels", "4", "--embed-dim", "8"],
     ["--embed-dim", "0"], ["--images-per-label", "0"], ["--images-per-label", "-1"],
-    ["--n-base", "0", "--n-novel", "0"], ["--n-base", "-1"], ["--signal-fraction", "0"]])
+    ["--n-base", "0", "--n-novel", "0"], ["--n-base", "-1"], ["--signal-fraction", "0"],
+    ["--seed", "-1"], ["--signal-noise", "nan"], ["--signal-noise", "-0.1"],
+    ["--background-scale", "inf"], ["--background-scale", "-1"],
+    ["--extra-label-prob", "5"], ["--extra-label-prob", "-0.5"], ["--extra-label-prob", "nan"]])
 def test_synth_sizes_out_of_range_exit_1_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "data"
     assert main(["synth", "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_synth_out_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["synth", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(taken) in err and err.count("\n") == 1
+    assert taken.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -537,6 +549,24 @@ def test_a_checkpoint_in_a_missing_directory_exits_2_before_training(pipeline, t
     assert err.startswith("data error: ") and str(checkpoint) in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "training_log.csv").exists()
+
+
+def test_a_checkpoint_path_that_is_a_directory_exits_2_before_training(pipeline, tmp_path,
+                                                                        capsys):
+    _, _, paths = pipeline
+    checkpoint = tmp_path / "ckdir"
+    checkpoint.mkdir()
+    given = dict(zip(paths[::2], paths[1::2]), **{"--checkpoint": str(checkpoint),
+                                                   "--output": str(tmp_path / "out")})
+    argv = [part for pair in given.items() for part in pair]
+    assert main(["train", *argv, *TRAIN_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(checkpoint) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "training_log.csv").exists()
+    assert list(checkpoint.iterdir()) == []
+    assert main(["eval", *argv, *MODEL_FLAGS, "--eval_episodes", "1"]) == 2
+    assert f"{checkpoint} is not a file" in capsys.readouterr().err
 
 
 def test_exit_code_3_for_numeric_errors(monkeypatch, capsys):

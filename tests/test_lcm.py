@@ -20,9 +20,9 @@ from mlfewshot.lcm import (
 )
 from mlfewshot.model import init_model, save_checkpoint
 from mlfewshot.optim import Adam
-from mlfewshot.verification import _frozen_view, _image_loss, weighted_pool
+from mlfewshot.verification import _image_loss, weighted_pool
 
-from oracles import loss_change_exact
+from oracles import _frozen_view, loss_change_exact
 
 
 def toy_joint(channels=4, embed=3, joint=5, seed=0, scale=10.0):

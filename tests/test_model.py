@@ -10,13 +10,13 @@ from mlfewshot import model as model_module
 from mlfewshot import seeding
 from mlfewshot.autodiff import Tensor
 from mlfewshot.episodes import EpisodePool, records_for_split, sample_episode
-from mlfewshot.errors import ConfigError, DataError
+from mlfewshot.errors import DataError
 from mlfewshot.joint_space import project_labels
 from mlfewshot.model import (
     CHECKPOINT_MAGIC,
     FeatureStore,
     build_pools,
-    episode_forward,
+    episode_prototypes,
     init_model,
     load_checkpoint,
     pooled_globals,
@@ -26,7 +26,7 @@ from mlfewshot.model import (
     score_loss,
 )
 from mlfewshot.optim import Adam
-from mlfewshot.prototypes import SupportPools, label_side
+from mlfewshot.prototypes import SupportPools, attention_prototype, label_side
 from mlfewshot.training import episode_losses
 
 from conftest import build_tiny_model
@@ -54,14 +54,6 @@ def test_trained_flag_follows_epoch():
     assert not model.trained
     model.epoch = 1
     assert model.trained
-
-
-def test_zero_grad_clears_everything():
-    model = small_model()
-    for p in model.named_parameters().values():
-        p.grad = np.ones_like(p.data)
-    model.zero_grad()
-    assert all(p.grad is None for p in model.named_parameters().values())
 
 
 # -------------------------------------------------------------- checkpoints
@@ -305,8 +297,9 @@ def test_build_pools_unsupported_label_is_an_error():
     model = small_model()
     fmaps = np.zeros((1, 6, 2, 2))
     keep = np.array([[True] * 4, [False] * 4])
-    with pytest.raises(ConfigError, match="support pool for 'b'"):
-        build_pools(model.joint, ("a", "b"), fmaps, keep)
+    pools = build_pools(model.joint, ("a", "b"), fmaps, keep)
+    with pytest.raises(ad.ShapeError, match=r"head_readout: segment sizes \[4, 0\]"):
+        attention_prototype(model.attention, pools, Tensor(np.ones((2, 8))), None)
 
 
 @pytest.mark.parametrize("masks", [
@@ -375,7 +368,8 @@ def test_episode_gradients_match_the_per_image_loop(tiny_data, monkeypatch):
     episode, store, embeddings = tiny_episode(tiny_data)
 
     def joint_grads():
-        model.zero_grad()
+        for p in model.named_parameters().values():
+            p.grad = None
         cm, query = episode_losses(model, episode, store, embeddings, dropout_rng=None)
         ad.add(cm, query).backward()
         return model.joint.visual.grad.copy(), model.joint.text.grad.copy()
@@ -410,8 +404,9 @@ def test_episode_forward_broadcasts_masks_into_one_keep_matrix(tiny_data, monkey
     first = int(np.flatnonzero(episode.support_targets[:, 0])[0])   # label 0's first member
     label_wise = np.ones((labels, *grid), dtype=bool)
     label_wise[0, first, 0, 0] = False
-    logits = [episode_forward(model, episode, store, fmaps, side, masks=masks,
-                              dropout_rng=None).data
+    logits = [score_against(model.joint, pooled_globals(store, episode.query_ids),
+                            episode_prototypes(model, episode, fmaps, side, masks=masks,
+                                               dropout_rng=None)).data
               for masks in (None, np.ones(grid, dtype=bool),
                             np.ones((labels, *grid), dtype=bool), label_wise)]
     members = member_keep(episode.support_targets, fmaps)
@@ -425,8 +420,9 @@ def test_episode_forward_broadcasts_masks_into_one_keep_matrix(tiny_data, monkey
     # logits are bitwise those of a side built for it alone
     for other in (episode, tiny_episode(tiny_data, seed=6)[0]):
         other_maps = support_stack(store, other)
-        shared, own = (episode_forward(model, other, store, other_maps, s, masks=None,
-                                       dropout_rng=None).data
+        shared, own = (score_against(model.joint, pooled_globals(store, other.query_ids),
+                                     episode_prototypes(model, other, other_maps, s, masks=None,
+                                                        dropout_rng=None)).data
                        for s in (side, episode_side(model, embeddings)))
         assert shared.tobytes() == own.tobytes()
 
@@ -476,7 +472,8 @@ def test_episode_forward_matches_the_per_label_loop(tiny_data, case):
     training = case == "training-dropout"
 
     def run(forward):
-        model.zero_grad()
+        for p in model.named_parameters().values():
+            p.grad = None
         joints, logits = forward(model, episode, maps, fmaps, embeddings, masks=masks,
                                  dropout_rng=seeding.substream(5, "dropout") if training else None)
         cm = score_loss(model.joint, pooled_globals(maps, episode.support_ids), joints,
@@ -488,7 +485,9 @@ def test_episode_forward_matches_the_per_label_loop(tiny_data, case):
 
     def batched_forward(model, episode, store, fmaps, embeddings, **kwargs):
         side = episode_side(model, embeddings)
-        return side.joints, episode_forward(model, episode, store, fmaps, side, **kwargs)
+        protos = episode_prototypes(model, episode, fmaps, side, **kwargs)
+        return side.joints, score_against(model.joint, pooled_globals(store, episode.query_ids),
+                                          protos)
 
     for new, old in zip(run(batched_forward), run(per_label_forward)):
         assert_close(new, old)

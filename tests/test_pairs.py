@@ -14,8 +14,8 @@ pairs_tool = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs_tool)
 
 SPEC = {"run_seconds": 30, "workloads": [{"name": "eval-base"}],
-        "end_to_end": [{"name": "episode_ms.p90", "unit": "ms", "better": "lower"},
-                       {"name": "hits", "unit": "count", "better": "higher"}]}
+        "end_to_end": [{"name": "episode_ms.p90", "unit": "ms", "better": "lower", "bound": 0.2},
+                       {"name": "hits", "unit": "count", "better": "higher", "bound": 0.05}]}
 
 
 @pytest.fixture
@@ -107,6 +107,50 @@ def test_runs_off_the_benchmarks_length_never_report_a_gain(checkouts, capsys):
         ms = summary["metrics"]["episode_ms.p90"]
         assert (summary["seconds"], ms["wins"], ms["gain_holds"]) == (
             30 if holds else 8.0, 10, holds)
+
+
+def paired_runs(parent_ms, change_ms, parent_hits=None, change_hits=None):
+    """Run records for pairs of (parent, change) values of both metrics."""
+    parent_hits = parent_hits or [10.0] * len(parent_ms)
+    change_hits = change_hits or [10.0] * len(change_ms)
+    return [{"seed": s, "side": side, "metrics": {"episode_ms.p90": ms, "hits": hits}}
+            for s, pair in enumerate(zip(zip(parent_ms, parent_hits), zip(change_ms, change_hits)))
+            for side, (ms, hits) in zip(("parent", "change"), pair)]
+
+
+@pytest.mark.parametrize("change_ms, worse_by, verdict", [
+    ([2.3] * 10, 0.15, "holds"),              # worse, but within the 0.2 bound
+    ([1.0] * 10, -0.5, "holds"),              # better
+    ([2.6] * 10, 0.3, "regressed"),           # worse past the bound
+])
+def test_no_regression_compares_the_medians_against_the_bound(change_ms, worse_by, verdict):
+    summary = pairs_tool.summarise(paired_runs([2.0] * 10, change_ms), SPEC["end_to_end"], True)
+    ms = summary["metrics"]["episode_ms.p90"]
+    assert ms["bound"] == 0.2
+    assert ms["worse_by"] == pytest.approx(worse_by)
+    assert ms["no_regression"] == verdict
+
+
+def test_no_regression_for_a_higher_is_better_metric():
+    summary = pairs_tool.summarise(
+        paired_runs([2.0] * 10, [2.0] * 10, [10.0] * 10, [9.0] * 10), SPEC["end_to_end"], True)
+    hits = summary["metrics"]["hits"]
+    assert hits["bound"] == 0.05
+    assert hits["worse_by"] == pytest.approx(0.1)             # 10 -> 9 hits, 10% fewer
+    assert hits["no_regression"] == "regressed"
+    assert summary["metrics"]["episode_ms.p90"]["no_regression"] == "holds"
+
+
+def test_no_regression_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    spread = [1.0, 3.0] * 5                   # parent quartile spread 2.0 around a median 2.0
+    same = pairs_tool.summarise(paired_runs(spread, spread), SPEC["end_to_end"], True)
+    assert same["metrics"]["episode_ms.p90"]["worse_by"] == pytest.approx(0.0)
+    assert same["metrics"]["episode_ms.p90"]["no_regression"] == "unresolved"
+    # unless every change run beats every parent run
+    faster = pairs_tool.summarise(paired_runs(spread, [0.5] * 10), SPEC["end_to_end"], True)
+    assert faster["metrics"]["episode_ms.p90"]["no_regression"] == "holds"
+    slower = pairs_tool.summarise(paired_runs(spread, [2.9, 3.1] * 5), SPEC["end_to_end"], True)
+    assert slower["metrics"]["episode_ms.p90"]["no_regression"] == "unresolved"
 
 
 @pytest.mark.parametrize("returncode, last_line", [

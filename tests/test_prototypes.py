@@ -290,7 +290,7 @@ def test_gradients_reach_every_parameter_group():
 def test_init_shapes_and_determinism():
     att1, dyn1 = make_params(np.random.default_rng(14), dim=8, heads=4, inner=3, top=5)
     att2, dyn2 = make_params(np.random.default_rng(14), dim=8, heads=4, inner=3, top=5)
-    assert att1.heads == 4 and att1.head_dim == 2
+    assert att1.heads == 4 and att1.queries[0].shape == (8 // 4, 8)
     assert dyn1.inner_dim == 3 and dyn1.joint_dim == 8 and dyn1.top_count == 5
     for (n1, p1), (n2, p2) in zip(sorted(att1.parameters().items()),
                                   sorted(att2.parameters().items())):
@@ -334,9 +334,12 @@ def test_simple_attention_needs_features():
 
 
 def test_pool_validation():
+    # an empty pool and one that is not a matrix fail at their first reader
+    att, _ = make_params(np.random.default_rng(17), dim=4)
     for features in (np.zeros((0, 4)), np.zeros(4)):
-        with pytest.raises(ConfigError, match="non-empty matrix"):
-            SupportPools(("x",), Tensor(features), [len(features)])
+        pools = SupportPools(("x",), Tensor(features), [len(features)])
+        with pytest.raises(ad.ShapeError, match="head_readout"):
+            attention_prototype(att, pools, Tensor(np.ones((1, 4))), None)
 
 
 # ------------------------------------------------ batched vs the per-label loop
@@ -353,7 +356,7 @@ def per_label_prototype(attention, dynconv, pool, label_joint, draws=None):
     that label alone, averaged as a ones row times the stage's rows.
     `draws` is the label's row of the uniform draws behind the batched
     dropout mask, or None for none."""
-    inv_sqrt = 1.0 / math.sqrt(attention.head_dim)
+    inv_sqrt = 1.0 / math.sqrt(attention.mlp_w1.shape[0] // attention.heads)
     head_outputs = []
     for transform, chunk in zip(attention.queries, channel_slices(pool, attention.heads)):
         query = ad.matmul(transform, column(label_joint))

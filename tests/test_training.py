@@ -165,14 +165,15 @@ def test_base_evaluation_scores_the_training_forward(tiny_trained, monkeypatch):
     pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, "novel"))
     episode = sample_episode(pool, labels, 1, np.random.default_rng(3))
     emb = np.stack([tiny_trained["table"].vectors[label] for label in labels])
-    forward, seen = training.episode_forward, []
+    score, seen = training.score_against, []
 
-    def recording_forward(*args, **kwargs):
-        out = forward(*args, **kwargs)
+    def recording_score(*args, **kwargs):
+        out = score(*args, **kwargs)
         seen.append(out.data.copy())
         return out
 
-    monkeypatch.setattr(training, "episode_forward", recording_forward)
+    # the query scoring; the CM loss scores through model.score_loss
+    monkeypatch.setattr(training, "score_against", recording_score)
     episode_losses(model, episode, store, emb, dropout_rng=None)
     monkeypatch.undo()
     side = label_side(model.attention, model.dynconv, project_labels(model.joint, emb))

@@ -16,12 +16,21 @@ neither side) and whether a gain holds: runs of the benchmark's own
 tenths of them, and the medians apart by more than the distance between the
 parent's quartiles, in the direction the metric's ``better`` names.  Shorter
 or longer runs (``--seconds``) are for a quick look and never report a gain.
+
+It also applies the no-regression rule for a change that claims no gain:
+``worse_by`` is the change's median moved against the parent's, relative to
+the parent's median, in the bad direction, and ``no_regression`` is
+``unresolved`` when the parent's quartile spread, relative to its median, is
+wider than the metric's ``bound`` (unless every change run beats every
+parent run), ``holds`` when ``worse_by`` is within the bound, and
+``regressed`` otherwise.
 A run that exits non-zero or reports ``correct: false`` stops the tool with
 exit status 1.
 """
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -67,11 +76,20 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def relative(delta, base) -> float:
+    """`delta` as a share of |`base`|; against a zero base, 0 for no move
+    and an infinity of the move's sign otherwise."""
+    if base:
+        return delta / abs(base)
+    return 0.0 if delta == 0 else math.copysign(math.inf, delta)
+
+
 def summarise(runs, metrics, full_length) -> dict:
-    """Per metric, each side's quartiles, the change's wins over the pairs
-    and whether a gain holds.  `runs` are the per-run records; `metrics`
-    the ``end_to_end`` entries of BENCHMARK.json; `full_length` whether the
-    runs lasted the benchmark's ``run_seconds``, without which no gain holds."""
+    """Per metric, each side's quartiles, the change's wins over the pairs,
+    whether a gain holds and the no-regression verdict.  `runs` are the
+    per-run records; `metrics` the ``end_to_end`` entries of BENCHMARK.json;
+    `full_length` whether the runs lasted the benchmark's ``run_seconds``,
+    without which no gain holds."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["seed"], {})[run["side"]] = run["metrics"]
@@ -85,10 +103,17 @@ def summarise(runs, metrics, full_length) -> dict:
         sides = {side: quartiles(values[side]) for side in SIDES}
         parent = sides["parent"]
         gain = sign * (parent["median"] - sides["change"]["median"])
+        bound, worse_by = metric["bound"], relative(-gain, parent["median"])
+        separated = all(sign * (p - c) > 0 for p in values["parent"] for c in values["change"])
+        if relative(parent["q3"] - parent["q1"], parent["median"]) > bound and not separated:
+            verdict = "unresolved"
+        else:
+            verdict = "holds" if worse_by <= bound else "regressed"
         out["metrics"][name] = {
             "unit": metric["unit"], "better": metric["better"], **sides, "wins": wins,
             "gain_holds": full_length and len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
             and gain > parent["q3"] - parent["q1"],
+            "bound": bound, "worse_by": worse_by, "no_regression": verdict,
         }
     return out
 
