@@ -5,6 +5,7 @@ Subcommands: synth, train, eval, gradcheck, inspect-lcm.  Exit codes:
 """
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -177,7 +178,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from . import verification
 
-    results = verification.run_suite(include_model=not args.skip_model)
+    results = verification.run_suite()
     width = max(len(r.name) for r in results)
     failed = []
     for r in results:
@@ -231,18 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a planted-signal synthetic dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-base", type=int)
-    p.add_argument("--n-validation", type=int)
-    p.add_argument("--n-novel", type=int)
-    p.add_argument("--images-per-label", type=int)
-    p.add_argument("--grid", type=int, help="grid side length")
-    p.add_argument("--channels", type=int)
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--signal-fraction", type=float)
-    p.add_argument("--signal-noise", type=float)
-    p.add_argument("--background-scale", type=float)
-    p.add_argument("--extra-label-prob", type=float)
+    # one flag per make_synthetic keyword, typed by its default; --grid gives both sides
+    for name, param in inspect.signature(make_synthetic).parameters.items():
+        if param.kind is inspect.Parameter.KEYWORD_ONLY:
+            grid = name == "grid"
+            kind = int if grid else type(param.default)
+            p.add_argument("--" + name.replace("_", "-"), type=kind,
+                           help="grid side length" if grid else None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="episodic training on the base split")
@@ -258,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--skip-model", action="store_true",
-                   help="skip the whole-model composite check")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("inspect-lcm", help="fit and dump one image's importance grids")

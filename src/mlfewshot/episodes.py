@@ -124,15 +124,14 @@ def records_for_split(manifest: DatasetManifest, vocabulary: LabelVocabulary,
 @dataclass
 class Episode:
     """One few-shot task: labels, support and query ids, multi-hot targets
-    restricted to the episode's label set."""
+    restricted to its label set; sampling draws QUERY_PER_LABEL queries per label."""
 
     labels: tuple[str, ...]
     k_shot: int
     support_ids: tuple[str, ...]
     support_targets: np.ndarray   # (k_shot * n_labels, n_labels)
     query_ids: tuple[str, ...]
-    query_targets: np.ndarray     # (4 * n_labels, n_labels)
-    query_per_label: int = QUERY_PER_LABEL
+    query_targets: np.ndarray     # (QUERY_PER_LABEL * n_labels, n_labels)
 
 
 class EpisodePool:
@@ -237,10 +236,10 @@ class SyntheticDataset:
     cell_labels: dict[str, list[list[str | None]]]  # image id -> per-cell planted label
 
 
-def make_synthetic(out_dir, *, n_base=8, n_validation=0, n_novel=4, images_per_label=40,
-                   grid=(6, 6), channels=32, embed_dim=16, signal_fraction=0.5,
-                   signal_noise=0.3, background_scale=1.0, extra_label_prob=0.5,
-                   seed=0) -> SyntheticDataset:
+def make_synthetic(out_dir, *, seed=0, n_base=8, n_validation=0, n_novel=4,
+                   images_per_label=40, grid=(6, 6), channels=32, embed_dim=16,
+                   signal_fraction=0.5, signal_noise=0.3, background_scale=1.0,
+                   extra_label_prob=0.5) -> SyntheticDataset:
     """Generate feature files, manifest, split file, and embedding file.
 
     Each label gets a random unit word embedding; its feature-space

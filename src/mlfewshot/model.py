@@ -83,8 +83,8 @@ def atomic_open(path, mode):
         temp.unlink(missing_ok=True)
 
 
-def save_checkpoint(path, model: ModelState, optimizer=None, config_scalars=None):
-    """Write the model (and optionally optimizer state and numeric config)."""
+def save_checkpoint(path, model: ModelState, *, optimizer, config_scalars):
+    """Write the model, the optimizer's state tensors and each config scalar as config.<key>."""
     entries: dict[str, np.ndarray] = {
         name: p.data for name, p in model.named_parameters().items()
     }
@@ -92,11 +92,9 @@ def save_checkpoint(path, model: ModelState, optimizer=None, config_scalars=None
     entries["model.scale"] = np.float64(model.joint.scale)
     entries["model.dropout"] = np.float64(model.attention.dropout)
     entries["model.top_count"] = np.float64(model.dynconv.top_count)
-    if optimizer is not None:
-        entries.update(optimizer.state_tensors())
-    if config_scalars:
-        for key, value in config_scalars.items():
-            entries[f"config.{key}"] = np.float64(value)
+    entries.update(optimizer.state_tensors())
+    for key, value in config_scalars.items():
+        entries[f"config.{key}"] = np.float64(value)
     with atomic_open(path, "wb") as handle:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(struct.pack("<I", len(entries)))
@@ -290,7 +288,7 @@ def score_against(joint: JointSpaceParams, pooled: Tensor, vectors: Tensor) -> T
 
 def score_loss(joint: JointSpaceParams, pooled: Tensor, vectors: Tensor, targets) -> Tensor:
     """Summed BCE of every (pooled feature, vector) score against the
-    (n_images, n_vectors) multi-hot targets; the class-mapping loss."""
+    (n_images, n_vectors) multi-hot targets; both training losses."""
     y = np.asarray(targets, dtype=np.float64)
     if pooled.shape[0] == 0:
         raise ConfigError("score_loss: no pooled features to score")

@@ -20,7 +20,7 @@ from .episodes import EpisodePool, records_for_split, sample_episode_with_retrie
 from .errors import ConfigError, NumericError
 from .joint_space import project_labels
 from .model import (FeatureStore, ModelState, atomic_open, episode_prototypes, pooled_globals,
-                    score_against, score_loss)
+                    score_loss)
 from .optim import Adam
 from .prototypes import label_side
 
@@ -81,19 +81,19 @@ def episode_losses(model: ModelState, episode, store, label_embeddings, *, dropo
     """Forward one episode against the label-embedding matrix, with dropout
     drawn from `dropout_rng` (None for none); returns (cm, query) losses.
     The parameters move after every step, so each episode projects the
-    labels and builds their label side afresh, on the tape.  Queries are
-    scored against `episode_prototypes` as in `base`-mode evaluation."""
+    labels and builds their label side afresh, on the tape.  Both losses are
+    `score_loss`: queries against `episode_prototypes`, as in `base` mode."""
     fmaps = np.stack([store.get(image_id) for image_id in episode.support_ids])
     side = label_side(model.attention, model.dynconv,
                       project_labels(model.joint, label_embeddings))
     protos = episode_prototypes(model, episode, fmaps, side, masks=None, dropout_rng=dropout_rng)
-    logits = score_against(model.joint, pooled_globals(store, episode.query_ids), protos)
+    query = score_loss(model.joint, pooled_globals(store, episode.query_ids), protos,
+                       episode.query_targets)
     # the alignment loss sees support images only; queries contribute
     # through the prototype scoring
     cm = score_loss(model.joint, pooled_globals(store, episode.support_ids), side.joints,
                     episode.support_targets)
-    y = np.asarray(episode.query_targets, dtype=np.float64).reshape(-1)
-    return cm, ad.tensor_sum(ad.bce_with_logits(logits, y))
+    return cm, query
 
 
 def train(model: ModelState, manifest, vocabulary, table, settings: TrainSettings,

@@ -179,20 +179,6 @@ def _case_cosine_rhs(rng):
     return lambda x: ad.tensor_sum(ad.mul(ad.cosine(a, x), c)), Tensor(_r(rng, 4, 9))
 
 
-def _case_head_readout_features(rng):
-    query = Tensor(_r(rng, 1, 6))
-    c = Tensor(_r(rng, 1, 6))
-    return (lambda x: ad.tensor_sum(ad.mul(ad.head_readout(x, query, 3, [4]), c)),
-            Tensor(_r(rng, 4, 6)))
-
-
-def _case_head_readout_query(rng):
-    features = Tensor(_r(rng, 4, 6))
-    c = Tensor(_r(rng, 1, 6))
-    return (lambda x: ad.tensor_sum(ad.mul(ad.head_readout(features, x, 3, [4]), c)),
-            Tensor(_r(rng, 1, 6)))
-
-
 def _case_bce(rng):
     y = (rng.uniform(size=10) > 0.5).astype(np.float64)
     return lambda x: ad.tensor_sum(ad.bce_with_logits(x, y)), Tensor(_r(rng, 10))
@@ -213,18 +199,6 @@ def _case_dropout(rng):
         out = ad.dropout(x, 0.4, np.random.default_rng(11))
         return ad.tensor_sum(ad.mul(out, out))
     return f, Tensor(_r(rng, 4, 4))
-
-
-def _case_pooled_score(rng):
-    # weighted pooling into a scaled cosine score, the LCM inner loop shape
-    fmap_const = Tensor(_r(rng, 3, 2, 2))
-    target_row = Tensor(_r(rng, 1, 3))
-    def f(weights):
-        pooled = ad.scale(ad.matmul(ad.reshape(fmap_const, (3, 4)),
-                                    ad.reshape(weights, (4, 1))), 1.0 / 4.0)
-        score = ad.cosine(ad.reshape(pooled, (1, 3)), target_row)
-        return ad.scale(ad.reshape(score, ()), 10.0)
-    return f, Tensor(np.abs(_r(rng, 2, 2)) + 0.5)
 
 
 def _case_linear(rng):
@@ -281,10 +255,7 @@ OP_CASES = [
     ("bce-with-logits", _case_bce),
     ("conv2d", _case_conv2d),
     ("dropout", _case_dropout),
-    ("pooled-score", _case_pooled_score),
     ("cosine-rhs", _case_cosine_rhs),
-    ("head-readout-features", _case_head_readout_features),
-    ("head-readout-query", _case_head_readout_query),
     ("linear", _case_linear),
     ("linear-weight", _case_linear_weight),
     ("linear-batched", _case_linear_batched),
@@ -308,7 +279,7 @@ def _tiny_episode():
     query_targets = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
     episode = Episode(labels=labels, k_shot=1, support_ids=support_ids,
                       support_targets=support_targets, query_ids=query_ids,
-                      query_targets=query_targets, query_per_label=2)
+                      query_targets=query_targets)
     embeddings = np.stack([rng.standard_normal(embed_dim) for _ in labels])
     model = init_model(channels=channels, embed_dim=embed_dim, joint_dim=8, heads=2,
                        dynconv_inner=3, dynconv_top=2, scale=10.0, dropout=0.0,
@@ -377,8 +348,8 @@ def lcm_gradient_max_error() -> float:
     return _central_difference_error(loss_value, weights, analytic)
 
 
-def run_suite(include_model=True) -> list[CheckResult]:
-    """Run every per-op check and (optionally) the whole-model composite."""
+def run_suite() -> list[CheckResult]:
+    """Run every per-op check, the LCM importance gradient and the whole-model composite."""
     results = []
     for name, builder in OP_CASES:
         f, x0 = builder(substream(SEED, "gradcheck", name))
@@ -386,7 +357,6 @@ def run_suite(include_model=True) -> list[CheckResult]:
                                    tolerance=OP_TOLERANCE))
     results.append(CheckResult(name="lcm-importance-gradient",
                                max_error=lcm_gradient_max_error(), tolerance=OP_TOLERANCE))
-    if include_model:
-        results.append(CheckResult(name="full-model", max_error=full_model_max_error(),
-                                   tolerance=MODEL_TOLERANCE))
+    results.append(CheckResult(name="full-model", max_error=full_model_max_error(),
+                               tolerance=MODEL_TOLERANCE))
     return results

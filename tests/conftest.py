@@ -22,6 +22,16 @@ def tiny_data(tmp_path_factory):
             "vocabulary": data.vocabulary}
 
 
+class SavedState:
+    """Stands in for an optimizer when writing chosen optim.* tensors."""
+
+    def __init__(self, tensors):
+        self.tensors = tensors
+
+    def state_tensors(self):
+        return self.tensors
+
+
 def build_tiny_model(table, seed=21, channels=8):
     return init_model(channels=channels, embed_dim=table.dimension, joint_dim=16,
                       heads=4, dynconv_inner=4, dynconv_top=4, scale=10.0,

@@ -39,9 +39,9 @@ def validate_episode(episode, manifest=None) -> list[str]:
         problems.append(
             f"support size {len(episode.support_ids)} != k_shot*labels {episode.k_shot * n}"
         )
-    if len(episode.query_ids) != episode.query_per_label * n:
+    if len(episode.query_ids) != QUERY_PER_LABEL * n:
         problems.append(
-            f"query size {len(episode.query_ids)} != {episode.query_per_label}*labels"
+            f"query size {len(episode.query_ids)} != {QUERY_PER_LABEL}*labels"
         )
     if len(set(episode.support_ids)) != len(episode.support_ids):
         problems.append("support ids are not distinct")
@@ -55,8 +55,8 @@ def validate_episode(episode, manifest=None) -> list[str]:
     for i, label in enumerate(episode.labels):
         if support_cover[i] < episode.k_shot:
             problems.append(f"label {label!r} has {int(support_cover[i])} support images, needs {episode.k_shot}")
-        if query_cover[i] < episode.query_per_label:
-            problems.append(f"label {label!r} has {int(query_cover[i])} query images, needs {episode.query_per_label}")
+        if query_cover[i] < QUERY_PER_LABEL:
+            problems.append(f"label {label!r} has {int(query_cover[i])} query images, needs {QUERY_PER_LABEL}")
     if manifest is not None:
         for image_id in episode.support_ids + episode.query_ids:
             manifest.record_for(image_id)  # raises on unknown ids

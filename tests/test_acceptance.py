@@ -41,7 +41,7 @@ from mlfewshot.optim import Adam
 from mlfewshot.training import TrainSettings
 from mlfewshot.verification import _image_loss, weighted_pool
 
-from conftest import run_train
+from conftest import SavedState, run_train
 from oracles import _frozen_view, validate_episode
 
 DESK = RunConfig()                     # d_j 64, 8 heads, d_c 16, n_d 8, 30 epochs
@@ -90,7 +90,7 @@ def _build(tmp_path_factory, tag, knobs, episodes_per_epoch) -> Bundle:
     run_train(model, manifest, vocabulary, table, settings, log_path=log_path)
     elapsed = time.monotonic() - started
     checkpoint = root / "model.ckpt"
-    save_checkpoint(checkpoint, model)
+    save_checkpoint(checkpoint, model, optimizer=SavedState({}), config_scalars={})
     with open(data.cells_path, encoding="utf-8") as handle:
         cells = json.load(handle)
     return Bundle(data, manifest, vocabulary, table, model, checkpoint, elapsed, cells)
@@ -132,10 +132,10 @@ def test_gradient_checks_every_op_and_full_model():
 def test_each_gradient_case_draws_by_name_not_by_position(monkeypatch):
     # deleting cases moves every later one up the list; its inputs, and so
     # its max_error, must stay bitwise as they were
-    every = {r.name: r.max_error for r in verification.run_suite(include_model=False)}
+    every = {r.name: r.max_error for r in verification.run_suite()}
     monkeypatch.setattr(verification, "OP_CASES", verification.OP_CASES[1::2])
-    kept = verification.run_suite(include_model=False)
-    assert len(kept) == len(verification.OP_CASES) + 1           # plus the LCM gradient
+    kept = verification.run_suite()
+    assert len(kept) == len(verification.OP_CASES) + 2   # plus the LCM gradient and full model
     for result in kept:
         assert result.max_error == every[result.name], result.name
 
@@ -283,7 +283,7 @@ def test_ten_thousand_sampled_episodes_are_sound(clean_bundle):
             continue
         if len(episode.support_ids) != k_shot * len(labels):
             violations += 1
-        if episode.query_per_label != 4:
+        if len(episode.query_ids) != 4 * len(labels):
             violations += 1
         if set(episode.support_ids) & set(episode.query_ids):
             violations += 1
@@ -368,7 +368,7 @@ def _short_training(tmp_path, seed=5):
     optimizer = Adam(model.named_parameters(), settings.lr)
     run_train(model, manifest, vocabulary, table, settings, optimizer=optimizer)
     checkpoint = tmp_path / "model.ckpt"
-    save_checkpoint(checkpoint, model, optimizer=optimizer)
+    save_checkpoint(checkpoint, model, optimizer=optimizer, config_scalars={})
     report, _ = evaluate(model, manifest, vocabulary, table, split="novel", episodes=3,
                          k_shot=1, seed=seed, mode="base", theta=0.65, lcm_config=LcmConfig(),
                          store=FeatureStore(manifest), normalize_embeddings=False, threads=1)
@@ -396,9 +396,9 @@ def test_bitwise_determinism_round_trips_and_corruption_errors(tmp_path):
     model, _ = load_checkpoint(ckpt_path)
     rewritten = tmp_path / "rewritten.ckpt"
     plain = tmp_path / "plain.ckpt"
-    save_checkpoint(rewritten, model)
+    save_checkpoint(rewritten, model, optimizer=SavedState({}), config_scalars={})
     reloaded, _ = load_checkpoint(rewritten)
-    save_checkpoint(plain, reloaded)
+    save_checkpoint(plain, reloaded, optimizer=SavedState({}), config_scalars={})
     assert rewritten.read_bytes() == plain.read_bytes()
 
     # corrupt headers are rejected with their documented error codes

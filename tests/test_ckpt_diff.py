@@ -10,6 +10,8 @@ import numpy as np
 from mlfewshot import seeding
 from mlfewshot.model import init_model, save_checkpoint
 
+from conftest import SavedState
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "ckpt_diff.py"
 
 
@@ -23,10 +25,11 @@ def test_ckpt_diff_reports_each_tensor_and_the_largest(tmp_path):
     model = init_model(channels=6, embed_dim=4, joint_dim=8, heads=2, dynconv_inner=3,
                        dynconv_top=4, scale=10.0, dropout=0.1,
                        rng=seeding.substream(3, "init"))
-    save_checkpoint(tmp_path / "a.ckpt", model)
+    save_checkpoint(tmp_path / "a.ckpt", model, optimizer=SavedState({}), config_scalars={})
     model.joint.text.data[1, 2] += 0.25
     model.dynconv.norm1_bias.data[0] -= 1e-3
-    save_checkpoint(tmp_path / "b.ckpt", model, config_scalars={"seed": 3})
+    save_checkpoint(tmp_path / "b.ckpt", model, optimizer=SavedState({}),
+                    config_scalars={"seed": 3})
 
     code, out, _ = run_tool(tmp_path / "a.ckpt", tmp_path / "b.ckpt")
     assert code == 0 and len(out.splitlines()) == 1

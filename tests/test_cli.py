@@ -1,7 +1,9 @@
 """End-to-end command-line pipeline on a tiny generated dataset."""
 
 import collections
+import functools
 import importlib
+import inspect
 import json
 import pkgutil
 import shutil
@@ -21,6 +23,8 @@ from mlfewshot.features import load_feature_file, write_feature_file
 from mlfewshot.joint_space import project_labels
 from mlfewshot.lcm import LcmConfig, select_cells
 from mlfewshot.model import CHECKPOINT_MAGIC, init_model, load_checkpoint, save_checkpoint
+
+from conftest import SavedState
 
 # the pipeline model's sizes; a run on its checkpoint must state them
 MODEL_FLAGS = ["--d_j", "8", "--n_heads", "2", "--d_c", "4", "--n_d", "4"]
@@ -64,6 +68,33 @@ def test_synth_without_flags_writes_make_synthetics_defaults(tmp_path):
                 for path in sorted(root.rglob("*")) if path.is_file()}
 
     assert files(tmp_path / "cli") == files(tmp_path / "direct")
+
+
+def test_every_make_synthetic_keyword_reaches_it(tmp_path, monkeypatch):
+    # a value for each keyword that is not its default; --grid g gives both sides
+    given = {"seed": 9, "n_base": 3, "n_validation": 2, "n_novel": 5, "images_per_label": 7,
+             "grid": 5, "channels": 12, "embed_dim": 6, "signal_fraction": 0.25,
+             "signal_noise": 0.125, "background_scale": 2.5, "extra_label_prob": 0.75}
+    keyword_only = {name: param.default
+                    for name, param in inspect.signature(make_synthetic).parameters.items()
+                    if param.kind is inspect.Parameter.KEYWORD_ONLY}
+    assert set(given) == set(keyword_only)
+    assert all(given[name] != default for name, default in keyword_only.items())
+    received = []
+
+    @functools.wraps(make_synthetic)    # the synth flags are read from its signature
+    def recording(out_dir, **options):
+        received.append((out_dir, options))
+        return make_synthetic(out_dir, **options)
+
+    monkeypatch.setattr(cli, "make_synthetic", recording)
+    flags = [part for name, value in given.items()
+             for part in ("--" + name.replace("_", "-"), str(value))]
+    assert main(["synth", "--out", str(tmp_path / "data"), *flags]) == 0
+    expected = {**given, "grid": (5, 5)}
+    assert received == [(str(tmp_path / "data"), expected)]
+    assert {name: type(value) for name, value in received[0][1].items()} == \
+        {name: type(value) for name, value in expected.items()}
 
 
 @pytest.mark.parametrize("flags", [
@@ -221,16 +252,6 @@ def test_each_feature_file_is_read_at_most_once(pipeline, tmp_path, monkeypatch)
         assert reads and max(reads.values()) == 1, argv[0]
 
 
-class SavedState:
-    """Stands in for an optimizer when writing chosen optim.* tensors."""
-
-    def __init__(self, tensors):
-        self.tensors = tensors
-
-    def state_tensors(self):
-        return self.tensors
-
-
 @pytest.mark.parametrize("key,value,saved", [
     ("d_j", "16", "8"), ("n_heads", "4", "2"), ("d_c", "3", "4"), ("n_d", "5", "4"),
     ("lambda", "5.0", "10.0"), ("dropout", "0.2", "0.1")])
@@ -264,8 +285,7 @@ def test_resume_with_bad_optimizer_state_exits_2(pipeline, tmp_path, capsys, cor
         state, named = {}, "optim.steps"
     config = {k[len("config."):]: float(v) for k, v in extras.items() if k.startswith("config.")}
     spare = tmp_path / "model.ckpt"
-    save_checkpoint(spare, model, optimizer=SavedState(state) if state else None,
-                    config_scalars=config)
+    save_checkpoint(spare, model, optimizer=SavedState(state), config_scalars=config)
     fresh = dict(zip(paths[::2], paths[1::2]))
     fresh["--checkpoint"] = str(spare)
     fresh["--output"] = str(tmp_path)
@@ -342,7 +362,7 @@ def test_inspect_lcm_grids_are_select_cells_on_one_map(pipeline, capsys):
 
 
 def test_gradcheck_ops_pass(capsys):
-    assert main(["gradcheck", "--skip-model"]) == 0
+    assert main(["gradcheck"]) == 0
     assert "gradient checks passed" in capsys.readouterr().out
 
 
@@ -456,7 +476,7 @@ def test_eval_of_a_checkpoint_that_does_not_fit_exits_2(pipeline, tmp_path, caps
     _, run, paths = pipeline
     model, fragment = corrupt(load_checkpoint(run / "model.ckpt")[0])
     spare = tmp_path / "model.ckpt"
-    save_checkpoint(spare, model)
+    save_checkpoint(spare, model, optimizer=SavedState({}), config_scalars={})
     given = dict(zip(paths[::2], paths[1::2]), **{"--checkpoint": str(spare),
                                                    "--output": str(tmp_path / "out")})
     argv = [part for pair in given.items() for part in pair]
@@ -577,8 +597,8 @@ def test_exit_code_3_for_numeric_errors(monkeypatch, capsys):
         return autodiff._node(np.maximum(a.data, 0.0), (a,), "relu", backward)
 
     monkeypatch.setattr(autodiff, "relu", relu_with_wrong_backward)
-    assert main(["gradcheck", "--skip-model"]) == 3
-    assert "numeric error: gradient check failed for: relu\n" in capsys.readouterr().err
+    assert main(["gradcheck"]) == 3
+    assert "numeric error: gradient check failed for: relu, full-model\n" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(pipeline, tmp_path, capsys):

@@ -10,6 +10,7 @@ from mlfewshot import seeding
 from mlfewshot.embeddings import LabelVocabulary, parse_embedding_file
 from mlfewshot.errors import ConfigError, DataError, InsufficientImagesError
 from mlfewshot.episodes import (
+    QUERY_PER_LABEL,
     SAMPLE_RETRIES,
     DatasetManifest,
     Episode,
@@ -148,7 +149,7 @@ def _outcome(draw):
         ep = draw()
     except InsufficientImagesError as err:
         return ("error", err.label, err.needed, err.available)
-    return ("episode", ep.labels, ep.k_shot, ep.query_per_label, ep.support_ids, ep.query_ids,
+    return ("episode", ep.labels, ep.k_shot, QUERY_PER_LABEL, ep.support_ids, ep.query_ids,
             *((t.dtype.str, t.shape, t.tobytes()) for t in (ep.support_targets, ep.query_targets)))
 
 

@@ -35,16 +35,19 @@ def checkouts(tmp_path, monkeypatch):
 def test_identical_checkouts_exit_0(checkouts, capsys):
     ours, theirs = checkouts({"help": "a", "checkpoint": "b"}, {"help": "a", "checkpoint": "b"})
     assert fingerprint_tool.main(["--root", ours, "--against", theirs]) == 0
-    assert capsys.readouterr().out.splitlines() == ["2 digests identical, 0 differ"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"2 digests identical, 0 differ, 0 only in {ours}, 0 only in {theirs}"]
 
 
 def test_each_differing_key_is_printed_and_exits_1(checkouts, capsys):
-    ours, theirs = checkouts({"help": "a", "checkpoint": "b", "report_lcm": "c"},
-                             {"help": "a", "checkpoint": "B", "gradcheck_max_error.x": "d"})
+    ours, theirs = checkouts({"help": "a", "checkpoint": "b", "report_lcm": "c", "train": "t"},
+                             {"help": "a", "checkpoint": "B", "gradcheck_max_error.x": "d",
+                              "train": "T"})
     assert fingerprint_tool.main(["--root", ours, "--against", theirs]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "differs: checkpoint", "differs: gradcheck_max_error.x", "differs: report_lcm",
-        "1 digests identical, 3 differ"]
+        "differs: checkpoint", "differs: train",
+        f"only in {ours}: report_lcm", f"only in {theirs}: gradcheck_max_error.x",
+        f"1 digests identical, 2 differ, 1 only in {ours}, 1 only in {theirs}"]
 
 
 def test_without_against_prints_the_digests(checkouts, capsys):

@@ -22,6 +22,7 @@ from mlfewshot.model import init_model, save_checkpoint
 from mlfewshot.optim import Adam
 from mlfewshot.verification import _image_loss, weighted_pool
 
+from conftest import SavedState
 from oracles import _frozen_view, loss_change_exact
 
 
@@ -443,7 +444,7 @@ def inspect_argv(tmp_path_factory):
     model = init_model(channels=8, embed_dim=4, joint_dim=4, heads=2, dynconv_inner=2,
                        dynconv_top=2, scale=10.0, dropout=0.1, rng=np.random.default_rng(0))
     model.epoch = 1
-    save_checkpoint(root / "model.ckpt", model)
+    save_checkpoint(root / "model.ckpt", model, optimizer=SavedState({}), config_scalars={})
     return ["inspect-lcm", "--manifest", str(root / "manifest.jsonl"),
             "--splits", str(root / "labels.tsv"), "--embeddings", str(root / "embeddings.txt"),
             "--checkpoint", str(root / "model.ckpt"), "--d_j", "4", "--n_heads", "2",

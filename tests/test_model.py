@@ -29,7 +29,7 @@ from mlfewshot.optim import Adam
 from mlfewshot.prototypes import SupportPools, attention_prototype, label_side
 from mlfewshot.training import episode_losses
 
-from conftest import build_tiny_model
+from conftest import SavedState, build_tiny_model
 from test_prototypes import assert_close, per_label_prototype
 
 
@@ -63,7 +63,8 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     model = small_model()
     model.epoch = 7
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model, config_scalars={"seed": 11, "gamma": 1.0})
+    save_checkpoint(path, model, optimizer=SavedState({}),
+                    config_scalars={"seed": 11, "gamma": 1.0})
     back, extras = load_checkpoint(path)
     assert back.epoch == 7
     assert back.joint.scale == model.joint.scale
@@ -76,22 +77,22 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
 
     # rewriting the loaded model gives a byte-identical file
     path2 = tmp_path / "m2.ckpt"
-    save_checkpoint(path2, back)
-    save_checkpoint(path, model)
+    save_checkpoint(path2, back, optimizer=SavedState({}), config_scalars={})
+    save_checkpoint(path, model, optimizer=SavedState({}), config_scalars={})
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
     model = small_model()
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model)
+    save_checkpoint(path, model, optimizer=SavedState({}), config_scalars={})
     before = path.read_bytes()
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
     # entries are written in name order: the attention tensors and the
     # first dynconv ones are on disk when this one fails to convert
     model.dynconv.norm2_bias.data = np.array(["not a number"])
     with pytest.raises(ValueError):
-        save_checkpoint(path, model)
+        save_checkpoint(path, model, optimizer=SavedState({}), config_scalars={})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
@@ -103,7 +104,7 @@ def test_checkpoint_preserves_optimizer_state(tmp_path):
         p.grad = np.full_like(p.data, 0.5)
     optimizer.step()
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model, optimizer=optimizer)
+    save_checkpoint(path, model, optimizer=optimizer, config_scalars={})
     _, extras = load_checkpoint(path)
     assert extras["optim.steps"] == 1.0
     assert any(k.startswith("optim.m.") for k in extras)
@@ -113,7 +114,7 @@ def test_checkpoint_preserves_optimizer_state(tmp_path):
 def test_checkpoint_names_are_sorted(tmp_path):
     model = small_model()
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model)
+    save_checkpoint(path, model, optimizer=SavedState({}), config_scalars={})
     blob = path.read_bytes()
     offset = len(CHECKPOINT_MAGIC)
     (count,) = struct.unpack_from("<I", blob, offset)
@@ -148,7 +149,7 @@ def test_bad_magic_rejected(tmp_path):
 def test_truncated_checkpoint_rejected(tmp_path):
     model = small_model()
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model)
+    save_checkpoint(path, model, optimizer=SavedState({}), config_scalars={})
     blob = path.read_bytes()
     for cut in (len(CHECKPOINT_MAGIC) + 2, len(blob) // 2, len(blob) - 3):
         (tmp_path / "cut.ckpt").write_bytes(blob[:cut])
@@ -159,7 +160,7 @@ def test_truncated_checkpoint_rejected(tmp_path):
 def test_trailing_bytes_rejected(tmp_path):
     model = small_model()
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model)
+    save_checkpoint(path, model, optimizer=SavedState({}), config_scalars={})
     (tmp_path / "fat.ckpt").write_bytes(path.read_bytes() + b"\x00\x01")
     with pytest.raises(DataError, match="trailing-bytes"):
         read_checkpoint_tensors(tmp_path / "fat.ckpt")

@@ -9,6 +9,7 @@ import pytest
 
 from mlfewshot import autodiff as ad
 from mlfewshot import metrics, training, verification
+from mlfewshot import model as model_module
 from mlfewshot.autodiff import Tensor
 from mlfewshot.episodes import EpisodePool, records_for_split, sample_episode
 from mlfewshot.errors import ConfigError, NumericError
@@ -165,21 +166,21 @@ def test_base_evaluation_scores_the_training_forward(tiny_trained, monkeypatch):
     pool = EpisodePool(manifest, records_for_split(manifest, vocabulary, "novel"))
     episode = sample_episode(pool, labels, 1, np.random.default_rng(3))
     emb = np.stack([tiny_trained["table"].vectors[label] for label in labels])
-    score, seen = training.score_against, []
+    score, seen = model_module.score_against, []
 
     def recording_score(*args, **kwargs):
         out = score(*args, **kwargs)
         seen.append(out.data.copy())
         return out
 
-    # the query scoring; the CM loss scores through model.score_loss
-    monkeypatch.setattr(training, "score_against", recording_score)
+    # both losses score through model.score_loss, the queries first
+    monkeypatch.setattr(model_module, "score_against", recording_score)
     episode_losses(model, episode, store, emb, dropout_rng=None)
     monkeypatch.undo()
     side = label_side(model.attention, model.dynconv, project_labels(model.joint, emb))
     probs, _, _ = metrics._episode_probabilities(model, episode, store, side, "base",
                                                  None, False)
-    assert len(seen) == 1
+    assert len(seen) == 2
     assert np.array_equal(probs, ad._logistic(seen[0].reshape(probs.shape)))
 
 
@@ -228,8 +229,8 @@ def test_training_is_deterministic_and_loss_falls(tiny_data, tmp_path):
     assert a.rows[-1].total_loss < a.rows[0].total_loss
     assert a.model.epoch == 3
     pa, pb = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(pa, a.model, optimizer=a.optimizer)
-    save_checkpoint(pb, b.model, optimizer=b.optimizer)
+    save_checkpoint(pa, a.model, optimizer=a.optimizer, config_scalars={})
+    save_checkpoint(pb, b.model, optimizer=b.optimizer, config_scalars={})
     assert pa.read_bytes() == pb.read_bytes()
 
 
@@ -266,7 +267,7 @@ def test_resume_from_checkpoint_matches_straight_run(tiny_data, tmp_path):
     half = run_train(build_tiny_model(tiny_data["table"], seed=41), tiny_data["manifest"],
                      tiny_data["vocabulary"], tiny_data["table"], first)
     path = tmp_path / "half.ckpt"
-    save_checkpoint(path, half.model, optimizer=half.optimizer)
+    save_checkpoint(path, half.model, optimizer=half.optimizer, config_scalars={})
     resumed, extras = load_checkpoint(path)
     optimizer = Adam(resumed.named_parameters(), target.lr)
     optimizer.load_state_tensors(extras)

@@ -26,8 +26,9 @@ can show that every other case is unchanged.
     python3 tools/fingerprint.py --against DIR    # compare with another checkout
 
 With ``--against`` it fingerprints both checkouts, prints each key whose
-digest differs (or that only one of them has), and exits 1 on any
-difference, 0 when every digest is identical.
+digest differs as ``differs: <key>`` and each key that only one of them has
+as ``only in <checkout>: <key>``, counts each kind on a summary line, and
+exits 1 on any difference, 0 when every digest is identical.
 
 A run takes about a minute on two cores, most of it training; a comparison
 takes two.
@@ -167,12 +168,17 @@ def main(argv=None) -> int:
         print(json.dumps(ours, sort_keys=True))
         return 0
     theirs = fingerprint(args.against.resolve())
-    differing = sorted(key for key in ours.keys() | theirs.keys()
-                       if ours.get(key) != theirs.get(key))
+    shared = ours.keys() & theirs.keys()
+    differing = sorted(key for key in shared if ours[key] != theirs[key])
+    only = {args.root: sorted(ours.keys() - shared), args.against: sorted(theirs.keys() - shared)}
     for key in differing:
         print(f"differs: {key}")
-    print(f"{len(ours.keys() - set(differing))} digests identical, {len(differing)} differ")
-    return 1 if differing else 0
+    for root, keys in only.items():
+        for key in keys:
+            print(f"only in {root}: {key}")
+    print(f"{len(shared) - len(differing)} digests identical, {len(differing)} differ, "
+          + ", ".join(f"{len(keys)} only in {root}" for root, keys in only.items()))
+    return 1 if differing or any(only.values()) else 0
 
 
 if __name__ == "__main__":

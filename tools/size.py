@@ -5,7 +5,9 @@
 - ``keyword_defaults``: the default values of positional and keyword-only
   parameters in those files, functions and lambdas alike, counted with ``ast``;
 - ``config_keys``: the fields of ``config.RunConfig``, each one a config-file
-  key and a command-line flag.
+  key and a command-line flag;
+- ``cli_flags``: the options of every subcommand of ``cli.build_parser()``,
+  ``-h`` not counted.
 
     python3 tools/size.py                 # this checkout
     python3 tools/size.py --root DIR      # another checkout
@@ -14,8 +16,28 @@
 import argparse
 import ast
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+# Run in a child Python on the checkout's src, so another checkout's parser is read.
+CLI_FLAGS = """
+import argparse
+from mlfewshot.cli import build_parser
+commands = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices.values()
+print(sum(bool(action.option_strings) and not isinstance(action, argparse._HelpAction)
+          for command in commands for action in command._actions))
+"""
+
+
+def cli_flags(root: Path) -> int:
+    if not (root / "src" / "mlfewshot" / "cli.py").is_file():
+        raise FileNotFoundError(f"{root} holds no src/mlfewshot/cli.py")
+    done = subprocess.run([sys.executable, "-c", CLI_FLAGS], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True)
+    return int(done.stdout)
 
 
 def sizes(root: Path) -> dict:
@@ -35,7 +57,7 @@ def sizes(root: Path) -> dict:
                     and node.name == "RunConfig":
                 config_keys = sum(isinstance(item, ast.AnnAssign) for item in node.body)
     return {"src_lines": src_lines, "keyword_defaults": keyword_defaults,
-            "config_keys": config_keys}
+            "config_keys": config_keys, "cli_flags": cli_flags(root)}
 
 
 def main(argv=None) -> int:
