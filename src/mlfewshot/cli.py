@@ -12,13 +12,13 @@ from pathlib import Path
 
 from . import seeding
 from .config import (
-    NUMERIC_KEYS,
+    COMMAND_KEYS,
     PATH_KEYS,
-    RunConfig,
     build_config,
     canonical_dict,
     parse_config_file,
     run_id,
+    stored_config,
 )
 from .embeddings import embed_labels, load_vocabulary, parse_embedding_file
 from .episodes import load_manifest, make_synthetic
@@ -30,64 +30,61 @@ from .model import FeatureStore, atomic_open, init_model, load_checkpoint, save_
 from .optim import Adam
 from .training import train
 
-_CONFIG_KEYS = (*NUMERIC_KEYS, *PATH_KEYS)
 
-
-def _add_config_flags(parser: argparse.ArgumentParser):
+def _add_config_flags(parser: argparse.ArgumentParser, command: str):
     parser.add_argument("--config", default=None, help="path to a 'key = value' config file")
-    for key in _CONFIG_KEYS:
+    for key in (*COMMAND_KEYS[command], *PATH_KEYS):
         parser.add_argument(f"--{key}", dest=f"cfg_{key}", default=None, metavar="V",
                             help=f"override config key {key}")
 
 
-def _config_from_args(args) -> RunConfig:
-    file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {}
-    for key in _CONFIG_KEYS:
-        value = getattr(args, f"cfg_{key}")
-        if value is not None:
-            overrides[key] = value
-    return build_config(file_values, overrides)
-
-
-def _prepare(args):
-    """What train, eval and inspect-lcm share: the run config with every
-    path key set, the loaded vocabulary, manifest and embedding table, the
-    run's one FeatureStore (every map and the channel count are read through
-    it, so each file is read at most once) and the created output directory."""
-    cfg = _config_from_args(args)
+def _given(args) -> tuple[dict, dict]:
+    """The config-file values and flags given to the command; each path key must be in one."""
+    keys = (*COMMAND_KEYS[args.command], *PATH_KEYS)
+    file_values = parse_config_file(args.config, keys) if args.config else {}
+    flags = {key: getattr(args, f"cfg_{key}") for key in keys
+             if getattr(args, f"cfg_{key}") is not None}
     for name in PATH_KEYS:
-        if getattr(cfg, name) is None:
+        if name not in file_values and name not in flags:
             raise ConfigError(f"{name} path is required (flag --{name} or config key)")
+    return file_values, flags
+
+
+def _load_model(path):
+    """Load a checkpoint and the config `train` stored in it, whose sizes must be its tensors'."""
+    model, extras = load_checkpoint(path)
+    stored = stored_config(extras, path)
+    for key, value in (("d_j", model.joint.visual.shape[0]), ("n_heads", model.attention.heads),
+                       ("d_c", model.dynconv.inner_dim), ("n_d", model.dynconv.top_count),
+                       ("lambda", model.joint.scale), ("dropout", model.attention.dropout)):
+        if stored[key] != value:
+            raise DataError(f"checkpoint {path} stores {key} {stored[key]}, but its tensors "
+                            f"give {key} {value}")
+    return model, extras, stored
+
+
+def _prepare(cfg, model):
+    """What train, eval and inspect-lcm share once the run config is built: the loaded
+    vocabulary, manifest and embedding table, the run's one FeatureStore (every map is
+    read through it, so each file is read at most once) and the created output directory.
+    A loaded `model`'s projections must take the widths of the run's maps and word vectors."""
     vocabulary = load_vocabulary(cfg.splits)
     manifest = load_manifest(cfg.manifest, vocabulary=vocabulary)
     table = parse_embedding_file(cfg.embeddings)
+    store = FeatureStore(manifest)
+    if model is not None:
+        for name, tensor, width, what in (
+                ("joint.visual", model.joint.visual, store.shape[0], "feature channels"),
+                ("joint.text", model.joint.text, table.dimension, "embedding dimensions")):
+            if tensor.shape[1] != width:
+                raise DataError(f"checkpoint {cfg.checkpoint}: {name} takes {tensor.shape[1]} "
+                                f"{what}, but the data has {width}")
     out_dir = Path(cfg.output)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as bad:
         raise DataError(f"output directory {out_dir} cannot be created: {bad.strerror}") from bad
-    return cfg, vocabulary, manifest, table, FeatureStore(manifest), out_dir
-
-
-def _load_model(cfg, store, table):
-    """Load the checkpoint; check that its projections take the widths of
-    the run's maps and word vectors, and that it has the config's sizes."""
-    model, extras = load_checkpoint(cfg.checkpoint)
-    for name, tensor, width, what in (
-            ("joint.visual", model.joint.visual, store.shape[0], "feature channels"),
-            ("joint.text", model.joint.text, table.dimension, "embedding dimensions")):
-        if tensor.shape[1] != width:
-            raise DataError(f"checkpoint {cfg.checkpoint}: {name} takes {tensor.shape[1]} "
-                            f"{what}, but the data has {width}")
-    for name, value in (("d_j", model.joint.visual.shape[0]), ("n_heads", model.attention.heads),
-                        ("d_c", model.dynconv.inner_dim), ("n_d", model.dynconv.top_count),
-                        ("lambda_", model.joint.scale), ("dropout", model.attention.dropout)):
-        if value != getattr(cfg, name):
-            key = name.rstrip("_")
-            raise ConfigError(f"checkpoint {cfg.checkpoint} has {key} {value}, but the run "
-                              f"config has {key} {getattr(cfg, name)}")
-    return model, extras
+    return vocabulary, manifest, table, store, out_dir
 
 
 def _write_json(path, payload):
@@ -111,16 +108,29 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, vocabulary, manifest, table, store, out_dir = _prepare(args)
-    # the checkpoint is written after the last epoch: refuse a path it cannot take first
-    if not Path(cfg.checkpoint).parent.is_dir():
-        raise DataError(f"checkpoint {cfg.checkpoint}: its directory does not exist")
-    if Path(cfg.checkpoint).is_dir():
-        raise DataError(f"checkpoint {cfg.checkpoint} is a directory, not a file")
-
+    file_values, flags = _given(args)
     if args.resume:
-        model, extras = _load_model(cfg, store, table)
+        # keys not given come from the run the checkpoint continues; only epochs may differ
+        path = {**file_values, **flags}["checkpoint"]
+        model, extras, stored = _load_model(path)
+        trained = {key: stored[key] for key in COMMAND_KEYS["train"]}
+        cfg = build_config({**trained, **file_values}, flags)
+        for key, value in canonical_dict(cfg).items():
+            if key in trained and key != "epochs" and value != trained[key]:
+                raise ConfigError(f"checkpoint {path} has {key} {trained[key]}, but the run "
+                                  f"config has {key} {value}")
+        if cfg.epochs < model.epoch:
+            raise ConfigError(f"checkpoint {path} is at epoch {model.epoch}, but the run config "
+                              f"has epochs {cfg.epochs}")
+        vocabulary, manifest, table, store, out_dir = _prepare(cfg, model)
     else:
+        cfg = build_config(file_values, flags)
+        vocabulary, manifest, table, store, out_dir = _prepare(cfg, None)
+        # the checkpoint is written after the last epoch: refuse a path it cannot take first
+        if not Path(cfg.checkpoint).parent.is_dir():
+            raise DataError(f"checkpoint {cfg.checkpoint}: its directory does not exist")
+        if Path(cfg.checkpoint).is_dir():
+            raise DataError(f"checkpoint {cfg.checkpoint} is a directory, not a file")
         model = init_model(
             channels=store.shape[0], embed_dim=table.dimension,
             joint_dim=cfg.d_j, heads=cfg.n_heads, dynconv_inner=cfg.d_c,
@@ -133,12 +143,12 @@ def cmd_train(args) -> int:
     log_path = out_dir / "training_log.csv"
     result = train(model, manifest, vocabulary, table, cfg.train_settings(),
                    store=store, optimizer=optimizer, log_path=log_path)
-    save_checkpoint(cfg.checkpoint, model, optimizer=optimizer,
-                    config_scalars=canonical_dict(cfg))
-    identifier = run_id(cfg)
+    config = canonical_dict(cfg)
+    save_checkpoint(cfg.checkpoint, model, optimizer=optimizer, config_scalars=config)
+    identifier = run_id(config)
     _write_json(out_dir / "run_manifest.json", {
         "run_id": identifier,
-        "config": canonical_dict(cfg),
+        "config": config,
         "checkpoint": str(cfg.checkpoint),
         "training_log": str(log_path),
         "epochs_completed": model.epoch,
@@ -155,19 +165,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, vocabulary, manifest, table, store, out_dir = _prepare(args)
-    model, _ = _load_model(cfg, store, table)
+    cfg = build_config(*_given(args))
+    model, _, trained_with = _load_model(cfg.checkpoint)
+    vocabulary, manifest, table, store, out_dir = _prepare(cfg, model)
     report, _ = evaluate(
         model, manifest, vocabulary, table, split=args.split,
         episodes=cfg.eval_episodes, k_shot=cfg.k_shot, seed=cfg.seed,
         mode=args.mode, theta=cfg.theta, lcm_config=cfg.lcm_config(), store=store,
-        normalize_embeddings=cfg.normalize_embeddings, threads=cfg.threads)
+        normalize_embeddings=trained_with["normalize_embeddings"], threads=cfg.threads)
+    own = canonical_dict(cfg)           # threads is not in it: it never changes a number
+    record = {"config": {key: own[key] for key in COMMAND_KEYS["eval"] if key in own},
+              "trained_with": trained_with}
     report_path = out_dir / f"report_{args.mode}.json"
-    _write_json(report_path, {
-        "report": report.to_dict(),
-        "config": canonical_dict(cfg),
-        "run_id": run_id(cfg),
-    })
+    _write_json(report_path, {"report": report.to_dict(), **record, "run_id": run_id(record)})
     print(f"mode={args.mode} split={args.split} episodes={report.episodes}")
     print(f"micro_ap={report.micro_ap:.6f} macro_ap={report.macro_ap:.6f} "
           f"micro_f1={report.micro_f1:.6f} macro_f1={report.macro_f1:.6f}")
@@ -194,15 +204,16 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_inspect_lcm(args) -> int:
-    cfg, vocabulary, manifest, table, store, out_dir = _prepare(args)
-    model, _ = _load_model(cfg, store, table)
+    cfg = build_config(*_given(args))
+    model, _, trained_with = _load_model(cfg.checkpoint)
+    vocabulary, manifest, table, store, out_dir = _prepare(cfg, model)
 
     record = manifest.record_for(args.image)
     split = vocabulary.split_of(record.labels[0])
     labels = list(vocabulary.labels_for(split))
     targets = [1.0 if label in record.labels else 0.0 for label in labels]
-    label_joints = project_labels(
-        model.joint, embed_labels(table, labels, normalize=cfg.normalize_embeddings)).data
+    vectors = embed_labels(table, labels, normalize=trained_with["normalize_embeddings"])
+    label_joints = project_labels(model.joint, vectors).data
     selection = select_cells(model.joint, store.get(args.image)[None], [targets], label_joints,
                              cfg.lcm_config(), trained=model.trained)
 
@@ -242,13 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="episodic training on the base split")
-    _add_config_flags(p)
+    _add_config_flags(p, "train")
     p.add_argument("--resume", action="store_true",
                    help="continue from the existing checkpoint")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint over seeded episodes")
-    _add_config_flags(p)
+    _add_config_flags(p, "eval")
     p.add_argument("--mode", choices=EVAL_MODES, default="base")
     p.add_argument("--split", default="novel")
     p.set_defaults(func=cmd_eval)
@@ -257,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("inspect-lcm", help="fit and dump one image's importance grids")
-    _add_config_flags(p)
+    _add_config_flags(p, "inspect-lcm")
     p.add_argument("--image", required=True, help="image id from the manifest")
     p.set_defaults(func=cmd_inspect_lcm)
 

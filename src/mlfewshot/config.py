@@ -1,8 +1,8 @@
-"""Run configuration: defaults, config-file parsing, and the run id.
+"""Run configuration: defaults, each command's keys, config-file parsing and the run id.
 
-Config files are "key = value" lines with '#' comments.  Command-line
-flags override file values.  The run id is the SHA-1 of the canonical
-(path-free) configuration, so reruns of the same configuration agree.
+Config files are "key = value" lines with '#' comments.  Command-line flags override
+file values.  The run id is the SHA-1 of a path-free record of the configuration, so
+reruns of the same configuration agree.
 """
 
 import hashlib
@@ -10,12 +10,20 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .lcm import LcmConfig
 from .training import TrainSettings
 
 # key name in files/flags, which is also the attribute
 PATH_KEYS = ("manifest", "embeddings", "splits", "checkpoint", "output")
+# the keys each command reads besides the paths, and takes as flags or file keys; train's
+# first six are the model's sizes, which eval and inspect-lcm read from the checkpoint
+COMMAND_KEYS = {
+    "train": ("d_j", "n_heads", "d_c", "n_d", "lambda", "dropout", "gamma", "lr", "epochs",
+              "warmup_epochs", "episodes_per_epoch", "k_shot", "seed", "normalize_embeddings"),
+    "eval": ("theta", "lcm_lr", "lcm_epochs", "eval_episodes", "k_shot", "seed", "threads"),
+    "inspect-lcm": ("theta", "lcm_lr", "lcm_epochs"),
+}
 
 
 @dataclass
@@ -103,8 +111,8 @@ def _convert(key: str, raw, kind):
     return value
 
 
-def parse_config_file(path) -> dict[str, str]:
-    """Read "key = value" lines; '#' starts a comment, blank lines skipped."""
+def parse_config_file(path, keys) -> dict[str, str]:
+    """Read "key = value" lines of `keys`; '#' starts a comment, blank lines skipped."""
     try:
         handle = open(path, encoding="utf-8")
     except OSError as bad:
@@ -118,13 +126,12 @@ def parse_config_file(path) -> dict[str, str]:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
             key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
+            key, value = key.strip(), value.strip()
             if not key:
                 raise ConfigError(f"{path}:{lineno}: empty key")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            if key not in NUMERIC_KEYS and key not in PATH_KEYS:
+            if key not in keys:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value
     return values
@@ -135,8 +142,6 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
     cfg = RunConfig()
     for source in (file_values or {}), (overrides or {}):
         for key, raw in source.items():
-            if raw is None:
-                continue
             if key in NUMERIC_KEYS:
                 attr, kind = NUMERIC_KEYS[key]
                 setattr(cfg, attr, _convert(key, raw, kind))
@@ -151,16 +156,24 @@ def canonical_dict(cfg: RunConfig) -> dict:
     """The semantic configuration under its file-key names.  Paths and the
     thread count are excluded: neither changes any computed number, so the
     same run hashes identically across machines and worker counts."""
-    out = {}
-    for key, (attr, kind) in NUMERIC_KEYS.items():
-        if key == "threads":
-            continue
-        value = getattr(cfg, attr)
-        out[key] = bool(value) if kind is bool else kind(value)
-    return out
+    return {key: kind(getattr(cfg, attr)) for key, (attr, kind) in NUMERIC_KEYS.items()
+            if key != "threads"}
 
 
-def run_id(cfg: RunConfig) -> str:
-    """SHA-1 of the canonical configuration serialized deterministically."""
-    blob = json.dumps(canonical_dict(cfg), sort_keys=True, separators=(",", ":"))
+def stored_config(extras: dict, path) -> dict:
+    """The canonical config `train` stored in checkpoint `path` (`extras` as `load_checkpoint`
+    returns them), typed as `canonical_dict` types it; a key that is missing, or whose value
+    that type would change, is a DataError naming it."""
+    stored = {}
+    for key, default in canonical_dict(RunConfig()).items():
+        kind, value = type(default), extras.get(f"config.{key}")
+        if value is None or value.shape != () or not math.isfinite(value) or kind(value) != value:
+            raise DataError(f"checkpoint {path} holds no {kind.__name__} scalar 'config.{key}'")
+        stored[key] = kind(value)
+    return stored
+
+
+def run_id(record: dict) -> str:
+    """SHA-1 of a JSON record of the run's configuration, serialized deterministically."""
+    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return hashlib.sha1(blob.encode("utf-8")).hexdigest()

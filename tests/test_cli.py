@@ -16,7 +16,7 @@ import mlfewshot
 from mlfewshot import autodiff, cli, seeding, training
 from mlfewshot.autodiff import Tensor
 from mlfewshot.cli import main
-from mlfewshot.config import PATH_KEYS
+from mlfewshot.config import COMMAND_KEYS, NUMERIC_KEYS, PATH_KEYS, run_id
 from mlfewshot.embeddings import embed_labels, load_vocabulary, parse_embedding_file
 from mlfewshot.episodes import load_manifest, make_synthetic
 from mlfewshot.features import load_feature_file, write_feature_file
@@ -26,10 +26,9 @@ from mlfewshot.model import CHECKPOINT_MAGIC, init_model, load_checkpoint, save_
 
 from conftest import SavedState
 
-# the pipeline model's sizes; a run on its checkpoint must state them
-MODEL_FLAGS = ["--d_j", "8", "--n_heads", "2", "--d_c", "4", "--n_d", "4"]
-TRAIN_FLAGS = [*MODEL_FLAGS, "--epochs", "2", "--warmup_epochs", "1", "--episodes_per_epoch", "2",
-               "--seed", "3"]
+# the pipeline model's sizes come first; eval and inspect-lcm read them from its checkpoint
+TRAIN_FLAGS = ["--d_j", "8", "--n_heads", "2", "--d_c", "4", "--n_d", "4", "--epochs", "2",
+               "--warmup_epochs", "1", "--episodes_per_epoch", "2", "--seed", "3"]
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +149,7 @@ def test_train_outputs(pipeline):
 @pytest.mark.parametrize("mode", ["base", "lcm", "zeroshot", "simple-attention"])
 def test_eval_modes(pipeline, mode, capsys):
     _, run, paths = pipeline
-    code = main(["eval", *paths, *MODEL_FLAGS, "--mode", mode, "--split", "novel",
+    code = main(["eval", *paths, "--mode", mode, "--split", "novel",
                  "--eval_episodes", "2", "--seed", "3"])
     assert code == 0
     out = capsys.readouterr().out
@@ -162,18 +161,17 @@ def test_eval_modes(pipeline, mode, capsys):
     assert len(payload["run_id"]) == 40
 
 
-def test_eval_reports_same_run_id_as_train(pipeline):
+def test_eval_reports_the_training_runs_config(pipeline):
     _, run, paths = pipeline
-    assert main(["eval", *paths, *MODEL_FLAGS, "--eval_episodes", "1", "--seed", "3"]) == 0
-    train_id = json.loads((run / "run_manifest.json").read_text())["run_id"]
-    # eval overrides eval_episodes, which is part of the semantic config,
-    # so its id may differ; rerunning with the training value must agree
-    assert main(["eval", *paths, "--eval_episodes", "50", "--seed", "3",
-                 "--epochs", "2", "--warmup_epochs", "1",
-                 "--d_j", "8", "--n_heads", "2", "--d_c", "4", "--n_d", "4",
-                 "--episodes_per_epoch", "2"]) == 0
-    eval_id = json.loads((run / "report_base.json").read_text())["run_id"]
-    assert eval_id == train_id
+    assert main(["eval", *paths, "--eval_episodes", "1", "--seed", "4", "--threads", "2"]) == 0
+    payload = json.loads((run / "report_base.json").read_text())
+    trained = json.loads((run / "run_manifest.json").read_text())
+    assert payload["trained_with"] == trained["config"]
+    # its own keys, threads left out as canonical_dict leaves it out; the id hashes both records
+    assert payload["config"] == {"theta": 0.65, "lcm_lr": 0.01, "lcm_epochs": 20,
+                                 "eval_episodes": 1, "k_shot": 1, "seed": 4}
+    assert payload["run_id"] == run_id({"config": payload["config"],
+                                        "trained_with": payload["trained_with"]})
 
 
 def test_resume_continues_training(pipeline, tmp_path, capsys):
@@ -245,7 +243,7 @@ def test_each_feature_file_is_read_at_most_once(pipeline, tmp_path, monkeypatch)
         if getattr(module, "load_feature_file", None) is original:
             monkeypatch.setattr(module, "load_feature_file", counting)
     for argv in (["train", *run_flags(paths, tmp_path), *TRAIN_FLAGS],
-                 ["eval", *run_flags(paths, tmp_path), *MODEL_FLAGS, "--mode", "lcm",
+                 ["eval", *run_flags(paths, tmp_path), "--mode", "lcm",
                   "--eval_episodes", "2"]):
         reads.clear()
         assert main(argv) == 0
@@ -254,19 +252,146 @@ def test_each_feature_file_is_read_at_most_once(pipeline, tmp_path, monkeypatch)
 
 @pytest.mark.parametrize("key,value,saved", [
     ("d_j", "16", "8"), ("n_heads", "4", "2"), ("d_c", "3", "4"), ("n_d", "5", "4"),
-    ("lambda", "5.0", "10.0"), ("dropout", "0.2", "0.1")])
+    ("lambda", "5.0", "10.0"), ("dropout", "0.2", "0.1"), ("lr", "0.01", "0.001"),
+    ("seed", "9", "3"), ("episodes_per_epoch", "5", "2")])
 def test_a_config_that_does_not_match_the_checkpoint_exits_1(pipeline, tmp_path, capsys,
                                                              key, value, saved):
-    # the artifacts record the run config, so it must be the loaded model's
+    # a resumed run continues the stored one, so only its epochs may differ
     _, run, paths = pipeline
     shutil.copy(run / "model.ckpt", tmp_path / "model.ckpt")
     before = (tmp_path / "model.ckpt").read_bytes()
-    for argv in (["train", "--resume", *TRAIN_FLAGS, "--epochs", "3"],
-                 ["eval", *MODEL_FLAGS, "--eval_episodes", "1"]):
-        assert main([argv[0], *run_flags(paths, tmp_path), *argv[1:], f"--{key}", value]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and \
-            f"has {key} {saved}, but the run config has {key} {value}" in err, argv[0]
+    assert main(["train", *run_flags(paths, tmp_path), "--resume", *TRAIN_FLAGS,
+                 "--epochs", "3", f"--{key}", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and \
+        f"has {key} {saved}, but the run config has {key} {value}" in err
+    assert (tmp_path / "model.ckpt").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.mark.parametrize("epochs,fragment", [
+    ("0", "is at epoch 2, but the run config has epochs 0"),
+    ("1", "warmup_epochs (1) must be below epochs (1)")])      # the stored warm-up
+def test_a_resume_to_fewer_epochs_than_the_checkpoints_exits_1_before_writing(
+        pipeline, tmp_path, capsys, epochs, fragment):
+    _, run, paths = pipeline
+    for name in ("model.ckpt", "training_log.csv"):
+        shutil.copy(run / name, tmp_path / name)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["train", *run_flags(paths, tmp_path), "--resume", "--epochs", epochs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and fragment in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_resume_given_only_epochs_continues_the_stored_run(pipeline, tmp_path):
+    # every other key comes from the checkpoint, so the run matches one never stopped
+    _, run, paths = pipeline
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    assert main(["train", *run_flags(paths, straight), *TRAIN_FLAGS, "--epochs", "3"]) == 0
+    resumed.mkdir()
+    for name in ("model.ckpt", "training_log.csv"):
+        shutil.copy(run / name, resumed / name)
+    assert main(["train", *run_flags(paths, resumed), "--resume", "--epochs", "3"]) == 0
+    for name in ("training_log.csv", "model.ckpt"):
+        assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
+    manifests = [json.loads((out / "run_manifest.json").read_text()) for out in (straight, resumed)]
+    assert manifests[0]["config"] == manifests[1]["config"]
+    assert manifests[0]["run_id"] == manifests[1]["run_id"]
+
+
+OTHER_KEYS = {command: [key for key in NUMERIC_KEYS if key not in COMMAND_KEYS[command]]
+              for command in ("eval", "inspect-lcm")}
+
+
+@pytest.mark.parametrize("command,key", [(command, key) for command, keys in OTHER_KEYS.items()
+                                         for key in keys])
+def test_a_key_the_command_does_not_read_exits_1(pipeline, tmp_path, capsys, command, key):
+    # as a flag (a usage error) and as a config-file key (an error naming the line)
+    _, _, paths = pipeline
+    given = dict(zip(paths[::2], paths[1::2]), **{"--output": str(tmp_path / "out")})
+    argv = [command, *(part for pair in given.items() for part in pair),
+            *(["--image", "img00000"] if command == "inspect-lcm" else [])]
+    assert main([*argv, f"--{key}", "1"]) == 1
+    assert f"unrecognized arguments: --{key} 1" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = 1\n")
+    assert main([*argv, "--config", str(config)]) == 1
+    assert f"config error: {config}:1: unknown key {key!r}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_eval_takes_the_model_sizes_from_the_checkpoint(pipeline, tmp_path, capsys):
+    _, run, paths = pipeline
+    assert main(["eval", *run_flags(paths, tmp_path), "--d_j", "32"]) == 1
+    assert "unrecognized arguments: --d_j 32" in capsys.readouterr().err
+    assert not (tmp_path / "report_base.json").exists()
+    shutil.copy(run / "model.ckpt", tmp_path / "model.ckpt")
+    assert main(["eval", *run_flags(paths, tmp_path), "--eval_episodes", "1"]) == 0
+    trained_with = json.loads((tmp_path / "report_base.json").read_text())["trained_with"]
+    model, _ = load_checkpoint(run / "model.ckpt")
+    assert [trained_with[key] for key in ("d_j", "n_heads", "d_c", "n_d", "lambda", "dropout")] \
+        == [model.joint.visual.shape[0], model.attention.heads, model.dynconv.inner_dim,
+            model.dynconv.top_count, model.joint.scale, model.attention.dropout] \
+        == [8, 2, 4, 4, 10.0, 0.1]
+
+
+def resave_with_config(source, target, **changes):
+    """Save `source`'s checkpoint at `target` with its stored config.* values
+    changed (None drops the key)."""
+    model, extras = load_checkpoint(source)
+    config = {k[len("config."):]: float(v) for k, v in extras.items() if k.startswith("config.")}
+    config.update(changes)
+    save_checkpoint(target, model, optimizer=SavedState(
+        {k: v for k, v in extras.items() if k.startswith("optim.")}),
+        config_scalars={k: v for k, v in config.items() if v is not None})
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect-lcm"])
+def test_the_stored_normalize_embeddings_reaches_the_label_vectors(pipeline, tmp_path,
+                                                                   monkeypatch, command):
+    _, run, paths = pipeline
+    resave_with_config(run / "model.ckpt", tmp_path / "model.ckpt", normalize_embeddings=1.0)
+    seen = []
+    if command == "eval":
+        evaluate = cli.evaluate
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["normalize_embeddings"])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", recording)
+        extra = ["--eval_episodes", "1"]
+    else:
+        embed = cli.embed_labels
+
+        def recording(table, labels, *, normalize):
+            seen.append(normalize)
+            return embed(table, labels, normalize=normalize)
+
+        monkeypatch.setattr(cli, "embed_labels", recording)
+        extra = ["--image", "img00000"]
+    assert main([command, *run_flags(paths, tmp_path), *extra]) == 0
+    assert seen == [True]
+
+
+@pytest.mark.parametrize("changes,fragment", [
+    ({"k_shot": None}, "holds no int scalar 'config.k_shot'"),
+    ({"d_j": 16.0}, "stores d_j 16, but its tensors give d_j 8"),
+    ({"lambda": 5.0}, "stores lambda 5.0, but its tensors give lambda 10.0"),
+    ({"seed": 2.5}, "holds no int scalar 'config.seed'"),
+    ({"normalize_embeddings": 2.0}, "holds no bool scalar 'config.normalize_embeddings'"),
+], ids=["missing", "d_j", "lambda", "seed-not-whole", "bool-not-0-or-1"])
+@pytest.mark.parametrize("command", ["eval", "inspect-lcm", "train"])
+def test_a_stored_config_that_does_not_hold_exits_2(pipeline, tmp_path, capsys, command,
+                                                    changes, fragment):
+    _, run, paths = pipeline
+    resave_with_config(run / "model.ckpt", tmp_path / "model.ckpt", **changes)
+    before = (tmp_path / "model.ckpt").read_bytes()
+    extra = {"eval": [], "inspect-lcm": ["--image", "img00000"], "train": ["--resume"]}[command]
+    assert main([command, *run_flags(paths, tmp_path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and fragment in err and err.count("\n") == 1
     assert (tmp_path / "model.ckpt").read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
@@ -322,7 +447,7 @@ def test_a_checkpoint_count_that_is_not_whole_exits_2(pipeline, tmp_path, capsys
 
 def test_inspect_lcm_writes_grids(pipeline, capsys):
     _, run, paths = pipeline
-    code = main(["inspect-lcm", *paths, *MODEL_FLAGS, "--image", "img00000"])
+    code = main(["inspect-lcm", *paths, "--image", "img00000"])
     assert code == 0
     out = capsys.readouterr().out
     assert "image img00000 (base)" in out
@@ -350,7 +475,7 @@ def test_inspect_lcm_grids_are_select_cells_on_one_map(pipeline, capsys):
     theta = float(np.median(select(0.5).sigma))
     selection = select(theta)
     assert 0 < selection.mask.sum() < selection.mask.size    # cells kept and dropped
-    assert main(["inspect-lcm", *paths, *MODEL_FLAGS, "--image", "img00000",
+    assert main(["inspect-lcm", *paths, "--image", "img00000",
                  "--theta", repr(theta)]) == 0
     assert f"kept {selection.mask.sum()}/{selection.mask.size} cells" in capsys.readouterr().out
     # each grid one row per line: six decimals for the fitted values, 0/1 for the mask
@@ -422,10 +547,10 @@ def full_episodes(tmp_path_factory):
 @pytest.mark.parametrize("reshape", [lambda fmap: fmap[:-1], lambda fmap: fmap[:, :-1]],
                          ids=["one-channel-fewer", "cropped-grid"])
 @pytest.mark.parametrize("command,image", [
-    (["eval", *MODEL_FLAGS, "--mode", "base"], "img00019"),
-    (["eval", *MODEL_FLAGS, "--mode", "lcm"], "img00019"),
+    (["eval", "--mode", "base", "--eval_episodes", "1", "--seed", "3"], "img00019"),
+    (["eval", "--mode", "lcm", "--eval_episodes", "1", "--seed", "3"], "img00019"),
     (["train", *TRAIN_FLAGS], "img00001"),
-    (["inspect-lcm", *MODEL_FLAGS, "--image", "img00001"], "img00001"),
+    (["inspect-lcm", "--image", "img00001"], "img00001"),
 ], ids=["eval-base", "eval-lcm", "train", "inspect-lcm"])
 def test_a_map_of_another_shape_exits_2_naming_it(pipeline, full_episodes, tmp_path, capsys,
                                                   command, image, reshape):
@@ -442,7 +567,7 @@ def test_a_map_of_another_shape_exits_2_naming_it(pipeline, full_episodes, tmp_p
     if command[0] == "train":
         given["--checkpoint"] = str(tmp_path / "model.ckpt")
     argv = [part for pair in given.items() for part in pair]
-    assert main([command[0], *argv, *command[1:], "--eval_episodes", "1", "--seed", "3"]) == 2
+    assert main([command[0], *argv, *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(bad) in err and "one map shape" in err
 
@@ -474,13 +599,15 @@ def _model_of_widths(channels, embed_dim):
 ], ids=["non-finite", "wrong-shape", "feature-width", "embedding-width"])
 def test_eval_of_a_checkpoint_that_does_not_fit_exits_2(pipeline, tmp_path, capsys, corrupt):
     _, run, paths = pipeline
-    model, fragment = corrupt(load_checkpoint(run / "model.ckpt")[0])
+    model, extras = load_checkpoint(run / "model.ckpt")
+    model, fragment = corrupt(model)
+    config = {k[len("config."):]: float(v) for k, v in extras.items() if k.startswith("config.")}
     spare = tmp_path / "model.ckpt"
-    save_checkpoint(spare, model, optimizer=SavedState({}), config_scalars={})
+    save_checkpoint(spare, model, optimizer=SavedState({}), config_scalars=config)
     given = dict(zip(paths[::2], paths[1::2]), **{"--checkpoint": str(spare),
                                                    "--output": str(tmp_path / "out")})
     argv = [part for pair in given.items() for part in pair]
-    assert main(["eval", *argv, *MODEL_FLAGS, "--eval_episodes", "1"]) == 2
+    assert main(["eval", *argv, "--eval_episodes", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and fragment in err
     assert "Traceback" not in err
@@ -529,7 +656,7 @@ def test_zero_length_feature_vectors_exit_2(pipeline, zeroed_novel, tmp_path, ca
                   "--embeddings": str(zeroed_novel / "embeddings.txt"),
                   "--output": str(tmp_path)})
     argv = [part for pair in given.items() for part in pair]
-    assert main(["eval", *argv, *MODEL_FLAGS, "--mode", mode, "--eval_episodes", "1"]) == 2
+    assert main(["eval", *argv, "--mode", mode, "--eval_episodes", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -538,7 +665,7 @@ def test_zero_length_feature_vectors_exit_2(pipeline, zeroed_novel, tmp_path, ca
 def test_a_missing_config_file_exits_1(pipeline, tmp_path, capsys):
     _, _, paths = pipeline
     missing = tmp_path / "missing.cfg"
-    assert main(["eval", *paths, *MODEL_FLAGS, "--config", str(missing)]) == 1
+    assert main(["eval", *paths, "--config", str(missing)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(missing) in err
     assert "Traceback" not in err
@@ -550,7 +677,7 @@ def test_an_output_path_that_is_a_file_exits_2(pipeline, tmp_path, capsys):
     taken.write_text("not a directory\n")
     given = dict(zip(paths[::2], paths[1::2]), **{"--output": str(taken)})
     argv = [part for pair in given.items() for part in pair]
-    assert main(["eval", *argv, *MODEL_FLAGS, "--eval_episodes", "1"]) == 2
+    assert main(["eval", *argv, "--eval_episodes", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(taken) in err
     assert "Traceback" not in err
@@ -585,7 +712,7 @@ def test_a_checkpoint_path_that_is_a_directory_exits_2_before_training(pipeline,
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "training_log.csv").exists()
     assert list(checkpoint.iterdir()) == []
-    assert main(["eval", *argv, *MODEL_FLAGS, "--eval_episodes", "1"]) == 2
+    assert main(["eval", *argv, "--eval_episodes", "1"]) == 2
     assert f"{checkpoint} is not a file" in capsys.readouterr().err
 
 
@@ -605,7 +732,7 @@ def test_config_file_with_flag_override(pipeline, tmp_path, capsys):
     _, run, paths = pipeline
     cfg = tmp_path / "run.cfg"
     cfg.write_text("eval_episodes = 2   # file value\nseed = 3\n")
-    assert main(["eval", *paths, *MODEL_FLAGS, "--config", str(cfg),
+    assert main(["eval", *paths, "--config", str(cfg),
                  "--eval_episodes", "1"]) == 0
     payload = json.loads((run / "report_base.json").read_text())
     assert payload["report"]["episodes"] == 1       # flag beat the file

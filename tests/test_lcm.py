@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mlfewshot.autodiff import DegenerateVectorError, ShapeError, Tensor, _logistic
+from mlfewshot.config import RunConfig, canonical_dict
 from mlfewshot.episodes import make_synthetic
 from mlfewshot.errors import ConfigError
 from mlfewshot import cli, lcm
@@ -444,11 +445,11 @@ def inspect_argv(tmp_path_factory):
     model = init_model(channels=8, embed_dim=4, joint_dim=4, heads=2, dynconv_inner=2,
                        dynconv_top=2, scale=10.0, dropout=0.1, rng=np.random.default_rng(0))
     model.epoch = 1
-    save_checkpoint(root / "model.ckpt", model, optimizer=SavedState({}), config_scalars={})
+    config = canonical_dict(RunConfig(d_j=4, n_heads=2, d_c=2, n_d=2))
+    save_checkpoint(root / "model.ckpt", model, optimizer=SavedState({}), config_scalars=config)
     return ["inspect-lcm", "--manifest", str(root / "manifest.jsonl"),
             "--splits", str(root / "labels.tsv"), "--embeddings", str(root / "embeddings.txt"),
-            "--checkpoint", str(root / "model.ckpt"), "--d_j", "4", "--n_heads", "2",
-            "--d_c", "2", "--n_d", "2", "--image", "img00000", "--output"]
+            "--checkpoint", str(root / "model.ckpt"), "--image", "img00000", "--output"]
 
 
 def test_grid_files_are_parseable(inspect_argv, tmp_path):

@@ -7,8 +7,9 @@ checkpoint, resumes a copy of that checkpoint and log in a side directory
 for two more epochs (``train --resume --epochs 32``), keeping the same three
 under ``resume_stdout``, ``resume_training_log`` and ``resume_checkpoint``,
 evaluates the first checkpoint in all four modes at seed 11, and in
-lcm mode once more at seed 3, runs ``inspect-lcm`` on one image, once at
-the default theta and once at a theta that keeps some of its cells, runs
+lcm mode once more at seed 3, runs ``inspect-lcm`` (which reads no seed)
+on one image, once at the default theta and once at a theta that keeps some
+of its cells, runs
 the gradient checks, and reads every ``--help`` text, each under its own key.
 The ``episodes`` key digests the episodes training and evaluation draw, so
 the sampler can show byte identity while the checkpoint's digest moves.
@@ -136,12 +137,11 @@ def fingerprint(root: Path) -> dict:
             out[f"report_{mode}"] = digest(read(f"out/report_{mode}.json"))
         run("eval", *paths, "--seed", SELECTING_SEED, "--mode", "lcm")
         out[f"report_lcm_seed{SELECTING_SEED}"] = digest(read("out/report_lcm.json"))
-        out["inspect_lcm_stdout"] = digest(run("inspect-lcm", *paths, "--seed", SEED,
-                                               "--image", IMAGE))
+        # inspect-lcm reads no seed: its fit and grids depend on none
+        out["inspect_lcm_stdout"] = digest(run("inspect-lcm", *paths, "--image", IMAGE))
         for grid in ("importance", "sigma", "mask"):
             out[f"{grid}_{IMAGE}"] = digest(read(f"out/{grid}_{IMAGE}.txt"))
-        stdout = run("inspect-lcm", *paths, "--seed", SEED, "--image", IMAGE,
-                     "--theta", SELECTING_THETA)
+        stdout = run("inspect-lcm", *paths, "--image", IMAGE, "--theta", SELECTING_THETA)
         out["inspect_lcm_selecting"] = digest(stdout + read(f"out/mask_{IMAGE}.txt"))
         out["gradcheck_stdout"] = digest(run("gradcheck"))
         for line in run(code=MAX_ERROR_REPRS).decode().splitlines():
